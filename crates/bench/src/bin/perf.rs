@@ -11,9 +11,9 @@
 //!
 //! ```text
 //! perf                             run the full suite, write BENCH_sim.json
-//! perf --fast                      fast subset (the CI bench job's set)
+//! perf --fast                      fast subset (most CI sim-matrix legs)
 //! perf --sparse                    the sparse (gather/scatter) kernels only
-//!                                  (the CI sparse matrix job's set)
+//!                                  (the CI sim-matrix sparse legs)
 //! perf --wmd BIN                   run the suite as a client of the `wmd`
 //!                                  daemon at BIN instead of in-process:
 //!                                  cold runs populate the daemon's artifact
@@ -29,8 +29,8 @@
 //!                                  not passing the flag)
 //! perf --reps N                    median wall-time of N measured runs after
 //!                                  one untimed warmup (default 3)
-//! perf --engine NAME               simulation engine: cycle, event (default)
-//!                                  or compiled
+//! perf --engine NAME               simulation engine: compiled (default)
+//!                                  or cycle (the per-cycle reference)
 //! perf --hw default|latency24      hardware model (latency24 = 24-cycle
 //!                                  memory, one port: the degraded config)
 //! perf --mem MODEL                 memory-system model (flat, cache[:k=v,..]
@@ -164,8 +164,8 @@ enum SuiteSel {
     /// The CI subset: the Table I headline plus the quick Table II
     /// programs; together they finish in seconds in release.
     Fast,
-    /// The sparse (indirect-stream) kernels only: the CI `sparse`
-    /// matrix job's set, where gathers and scatters dominate.
+    /// The sparse (indirect-stream) kernels only: the CI `sim-matrix`
+    /// sparse legs' set, where gathers and scatters dominate.
     Sparse,
 }
 
@@ -817,7 +817,7 @@ fn main() {
             other => {
                 eprintln!(
                     "perf: unknown option {other}\n\
-                     usage: perf [--fast|--sparse] [--jobs N] [--tiles N] [--reps N] [--engine cycle|event|compiled]\n\
+                     usage: perf [--fast|--sparse] [--jobs N] [--tiles N] [--reps N] [--engine cycle|compiled]\n\
                      [--hw default|latency24] [--mem flat|cache[:k=v,..]|banked[:k=v,..]]\n\
                      [--wmd BIN] [--out FILE] [--check BASELINE] [--compare RESULTS]\n\
                      [--write-baseline FILE]"

@@ -9,19 +9,21 @@
 //! wmcc prog.c --mem-latency 24 --mem-ports 1
 //! wmcc prog.c --mem cache:size=16384,miss=32
 //! wmcc prog.c --mem banked:banks=4,busy=8 --stats
-//! wmcc prog.c --engine cycle          step every cycle instead of fast-forwarding
-//! wmcc prog.c --engine compiled       run the pre-decoded threaded-dispatch tables
+//! wmcc prog.c --engine cycle          run the per-cycle reference interpreter
 //! wmcc prog.c --entry kernel --args 100,7
 //! wmcc prog.c --inject drop:3,jitter:42:5
 //! wmcc prog.c --speculative-streams
 //! wmcc prog.c --tiles 4 --mem banked     partition across 4 cores
 //! ```
 
+use std::fmt::Debug;
+use std::ops::RangeInclusive;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use wm_stream::driver::{deadline_token, JobSpec};
-use wm_stream::sim::{Engine, FaultPlan, SimError};
+use wm_stream::sim::{Engine, FaultPlan, SimError, FIFO_CAPACITY_RANGE, MEM_PORTS_RANGE};
 use wm_stream::{Compiler, MachineModel, MemModel, OptOptions, Target, WmConfig};
 
 struct Options {
@@ -49,7 +51,7 @@ const USAGE: &str = "usage: wmcc FILE.c [--target wm|scalar] [--machine sun3|hp3
                [--entry NAME] [--args N,N,...]
                [--mem-latency N] [--mem-ports N] [--fifo N] [--mem MODEL]
                [--inject SPEC]
-               [--squash-penalty N] [--engine cycle|event|compiled]
+               [--squash-penalty N] [--engine cycle|compiled]
                [--tiles N] [--tile-threads M] [--no-partition]
                [--deadline-ms N] [--error-json FILE]
 
@@ -96,11 +98,11 @@ const USAGE: &str = "usage: wmcc FILE.c [--target wm|scalar] [--machine sun3|hp3
   --squash-penalty N     recovery cycles charged when a misspeculated
                          stream is squashed (default 0); shows up in
                          --stats as SpecSquash stall cycles
-  --engine NAME          simulation engine (default event): `event` fast-
-                         forwards over spans where every unit is stalled or
-                         idle, `cycle` steps every unit every cycle, and
-                         `compiled` executes pre-decoded threaded-dispatch
-                         tables (the fastest); all three produce
+  --engine NAME          simulation engine (default compiled): `compiled`
+                         executes pre-decoded threaded-dispatch tables and
+                         fast-forwards over spans where every unit is
+                         stalled or idle; `cycle` is the reference that
+                         interprets every unit every cycle. Both produce
                          bit-identical cycle counts and statistics
   --mem MODEL            memory-system model (default flat). MODEL is
                          flat | cache[:k=v,...] | banked[:k=v,...]:
@@ -118,8 +120,10 @@ const USAGE: &str = "usage: wmcc FILE.c [--target wm|scalar] [--machine sun3|hp3
                          access/execute decoupling). Timing-only: results
                          never change, --stats gains a memory-hierarchy
                          section
+  --mem-ports N          memory requests accepted per cycle (1..=64,
+                         default 2)
   --fifo N               architectural data-FIFO capacity in entries
-                         (default 8, minimum 1). Unlike --mem/--mem-latency
+                         (1..=1024, default 8). Unlike --mem/--mem-latency
                          this is a hardware parameter, not a timing knob:
                          the compiler schedules against the default depth,
                          so code that completes always computes the same
@@ -136,7 +140,7 @@ const USAGE: &str = "usage: wmcc FILE.c [--target wm|scalar] [--machine sun3|hp3
                          cannot be proven partitionable runs on tile 0
                          alone — same result, no speedup. Cycle counts and
                          statistics are bit-identical for any host thread
-                         count and all three engines
+                         count and both engines
   --tile-threads M       host worker threads stepping the tiles between
                          synchronization epochs (default: one per
                          available CPU). Affects wall-clock time only,
@@ -165,6 +169,22 @@ exit status: the program's return value (low 8 bits) on success, else
 fn usage() -> ! {
     eprintln!("{USAGE}");
     std::process::exit(2);
+}
+
+/// Parse the value of `flag`, which must lie in `range`; anything else is
+/// a usage error.
+fn in_range<T: FromStr + PartialOrd + Debug>(
+    flag: &str,
+    value: &str,
+    range: &RangeInclusive<T>,
+) -> T {
+    match value.parse() {
+        Ok(n) if range.contains(&n) => n,
+        _ => {
+            eprintln!("wmcc: {flag} {value} out of range ({range:?})");
+            usage()
+        }
+    }
 }
 
 /// Report a simulator failure with its machine-state dump (and, when
@@ -249,11 +269,7 @@ fn parse_args() -> Options {
             }
             "--noalias" => o.opts = o.opts.clone().assume_noalias(),
             "--tiles" => {
-                let n: usize = need(&mut i).parse().unwrap_or_else(|_| usage());
-                if !(1..=8).contains(&n) {
-                    eprintln!("wmcc: --tiles {n} out of range (1..=8)");
-                    std::process::exit(2);
-                }
+                let n = in_range("--tiles", &need(&mut i), &(1..=8));
                 o.config.tiles = n;
                 o.opts.tiles = n;
             }
@@ -302,13 +318,11 @@ fn parse_args() -> Options {
             "--mem-latency" => {
                 o.config.mem_latency = need(&mut i).parse().unwrap_or_else(|_| usage())
             }
-            "--mem-ports" => o.config.mem_ports = need(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--mem-ports" => {
+                o.config.mem_ports = in_range("--mem-ports", &need(&mut i), &MEM_PORTS_RANGE)
+            }
             "--fifo" => {
-                let n = need(&mut i).parse().unwrap_or_else(|_| usage());
-                if n == 0 {
-                    usage();
-                }
-                o.config.fifo_capacity = n;
+                o.config.fifo_capacity = in_range("--fifo", &need(&mut i), &FIFO_CAPACITY_RANGE)
             }
             "--squash-penalty" => {
                 o.config.squash_penalty = need(&mut i).parse().unwrap_or_else(|_| usage())

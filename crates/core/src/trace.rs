@@ -9,7 +9,7 @@
 //! are simulated cycles, reported in the trace's microsecond field so
 //! one cycle renders as 1 µs.
 //!
-//! Under the event-driven engine, spans the simulator fast-forwarded
+//! Under the compiled engine, spans the simulator fast-forwarded
 //! over appear as one coalesced `stall:<reason>` (or `idle`) event per
 //! stalled unit instead of thousands of per-cycle events, so a
 //! latency-dominated trace stays small and readable.
@@ -50,7 +50,7 @@ fn outcome_label(o: Outcome) -> Option<String> {
 /// `events` come from [`wm_sim::WmMachine::trace`] (instruction-level
 /// tracing), `timeline` from [`wm_sim::WmMachine::timeline`]
 /// (FIFO-depth change points) and `spans` from
-/// [`wm_sim::WmMachine::ff_spans`] (stall spans the event engine
+/// [`wm_sim::WmMachine::ff_spans`] (stall spans the compiled engine
 /// fast-forwarded over). Any of them may be empty; the result is
 /// always a valid trace.
 #[must_use]

@@ -17,8 +17,8 @@ completion order. See DESIGN.md "Service and supervision" for the schema.
 OPTIONS:
     --jobs N             worker threads (default 4)
     --queue-limit N      shed jobs with `overloaded` beyond this queue
-                         depth; degrade compiled->event at half (default 256)
-    --retries N          extra attempts for transient failures (default 1)
+                         depth (default 256)
+    --retries N          extra attempts for deadline overruns (default 1)
     --backoff-ms N       base retry backoff, doubled per attempt (default 10)
     --deadline-ms N      default per-job wall-clock deadline (default: none)
     --stuck-grace-ms N   watchdog answers for workers this long past

@@ -15,11 +15,10 @@
 //! * **Deadlines** — per-job wall-clock deadlines enforced through the
 //!   simulator's cooperative [`wm_stream::sim::CancelToken`], with a
 //!   watchdog that answers for workers stuck past deadline + grace.
-//! * **Retry and load shedding** — transient failures (injected faults,
-//!   deadline overruns) retry with capped exponential backoff; a full
-//!   queue sheds with an explicit `overloaded` response; a half-full
-//!   queue degrades `compiled`-engine jobs to the `event` engine (bit-
-//!   identical results, cheaper setup).
+//! * **Retry and load shedding** — deadline overruns retry with capped
+//!   exponential backoff (every other failure, injected faults included,
+//!   is deterministic and answered after one attempt); a full queue
+//!   sheds with an explicit `overloaded` response.
 //! * **A crash-safe artifact cache** ([`cache`]) — results are stored
 //!   content-addressed by the SHA-256 ([`hash`]) of the job's canonical
 //!   key material, written atomically (temp file + rename) with an

@@ -19,14 +19,12 @@
 //!
 //! # Retry and shedding
 //!
-//! Transient failures — deadline overruns, and simulator errors from
-//! jobs that carry a fault-injection plan — are retried with capped
-//! exponential backoff. Deterministic failures (compile errors, panics,
-//! faults with no injection in play) are not. Admission control sheds
-//! jobs with an `overloaded` response when the queue is full, and
-//! degrades `compiled`-engine jobs to the cheaper-to-set-up `event`
-//! engine when it is half full (the engines are bit-identical, so
-//! degradation changes setup cost, never results).
+//! Deadline overruns are retried with capped exponential backoff: the
+//! host may simply have been busy. Every other failure is deterministic
+//! — compile errors, panics, and simulator errors, including those of a
+//! fault-injection plan, which is seeded and replays identically — so a
+//! retry could only reproduce it. Admission control sheds jobs with an
+//! `overloaded` response when the queue is full.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -35,7 +33,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use wm_stream::sim::{CancelToken, Engine, SimError};
+use wm_stream::sim::{CancelToken, SimError};
 
 use crate::cache::ArtifactCache;
 use crate::job::{execute, ExecFailure, ModuleCache};
@@ -48,7 +46,7 @@ pub struct PoolConfig {
     pub workers: usize,
     /// Queue depth at which jobs are shed with `overloaded`.
     pub queue_limit: usize,
-    /// Extra attempts after the first for transient failures.
+    /// Extra attempts after the first for deadline overruns.
     pub retries: u32,
     /// Base backoff; attempt `n` waits `backoff_ms << (n-1)`.
     pub backoff_ms: u64,
@@ -90,8 +88,6 @@ pub struct Counters {
     pub retries: AtomicU64,
     /// Jobs shed at admission.
     pub shed: AtomicU64,
-    /// Jobs degraded compiled→event at admission.
-    pub degraded: AtomicU64,
     /// Artifact-cache hits.
     pub cache_hits: AtomicU64,
     /// Artifact-cache misses (lookups that went on to execute).
@@ -118,7 +114,6 @@ struct QueuedJob {
     req: JobRequest,
     reply: Sender<String>,
     claimed: Arc<AtomicBool>,
-    degraded: bool,
 }
 
 struct Inflight {
@@ -206,9 +201,9 @@ impl Pool {
         self.shared.queue.lock().unwrap().len()
     }
 
-    /// Admit a job: shed, degrade or enqueue. Always results in exactly
-    /// one terminal response on `reply`, eventually.
-    pub fn submit(&self, mut req: JobRequest, reply: Sender<String>) {
+    /// Admit a job: shed or enqueue. Always results in exactly one
+    /// terminal response on `reply`, eventually.
+    pub fn submit(&self, req: JobRequest, reply: Sender<String>) {
         let s = &self.shared;
         Counters::bump(&s.counters.received);
         let queued = self.queue_len();
@@ -226,17 +221,10 @@ impl Pool {
             let _ = reply.send(line);
             return;
         }
-        let mut degraded = false;
-        if queued >= s.cfg.queue_limit / 2 && req.spec.config.engine == Engine::Compiled {
-            req.spec.config = req.spec.config.clone().with_engine(Engine::Event);
-            degraded = true;
-            Counters::bump(&s.counters.degraded);
-        }
         let job = QueuedJob {
             req,
             reply,
             claimed: Arc::new(AtomicBool::new(false)),
-            degraded,
         };
         s.queue.lock().unwrap().push_back(job);
         s.available.notify_one();
@@ -283,18 +271,13 @@ fn worker_loop(s: &Arc<Shared>, index: usize) {
     }
 }
 
-/// Is this failure worth retrying? Deadline overruns always are (the
-/// machine may simply have been busy); simulator errors only when the
-/// job injects faults (the paper's transient-fault story — a dropped
-/// response or jitter plan models an unreliable memory part, and rerun
-/// semantics are what a supervisor owes such parts). Compile errors and
-/// panics are deterministic: retrying them wastes the client's deadline.
-fn is_transient(class: &ErrorClass, injecting: bool) -> bool {
-    match class {
-        ErrorClass::Deadline { .. } => true,
-        ErrorClass::Sim(_) => injecting,
-        _ => false,
-    }
+/// Is this failure worth retrying? Only a deadline overrun (the host may
+/// simply have been busy). Everything else replays identically: compile
+/// errors, panics and simulator errors — a fault-injection plan is
+/// seeded, so its rerun fails the same way — and retrying them wastes
+/// the client's deadline.
+fn is_transient(class: &ErrorClass) -> bool {
+    matches!(class, ErrorClass::Deadline { .. })
 }
 
 fn run_job(s: &Arc<Shared>, index: usize, job: QueuedJob) {
@@ -302,7 +285,6 @@ fn run_job(s: &Arc<Shared>, index: usize, job: QueuedJob) {
         req,
         reply,
         claimed,
-        degraded,
     } = job;
     let deadline_ms = req.deadline_ms.or(s.cfg.default_deadline_ms);
     let cacheable = !req.no_cache && req.chaos.is_none();
@@ -315,16 +297,13 @@ fn run_job(s: &Arc<Shared>, index: usize, job: QueuedJob) {
             if claim(&claimed) {
                 Counters::bump(&s.counters.ok);
                 let wall_ms = lookup_start.elapsed().as_secs_f64() * 1e3;
-                let _ = reply.send(proto::ok_line(
-                    &req.id, true, degraded, 0, wall_ms, &payload,
-                ));
+                let _ = reply.send(proto::ok_line(&req.id, true, 0, wall_ms, &payload));
             }
             return;
         }
         Counters::bump(&s.counters.cache_misses);
     }
 
-    let injecting = !req.spec.config.fault_plan.is_empty();
     let total_attempts = s.cfg.retries + 1;
     let mut attempt: u32 = 1;
     loop {
@@ -353,9 +332,7 @@ fn run_job(s: &Arc<Shared>, index: usize, job: QueuedJob) {
                 }
                 if claim(&claimed) {
                     Counters::bump(&s.counters.ok);
-                    let _ = reply.send(proto::ok_line(
-                        &req.id, false, degraded, attempt, wall_ms, &payload,
-                    ));
+                    let _ = reply.send(proto::ok_line(&req.id, false, attempt, wall_ms, &payload));
                 }
                 return;
             }
@@ -369,7 +346,7 @@ fn run_job(s: &Arc<Shared>, index: usize, job: QueuedJob) {
                 if claimed.load(Ordering::SeqCst) {
                     return;
                 }
-                if is_transient(&class, injecting) && attempt < total_attempts {
+                if is_transient(&class) && attempt < total_attempts {
                     Counters::bump(&s.counters.retries);
                     let backoff = s.cfg.backoff_ms << (attempt - 1);
                     std::thread::sleep(Duration::from_millis(backoff));
@@ -578,7 +555,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_faults_are_retried_then_reported() {
+    fn injected_faults_are_reported_without_retry() {
         let mut pool = small_pool(PoolConfig {
             workers: 1,
             retries: 2,
@@ -603,8 +580,12 @@ mod tests {
         let line = rx.into_iter().next().unwrap();
         let v = json::parse(&line).unwrap();
         assert_eq!(v.get("status").and_then(Value::as_str), Some("error"));
-        assert_eq!(v.get("attempts").and_then(Value::as_u64), Some(3));
-        assert_eq!(Counters::get(&pool.counters().retries), 2);
+        assert_eq!(
+            v.get("attempts").and_then(Value::as_u64),
+            Some(1),
+            "a seeded fault plan replays identically: never retried"
+        );
+        assert_eq!(Counters::get(&pool.counters().retries), 0);
     }
 
     #[test]
@@ -628,55 +609,6 @@ mod tests {
             Some("overloaded")
         );
         assert_eq!(Counters::get(&pool.counters().shed), 1);
-    }
-
-    #[test]
-    fn degrades_compiled_jobs_under_pressure() {
-        // queue_limit 2 → half-full threshold is 1: with a single busy
-        // worker, the second job is admitted at depth >= 1 and degrades.
-        let mut pool = small_pool(PoolConfig {
-            workers: 1,
-            queue_limit: 2,
-            ..PoolConfig::default()
-        });
-        let (tx, rx) = channel();
-        let mut first = req(
-            "first",
-            "int main() { int i; int s; s = 0; for (i = 0; i < 200000; i++) s += i; return s; }",
-        );
-        first.spec.config = first.spec.config.clone().with_engine(Engine::Compiled);
-        let mut second = first.clone();
-        second.id = "second".to_string();
-        pool.submit(first, tx.clone());
-        pool.submit(second, tx.clone());
-        drop(tx);
-        pool.shutdown();
-        let lines: Vec<String> = rx.into_iter().collect();
-        assert_eq!(lines.len(), 2);
-        let degraded: Vec<bool> = lines
-            .iter()
-            .map(|l| {
-                json::parse(l)
-                    .unwrap()
-                    .get("degraded")
-                    .and_then(Value::as_bool)
-                    .unwrap()
-            })
-            .collect();
-        assert!(degraded.iter().any(|d| *d), "one job degraded: {lines:?}");
-        // Bit-identity across engines: both report the same cycle count.
-        let cycles: Vec<u64> = lines
-            .iter()
-            .map(|l| {
-                json::parse(l)
-                    .unwrap()
-                    .get("result")
-                    .and_then(|r| r.get("cycles"))
-                    .and_then(Value::as_u64)
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(cycles[0], cycles[1]);
     }
 
     #[test]

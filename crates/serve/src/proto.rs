@@ -16,8 +16,11 @@
 //! The full schema is documented in `DESIGN.md` § "Service and
 //! supervision".
 
+use std::fmt::Debug;
+use std::ops::RangeInclusive;
+
 use wm_stream::json::{self, Value};
-use wm_stream::sim::{Engine, FaultPlan, MemModel, SimError};
+use wm_stream::sim::{Engine, FaultPlan, MemModel, SimError, FIFO_CAPACITY_RANGE, MEM_PORTS_RANGE};
 use wm_stream::{JobSpec, OptOptions};
 
 /// A deterministic panic-injection point, enabled only when the daemon
@@ -125,18 +128,11 @@ fn parse_request_value(v: &Value) -> Result<Request, String> {
     if let Some(n) = field_u64(v, "mem_latency")? {
         spec.config = spec.config.with_mem_latency(n);
     }
-    if let Some(n) = field_u64(v, "mem_ports")? {
-        let ports = u32::try_from(n).map_err(|_| "`mem_ports` out of range")?;
-        if ports == 0 {
-            return Err("`mem_ports` must be positive".to_string());
-        }
-        spec.config = spec.config.with_mem_ports(ports);
+    if let Some(n) = field_in(v, "mem_ports", &MEM_PORTS_RANGE)? {
+        spec.config = spec.config.with_mem_ports(n);
     }
-    if let Some(n) = field_u64(v, "fifo")? {
-        if n == 0 {
-            return Err("`fifo` must be positive".to_string());
-        }
-        spec.config = spec.config.with_fifo_capacity(n as usize);
+    if let Some(n) = field_in(v, "fifo", &FIFO_CAPACITY_RANGE)? {
+        spec.config = spec.config.with_fifo_capacity(n);
     }
     if let Some(n) = field_u64(v, "max_cycles")? {
         spec.config = spec.config.with_max_cycles(n);
@@ -223,6 +219,20 @@ fn field_u64(v: &Value, key: &str) -> Result<Option<u64>, String> {
             .as_u64()
             .map(Some)
             .ok_or_else(|| format!("`{key}` must be a non-negative integer")),
+    }
+}
+
+/// An optional integer field that must lie in `range`.
+fn field_in<T>(v: &Value, key: &str, range: &RangeInclusive<T>) -> Result<Option<T>, String>
+where
+    T: TryFrom<u64> + PartialOrd + Debug,
+{
+    let Some(n) = field_u64(v, key)? else {
+        return Ok(None);
+    };
+    match T::try_from(n) {
+        Ok(x) if range.contains(&x) => Ok(Some(x)),
+        _ => Err(format!("`{key}` must be in {range:?}, got {n}")),
     }
 }
 
@@ -321,13 +331,12 @@ fn id_json(id: Option<&str>) -> String {
 pub fn ok_line(
     id: &str,
     cached: bool,
-    degraded: bool,
     attempts: u32,
     wall_ms: f64,
     result_payload: &str,
 ) -> String {
     format!(
-        "{{\"id\": {}, \"status\": \"ok\", \"cached\": {cached}, \"degraded\": {degraded}, \
+        "{{\"id\": {}, \"status\": \"ok\", \"cached\": {cached}, \
          \"attempts\": {attempts}, \"wall_ms\": {wall_ms:.3}, \"result\": {result_payload}}}",
         id_json(Some(id))
     )
@@ -421,11 +430,28 @@ mod tests {
 
     #[test]
     fn bad_requests_keep_the_id_when_possible() {
-        let (id, msg) = parse_request(r#"{"id": "j9", "engine": "event"}"#).unwrap_err();
+        let (id, msg) = parse_request(r#"{"id": "j9", "engine": "compiled"}"#).unwrap_err();
         assert_eq!(id.as_deref(), Some("j9"));
         assert!(msg.contains("source"));
         let (id, _) = parse_request("not json at all").unwrap_err();
         assert!(id.is_none());
+        // Well-formed jobs with an unknown engine or a machine parameter
+        // outside its legal range: a bad request, never an allocation
+        // the host cannot make.
+        for field in [
+            r#""engine": "event""#,
+            r#""fifo": 0"#,
+            r#""fifo": 1099511627776"#,
+            r#""mem_ports": 0"#,
+            r#""mem_ports": 4294967295"#,
+            r#""mem": "cache:size=1099511627776""#,
+            r#""mem": "banked:banks=1099511627776""#,
+            r#""mem": "cache:sbufs=100000000000""#,
+        ] {
+            let line = format!(r#"{{"id": "p", "source": "int main() {{ return 0; }}", {field}}}"#);
+            let (id, msg) = parse_request(&line).unwrap_err();
+            assert_eq!(id.as_deref(), Some("p"), "{field}: {msg}");
+        }
     }
 
     #[test]

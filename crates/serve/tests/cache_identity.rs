@@ -5,7 +5,7 @@
 //! on-disk cache, and the payload of an entirely fresh re-run are all
 //! bit-identical. This is the contract that lets `wmd` answer `cached:
 //! true` without any asterisk — and it leans on the repo-wide invariant
-//! that all three engines are deterministic and bit-exact.
+//! that both engines are deterministic and bit-exact.
 
 use proptest::prelude::*;
 
@@ -39,7 +39,6 @@ const SOURCES: [&str; 4] = [
     "int main() { putchar(119); putchar(109); putchar(10); return 7; }",
 ];
 
-const ENGINES: [Engine; 3] = [Engine::Cycle, Engine::Event, Engine::Compiled];
 const MEMS: [&str; 3] = ["flat", "cache", "banked"];
 
 fn job(source_ix: usize, opt_full: bool, engine_ix: usize, mem_ix: usize) -> JobRequest {
@@ -47,7 +46,7 @@ fn job(source_ix: usize, opt_full: bool, engine_ix: usize, mem_ix: usize) -> Job
     if !opt_full {
         spec.opts.streaming = false;
     }
-    spec.config.engine = ENGINES[engine_ix];
+    spec.config.engine = Engine::ALL[engine_ix];
     spec.config.mem_model = MemModel::parse(MEMS[mem_ix]).unwrap();
     JobRequest {
         id: "prop".to_string(),
@@ -63,7 +62,7 @@ proptest! {
     fn cached_payloads_are_bit_identical_to_fresh_runs(
         source_ix in 0usize..4,
         opt_bit in 0usize..2,
-        engine_ix in 0usize..3,
+        engine_ix in 0..Engine::ALL.len(),
         mem_ix in 0usize..3,
     ) {
         let opt_full = opt_bit == 1;

@@ -231,8 +231,8 @@ fn mixed_chaos_batch_gets_exactly_one_response_per_job() {
     assert_eq!(class_of(by_id["faulted"]), "sim");
     assert_eq!(
         field(by_id["faulted"], &["attempts"]).and_then(Value::as_u64),
-        Some(2),
-        "injected faults are transient: retried once, then reported"
+        Some(1),
+        "a seeded fault plan replays identically: reported without retry"
     );
     assert_eq!(class_of(by_id["too-slow"]), "deadline");
     assert_eq!(

@@ -1,7 +1,7 @@
 //! Micro-benchmark of the simulator stepping engines on Livermore
 //! loop 5, under the default hardware model and the latency-dominated
-//! degraded model (24-cycle memory, one port) where the event engine's
-//! fast-forward pays off. Run with `cargo bench -p wm-sim`.
+//! degraded model (24-cycle memory, one port) where the compiled
+//! engine's fast-forward pays off. Run with `cargo bench -p wm-sim`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use wm_ir::Module;
@@ -23,7 +23,7 @@ fn livermore5(opts: &OptOptions) -> Module {
 }
 
 fn bench_step(c: &mut Criterion) {
-    // The scalar build is where the event engine pays off on slow
+    // The scalar build is where fast-forwarding pays off on slow
     // memory: serialized loads leave long all-stalled spans to skip.
     // The streaming build keeps the SCUs busy nearly every cycle, so it
     // measures the engine's overhead on non-skippable cycles instead.
@@ -55,7 +55,7 @@ fn bench_step(c: &mut Criterion) {
     ];
     for (build_name, module) in &builds {
         for (hw_name, cfg) in &hw {
-            for engine in [Engine::Cycle, Engine::Event] {
+            for engine in Engine::ALL {
                 let cfg = cfg.clone().with_engine(engine);
                 c.bench_function(
                     &format!("livermore5-{build_name}/{hw_name}/{engine}"),

@@ -10,7 +10,7 @@
 //! loop. The IFU walks the same tables with branch targets and call
 //! destinations pre-resolved.
 //!
-//! Bit-identity with the cycle/event engines is structural:
+//! Bit-identity with the cycle engine is structural:
 //!
 //! * every exec handler mirrors the corresponding interpreter arm
 //!   check-for-check, in the same order, mutating the same state and
@@ -24,11 +24,12 @@
 //!   poison-consumption and deadlock semantics are literally the same
 //!   code;
 //! * the shared per-cycle phases (memory delivery, VEU, store drain,
-//!   SCUs, perf sampling) and the fast-forward tail are the same
-//!   functions the other engines run.
+//!   SCUs, perf sampling) are the same functions the cycle engine runs;
+//! * the fast-forward tail (`fastforward.rs`) only skips cycles
+//!   whose every counter update it can reproduce in bulk.
 //!
 //! `tests/engine_equiv.rs` and the differential fuzzer enforce full
-//! `Stats`/`SimError` equality across all three engines.
+//! `Stats`/`SimError` equality between the two engines.
 
 use wm_ir::{Operand, RegClass, UnOp};
 
@@ -42,8 +43,7 @@ use crate::stats::{Outcome, Stall};
 
 impl<'m> WmMachine<'m> {
     /// Advance one cycle with the pre-decoded dispatch tables, then
-    /// fast-forward over any all-stalled span (the same tail the event
-    /// engine uses).
+    /// fast-forward over any all-stalled span.
     ///
     /// Behaves exactly like [`WmMachine::step`] — same cycle counts, same
     /// counters, same faults — but the scalar-unit and IFU hot paths run

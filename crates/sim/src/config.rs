@@ -1,7 +1,22 @@
 //! Simulator configuration.
 
+use std::ops::RangeInclusive;
+
 use crate::fastforward::Engine;
 use crate::mem::MemModel;
+
+/// Legal data-FIFO capacities ([`WmConfig::fifo_capacity`]). Register 0
+/// *is* a FIFO pair, so a zero-capacity FIFO could never transfer a
+/// datum; the upper bound keeps the occupancy histograms (one counter
+/// per depth, per FIFO) a small allocation, far above the deepest FIFO
+/// any sweep uses (32).
+pub const FIFO_CAPACITY_RANGE: RangeInclusive<usize> = 1..=1024;
+
+/// Legal memory-port counts ([`WmConfig::mem_ports`]). A machine that can
+/// never accept a memory request cannot run any program; the upper bound
+/// keeps the port-usage histogram (one counter per port count) a small
+/// allocation.
+pub const MEM_PORTS_RANGE: RangeInclusive<u32> = 1..=64;
 
 /// Deterministic fault-injection plan: degrade the simulated hardware in
 /// reproducible ways to exercise the deadlock detector and the stall
@@ -113,9 +128,9 @@ pub struct WmConfig {
     pub squash_penalty: u64,
     /// Deterministic fault injection (empty by default).
     pub fault_plan: FaultPlan,
-    /// Stepping engine: per-cycle, or event-driven fast-forward over
-    /// all-stalled spans (bit-identical counters, much faster on
-    /// latency-dominated configurations).
+    /// Stepping engine: the pre-decoded tables with fast-forward over
+    /// all-stalled spans (the default), or the per-cycle reference
+    /// interpreter. Bit-identical counters either way.
     pub engine: Engine,
     /// Memory-system model: `flat` (the default; every request costs
     /// `mem_latency`), or a hierarchy with an L1 data cache, stream
@@ -185,16 +200,17 @@ impl WmConfig {
 
     /// A configuration with a different number of memory ports.
     ///
-    /// Valid range: `ports >= 1` (a machine that can never accept a
-    /// memory request cannot run any program).
+    /// Valid range: [`MEM_PORTS_RANGE`].
     ///
     /// # Panics
     ///
-    /// Panics if `ports == 0`. (This used to clamp silently to 1, which
-    /// hid the configuration error from callers sweeping parameter
-    /// ranges.)
+    /// Panics if `ports` is outside [`MEM_PORTS_RANGE`].
     pub fn with_mem_ports(mut self, ports: u32) -> WmConfig {
-        assert!(ports >= 1, "with_mem_ports: ports must be >= 1, got 0");
+        assert!(
+            MEM_PORTS_RANGE.contains(&ports),
+            "with_mem_ports: ports must be >= 1 and <= {}, got {ports}",
+            MEM_PORTS_RANGE.end()
+        );
         self.mem_ports = ports;
         self
     }
@@ -208,16 +224,16 @@ impl WmConfig {
 
     /// A configuration with a different data-FIFO capacity.
     ///
-    /// Valid range: `capacity >= 1` (register 0 *is* a FIFO pair; a
-    /// zero-capacity FIFO could never transfer a datum).
+    /// Valid range: [`FIFO_CAPACITY_RANGE`].
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0` (previously a silent clamp to 1).
+    /// Panics if `capacity` is outside [`FIFO_CAPACITY_RANGE`].
     pub fn with_fifo_capacity(mut self, capacity: usize) -> WmConfig {
         assert!(
-            capacity >= 1,
-            "with_fifo_capacity: capacity must be >= 1, got 0"
+            FIFO_CAPACITY_RANGE.contains(&capacity),
+            "with_fifo_capacity: capacity must be >= 1 and <= {}, got {capacity}",
+            FIFO_CAPACITY_RANGE.end()
         );
         self.fifo_capacity = capacity;
         self

@@ -1,6 +1,6 @@
 //! Pre-decoded instruction tables for the compiled stepping engine.
 //!
-//! The per-cycle and event engines interpret [`InstKind`] with a match on
+//! The per-cycle reference engine interprets [`InstKind`] with a match on
 //! every issue attempt: operands are re-classified (register? FIFO? zero?
 //! immediate?), FIFO demands and interlock register sets are recomputed,
 //! branch labels are resolved by a linear block scan, and global symbols
@@ -201,7 +201,7 @@ pub(crate) struct DecFunc {
 }
 
 /// The whole module, pre-decoded. Built once by [`WmMachine::new`] and
-/// shared by all three engines: the interpreters use it to resolve queued
+/// shared by both engines: the cycle engine uses it to resolve queued
 /// instruction indices back to [`InstKind`]s, the compiled engine
 /// executes it directly.
 #[derive(Debug)]

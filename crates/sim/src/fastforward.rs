@@ -1,4 +1,5 @@
-//! The event-driven fast-forward engine.
+//! Fast-forward over all-stalled spans: the tail of every compiled-engine
+//! step.
 //!
 //! PR 3's stall attribution showed that on latency-dominated
 //! configurations (24-cycle memory, single-entry FIFOs) the large
@@ -6,8 +7,8 @@
 //! the machine's architectural state does not change at all, yet the
 //! per-cycle stepper still walks every unit, every SCU and the memory
 //! system once per cycle. This module makes those spans O(1): after a
-//! cycle in which no unit made progress, [`WmMachine::step_event`]
-//! computes the **next-event cycle** — the earliest future cycle at which
+//! cycle in which no unit made progress, the compiled engine computes
+//! the **next-event cycle** — the earliest future cycle at which
 //! anything *can* change — and jumps there in one bulk update.
 //!
 //! The jump is exact, not approximate. A no-progress cycle is only
@@ -18,8 +19,8 @@
 //! (unchanging) current depths, and the zero-requests memory-port bucket.
 //! Every counter in [`crate::Stats`], every cycle count, every fault and
 //! deadlock (down to the reported cycle and machine-state dump) is
-//! **bit-identical** between the two engines; the differential suite in
-//! `tests/engine_equiv.rs` and the fuzzer enforce this.
+//! **bit-identical** to the per-cycle reference stepper; the differential
+//! suite in `tests/engine_equiv.rs` and the fuzzer enforce this.
 //!
 //! Events that bound a jump:
 //!
@@ -39,31 +40,26 @@
 
 use crate::machine::{WmMachine, DEADLOCK_WINDOW};
 use crate::stats::{Outcome, Stall};
-use crate::SimError;
 
 /// Which stepping engine drives the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Step every unit every cycle (the reference stepper).
+    /// Step every unit every cycle, interpreting the IR: the reference
+    /// stepper that tests and CI compare the production engine against.
     Cycle,
-    /// Fast-forward over spans where no unit can make progress before the
-    /// next event. Bit-identical counters; the default.
-    #[default]
-    Event,
     /// Execute the pre-decoded threaded-dispatch tables (see
-    /// [`DecodedProgram`](crate::DecodedProgram)) with the same
-    /// fast-forward tail. Bit-identical to the other engines; the
-    /// fastest.
+    /// [`DecodedProgram`](crate::DecodedProgram)) and fast-forward over
+    /// all-stalled spans. Bit-identical to [`Engine::Cycle`]; the
+    /// default.
+    #[default]
     Compiled,
 }
 
 impl Engine {
-    /// Stable machine-readable name (`"cycle"` / `"event"` /
-    /// `"compiled"`).
+    /// Stable machine-readable name (`"cycle"` / `"compiled"`).
     pub fn name(self) -> &'static str {
         match self {
             Engine::Cycle => "cycle",
-            Engine::Event => "event",
             Engine::Compiled => "compiled",
         }
     }
@@ -72,21 +68,19 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns a usage message for anything but `cycle`, `event` or
-    /// `compiled`.
+    /// Returns a usage message for anything but `cycle` or `compiled`.
     pub fn parse(s: &str) -> Result<Engine, String> {
         match s {
             "cycle" => Ok(Engine::Cycle),
-            "event" => Ok(Engine::Event),
             "compiled" => Ok(Engine::Compiled),
             other => Err(format!(
-                "unknown engine `{other}` (expected cycle, event or compiled)"
+                "unknown engine `{other}` (expected cycle or compiled)"
             )),
         }
     }
 
     /// All engines, for exhaustive differential sweeps.
-    pub const ALL: [Engine; 3] = [Engine::Cycle, Engine::Event, Engine::Compiled];
+    pub const ALL: [Engine; 2] = [Engine::Cycle, Engine::Compiled];
 }
 
 impl std::fmt::Display for Engine {
@@ -96,7 +90,7 @@ impl std::fmt::Display for Engine {
 }
 
 /// What every unit did during one simulated cycle; captured each step so
-/// the fast-forward engine can bulk-account a span of identical cycles.
+/// the fast-forward tail can bulk-account a span of identical cycles.
 #[derive(Debug, Clone)]
 pub(crate) struct CycleOutcomes {
     pub(crate) ieu: Outcome,
@@ -157,28 +151,10 @@ fn repeats(o: Outcome) -> bool {
 }
 
 impl<'m> WmMachine<'m> {
-    /// Advance one cycle, then fast-forward to just before the next event
-    /// if the cycle ended with no unit able to make progress.
-    ///
-    /// Behaves exactly like running [`WmMachine::step`] in a loop — same
-    /// cycle counts, same counters, same faults — but skips all-stalled
-    /// spans in one bulk update.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors [`WmMachine::step`] reports, at the same cycle.
-    pub fn step_event(&mut self) -> Result<(), SimError> {
-        self.step()?;
-        self.fast_forward();
-        Ok(())
-    }
-
-    /// The shared fast-forward tail: if the cycle just simulated ended
-    /// with no unit able to make progress, jump to just before the next
-    /// event in one bulk update. Used by both the event engine (after
-    /// [`WmMachine::step`]) and the compiled engine (after its decoded
-    /// step); a no-op when the cycle made progress or an outcome is not
-    /// provably constant.
+    /// If the cycle just simulated ended with no unit able to make
+    /// progress, jump to just before the next event in one bulk update;
+    /// a no-op when the cycle made progress or an outcome is not provably
+    /// constant. Called by [`WmMachine::step_compiled`] after each cycle.
     pub(crate) fn fast_forward(&mut self) {
         if !self.can_fast_forward() {
             return;

@@ -17,7 +17,7 @@ use crate::mem::{Access, MemStats, MemSystem};
 use crate::stats::{DepthSample, Outcome, Stall, Stats, FIFO_NAMES, SBUF_TRACK};
 
 /// Cycles without progress before the run is declared wedged. The
-/// fast-forward engine clamps its jumps to this horizon so both engines
+/// fast-forward tail clamps its jumps to this horizon so both engines
 /// report [`SimError::Deadlock`] at the identical cycle.
 pub(crate) const DEADLOCK_WINDOW: u64 = 10_000;
 
@@ -298,7 +298,7 @@ pub(crate) struct InFifo {
 
 /// A scalar execution unit (IEU/FEU). The instruction queue holds `u32`
 /// indices into the machine's [`DecodedProgram`] table — for every
-/// engine; the interpreters resolve an index back to its [`InstKind`]
+/// engine; the interpreter resolves an index back to its [`InstKind`]
 /// through the table, so nothing is cloned at dispatch.
 #[derive(Debug)]
 pub(crate) struct Unit {
@@ -651,7 +651,7 @@ impl<'m> WmMachine<'m> {
         }
         let mem = MemoryImage::new(module, config.memory_size)?;
         // Pre-decode for every engine: the unit queues carry indices into
-        // this table, so even the interpreters dispatch without cloning.
+        // this table, so even the interpreter dispatches without cloning.
         let prog = DecodedProgram::decode(module, &mem.addresses);
         let mut ieu = Unit::new(RegClass::Int);
         ieu.regs[30] = Val::I(mem.initial_sp);
@@ -763,10 +763,10 @@ impl<'m> WmMachine<'m> {
         &self.prog
     }
 
-    /// The fast-forwarded spans collected so far (empty unless the event
-    /// engine ran with tracing or the timeline enabled). Consumed by the
-    /// Chrome trace exporter, which renders each as one coalesced stall
-    /// span per unit.
+    /// The fast-forwarded spans collected so far (empty unless the
+    /// compiled engine ran with tracing or the timeline enabled).
+    /// Consumed by the Chrome trace exporter, which renders each as one
+    /// coalesced stall span per unit.
     pub fn ff_spans(&self) -> &[FfSpan] {
         &self.ff_spans
     }
@@ -817,7 +817,6 @@ impl<'m> WmMachine<'m> {
     /// Simulate until the entry function returns, stepping with the
     /// engine selected by [`WmConfig::engine`].
     pub fn run_to_completion(&mut self) -> Result<RunResult, SimError> {
-        let engine = self.config.engine;
         while !self.halted() {
             if let Some(t) = &self.cancel {
                 if t.is_cancelled() {
@@ -827,11 +826,7 @@ impl<'m> WmMachine<'m> {
                     });
                 }
             }
-            match engine {
-                Engine::Cycle => self.step()?,
-                Engine::Event => self.step_event()?,
-                Engine::Compiled => self.step_compiled()?,
-            }
+            self.step_engine()?;
             if self.cycle >= self.config.max_cycles {
                 return Err(SimError::Timeout {
                     cycles: self.config.max_cycles,
@@ -846,17 +841,7 @@ impl<'m> WmMachine<'m> {
                 });
             }
         }
-        self.stats.cycles = self.cycle;
-        self.perf.cycles = self.cycle;
-        Ok(RunResult {
-            cycles: self.cycle,
-            ret_int: self.ieu.regs[2].as_i(),
-            ret_flt: self.feu.regs[2].as_f(),
-            output: self.output.clone(),
-            stats: self.stats,
-            perf: self.perf.clone(),
-            engine,
-        })
+        Ok(self.take_result())
     }
 
     /// Wire this core into a tiled machine as tile `tile_id` of `tiles`:
@@ -882,26 +867,29 @@ impl<'m> WmMachine<'m> {
 
     /// Step this tile up to (at most) cycle `target`, returning early if
     /// it halts or faults. The tile scheduler calls this between epoch
-    /// barriers; the fast-forward horizon keeps the event and compiled
-    /// engines from jumping past the epoch's end. Deadlock and timeout
-    /// are *global* properties of a tiled machine (a tile stalled on a
-    /// channel is not wedged if its peer is still computing), so the
-    /// scheduler checks them at the barrier — not here.
+    /// barriers; the fast-forward horizon keeps the compiled engine from
+    /// jumping past the epoch's end. Deadlock and timeout are *global*
+    /// properties of a tiled machine (a tile stalled on a channel is not
+    /// wedged if its peer is still computing), so the scheduler checks
+    /// them at the barrier — not here.
     pub(crate) fn run_epoch(&mut self, target: u64) -> Result<(), SimError> {
         self.ff_horizon = target;
-        let engine = self.config.engine;
         while self.cycle < target && !self.halted() {
-            match engine {
-                Engine::Cycle => self.step()?,
-                Engine::Event => self.step_event()?,
-                Engine::Compiled => self.step_compiled()?,
-            }
+            self.step_engine()?;
         }
         Ok(())
     }
 
-    /// Package the current state as a completed run — the tile
-    /// scheduler's per-tile equivalent of `run_to_completion`'s tail.
+    /// One step of the engine selected by [`WmConfig::engine`].
+    fn step_engine(&mut self) -> Result<(), SimError> {
+        match self.config.engine {
+            Engine::Cycle => self.step(),
+            Engine::Compiled => self.step_compiled(),
+        }
+    }
+
+    /// Package the current state as a completed run: the tail of
+    /// `run_to_completion`, and the tile scheduler's per-tile result.
     pub(crate) fn take_result(&mut self) -> RunResult {
         self.stats.cycles = self.cycle;
         self.perf.cycles = self.cycle;

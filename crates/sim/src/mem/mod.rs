@@ -115,6 +115,23 @@ impl Default for DramParams {
     }
 }
 
+/// Upper bounds on the sizing keys of a memory spec. Each one sizes a
+/// host allocation — the L1 line array (`size / line`), the stream
+/// buffers and their occupancy histogram (`sbufs * depth`), the per-bank
+/// DRAM state (`banks`) — so an unbounded value would abort the process
+/// instead of failing the parse. Every bound is far above the
+/// configurations in use (the largest are `size=16384` and `banks=8`).
+const SIZE_LIMITS: [(&str, u64); 8] = [
+    ("size", 1 << 20),
+    ("assoc", 64),
+    ("line", 4096),
+    ("mshrs", 256),
+    ("sbufs", 64),
+    ("depth", 256),
+    ("banks", 256),
+    ("row", 1 << 20),
+];
+
 /// Which memory-system model the simulator runs.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum MemModel {
@@ -148,13 +165,16 @@ impl MemModel {
     /// Presets: `flat` (no parameters), `cache`, `banked`.
     /// Cache keys: `size`, `assoc`, `line`, `hit`, `miss`, `mshrs`,
     /// `sbufs`, `depth`, `transfer`. Additional `banked` keys: `banks`,
-    /// `row`, `rowhit`, `rowmiss`, `busy`.
+    /// `row`, `rowhit`, `rowmiss`, `busy`. The sizing keys (`size`,
+    /// `assoc`, `line`, `mshrs`, `sbufs`, `depth`, `banks`, `row`) have
+    /// upper bounds, named in the error for a value above one.
     ///
     /// # Errors
     ///
     /// Returns a usage message for unknown presets, unknown or malformed
-    /// keys, and parameter combinations that do not describe a valid
-    /// cache (e.g. `size` not a multiple of `line * assoc`).
+    /// keys, sizing keys above their bound, and parameter combinations
+    /// that do not describe a valid cache (e.g. `size` not a multiple of
+    /// `line * assoc`).
     pub fn parse(spec: &str) -> Result<MemModel, String> {
         let (preset, params) = match spec.split_once(':') {
             Some((p, rest)) => (p, rest),
@@ -182,6 +202,11 @@ impl MemModel {
             let n = val
                 .parse::<u64>()
                 .map_err(|_| format!("bad number `{val}` for `{key}`"))?;
+            if let Some(&(_, max)) = SIZE_LIMITS.iter().find(|(k, _)| *k == key) {
+                if n > max {
+                    return Err(format!("`{key}` must be at most {max}, got {n}"));
+                }
+            }
             match key {
                 "size" => c.size = n as usize,
                 "assoc" => c.assoc = n as usize,
@@ -450,8 +475,8 @@ pub(crate) struct Issued {
 ///
 /// Purely a *timing* model: see the module docs. All mutation happens in
 /// [`MemSystem::access`] and [`MemSystem::release_mshr`], which the
-/// machine only calls on progress cycles — the property the event-driven
-/// fast-forward engine relies on.
+/// machine only calls on progress cycles — the property the compiled
+/// engine's fast-forward tail relies on.
 pub(crate) struct MemSystem {
     flat_latency: u64,
     hier: Option<Hier>,
@@ -715,6 +740,21 @@ mod tests {
             "row not line multiple"
         );
         assert!(MemModel::parse("banked:rowhit=10,rowmiss=5").is_err());
+        // sizing keys past their bound fail the parse instead of asking
+        // the host for an allocation it cannot make
+        for spec in [
+            "cache:size=1099511627776",
+            "cache:sbufs=100000000000",
+            "cache:depth=100000000000",
+            "cache:assoc=4294967296,line=4294967296",
+            "banked:banks=1099511627776",
+            "banked:row=1099511627776",
+        ] {
+            let err = MemModel::parse(spec).unwrap_err();
+            assert!(err.contains("at most"), "{spec}: {err}");
+        }
+        assert!(MemModel::parse("cache:size=16384").is_ok());
+        assert!(MemModel::parse("banked:banks=8").is_ok());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! execution is a pure function of its own state plus the inbox frozen
 //! at the epoch's start, so cycle counts, stall attribution and every
 //! perf counter are **bit-identical for any host thread count** (and for
-//! all three stepping engines, which are bit-identical per tile).
+//! both stepping engines, which are bit-identical per tile).
 //!
 //! Messages routed at the barrier ending epoch `e` become visible to
 //! their receiver at `barrier + chan_latency` — the epoch length bounds

@@ -1,13 +1,13 @@
-//! Engine equivalence: the event-driven fast-forward engine and the
-//! compiled threaded-dispatch engine must be observationally
-//! indistinguishable from the per-cycle reference stepper. Not "close" —
-//! **bit-identical**: same cycle counts, same full `Stats` (every stall
-//! bucket, FIFO histogram cell and port histogram cell), same results
-//! and output, and on failing runs the same error down to the fault
-//! provenance and machine-state dump.
+//! Engine equivalence: the compiled engine (threaded dispatch over
+//! pre-decoded tables, fast-forwarding all-stalled spans) must be
+//! observationally indistinguishable from the per-cycle reference
+//! stepper. Not "close" — **bit-identical**: same cycle counts, same
+//! full `Stats` (every stall bucket, FIFO histogram cell and port
+//! histogram cell), same results and output, and on failing runs the
+//! same error down to the fault provenance and machine-state dump.
 //!
 //! The matrix crosses programs that exercise every unit (scalar loops,
-//! FP, streams, builtin I/O) with all three engines, degraded hardware
+//! FP, streams, builtin I/O) with both engines, degraded hardware
 //! configurations and fault-injection plans, including ones that end in
 //! deadlock.
 
@@ -28,60 +28,52 @@ fn compile(src: &str, opts: &OptOptions) -> Module {
     module
 }
 
-/// Run `module` under all three engines and assert every observable is
-/// pairwise identical against the per-cycle reference. Returns the
+/// Run `module` under both engines and assert every observable of the
+/// compiled engine is identical to the per-cycle reference. Returns the
 /// (shared) outcome for further checks.
 fn assert_equivalent(module: &Module, cfg: &WmConfig, label: &str) -> Result<RunResult, SimError> {
     let reference = WmMachine::run(module, "main", &[], &cfg.clone().with_engine(Engine::Cycle));
-    let mut shared = None;
-    for engine in [Engine::Event, Engine::Compiled] {
-        let got = WmMachine::run(module, "main", &[], &cfg.clone().with_engine(engine));
-        match (&reference, got) {
-            (Ok(c), Ok(e)) => {
-                assert_eq!(c.cycles, e.cycles, "{label}/{engine}: cycle count differs");
-                assert_eq!(
-                    c.ret_int, e.ret_int,
-                    "{label}/{engine}: integer result differs"
-                );
-                assert_eq!(c.ret_flt, e.ret_flt, "{label}/{engine}: FP result differs");
-                assert_eq!(
-                    c.output, e.output,
-                    "{label}/{engine}: program output differs"
-                );
-                assert_eq!(c.stats, e.stats, "{label}/{engine}: SimStats differ");
-                assert_eq!(
-                    c.perf, e.perf,
-                    "{label}/{engine}: performance counters differ"
-                );
-                e.perf
-                    .check_attribution()
-                    .unwrap_or_else(|err| panic!("{label}/{engine}: attribution broken: {err}"));
-                assert_eq!(c.engine, Engine::Cycle);
-                assert_eq!(e.engine, engine);
-                shared = Some(Ok(e));
-            }
-            // SimError (including the fault provenance and the full
-            // machine-state dump inside Deadlock/Fault) derives
-            // PartialEq, so one assertion covers the failing cycle, the
-            // wedge diagnosis, FIFO occupancy at death — everything.
-            (Err(c), Err(e)) => {
-                assert_eq!(*c, e, "{label}/{engine}: engines fail differently");
-                shared = Some(Err(e));
-            }
-            (Ok(c), Err(e)) => panic!(
-                "{label}: cycle engine succeeded ({} cycles) but {engine} engine failed: {e}",
-                c.cycles
-            ),
-            (Err(c), Ok(e)) => panic!(
-                "{label}: {engine} engine succeeded ({} cycles) but cycle engine failed: {c}",
-                e.cycles
-            ),
+    let got = WmMachine::run(
+        module,
+        "main",
+        &[],
+        &cfg.clone().with_engine(Engine::Compiled),
+    );
+    match (reference, got) {
+        (Ok(c), Ok(e)) => {
+            assert_eq!(c.cycles, e.cycles, "{label}: cycle count differs");
+            assert_eq!(c.ret_int, e.ret_int, "{label}: integer result differs");
+            assert_eq!(c.ret_flt, e.ret_flt, "{label}: FP result differs");
+            assert_eq!(c.output, e.output, "{label}: program output differs");
+            assert_eq!(c.stats, e.stats, "{label}: SimStats differ");
+            assert_eq!(c.perf, e.perf, "{label}: performance counters differ");
+            e.perf
+                .check_attribution()
+                .unwrap_or_else(|err| panic!("{label}: attribution broken: {err}"));
+            assert_eq!(c.engine, Engine::Cycle);
+            assert_eq!(e.engine, Engine::Compiled);
+            Ok(e)
         }
+        // SimError (including the fault provenance and the full
+        // machine-state dump inside Deadlock/Fault) derives PartialEq, so
+        // one assertion covers the failing cycle, the wedge diagnosis,
+        // FIFO occupancy at death — everything.
+        (Err(c), Err(e)) => {
+            assert_eq!(c, e, "{label}: engines fail differently");
+            Err(e)
+        }
+        (Ok(c), Err(e)) => panic!(
+            "{label}: cycle engine succeeded ({} cycles) but compiled engine failed: {e}",
+            c.cycles
+        ),
+        (Err(c), Ok(e)) => panic!(
+            "{label}: compiled engine succeeded ({} cycles) but cycle engine failed: {c}",
+            e.cycles
+        ),
     }
-    shared.expect("at least one non-reference engine compared")
 }
 
-/// Degraded hardware matrix (mirrors the CI degraded-hardware job) plus
+/// Degraded hardware matrix (like `tests/degraded.rs`'s) plus
 /// fault plans that delay and jitter responses.
 fn configs() -> Vec<(&'static str, WmConfig)> {
     vec![
@@ -203,7 +195,7 @@ fn programs() -> Vec<(&'static str, &'static str)> {
 #[test]
 fn engines_agree_across_degraded_matrix() {
     // program × opt-level × (hardware config + fault plan + mem model),
-    // each point run under all three engines by `assert_equivalent`.
+    // each point run under both engines by `assert_equivalent`.
     let opt_levels = [
         ("full", OptOptions::all()),
         ("no-streaming", OptOptions::all().without_streaming()),
@@ -225,7 +217,7 @@ fn engines_agree_across_degraded_matrix() {
                     // index (freeing the single slot) and enqueues its own
                     // response (needing it); the machine conservatively
                     // refuses the issue, and a 1-entry in-FIFO genuinely
-                    // cannot overlap an indirect load chain. All three
+                    // cannot overlap an indirect load chain. Both
                     // engines agreeing on that deadlock — same cycle, same
                     // diagnosis — IS the property under test here. (The
                     // streamed build is immune: the gather SCU owns the
@@ -354,29 +346,26 @@ fn engines_agree_on_memory_hierarchy_stall_storms() {
 }
 
 #[test]
-fn event_engine_is_the_default() {
+fn compiled_engine_is_the_default() {
     let module = compile("int main() { return 41 + 1; }", &OptOptions::all());
     let r = WmMachine::run(&module, "main", &[], &WmConfig::default()).expect("runs");
-    assert_eq!(r.engine, Engine::Event);
-    assert_eq!(r.ret_int, 42);
-}
-
-#[test]
-fn compiled_engine_reports_itself() {
-    let module = compile("int main() { return 41 + 1; }", &OptOptions::all());
-    let cfg = WmConfig::default().with_engine(Engine::Compiled);
-    let r = WmMachine::run(&module, "main", &[], &cfg).expect("runs");
     assert_eq!(r.engine, Engine::Compiled);
+    assert_eq!(r.ret_int, 42);
+    let cfg = WmConfig::default().with_engine(Engine::Cycle);
+    let r = WmMachine::run(&module, "main", &[], &cfg).expect("runs");
+    assert_eq!(r.engine, Engine::Cycle, "the reference reports itself");
     assert_eq!(r.ret_int, 42);
 }
 
 #[test]
 fn engine_all_covers_every_engine() {
-    assert_eq!(
-        Engine::ALL.map(Engine::name),
-        ["cycle", "event", "compiled"]
-    );
+    assert_eq!(Engine::ALL.map(Engine::name), ["cycle", "compiled"]);
     for e in Engine::ALL {
         assert_eq!(Engine::parse(e.name()), Ok(e));
     }
+    let err = Engine::parse("event").unwrap_err();
+    assert!(
+        err.contains("cycle") && err.contains("compiled"),
+        "the error names the engines that exist: {err}"
+    );
 }

@@ -205,7 +205,7 @@ fn iir_expected() -> i64 {
 }
 
 /// The engine-equivalence matrix, through the *compiler*: a partitioned
-/// C workload crossed over all three engines, tile counts 1/2/4 and
+/// C workload crossed over both engines, tile counts 1/2/4 and
 /// flat/banked memory must agree on the architectural result, the
 /// global cycle count and the **full** per-tile `Stats` — and the host
 /// thread count must be invisible throughout.

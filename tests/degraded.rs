@@ -8,7 +8,7 @@
 use wm_stream::sim::FaultPlan;
 use wm_stream::{Compiler, MemModel, OptOptions, WmConfig};
 
-/// The configuration matrix from the CI degraded-hardware job.
+/// The degraded-hardware configuration matrix.
 fn degraded_configs() -> Vec<(&'static str, WmConfig)> {
     vec![
         ("fifo_capacity=1", WmConfig::default().with_fifo_capacity(1)),

@@ -142,10 +142,9 @@ proptest! {
         mems in proptest::collection::vec(0..MEM_SPECS.len(), 7),
     ) {
         // The reference runs on the per-cycle stepper over flat memory;
-        // each opt level draws its engine (cycle, event or compiled) and
-        // memory model at random so every fuzzed program also exercises
-        // three-engine equivalence and the timing-only-hierarchy
-        // guarantee (results must never depend on the cache/DRAM
+        // each opt level draws its engine (cycle or compiled) and memory
+        // model at random so every fuzzed program also exercises engine
+        // equivalence and the timing-only-hierarchy guarantee (results must never depend on the cache/DRAM
         // configuration).
         let reference = run_wm_level(&src, &OptOptions::none(), Engine::Cycle, "flat");
 
@@ -201,7 +200,7 @@ proptest! {
     ) {
         // Beyond fault-or-value agreement: on the fully optimized build
         // (noalias + speculative, so gathers, scatters and squashes all
-        // occur), all three engines must be bit-identical in every
+        // occur), both engines must be bit-identical in every
         // observable — cycles, results, and the complete per-unit
         // counter set — under whichever memory model and squash-recovery
         // penalty the case draws.
@@ -214,24 +213,22 @@ proptest! {
             .with_mem_model(mem)
             .with_squash_penalty([0, 3, 17][squash_ix]);
         let cycle = c.run_wm_config("main", &[], &cfg.clone().with_engine(Engine::Cycle));
-        for engine in [Engine::Event, Engine::Compiled] {
-            let other = c.run_wm_config("main", &[], &cfg.clone().with_engine(engine));
-            match (&cycle, other) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(a.cycles, b.cycles, "{} cycle count differs\n{}", engine, &src);
-                    prop_assert_eq!(a.ret_int, b.ret_int, "{} result differs\n{}", engine, &src);
-                    prop_assert_eq!(&a.stats, &b.stats, "{} SimStats differ\n{}", engine, &src);
-                    prop_assert_eq!(&a.perf, &b.perf, "{} counters differ\n{}", engine, &src);
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(
-                    a.to_string(), b.to_string(), "cycle vs {} fail differently\n{}", engine, &src
-                ),
-                (a, b) => prop_assert!(
-                    false,
-                    "one engine failed where the other succeeded ({}): {:?} vs {:?}\n{}",
-                    engine, a.as_ref().map(|r| r.cycles), b.map(|r| r.cycles), src
-                ),
+        let compiled = c.run_wm_config("main", &[], &cfg.with_engine(Engine::Compiled));
+        match (cycle, compiled) {
+            (Ok(a), Ok(b)) => {
+                prop_assert_eq!(a.cycles, b.cycles, "cycle count differs\n{}", &src);
+                prop_assert_eq!(a.ret_int, b.ret_int, "result differs\n{}", &src);
+                prop_assert_eq!(&a.stats, &b.stats, "SimStats differ\n{}", &src);
+                prop_assert_eq!(&a.perf, &b.perf, "counters differ\n{}", &src);
             }
+            (Err(a), Err(b)) => prop_assert_eq!(
+                a.to_string(), b.to_string(), "the engines fail differently\n{}", &src
+            ),
+            (a, b) => prop_assert!(
+                false,
+                "one engine failed where the other succeeded: {:?} vs {:?}\n{}",
+                a.map(|r| r.cycles), b.map(|r| r.cycles), src
+            ),
         }
     }
 }

@@ -76,7 +76,7 @@ fn modulo_matches_greedy_on_every_engine_and_memory_model() {
                 );
                 cycles_by_engine.push(rm.cycles);
             }
-            // All three engines agree on the scheduled code's cycles.
+            // Both engines agree on the scheduled code's cycles.
             assert!(
                 cycles_by_engine.windows(2).all(|p| p[0] == p[1]),
                 "{} ({mem}): engines disagree: {cycles_by_engine:?}",
@@ -118,8 +118,8 @@ fn modulo_strictly_beats_greedy_on_ordering_limited_kernels() {
             }
         }
         // ...and the win must be real on the machine, not just estimated.
-        let rg = run(&g, Engine::Event, &flat);
-        let rm = run(&m, Engine::Event, &flat);
+        let rg = run(&g, Engine::default(), &flat);
+        let rm = run(&m, Engine::default(), &flat);
         assert!(
             rm.cycles < rg.cycles,
             "{}: modulo {} cycles is not below greedy {}",
@@ -144,8 +144,8 @@ fn modulo_fallback_keeps_bound_loops_bit_identical() {
             .expect("compiles");
         // Declined loops keep the greedy code, so the whole run is
         // cycle-for-cycle identical, not merely equal in results.
-        let rg = run(&g, Engine::Event, &flat);
-        let rm = run(&m, Engine::Event, &flat);
+        let rg = run(&g, Engine::default(), &flat);
+        let rm = run(&m, Engine::default(), &flat);
         assert_eq!(rm.cycles, rg.cycles, "{}", w.name);
         assert_eq!(rm.stats, rg.stats, "{}", w.name);
         // And the report says why: considered, but nothing pipelined.

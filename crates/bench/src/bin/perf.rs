@@ -43,10 +43,11 @@
 //!                                  regressed >2% against the baseline; a
 //!                                  failure prints every pair's cycle delta
 //!                                  (baseline/now/%) to localize the damage
-//! perf --compare FILE              fail (exit 1) unless every cycle count
-//!                                  matches FILE exactly (the engine-
-//!                                  equivalence gate); records the wall-
-//!                                  time speedup vs FILE in the output
+//! perf --compare FILE              fail (exit 1) unless every cycle count,
+//!                                  and every counter where both runs
+//!                                  record them, matches FILE exactly (the
+//!                                  engine-equivalence gate); records the
+//!                                  wall-time speedup vs FILE in the output
 //! perf --write-baseline FILE       write the cycle baseline for --check
 //! ```
 //!
@@ -692,18 +693,26 @@ fn modulo_gate(records: &[RunRecord]) -> Vec<String> {
 }
 
 /// Compare against another results document run by a different engine:
-/// every pair must exist there with the exact same cycle count. Returns
-/// the mismatch report and the wall-time speedup (their total / ours).
+/// every pair must exist there with the exact same cycle count and, when
+/// both documents carry the pair's counters (`--wmd` runs record none),
+/// the exact same counters. Returns the mismatch report and the
+/// wall-time speedup (their total / ours).
 fn compare(records: &[RunRecord], other_src: &str) -> Result<(Vec<String>, f64), String> {
     let doc = json::parse(other_src)?;
     let other = doc
         .get("results")
         .and_then(Value::as_arr)
         .ok_or("comparison file has no \"results\" array")?;
-    let lookup = |workload: &str, config: &str| -> Option<(u64, f64)> {
+    let lookup = |workload: &str, config: &str| -> Option<(u64, f64, Option<&Value>)> {
         other.iter().find_map(|e| {
             (e.get("workload")?.as_str()? == workload && e.get("config")?.as_str()? == config)
-                .then(|| Some((e.get("cycles")?.as_u64()?, e.get("wall_ms")?.as_f64()?)))?
+                .then(|| {
+                    Some((
+                        e.get("cycles")?.as_u64()?,
+                        e.get("wall_ms")?.as_f64()?,
+                        e.get("counters"),
+                    ))
+                })?
         })
     };
     let mut mismatches = Vec::new();
@@ -714,12 +723,18 @@ fn compare(records: &[RunRecord], other_src: &str) -> Result<(Vec<String>, f64),
                 "{}/{}: missing from comparison",
                 r.workload, r.config
             )),
-            Some((cycles, wall_ms)) => {
+            Some((cycles, wall_ms, counters)) => {
                 if cycles != r.cycles {
                     mismatches.push(format!(
                         "{}/{}: {} cycles here vs {} there",
                         r.workload, r.config, r.cycles, cycles
                     ));
+                }
+                if let (Some(theirs), false) = (counters, r.counters.is_empty()) {
+                    let ours = json::parse(&r.counters)?;
+                    if let Some(d) = first_difference(&ours, theirs, "") {
+                        mismatches.push(format!("{}/{}: counter {d}", r.workload, r.config));
+                    }
                 }
                 ours_ms += r.wall_ms;
                 theirs_ms += wall_ms;
@@ -732,6 +747,49 @@ fn compare(records: &[RunRecord], other_src: &str) -> Result<(Vec<String>, f64),
         1.0
     };
     Ok((mismatches, speedup))
+}
+
+/// The first place, in key order, where two counter documents differ,
+/// as `path: here vs there` (`units.IFU.stalls.cc-empty: 7 here vs 9
+/// there`); `None` when they are equal.
+fn first_difference(here: &Value, there: &Value, path: &str) -> Option<String> {
+    let at = |key: &str| {
+        if path.is_empty() {
+            key.to_string()
+        } else {
+            format!("{path}.{key}")
+        }
+    };
+    match (here, there) {
+        (Value::Obj(a), Value::Obj(b)) => a
+            .keys()
+            .chain(b.keys().filter(|k| !a.contains_key(*k)))
+            .find_map(|k| match (a.get(k), b.get(k)) {
+                (Some(x), Some(y)) => first_difference(x, y, &at(k)),
+                (x, y) => Some(format!("{}: {} here vs {} there", at(k), show(x), show(y))),
+            }),
+        (Value::Arr(a), Value::Arr(b)) if a.len() == b.len() => a
+            .iter()
+            .zip(b)
+            .enumerate()
+            .find_map(|(i, (x, y))| first_difference(x, y, &format!("{path}[{i}]"))),
+        _ if here == there => None,
+        _ => Some(format!(
+            "{path}: {} here vs {} there",
+            show(Some(here)),
+            show(Some(there))
+        )),
+    }
+}
+
+/// A counter value as a mismatch report shows it.
+fn show(v: Option<&Value>) -> String {
+    match v {
+        None => "absent".to_string(),
+        Some(Value::Num(n)) => n.to_string(),
+        Some(Value::Arr(a)) => format!("{} cells", a.len()),
+        Some(other) => format!("{other:?}"),
+    }
 }
 
 fn main() {
@@ -931,15 +989,12 @@ fn main() {
 
     if let Some((path, mismatches, speedup)) = compared {
         if mismatches.is_empty() {
-            eprintln!("perf: engines agree with {path} on every cycle count ({speedup:.2}x wall-time speedup)");
+            eprintln!("perf: engines agree with {path} on every cycle count and every counter both runs record ({speedup:.2}x wall-time speedup)");
         } else {
             for m in &mismatches {
                 eprintln!("perf: ENGINE MISMATCH {m}");
             }
-            eprintln!(
-                "perf: {} cycle-count mismatch(es) vs {path}",
-                mismatches.len()
-            );
+            eprintln!("perf: {} mismatch(es) vs {path}", mismatches.len());
             std::process::exit(1);
         }
     }
@@ -974,5 +1029,69 @@ fn main() {
             records.len()
         );
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record(counters: &str) -> RunRecord {
+        RunRecord {
+            workload: "sieve".to_string(),
+            config: "scalar",
+            cycles: 10,
+            wall_ms: 1.0,
+            counters: counters.to_string(),
+            error: None,
+        }
+    }
+
+    const COUNTERS: &str = r#"{"cycles": 10, "units": {"IFU": {"idle": 3, "stalls": {"cc-empty": 7}}}, "fifos": {"ieu.cc": [4, 6]}}"#;
+
+    fn doc(counters: Option<&str>) -> String {
+        let c = counters.map_or(String::new(), |c| format!(", \"counters\": {c}"));
+        format!(
+            r#"{{"results": [{{"workload": "sieve", "config": "scalar", "cycles": 10, "wall_ms": 2.0{c}}}]}}"#
+        )
+    }
+
+    #[test]
+    fn compare_gates_every_counter_both_sides_carry() {
+        let ours = [record(COUNTERS)];
+        let (m, speedup) = compare(&ours, &doc(Some(COUNTERS))).unwrap();
+        assert!(m.is_empty(), "{m:?}");
+        assert_eq!(speedup, 2.0);
+        let stall = COUNTERS.replace("\"cc-empty\": 7", "\"cc-empty\": 6, \"sync\": 1");
+        let (m, _) = compare(&ours, &doc(Some(&stall))).unwrap();
+        assert_eq!(
+            m,
+            ["sieve/scalar: counter units.IFU.stalls.cc-empty: 7 here vs 6 there"]
+        );
+        let hist = COUNTERS.replace("[4, 6]", "[5, 5]");
+        let (m, _) = compare(&ours, &doc(Some(&hist))).unwrap();
+        assert_eq!(
+            m,
+            ["sieve/scalar: counter fifos.ieu.cc[0]: 4 here vs 5 there"]
+        );
+        let extra = COUNTERS.replace("\"idle\": 3", "\"idle\": 3, \"retired\": 1");
+        let (m, _) = compare(&ours, &doc(Some(&extra))).unwrap();
+        assert_eq!(
+            m,
+            ["sieve/scalar: counter units.IFU.retired: absent here vs 1 there"]
+        );
+    }
+
+    #[test]
+    fn compare_is_cycles_only_when_a_side_has_no_counters() {
+        // a `--wmd` run records no counters; neither does an old document
+        let (m, _) = compare(&[record("")], &doc(Some(COUNTERS))).unwrap();
+        assert!(m.is_empty(), "{m:?}");
+        let (m, _) = compare(&[record(COUNTERS)], &doc(None)).unwrap();
+        assert!(m.is_empty(), "{m:?}");
+        let mut slow = record("");
+        slow.cycles = 11;
+        let (m, _) = compare(&[slow], &doc(None)).unwrap();
+        assert_eq!(m, ["sieve/scalar: 11 cycles here vs 10 there"]);
     }
 }

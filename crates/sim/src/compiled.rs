@@ -28,6 +28,18 @@
 //! * the fast-forward tail (`fastforward.rs`) only skips cycles
 //!   whose every counter update it can reproduce in bulk.
 //!
+//! On top of that, a cycle costs only the work that happens in it. Units
+//! with nothing to do sleep: an empty VEU, IEU or FEU records `Idle`
+//! without entering its issue path; when every SCU is idle and
+//! inactive, the SCU phase is skipped until a stream configuration, and
+//! the idle cycles are charged in one sum when the SCUs wake (or the run
+//! ends); an IFU stalled on an empty condition-code FIFO parks there and
+//! re-records the stall without walking fetch. The FIFO occupancy
+//! histograms come from change points, not per-cycle samples. The
+//! reference stepper does none of this: it steps every unit and samples
+//! every FIFO every cycle, so comparing the engines checks the lazy
+//! accounting against an independent per-cycle one.
+//!
 //! `tests/engine_equiv.rs` and the differential fuzzer enforce full
 //! `Stats`/`SimError` equality between the two engines.
 
@@ -36,7 +48,8 @@ use wm_ir::{Operand, RegClass, UnOp};
 use crate::decode::{DecExpr, DecodedInst, Dst, IfuOp, Payload, Src};
 use crate::fault::FaultUnit;
 use crate::machine::{
-    attach_inst, Exec, MemOp, Pc, PendingStore, SimError, StreamTarget, Val, WmMachine,
+    attach_inst, Exec, MemOp, Pc, PendingStore, SimError, StreamTarget, Val, WmMachine, FIFO_CC,
+    FIFO_OUT,
 };
 use crate::mem::Access;
 use crate::stats::{Outcome, Stall};
@@ -58,19 +71,60 @@ impl<'m> WmMachine<'m> {
         self.deliver_memory()?;
         self.unit_step_c(RegClass::Int)?;
         self.unit_step_c(RegClass::Flt)?;
-        self.veu_step()?;
+        if self.veu.busy == 0 && self.veu.iq.is_empty() {
+            self.perf.veu.idle += 1;
+            self.last_outcomes.veu = Outcome::Idle;
+        } else {
+            self.veu_step()?;
+        }
         self.drain_stores()?;
-        self.scu_step()?;
+        self.scu_step_c()?;
         self.ifu_step_c()?;
         self.sample_perf();
         self.fast_forward();
         Ok(())
     }
 
+    /// The SCU phase, skipped while the SCUs sleep. They fall asleep after
+    /// a cycle in which every SCU idled and none is active: from then on
+    /// each would idle again every cycle until a stream configuration
+    /// claims a slot.
+    fn scu_step_c(&mut self) -> Result<(), SimError> {
+        if self.scus_asleep == Some(self.scu_seq) {
+            self.scu_idle_pending += 1;
+            return Ok(());
+        }
+        self.wake_scus();
+        self.scu_step()?;
+        if self.scus.iter().all(|s| !s.active)
+            && self.last_outcomes.scus.iter().all(|&o| o == Outcome::Idle)
+        {
+            self.scus_asleep = Some(self.scu_seq);
+        }
+        Ok(())
+    }
+
+    /// Charge every SCU with the idle cycles it slept through.
+    pub(crate) fn wake_scus(&mut self) {
+        self.scus_asleep = None;
+        let n = std::mem::take(&mut self.scu_idle_pending);
+        if n > 0 {
+            for s in &mut self.perf.scus {
+                s.unit.idle += n;
+            }
+        }
+    }
+
     /// Decoded counterpart of the interpreter's per-unit step: identical
     /// outcome recording, decoded issue path.
     fn unit_step_c(&mut self, class: RegClass) -> Result<(), SimError> {
-        let outcome = self.unit_step_c_inner(class)?;
+        let u = self.unit(class);
+        // an empty unit skips the call into the issue path
+        let outcome = if u.busy == 0 && u.iq.is_empty() {
+            Outcome::Idle
+        } else {
+            self.unit_step_c_inner(class)?
+        };
         match class {
             RegClass::Int => {
                 self.perf.ieu.record(outcome);
@@ -148,6 +202,16 @@ impl<'m> WmMachine<'m> {
 
     /// Decoded counterpart of the interpreter's IFU step.
     fn ifu_step_c(&mut self) -> Result<(), SimError> {
+        if let Some(class) = self.ifu_park {
+            // Only the IFU moves the pc and sets the hold, so while the
+            // FIFO stays empty the walk would stop at the same jump.
+            if self.unit(class).cc.is_empty() && self.cycle >= self.ifu_hold {
+                self.stats.ifu_stalls += 1;
+                self.perf.ifu.record(Outcome::Stall(Stall::CcEmpty));
+                return Ok(());
+            }
+            self.ifu_park = None;
+        }
         let before = self.stats.insts_ifu;
         let outcome = self.ifu_step_c_inner()?;
         self.perf.ifu.retired += self.stats.insts_ifu - before;
@@ -219,8 +283,12 @@ impl<'m> WmMachine<'m> {
                     }
                 }
                 IfuOp::Branch { class, when, t, e } => {
+                    self.fifo_changing(class, FIFO_CC);
                     let Some(cond) = self.unit_mut(class).cc.pop_front() else {
                         self.stats.ifu_stalls += 1;
+                        if transfers == 0 {
+                            self.ifu_park = Some(class);
+                        }
                         // stall until the compare executes
                         return Ok(stall_after(transfers, Stall::CcEmpty));
                     };
@@ -411,7 +479,10 @@ fn read_slot<'m>(m: &mut WmMachine<'m>, class: RegClass, s: Src) -> Result<Val, 
 fn write_dst(m: &mut WmMachine<'_>, class: RegClass, d: Dst, v: Val) {
     match d {
         Dst::Zero => {} // writes to the zero register are discarded
-        Dst::Out => m.unit_mut(class).out.push_back(v),
+        Dst::Out => {
+            m.fifo_changing(class, FIFO_OUT);
+            m.unit_mut(class).out.push_back(v);
+        }
         Dst::Reg(n) => m.unit_mut(class).regs[n as usize] = v,
     }
 }
@@ -533,6 +604,7 @@ pub(crate) fn exec_compare<'m>(
         RegClass::Int => op.eval_int(va.as_i(), vb.as_i()),
         RegClass::Flt => op.eval_flt(va.as_f(), vb.as_f()),
     };
+    m.fifo_changing(d.class, FIFO_CC);
     m.unit_mut(d.class).cc.push_back(r);
     Ok(Exec::Retired(None))
 }

@@ -15,8 +15,9 @@
 //! skippable when its per-unit outcomes are provably constant until the
 //! next event, and the bulk update adds the skipped span to exactly the
 //! same counters the per-cycle stepper would have touched: each unit's
-//! idle/stall bucket, `ifu_stalls`, the FIFO-occupancy histograms at the
-//! (unchanging) current depths, and the zero-requests memory-port bucket.
+//! idle/stall bucket, `ifu_stalls`, and the zero-requests memory-port
+//! bucket. The FIFO-occupancy histograms need nothing: they are charged
+//! at depth changes, and no depth changes in a skipped span.
 //! Every counter in [`crate::Stats`], every cycle count, every fault and
 //! deadlock (down to the reported cycle and machine-state dump) is
 //! **bit-identical** to the per-cycle reference stepper; the differential
@@ -177,7 +178,6 @@ impl<'m> WmMachine<'m> {
             });
         }
         self.cycle = target;
-        self.perf.cycles = target;
     }
 
     /// Did the cycle that just completed change no architectural state,
@@ -269,28 +269,26 @@ impl<'m> WmMachine<'m> {
 
     /// Account `n` skipped cycles exactly as `n` repetitions of the cycle
     /// just simulated: same per-unit outcome buckets, same IFU stall
-    /// counter, same FIFO-depth and memory-port histogram cells.
+    /// counter, same memory-port histogram cell.
     fn bulk_account(&mut self, n: u64) {
         let o = &self.last_outcomes;
         self.perf.ieu.record_n(o.ieu, n);
         self.perf.feu.record_n(o.feu, n);
         self.perf.veu.record_n(o.veu, n);
         self.perf.ifu.record_n(o.ifu, n);
-        for (i, scu) in self.perf.scus.iter_mut().enumerate() {
-            scu.unit.record_n(o.scus[i], n);
+        if self.scus_asleep.is_some() {
+            self.scu_idle_pending += n;
+        } else {
+            for (i, scu) in self.perf.scus.iter_mut().enumerate() {
+                scu.unit.record_n(o.scus[i], n);
+            }
         }
         // every IFU stall outcome increments `ifu_stalls` exactly once
         // per cycle in the per-cycle stepper
         if matches!(o.ifu, Outcome::Stall(_)) {
             self.stats.ifu_stalls += n;
         }
-        // FIFO depths cannot change in a no-progress span (so the
-        // timeline, which records change points only, stays untouched),
-        // and no memory request is accepted (ports bucket 0).
-        let depths = self.fifo_depths();
-        for (h, &d) in self.perf.fifos.iter_mut().zip(depths.iter()) {
-            h.sample_n(d, n);
-        }
+        // no memory request is accepted in a no-progress span
         self.perf.ports[0] += n;
         // Stream-buffer occupancy only changes when a request is
         // accepted (a progress cycle), so the whole span sits at the

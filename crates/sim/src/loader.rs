@@ -76,13 +76,33 @@ impl std::fmt::Display for AccessError {
 
 impl std::error::Error for AccessError {}
 
+/// Granule the stack's backing store grows by. A machine touches only
+/// the top few KiB of its stack region, so the image backs the stack
+/// lazily instead of zero-filling `memory_size` bytes up front.
+const STACK_STEP: usize = 4096;
+
 /// A loaded memory image: global data placed at fixed addresses with guard
 /// red-zones between objects, the stack at the top, and everything else
 /// unmapped.
+///
+/// Only the mapped regions have backing store: the data segment is sized
+/// to the globals, and the stack grows downward from the top of memory on
+/// first write. [`MemoryImage::check`] proves that every successful access
+/// lies inside one region, so no access can reach memory that has no
+/// backing; stack bytes that were never written read as zero.
 #[derive(Debug, Clone)]
 pub struct MemoryImage {
-    /// The memory bytes.
-    pub bytes: Vec<u8>,
+    /// Backing store of `[DATA_BASE, DATA_BASE + data.len())`, which covers
+    /// every global.
+    data: Vec<u8>,
+    /// Backing store of the top `stack.len()` bytes of memory, the part of
+    /// the stack region written so far.
+    stack: Vec<u8>,
+    /// First address of the stack region.
+    stack_base: i64,
+    /// Simulated memory size in bytes; addresses at or above it are
+    /// outside simulated memory.
+    size: i64,
     /// Address of each data symbol.
     pub addresses: HashMap<SymId, i64>,
     /// Initial stack pointer (top of memory, 16-byte aligned, minus slack).
@@ -102,7 +122,7 @@ impl MemoryImage {
     /// Returns [`SimError::BadProgram`] when the data segment would collide
     /// with the stack region reserved at the top of memory.
     pub fn new(module: &Module, size: usize) -> Result<MemoryImage, SimError> {
-        let mut bytes = vec![0u8; size];
+        let mut data: Vec<u8> = Vec::new();
         let mut addresses = HashMap::new();
         let mut regions: Vec<MapRegion> = Vec::new();
         let initial_sp = (size as i64 - 64) & !15;
@@ -127,7 +147,12 @@ impl MemoryImage {
                         g.name, end, stack_base
                     )));
                 }
-                bytes[addr as usize..addr as usize + init.len()].copy_from_slice(init);
+                let off = (addr - DATA_BASE) as usize;
+                let backed = ((end - DATA_BASE) as usize).max(off + init.len());
+                if data.len() < backed {
+                    data.resize(backed, 0);
+                }
+                data[off..off + init.len()].copy_from_slice(init);
                 addresses.insert(SymId(i as u32), addr);
                 regions.push(MapRegion {
                     start: addr,
@@ -145,7 +170,10 @@ impl MemoryImage {
             label: "stack".to_string(),
         });
         Ok(MemoryImage {
-            bytes,
+            data,
+            stack: Vec::new(),
+            stack_base,
+            size: size as i64,
             addresses,
             initial_sp,
             regions,
@@ -226,7 +254,7 @@ impl MemoryImage {
 
     /// Where an unmapped address lies, for fault reports.
     fn describe_unmapped(&self, addr: i64) -> String {
-        if addr < 0 || addr >= self.bytes.len() as i64 {
+        if addr < 0 || addr >= self.size {
             return "outside simulated memory".to_string();
         }
         if addr < DATA_BASE {
@@ -249,34 +277,89 @@ impl MemoryImage {
         }
     }
 
+    /// Lowest address the stack's backing store covers.
+    fn stack_low(&self) -> i64 {
+        self.size - self.stack.len() as i64
+    }
+
+    /// Copy the bytes at `addr` into `buf`. The caller has checked that
+    /// the range lies inside one mapped region.
+    fn load(&self, addr: i64, buf: &mut [u8]) {
+        if addr < self.stack_base {
+            let off = (addr - DATA_BASE) as usize;
+            buf.copy_from_slice(&self.data[off..off + buf.len()]);
+            return;
+        }
+        let low = self.stack_low();
+        if addr >= low {
+            let off = (addr - low) as usize;
+            buf.copy_from_slice(&self.stack[off..off + buf.len()]);
+        } else {
+            // at least partly below the stack's backing store: the
+            // program never wrote those bytes, so they read as zero
+            for (b, a) in buf.iter_mut().zip(addr..) {
+                *b = if a >= low {
+                    self.stack[(a - low) as usize]
+                } else {
+                    0
+                };
+            }
+        }
+    }
+
+    /// Copy `bytes` to `addr`, growing the stack's backing store down to
+    /// cover it. The caller has checked that the range lies inside one
+    /// mapped region.
+    fn store(&mut self, addr: i64, bytes: &[u8]) {
+        if addr < self.stack_base {
+            let off = (addr - DATA_BASE) as usize;
+            self.data[off..off + bytes.len()].copy_from_slice(bytes);
+            return;
+        }
+        // bytes from `addr` to the top of memory; never more than the
+        // stack region holds, since `addr >= stack_base`
+        let need = (self.size - addr) as usize;
+        if need > self.stack.len() {
+            let span = (self.size - self.stack_base) as usize;
+            let len = need
+                .next_multiple_of(STACK_STEP)
+                .max(2 * self.stack.len())
+                .min(span);
+            let mut grown = vec![0u8; len];
+            grown[len - self.stack.len()..].copy_from_slice(&self.stack);
+            self.stack = grown;
+        }
+        let off = self.stack.len() - need;
+        self.stack[off..off + bytes.len()].copy_from_slice(bytes);
+    }
+
     /// Read `width` bytes at `addr` as a sign/zero-extended integer.
     pub fn read_int(&self, addr: i64, width: Width) -> Result<i64, AccessError> {
         self.check(addr, width.bytes(), false)?;
-        let a = addr as usize;
-        let slice = &self.bytes[a..a + width.bytes() as usize];
+        let mut b = [0u8; 8];
+        self.load(addr, &mut b[..width.bytes() as usize]);
         Ok(match width {
-            Width::B1 => slice[0] as i64,
-            Width::W4 => i32::from_le_bytes(slice.try_into().unwrap()) as i64,
-            Width::D8 => i64::from_le_bytes(slice.try_into().unwrap()),
+            Width::B1 => b[0] as i64,
+            Width::W4 => i32::from_le_bytes([b[0], b[1], b[2], b[3]]) as i64,
+            Width::D8 => i64::from_le_bytes(b),
         })
     }
 
     /// Read a double at `addr`.
     pub fn read_flt(&self, addr: i64) -> Result<f64, AccessError> {
         self.check(addr, 8, false)?;
-        let a = addr as usize;
-        Ok(f64::from_le_bytes(self.bytes[a..a + 8].try_into().unwrap()))
+        let mut b = [0u8; 8];
+        self.load(addr, &mut b);
+        Ok(f64::from_le_bytes(b))
     }
 
     /// Write an integer of `width` bytes.
     pub fn write_int(&mut self, addr: i64, width: Width, v: i64) -> Result<(), AccessError> {
         self.check(addr, width.bytes(), true)?;
-        let a = addr as usize;
-        let slice = &mut self.bytes[a..a + width.bytes() as usize];
         match width {
-            Width::B1 => slice[0] = v as u8,
-            Width::W4 => slice.copy_from_slice(&(v as i32).to_le_bytes()),
-            Width::D8 => slice.copy_from_slice(&v.to_le_bytes()),
+            Width::B1 => self.store(addr, &[v as u8]),
+            Width::W4 => self.store(addr, &(v as i32).to_le_bytes()),
+            Width::D8 => self.store(addr, &v.to_le_bytes()),
         }
         Ok(())
     }
@@ -284,8 +367,7 @@ impl MemoryImage {
     /// Write a double.
     pub fn write_flt(&mut self, addr: i64, v: f64) -> Result<(), AccessError> {
         self.check(addr, 8, true)?;
-        let a = addr as usize;
-        self.bytes[a..a + 8].copy_from_slice(&v.to_le_bytes());
+        self.store(addr, &v.to_le_bytes());
         Ok(())
     }
 }
@@ -377,5 +459,58 @@ mod tests {
         assert!(img.check(img.initial_sp - 8, 8, true).is_ok());
         let r = img.region_of(img.initial_sp).unwrap();
         assert_eq!(r.label, "stack");
+    }
+
+    #[test]
+    fn stack_is_backed_on_first_write() {
+        // one size that is a multiple of the growth step, one that is not
+        for size in [1usize << 20, (1 << 20) + 12_345] {
+            let mut img = MemoryImage::new(&Module::new(), size).unwrap();
+            let top = size as i64;
+            let stack = img.regions().last().unwrap().clone();
+            assert_eq!((stack.label.as_str(), stack.end), ("stack", top));
+            let base = stack.start;
+            // stack the program never wrote reads as zero, without backing
+            for a in [base, img.initial_sp - 8, top - 8] {
+                assert_eq!(img.read_int(a, Width::D8), Ok(0), "{size}: {a:#x}");
+            }
+            assert!(img.stack.is_empty(), "{size}: a read allocated");
+            // write and read back at both ends of the stack region
+            for (a, v) in [(img.initial_sp - 8, -7), (base, 42), (top - 8, 9)] {
+                assert_eq!(img.write_int(a, Width::D8, v), Ok(()), "{size}: {a:#x}");
+                assert_eq!(img.read_int(a, Width::D8), Ok(v), "{size}: {a:#x}");
+            }
+            assert_eq!(img.read_int(top - 4, Width::W4), Ok(0), "{size}");
+            assert!(img.write_flt(top - 8, 2.5).is_ok());
+            assert_eq!(img.read_flt(top - 8), Ok(2.5));
+            // one byte further is outside simulated memory
+            let err = img.write_int(top - 7, Width::D8, 0).unwrap_err();
+            assert!(err.context.contains("off the end of stack"), "{err}");
+            for a in [top, top + 8] {
+                let err = img.read_int(a, Width::D8).unwrap_err();
+                assert_eq!(err.context, "outside simulated memory", "{size}");
+            }
+            // below the stack region is the unmapped gap
+            let err = img.write_int(base - 8, Width::D8, 0).unwrap_err();
+            assert!(err.context.contains("gap below the stack"), "{err}");
+        }
+    }
+
+    #[test]
+    fn accesses_straddling_the_stack_backing_read_the_unwritten_part_as_zero() {
+        let size = (1 << 20) + 3;
+        let mut img = MemoryImage::new(&Module::new(), size).unwrap();
+        img.write_int(size as i64 - 8, Width::B1, 1).unwrap();
+        let low = img.stack_low();
+        assert!(low > img.regions().last().unwrap().start);
+        img.write_int(low, Width::W4, 0x0102_0304).unwrap();
+        assert_eq!(img.stack_low(), low, "a write inside the backing grew it");
+        // two unwritten bytes below `low`, two written ones above it
+        assert_eq!(img.read_int(low - 2, Width::W4), Ok(0x0304_0000));
+        img.write_int(low - 2, Width::W4, -1).unwrap();
+        assert!(img.stack_low() < low);
+        assert_eq!(img.read_int(low - 2, Width::W4), Ok(-1));
+        assert_eq!(img.read_int(low + 2, Width::B1), Ok(2));
+        assert_eq!(img.read_int(size as i64 - 8, Width::B1), Ok(1));
     }
 }

@@ -14,12 +14,18 @@ use crate::fastforward::{CycleOutcomes, Engine, FfSpan};
 use crate::fault::{FaultInfo, FaultKind, FaultUnit, FifoState, MachineState, ScuState, UnitState};
 use crate::loader::{AccessError, AccessKind, MemoryImage};
 use crate::mem::{Access, MemStats, MemSystem};
-use crate::stats::{DepthSample, Outcome, Stall, Stats, FIFO_NAMES, SBUF_TRACK};
+use crate::stats::{DepthSample, FifoOccupancy, Outcome, Stall, Stats, FIFO_NAMES, SBUF_TRACK};
 
 /// Cycles without progress before the run is declared wedged. The
 /// fast-forward tail clamps its jumps to this horizon so both engines
 /// report [`SimError::Deadlock`] at the identical cycle.
 pub(crate) const DEADLOCK_WINDOW: u64 = 10_000;
+
+/// A unit's output FIFO, as the `slot` of [`WmMachine::fifo_changing`].
+pub(crate) const FIFO_OUT: usize = 2;
+/// A unit's condition-code FIFO, as the `slot` of
+/// [`WmMachine::fifo_changing`].
+pub(crate) const FIFO_CC: usize = 3;
 
 /// A simulation failure. Terminal errors carry a [`MachineState`]
 /// snapshot; faults additionally carry [`FaultInfo`] provenance.
@@ -574,7 +580,7 @@ pub struct WmMachine<'m> {
     /// The IFU is held (e.g. by builtin I/O) until this cycle.
     pub(crate) ifu_hold: u64,
     /// Monotonic stream-configuration counter (see `Scu::seq`).
-    scu_seq: u64,
+    pub(crate) scu_seq: u64,
     /// Memory requests issued so far (fault injection numbers requests
     /// from 1 in issue order).
     req_counter: u64,
@@ -583,8 +589,15 @@ pub struct WmMachine<'m> {
     /// Execution trace (populated only when enabled).
     trace: Vec<TraceEvent>,
     pub(crate) trace_enabled: bool,
-    /// Performance counters (always on; cheap enough to keep hot).
+    /// Performance counters. Some settle only in `take_result`: the
+    /// compiled engine's FIFO histograms (from `fifo_occupancy`) and the
+    /// idle cycles its sleeping SCUs skipped (`scu_idle_pending`).
     pub(crate) perf: Stats,
+    /// Change-point FIFO occupancy, kept by both engines at every FIFO
+    /// depth change. The compiled engine reports it; the reference
+    /// engine reports its own per-cycle samples, so comparing the two
+    /// engines checks one accounting against the other.
+    fifo_occupancy: FifoOccupancy,
     /// FIFO-depth change points (populated only when enabled).
     timeline: Vec<DepthSample>,
     pub(crate) timeline_enabled: bool,
@@ -621,6 +634,19 @@ pub struct WmMachine<'m> {
     /// the end of the current epoch. `u64::MAX` (untiled) leaves every
     /// engine bit-identical to the pre-tiling simulator.
     pub(crate) ff_horizon: u64,
+    /// Compiled engine: `Some(seq)` while every SCU sleeps. They fell
+    /// asleep idle and inactive when `scu_seq` was `seq`; only a stream
+    /// configuration (which bumps `scu_seq`) can change that, so until
+    /// then each cycle is one more idle cycle for every SCU, counted in
+    /// `scu_idle_pending` instead of stepped.
+    pub(crate) scus_asleep: Option<u64>,
+    /// Idle cycles every SCU slept through, not yet in `perf`.
+    pub(crate) scu_idle_pending: u64,
+    /// Compiled engine: the IFU stalled at a conditional jump whose
+    /// condition-code FIFO (of this class) was empty. Until that FIFO
+    /// fills, the fetch walk would stop there again with the same
+    /// outcome, so the IFU re-records the stall without walking.
+    pub(crate) ifu_park: Option<RegClass>,
 }
 
 impl<'m> WmMachine<'m> {
@@ -665,6 +691,7 @@ impl<'m> WmMachine<'m> {
         if !config.mem_model.is_flat() {
             perf.mem = Some(MemStats::new(memsys.sb_capacity()));
         }
+        let fifo_occupancy = FifoOccupancy::new(perf.fifos.clone());
         Ok(WmMachine {
             module,
             prog,
@@ -693,6 +720,7 @@ impl<'m> WmMachine<'m> {
             trace: Vec::new(),
             trace_enabled: false,
             perf,
+            fifo_occupancy,
             timeline: Vec::new(),
             timeline_enabled: false,
             last_depths: [0; FIFO_NAMES.len()],
@@ -706,6 +734,9 @@ impl<'m> WmMachine<'m> {
             chan_rx: Vec::new(),
             chan_credits: Vec::new(),
             ff_horizon: u64::MAX,
+            scus_asleep: None,
+            scu_idle_pending: 0,
+            ifu_park: None,
         })
     }
 
@@ -750,11 +781,6 @@ impl<'m> WmMachine<'m> {
     /// with [`WmMachine::set_timeline`]).
     pub fn timeline(&self) -> &[DepthSample] {
         &self.timeline
-    }
-
-    /// The performance counters accumulated so far (always collected).
-    pub fn perf(&self) -> &Stats {
-        &self.perf
     }
 
     /// The module's pre-decoded dispatch tables (built at construction;
@@ -890,9 +916,20 @@ impl<'m> WmMachine<'m> {
 
     /// Package the current state as a completed run: the tail of
     /// `run_to_completion`, and the tile scheduler's per-tile result.
+    /// Settles the counters the compiled engine keeps lazily; debug
+    /// builds then check every conservation law of [`Stats`].
     pub(crate) fn take_result(&mut self) -> RunResult {
+        self.wake_scus();
+        if self.config.engine == Engine::Compiled {
+            self.perf.fifos = self.fifo_occupancy.finish(&self.fifo_depths(), self.cycle);
+        }
         self.stats.cycles = self.cycle;
         self.perf.cycles = self.cycle;
+        debug_assert_eq!(
+            self.perf.check_attribution(),
+            Ok(()),
+            "counter conservation law broken"
+        );
         RunResult {
             cycles: self.cycle,
             ret_int: self.ieu.regs[2].as_i(),
@@ -1198,6 +1235,7 @@ impl<'m> WmMachine<'m> {
         self.drain_stores()?;
         self.scu_step()?;
         self.ifu_step()?;
+        self.sample_fifos();
         self.sample_perf();
         Ok(())
     }
@@ -1216,14 +1254,38 @@ impl<'m> WmMachine<'m> {
         ]
     }
 
-    /// End-of-cycle bookkeeping: FIFO occupancy histograms, memory-port
-    /// utilization and (when enabled) the FIFO-depth timeline.
-    pub(crate) fn sample_perf(&mut self) {
-        self.perf.cycles = self.cycle;
+    /// Charge tracked FIFO `slot` of the `class` unit (0 and 1: the input
+    /// FIFOs, [`FIFO_OUT`], [`FIFO_CC`]) with the cycles it spent at its
+    /// current depth. Every site that changes one of the [`FIFO_NAMES`]
+    /// depths calls this first (see [`FifoOccupancy`]).
+    #[inline]
+    pub(crate) fn fifo_changing(&mut self, class: RegClass, slot: usize) {
+        let u = self.unit(class);
+        let depth = match slot {
+            0 | 1 => u.ins[slot].q.len(),
+            FIFO_OUT => u.out.len(),
+            _ => u.cc.len(),
+        };
+        let k = match class {
+            RegClass::Int => slot,
+            RegClass::Flt => 4 + slot,
+        };
+        self.fifo_occupancy.accrue(k, depth, self.cycle);
+    }
+
+    /// The reference engine's FIFO occupancy histograms: every FIFO
+    /// sampled at the end of every cycle, independently of the
+    /// change-point accounting the compiled engine reports.
+    fn sample_fifos(&mut self) {
         let depths = self.fifo_depths();
         for (h, &d) in self.perf.fifos.iter_mut().zip(depths.iter()) {
             h.sample(d);
         }
+    }
+
+    /// End-of-cycle bookkeeping: memory-port utilization, stream-buffer
+    /// occupancy and (when enabled) the FIFO-depth timeline.
+    pub(crate) fn sample_perf(&mut self) {
         let p = (self.ports_used as usize).min(self.perf.ports.len() - 1);
         self.perf.ports[p] += 1;
         if self.perf.mem.is_some() {
@@ -1241,6 +1303,7 @@ impl<'m> WmMachine<'m> {
             }
         }
         if self.timeline_enabled {
+            let depths = self.fifo_depths();
             for (k, &d) in depths.iter().enumerate() {
                 if self.last_depths[k] != d {
                     self.last_depths[k] = d;
@@ -1309,13 +1372,14 @@ impl<'m> WmMachine<'m> {
                     };
                     match target {
                         StreamTarget::Fifo(fifo) => {
-                            let unit = self.unit_mut(fifo.class);
-                            let f = &mut unit.ins[fifo.index as usize];
-                            if f.gen == gen {
+                            let n = fifo.index as usize;
+                            // stale data (stopped stream) is dropped
+                            if self.unit(fifo.class).ins[n].gen == gen {
+                                self.fifo_changing(fifo.class, n);
+                                let f = &mut self.unit_mut(fifo.class).ins[n];
                                 f.q.push_back(Slot { val, poison });
                                 f.pending = f.pending.saturating_sub(1);
                             }
-                            // stale data (stopped stream) is dropped
                         }
                         StreamTarget::Veu(port) => {
                             // VEU streams fault eagerly at issue, so a
@@ -1624,6 +1688,7 @@ impl<'m> WmMachine<'m> {
                     RegClass::Int => op.eval_int(va.as_i(), vb.as_i()),
                     RegClass::Flt => op.eval_flt(va.as_f(), vb.as_f()),
                 };
+                self.fifo_changing(class, FIFO_CC);
                 self.unit_mut(class).cc.push_back(r);
             }
             InstKind::WLoad { fifo, addr, width } => {
@@ -2244,6 +2309,7 @@ impl<'m> WmMachine<'m> {
             }
         }
         if let Some(k) = flush_in {
+            self.fifo_changing(fifo.class, fifo.index as usize);
             let f = &mut self.unit_mut(fifo.class).ins[fifo.index as usize];
             let leftover = (f.q.len() + f.pending) as u64;
             f.q.clear();
@@ -2290,6 +2356,7 @@ impl<'m> WmMachine<'m> {
             if self.memsys.accepts(&acc, self.cycle).is_err() {
                 break;
             }
+            self.fifo_changing(class, FIFO_OUT);
             let Some(val) = self.unit_mut(class).out.pop_front() else {
                 break; // data not produced yet
             };
@@ -2468,7 +2535,10 @@ impl<'m> WmMachine<'m> {
                 return Ok(Outcome::Idle);
             }
             let popped = match scu.target {
-                StreamTarget::Fifo(fifo) => self.unit_mut(fifo.class).out.pop_front(),
+                StreamTarget::Fifo(fifo) => {
+                    self.fifo_changing(fifo.class, FIFO_OUT);
+                    self.unit_mut(fifo.class).out.pop_front()
+                }
                 StreamTarget::Veu(_) => self.veu.out.pop_front().map(Val::F),
             };
             let Some(val) = popped else {
@@ -2534,6 +2604,7 @@ impl<'m> WmMachine<'m> {
             // Draining now would steal the unit's operands.
             return Ok(Outcome::Stall(Stall::MemOrder));
         }
+        self.fifo_changing(fifo.class, fifo.index as usize);
         let Some(slot) = self.unit_mut(fifo.class).ins[fifo.index as usize]
             .q
             .pop_front()
@@ -2606,6 +2677,7 @@ impl<'m> WmMachine<'m> {
         if e.poison.is_some() {
             self.perf.scus[i].poisoned += 1;
         }
+        self.fifo_changing(fifo.class, fifo.index as usize);
         self.unit_mut(fifo.class).ins[fifo.index as usize]
             .q
             .push_back(Slot {
@@ -2788,6 +2860,7 @@ impl<'m> WmMachine<'m> {
                 if let Err(e) = self.mem.check(daddr, scu.width.bytes(), true) {
                     return Err(self.access_fault(FaultUnit::Scu(i), Some(fifo), &e));
                 }
+                self.fifo_changing(fifo.class, FIFO_OUT);
                 let val = self
                     .unit_mut(fifo.class)
                     .out
@@ -2982,6 +3055,7 @@ impl<'m> WmMachine<'m> {
     /// travelling in the slot surfaces here, at consumption.
     #[inline]
     pub(crate) fn pop_fifo(&mut self, class: RegClass, n: usize) -> Result<Val, SimError> {
+        self.fifo_changing(class, n);
         self.unit_mut(class).ins[n].owed = self.unit(class).ins[n].owed.saturating_sub(1);
         let Some(slot) = self.unit_mut(class).ins[n].q.pop_front() else {
             return Err(SimError::Deadlock {
@@ -3021,6 +3095,7 @@ impl<'m> WmMachine<'m> {
         match n {
             31 => Ok(()), // writes to the zero register are discarded
             0 => {
+                self.fifo_changing(class, FIFO_OUT);
                 self.unit_mut(class).out.push_back(v);
                 Ok(())
             }
@@ -3231,6 +3306,7 @@ impl<'m> WmMachine<'m> {
                     target,
                     els,
                 } => {
+                    self.fifo_changing(*class, FIFO_CC);
                     let Some(cond) = self.unit_mut(*class).cc.pop_front() else {
                         self.stats.ifu_stalls += 1;
                         // stall until the compare executes

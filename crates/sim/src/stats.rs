@@ -256,10 +256,60 @@ impl FifoHist {
     }
 }
 
-/// The FIFOs the machine samples every cycle, in histogram order.
+/// The FIFOs whose occupancy the machine tracks, in histogram order.
 pub const FIFO_NAMES: [&str; 8] = [
     "ieu.in0", "ieu.in1", "ieu.out", "ieu.cc", "feu.in0", "feu.in1", "feu.out", "feu.cc",
 ];
+
+/// Change-point accounting of the [`FIFO_NAMES`] occupancy histograms:
+/// a FIFO's depth is charged with the cycles it held when the depth is
+/// about to change, instead of sampling every FIFO every cycle.
+///
+/// The histograms count, for each cycle, the depth at the end of that
+/// cycle. `since[k]` is the first cycle not yet charged to FIFO `k`; every
+/// depth change calls [`FifoOccupancy::accrue`] first, so the cycles from
+/// `since[k]` up to the current one all ended at the depth the FIFO has
+/// just before the change. Skipped (fast-forwarded) spans change no depth
+/// and so need no work at all.
+#[derive(Debug, Clone)]
+pub(crate) struct FifoOccupancy {
+    hists: Vec<FifoHist>,
+    since: [u64; FIFO_NAMES.len()],
+}
+
+impl FifoOccupancy {
+    /// Accounting into `hists`, which must be empty, from cycle 1 on.
+    pub(crate) fn new(hists: Vec<FifoHist>) -> FifoOccupancy {
+        FifoOccupancy {
+            hists,
+            since: [1; FIFO_NAMES.len()],
+        }
+    }
+
+    /// Charge FIFO `k`, at `depth` entries, with the cycles before `cycle`
+    /// not yet charged. Call it before the depth changes during `cycle`.
+    #[inline]
+    pub(crate) fn accrue(&mut self, k: usize, depth: usize, cycle: u64) {
+        let since = self.since[k];
+        if since < cycle {
+            self.hists[k].sample_n(depth, cycle - since);
+            self.since[k] = cycle;
+        }
+    }
+
+    /// The histograms through the end of `cycle`, given every FIFO's
+    /// final depth.
+    pub(crate) fn finish(
+        &mut self,
+        depths: &[usize; FIFO_NAMES.len()],
+        cycle: u64,
+    ) -> Vec<FifoHist> {
+        for (k, &d) in depths.iter().enumerate() {
+            self.accrue(k, d, cycle + 1);
+        }
+        self.hists.clone()
+    }
+}
 
 /// Timeline-track name for the aggregate stream-buffer occupancy
 /// (rendered by the Chrome trace exporter as one more counter track,
@@ -348,12 +398,14 @@ impl Stats {
     }
 
     /// Verify the exactness invariant: every unit (and every SCU) has
-    /// attributed exactly [`Stats::cycles`] cycles.
+    /// attributed exactly [`Stats::cycles`] cycles, and every histogram
+    /// (each FIFO's occupancy, the memory ports, and the stream-buffer
+    /// occupancy when present) covers exactly that many cycles.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first unit whose attribution differs
-    /// from the cycle count.
+    /// Returns a message naming the first unit or histogram whose total
+    /// differs from the cycle count.
     pub fn check_attribution(&self) -> Result<(), String> {
         for (name, u) in self.units() {
             if u.attributed() != self.cycles {
@@ -370,6 +422,15 @@ impl Stats {
                     "SCU {i} attributed {} of {} cycles",
                     s.unit.attributed(),
                     self.cycles
+                ));
+            }
+        }
+        for f in &self.fifos {
+            let fifo_cycles: u64 = f.depth.iter().sum();
+            if fifo_cycles != self.cycles {
+                return Err(format!(
+                    "{} occupancy histogram covers {fifo_cycles} of {} cycles",
+                    f.name, self.cycles
                 ));
             }
         }
@@ -612,6 +673,9 @@ mod tests {
             for scu in &mut s.scus {
                 scu.unit.record(Outcome::Idle);
             }
+            for h in &mut s.fifos {
+                h.sample(1);
+            }
             s.ports[0] += 1;
         }
         s.check_attribution().unwrap();
@@ -620,6 +684,44 @@ mod tests {
         // one miscounted cycle breaks the invariant
         s.ieu.record(Outcome::Active);
         assert!(s.check_attribution().is_err());
+        // ... and so does one FIFO histogram covering a cycle too many
+        s.ieu.active -= 1;
+        s.check_attribution().unwrap();
+        s.fifos[7].sample(0);
+        let err = s.check_attribution().unwrap_err();
+        assert!(err.contains("feu.cc"), "{err}");
+    }
+
+    #[test]
+    fn change_point_occupancy_matches_per_cycle_sampling() {
+        // depths at the end of cycles 1..=6 of one FIFO; the change-point
+        // tracker sees only the depth changes, some of them inside a
+        // cycle that changes the depth twice
+        let s = Stats::new(0, 4, 2, 1);
+        let mut per_cycle = s.fifos.clone();
+        let mut occ = FifoOccupancy::new(s.fifos.clone());
+        let mut depth = 0;
+        for (cycle, changes) in [
+            (1, vec![1]),
+            (2, vec![]),
+            (3, vec![2, 1]),
+            (4, vec![]),
+            (5, vec![0]),
+            (6, vec![]),
+        ] {
+            for d in changes {
+                occ.accrue(0, depth, cycle);
+                depth = d;
+            }
+            per_cycle[0].sample(depth);
+            for h in &mut per_cycle[1..] {
+                h.sample(0);
+            }
+        }
+        let mut depths = [0; FIFO_NAMES.len()];
+        depths[0] = depth;
+        assert_eq!(occ.finish(&depths, 6), per_cycle);
+        assert_eq!(per_cycle[0].depth, vec![2, 4, 0, 0, 0]);
     }
 
     #[test]
@@ -645,6 +747,9 @@ mod tests {
             s.veu.record(Outcome::Idle);
             s.ifu.record(Outcome::Stall(Stall::MshrFull));
             s.scus[0].unit.record(Outcome::Idle);
+            for h in &mut s.fifos {
+                h.sample(0);
+            }
             s.ports[0] += 1;
         }
         // flat: no mem section anywhere

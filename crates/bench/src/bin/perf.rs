@@ -40,15 +40,19 @@
 //!                                  holds flat-memory cycles
 //! perf --out FILE                  write results to FILE instead
 //! perf --check bench/baseline.json fail (exit 1) if any workload's cycles
-//!                                  regressed >2% against the baseline; a
-//!                                  failure prints every pair's cycle delta
+//!                                  regressed >2% against the baseline, or
+//!                                  if its emitted code (static instruction
+//!                                  count and listing digest) differs where
+//!                                  the baseline records them; a failure
+//!                                  prints every pair's cycle delta
 //!                                  (baseline/now/%) to localize the damage
 //! perf --compare FILE              fail (exit 1) unless every cycle count,
 //!                                  and every counter where both runs
 //!                                  record them, matches FILE exactly (the
 //!                                  engine-equivalence gate); records the
 //!                                  wall-time speedup vs FILE in the output
-//! perf --write-baseline FILE       write the cycle baseline for --check
+//! perf --write-baseline FILE       write the cycle and code baseline for
+//!                                  --check
 //! ```
 //!
 //! Every run that measures both the streaming and modulo configs also
@@ -65,6 +69,7 @@
 //! cargo run --release -p wm-bench --bin perf -- --fast --write-baseline bench/baseline.json
 //! ```
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -74,7 +79,7 @@ use std::time::Instant;
 use wm_bench::json::{self, Value};
 use wm_bench::reps::RepPlan;
 use wm_stream::sim::Engine;
-use wm_stream::{Compiler, MemModel, OptOptions, WmConfig, Workload};
+use wm_stream::{Compiled, Compiler, MemModel, OptOptions, WmConfig, Workload};
 
 /// Allowed cycle-count growth before `--check` fails, as a fraction.
 const TOLERANCE: f64 = 0.02;
@@ -83,6 +88,8 @@ struct RunRecord {
     workload: String,
     config: &'static str,
     cycles: u64,
+    /// What the compiler emitted; `--wmd` runs record none.
+    code: Option<Code>,
     wall_ms: f64,
     counters: String,
     /// A failure message when this pair did not produce a result (its
@@ -90,6 +97,40 @@ struct RunRecord {
     /// carry no cycles and are excluded from gates; their presence makes
     /// the run exit nonzero after the document is written.
     error: Option<String>,
+}
+
+/// What the compiler emitted for one pair: the static instruction count
+/// and a 64-bit FNV-1a digest of the listing `wmcc --emit` prints.
+#[derive(Clone, Copy)]
+struct Code {
+    insts: u64,
+    fnv1a: u64,
+}
+
+impl Code {
+    fn of(compiled: &Compiled) -> Code {
+        let module = &compiled.module;
+        let mut listing = String::new();
+        for f in &module.functions {
+            writeln!(listing, "{}", f.display(Some(module))).expect("writing to a String");
+        }
+        Code {
+            insts: module.functions.iter().map(|f| f.inst_count() as u64).sum(),
+            fnv1a: fnv1a(listing.as_bytes()),
+        }
+    }
+
+    /// As `check` reports it: `412 insts (fnv1a 0123456789abcdef)`.
+    fn describe(insts: u64, fnv1a: &str) -> String {
+        format!("{insts} insts (fnv1a {fnv1a})")
+    }
+}
+
+/// The 64-bit FNV-1a hash of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// Client-side summary of a `--wmd` run, recorded in the output meta.
@@ -241,6 +282,7 @@ fn run_pair(
         workload: w.name.to_string(),
         config,
         cycles: result.cycles,
+        code: Some(Code::of(&compiled)),
         wall_ms,
         counters: result.perf.to_json(),
         error: None,
@@ -296,6 +338,7 @@ fn run_suite(sel: SuiteSel, meta: &Meta) -> Vec<RunRecord> {
                                 workload: w.name.to_string(),
                                 config,
                                 cycles: 0,
+                                code: None,
                                 wall_ms: 0.0,
                                 counters: String::new(),
                                 error: Some(msg),
@@ -500,6 +543,7 @@ fn run_suite_wmd(sel: SuiteSel, meta: &mut Meta, wmd_bin: &str) -> Vec<RunRecord
                     workload: w.name.to_string(),
                     config,
                     cycles,
+                    code: None,
                     wall_ms,
                     counters: String::new(),
                     error: None,
@@ -512,6 +556,7 @@ fn run_suite_wmd(sel: SuiteSel, meta: &mut Meta, wmd_bin: &str) -> Vec<RunRecord
                     workload: w.name.to_string(),
                     config,
                     cycles: 0,
+                    code: None,
                     wall_ms: 0.0,
                     counters: String::new(),
                     error: Some(msg),
@@ -573,9 +618,16 @@ fn results_json(
             ));
         } else {
             out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"config\": \"{}\", \"cycles\": {}, \"wall_ms\": {:.3}",
-                r.workload, r.config, r.cycles, r.wall_ms
+                "    {{\"workload\": \"{}\", \"config\": \"{}\", \"cycles\": {}",
+                r.workload, r.config, r.cycles
             ));
+            if let Some(code) = r.code {
+                out.push_str(&format!(
+                    ", \"insts\": {}, \"code_fnv1a\": \"{:016x}\"",
+                    code.insts, code.fnv1a
+                ));
+            }
+            out.push_str(&format!(", \"wall_ms\": {:.3}", r.wall_ms));
             if with_counters {
                 // The counters are themselves a JSON document; inline them.
                 out.push_str(", \"counters\": ");
@@ -589,28 +641,56 @@ fn results_json(
     out
 }
 
-/// The baseline gate's verdict: the hard failures, plus a per-workload
-/// cycle-delta table covering *every* measured pair — printed on
-/// failure so the report shows where the cycles moved, not just the
-/// rows that crossed tolerance.
+/// The baseline gate's verdict: the cycle regressions and code changes,
+/// plus a per-workload cycle-delta table covering *every* measured pair
+/// — printed on failure so the report shows where the cycles moved, not
+/// just the rows that crossed tolerance.
 struct CheckReport {
     failures: Vec<String>,
+    code_changes: Vec<String>,
     delta_table: Vec<String>,
 }
 
-/// Compare against a baseline document; the gate passes when
-/// `failures` is empty.
+/// Compare against a baseline document; the gate passes when `failures`
+/// and `code_changes` are empty. Wherever both the run and the baseline
+/// record a pair's emitted code (`--wmd` runs record none), its
+/// instruction count and listing digest must match exactly.
 fn check(records: &[RunRecord], baseline_src: &str) -> Result<CheckReport, String> {
     let doc = json::parse(baseline_src)?;
     let base = doc
         .get("results")
         .and_then(Value::as_arr)
         .ok_or("baseline has no \"results\" array")?;
-    let lookup = |workload: &str, config: &str| -> Option<u64> {
-        base.iter().find_map(|e| {
-            (e.get("workload")?.as_str()? == workload && e.get("config")?.as_str()? == config)
-                .then(|| e.get("cycles")?.as_u64())?
+    let entry = |workload: &str, config: &str| -> Option<&Value> {
+        base.iter().find(|e| {
+            e.get("workload").and_then(Value::as_str) == Some(workload)
+                && e.get("config").and_then(Value::as_str) == Some(config)
         })
+    };
+    let mut code_changes = Vec::new();
+    for r in records.iter().filter(|r| r.error.is_none()) {
+        let (Some(code), Some(e)) = (r.code, entry(&r.workload, r.config)) else {
+            continue;
+        };
+        let (Some(insts), Some(fnv)) = (
+            e.get("insts").and_then(Value::as_u64),
+            e.get("code_fnv1a").and_then(Value::as_str),
+        ) else {
+            continue;
+        };
+        let ours = format!("{:016x}", code.fnv1a);
+        if insts != code.insts || fnv != ours {
+            code_changes.push(format!(
+                "{}/{}: code {} vs baseline {}",
+                r.workload,
+                r.config,
+                Code::describe(code.insts, &ours),
+                Code::describe(insts, fnv)
+            ));
+        }
+    }
+    let lookup = |workload: &str, config: &str| -> Option<u64> {
+        entry(workload, config)?.get("cycles")?.as_u64()
     };
     let mut failures = Vec::new();
     let mut delta_table = vec![format!(
@@ -658,6 +738,7 @@ fn check(records: &[RunRecord], baseline_src: &str) -> Result<CheckReport, Strin
     }
     Ok(CheckReport {
         failures,
+        code_changes,
         delta_table,
     })
 }
@@ -965,9 +1046,12 @@ fn main() {
                 eprintln!("perf: bad baseline {path}: {e}");
                 std::process::exit(2);
             }
-            Ok(report) if !report.failures.is_empty() => {
+            Ok(report) if !report.failures.is_empty() || !report.code_changes.is_empty() => {
                 for f in &report.failures {
                     eprintln!("perf: REGRESSION {f}");
+                }
+                for c in &report.code_changes {
+                    eprintln!("perf: CODE CHANGED {c}");
                 }
                 // The full delta table: which pairs moved and by how
                 // much, so a failure report localizes the regression
@@ -977,9 +1061,10 @@ fn main() {
                     eprintln!("perf:   {line}");
                 }
                 eprintln!(
-                    "perf: {} regression(s); to accept intentionally, re-baseline with:\n\
+                    "perf: {} regression(s), {} code change(s); to accept intentionally, re-baseline with:\n\
                      perf:   cargo run --release -p wm-bench --bin perf -- --fast --write-baseline bench/baseline.json",
-                    report.failures.len()
+                    report.failures.len(),
+                    report.code_changes.len()
                 );
                 std::process::exit(1);
             }
@@ -1041,6 +1126,7 @@ mod tests {
             workload: "sieve".to_string(),
             config: "scalar",
             cycles: 10,
+            code: None,
             wall_ms: 1.0,
             counters: counters.to_string(),
             error: None,
@@ -1093,5 +1179,45 @@ mod tests {
         slow.cycles = 11;
         let (m, _) = compare(&[slow], &doc(None)).unwrap();
         assert_eq!(m, ["sieve/scalar: 11 cycles here vs 10 there"]);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn check_pins_the_emitted_code_where_the_baseline_records_it() {
+        let pinned = |insts: u64, fnv: &str| {
+            format!(
+                r#"{{"results": [{{"workload": "sieve", "config": "scalar", "cycles": 10, "insts": {insts}, "code_fnv1a": "{fnv}", "wall_ms": 2.0}}]}}"#
+            )
+        };
+        let ours = || {
+            let mut r = record("");
+            r.code = Some(Code {
+                insts: 5,
+                fnv1a: 0xabc,
+            });
+            r
+        };
+        let report = check(&[ours()], &pinned(5, "0000000000000abc")).unwrap();
+        assert!(report.failures.is_empty() && report.code_changes.is_empty());
+        let report = check(&[ours()], &pinned(6, "0000000000000abd")).unwrap();
+        assert!(report.failures.is_empty(), "cycles did not move");
+        assert_eq!(
+            report.code_changes,
+            ["sieve/scalar: code 5 insts (fnv1a 0000000000000abc) vs baseline 6 insts (fnv1a 0000000000000abd)"]
+        );
+        // a listing change at the same size is caught by the digest alone
+        let report = check(&[ours()], &pinned(5, "0000000000000abd")).unwrap();
+        assert_eq!(report.code_changes.len(), 1);
+        // an older baseline without the fields, or a `--wmd` run, gates cycles only
+        let report = check(&[ours()], &doc(None)).unwrap();
+        assert!(report.code_changes.is_empty());
+        let report = check(&[record("")], &pinned(6, "0000000000000abd")).unwrap();
+        assert!(report.code_changes.is_empty());
     }
 }

@@ -76,7 +76,8 @@ const USAGE: &str = "usage: wmcc FILE.c [--target wm|scalar] [--machine sun3|hp3
                          attribution, FIFO occupancy, memory-port usage) on
                          stderr after the run; with --opt modulo, also one
                          line per candidate loop with its MII, the greedy
-                         interval and the achieved II
+                         interval, the achieved II and the number of
+                         solver probes it took
   --stats-json FILE      write the same counters as JSON to FILE ('-' for
                          stdout)
   --trace N              print the first N executed instructions on stderr
@@ -378,7 +379,7 @@ fn main() -> ExitCode {
             );
             for l in s.modulo.loops() {
                 eprintln!(
-                    "{name}: L{}: modulo {} insts, MII {}, greedy interval {} -> II {} ({})",
+                    "{name}: L{}: modulo {} insts, MII {}, greedy interval {} -> II {} ({}, probes {})",
                     l.label,
                     l.insts,
                     l.mii,
@@ -389,6 +390,7 @@ fn main() -> ExitCode {
                     } else {
                         "greedy fallback"
                     },
+                    l.probes,
                 );
             }
         }

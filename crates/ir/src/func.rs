@@ -150,32 +150,50 @@ impl Function {
         id
     }
 
-    /// Successors of the block at `index` (block indices, taken target
-    /// first). A block without a terminator falls through to the next block
-    /// in layout order.
-    pub fn successors(&self, index: usize) -> Vec<usize> {
-        let block = &self.blocks[index];
-        match block.insts.last() {
-            Some(last) if last.kind.is_terminator() => {
-                let mut out = Vec::with_capacity(2);
-                for t in last.kind.targets() {
-                    let i = self.block_index(t);
-                    if !out.contains(&i) {
-                        out.push(i);
-                    }
-                }
-                out
-            }
-            _ if index + 1 < self.blocks.len() => vec![index + 1],
-            _ => Vec::new(),
+    /// Successor lists for every block, indexed in layout order (block
+    /// indices, taken target first, each at most once). A block without a
+    /// terminator falls through to the next block in layout order. One
+    /// label→index pass resolves every edge, so an analysis that needs
+    /// the CFG builds this once rather than searching the block list per
+    /// edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a terminator targets a label no block carries.
+    pub fn successor_table(&self) -> Vec<Vec<usize>> {
+        let n = self.blocks.len();
+        let labels = self.blocks.iter().map(|b| b.label.0 as usize + 1).max();
+        let mut index_of = vec![usize::MAX; labels.unwrap_or(0)];
+        for (i, b) in self.blocks.iter().enumerate() {
+            index_of[b.label.0 as usize] = i;
         }
+        let index = |t: Label| match index_of.get(t.0 as usize) {
+            Some(&i) if i != usize::MAX => i,
+            _ => panic!("no block labelled {t} in {}", self.name),
+        };
+        (0..n)
+            .map(|bi| match self.blocks[bi].terminator() {
+                Some(last) => {
+                    let mut out = Vec::with_capacity(2);
+                    for t in last.kind.targets() {
+                        let i = index(t);
+                        if !out.contains(&i) {
+                            out.push(i);
+                        }
+                    }
+                    out
+                }
+                None if bi + 1 < n => vec![bi + 1],
+                None => Vec::new(),
+            })
+            .collect()
     }
 
     /// Predecessor lists for every block, indexed in layout order.
     pub fn predecessors(&self) -> Vec<Vec<usize>> {
         let mut preds = vec![Vec::new(); self.blocks.len()];
-        for i in 0..self.blocks.len() {
-            for s in self.successors(i) {
+        for (i, succs) in self.successor_table().into_iter().enumerate() {
+            for s in succs {
                 preds[s].push(i);
             }
         }
@@ -207,6 +225,7 @@ impl Function {
         if n == 0 {
             return;
         }
+        let succs = self.successor_table();
         let mut reachable = vec![false; n];
         let mut stack = vec![0usize];
         while let Some(i) = stack.pop() {
@@ -214,9 +233,7 @@ impl Function {
                 continue;
             }
             reachable[i] = true;
-            for s in self.successors(i) {
-                stack.push(s);
-            }
+            stack.extend_from_slice(&succs[i]);
         }
         // A block that is unreachable but fallen *into* can't exist since
         // fallthrough is a successor edge; safe to drop them.
@@ -263,9 +280,7 @@ mod tests {
         f.push(b1, InstKind::Jump { target: b0 });
         // b2: ret
         f.push(b2, InstKind::Ret);
-        assert_eq!(f.successors(0), vec![2, 1]);
-        assert_eq!(f.successors(1), vec![0]);
-        assert_eq!(f.successors(2), Vec::<usize>::new());
+        assert_eq!(f.successor_table(), vec![vec![2, 1], vec![0], vec![]]);
         let preds = f.predecessors();
         assert_eq!(preds[0], vec![1]);
         assert_eq!(preds[1], vec![0]);
@@ -276,7 +291,7 @@ mod tests {
     fn empty_block_falls_through() {
         let mut f = Function::new("f", 0, 0);
         let _b1 = f.add_block();
-        assert_eq!(f.successors(0), vec![1]);
+        assert_eq!(f.successor_table(), vec![vec![1], vec![]]);
     }
 
     #[test]

@@ -317,30 +317,45 @@ impl InstKind {
     /// Registers written by this RTL (including FIFO-mapped cells; liveness
     /// clients filter with [`Reg::is_fifo`] / [`Reg::is_zero`]).
     pub fn defs(&self) -> Vec<Reg> {
+        let mut v = Vec::new();
+        self.for_each_def(|r| v.push(r));
+        v
+    }
+
+    /// Call `f` on each register [`InstKind::defs`] returns, in order,
+    /// without building the list.
+    pub fn for_each_def(&self, mut f: impl FnMut(Reg)) {
         match self {
-            InstKind::Assign { dst, .. } => vec![*dst],
-            InstKind::LoadAddr { dst, .. } => vec![*dst],
+            InstKind::Assign { dst, .. }
+            | InstKind::LoadAddr { dst, .. }
+            | InstKind::ChanRecv { dst, .. } => f(*dst),
             InstKind::GLoad { dst, mem } => {
-                let mut v = vec![*dst];
-                v.extend(mem.auto_def());
-                v
+                f(*dst);
+                mem.auto_def().into_iter().for_each(f);
             }
-            InstKind::GStore { mem, .. } => mem.auto_def().into_iter().collect(),
-            InstKind::Call { ret, .. } => ret.iter().copied().collect(),
-            InstKind::ChanRecv { dst, .. } => vec![*dst],
-            _ => Vec::new(),
+            InstKind::GStore { mem, .. } => mem.auto_def().into_iter().for_each(f),
+            InstKind::Call { ret, .. } => ret.iter().copied().for_each(f),
+            _ => {}
         }
     }
 
     /// Registers read by this RTL.
     pub fn uses(&self) -> Vec<Reg> {
+        let mut v = Vec::new();
+        self.for_each_use(|r| v.push(r));
+        v
+    }
+
+    /// Call `f` on each register [`InstKind::uses`] returns, in order,
+    /// without building the list.
+    pub fn for_each_use(&self, f: impl FnMut(Reg)) {
         match self {
-            InstKind::Assign { src, .. } => src.regs().collect(),
-            InstKind::Compare { a, b, .. } => a.reg().into_iter().chain(b.reg()).collect(),
-            InstKind::GLoad { mem, .. } => mem.regs().collect(),
-            InstKind::GStore { src, mem } => src.reg().into_iter().chain(mem.regs()).collect(),
-            InstKind::WLoad { addr, .. } => addr.regs().collect(),
-            InstKind::WStore { addr, .. } => addr.regs().collect(),
+            InstKind::Assign { src, .. } => src.regs().for_each(f),
+            InstKind::Compare { a, b, .. } => a.reg().into_iter().chain(b.reg()).for_each(f),
+            InstKind::GLoad { mem, .. } => mem.regs().for_each(f),
+            InstKind::GStore { src, mem } => src.reg().into_iter().chain(mem.regs()).for_each(f),
+            InstKind::WLoad { addr, .. } => addr.regs().for_each(f),
+            InstKind::WStore { addr, .. } => addr.regs().for_each(f),
             InstKind::StreamIn {
                 base,
                 count,
@@ -357,7 +372,7 @@ impl InstKind {
                 .into_iter()
                 .chain(count.and_then(|c| c.reg()))
                 .chain(stride.reg())
-                .collect(),
+                .for_each(f),
             InstKind::StreamGather {
                 base,
                 ibase,
@@ -377,7 +392,7 @@ impl InstKind {
                 .chain(ibase.reg())
                 .chain(istride.reg())
                 .chain(count.reg())
-                .collect(),
+                .for_each(f),
             InstKind::VStreamIn {
                 base,
                 count,
@@ -390,7 +405,7 @@ impl InstKind {
                 .chain(count.reg())
                 .chain(stride.reg())
                 .chain(vectors.reg())
-                .collect(),
+                .for_each(f),
             InstKind::VStreamOut {
                 base,
                 count,
@@ -400,13 +415,13 @@ impl InstKind {
                 .into_iter()
                 .chain(count.reg())
                 .chain(stride.reg())
-                .collect(),
-            InstKind::Call { args, .. } => args.clone(),
-            InstKind::ChanSend { src, .. } => src.reg().into_iter().collect(),
+                .for_each(f),
+            InstKind::Call { args, .. } => args.iter().copied().for_each(f),
+            InstKind::ChanSend { src, .. } => src.reg().into_iter().for_each(f),
             InstKind::StreamSend { count, .. } | InstKind::StreamRecv { count, .. } => {
-                count.reg().into_iter().collect()
+                count.reg().into_iter().for_each(f)
             }
-            _ => Vec::new(),
+            _ => {}
         }
     }
 

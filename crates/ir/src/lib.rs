@@ -55,4 +55,4 @@ pub use func::{Block, Function, Label};
 pub use inst::{DataFifo, Inst, InstId, InstKind, MemAccess};
 pub use module::{Global, GlobalKind, Module, SymId};
 pub use ops::{AutoMode, BinOp, CmpOp, UnOp, Width};
-pub use reg::{Reg, RegClass, FIRST_ARG_REG, NUM_ARG_REGS, NUM_PHYS, SP_REG, ZERO_REG};
+pub use reg::{Reg, RegClass, RegKind, FIRST_ARG_REG, NUM_ARG_REGS, NUM_PHYS, SP_REG, ZERO_REG};

@@ -96,7 +96,8 @@ fn intersect(idom: &[usize], order: &[usize], mut a: usize, mut b: usize) -> usi
 
 /// Blocks in reverse postorder of a DFS from the entry.
 pub fn reverse_postorder(func: &Function) -> Vec<usize> {
-    let n = func.blocks.len();
+    let succs = func.successor_table();
+    let n = succs.len();
     let mut visited = vec![false; n];
     let mut post = Vec::with_capacity(n);
     // iterative DFS with explicit stack of (block, next-successor-index)
@@ -106,17 +107,16 @@ pub fn reverse_postorder(func: &Function) -> Vec<usize> {
         stack.push((0, 0));
     }
     while let Some(frame) = stack.last_mut() {
-        let b = frame.0;
-        let succs = func.successors(b);
-        if frame.1 < succs.len() {
-            let s = succs[frame.1];
+        let out = &succs[frame.0];
+        if frame.1 < out.len() {
+            let s = out[frame.1];
             frame.1 += 1;
             if !visited[s] {
                 visited[s] = true;
                 stack.push((s, 0));
             }
         } else {
-            post.push(b);
+            post.push(frame.0);
             stack.pop();
         }
     }
@@ -155,17 +155,18 @@ impl Loop {
 /// Find all natural loops of `func` (one per header; back edges to the same
 /// header are merged).
 pub fn natural_loops(func: &Function, dom: &Dominators) -> Vec<Loop> {
-    let n = func.blocks.len();
+    let succs = func.successor_table();
+    let preds = func.predecessors();
     let mut loops: Vec<Loop> = Vec::new();
-    for b in 0..n {
+    for (b, ss) in succs.iter().enumerate() {
         if !dom.is_reachable(b) {
             continue;
         }
-        for s in func.successors(b) {
+        for &s in ss {
             if dom.dominates(s, b) {
                 // back edge b -> s
                 if let Some(l) = loops.iter_mut().find(|l| l.header == s) {
-                    extend_loop(func, l, b);
+                    extend_loop(&preds, l, b);
                     if !l.latches.contains(&b) {
                         l.latches.push(b);
                     }
@@ -176,21 +177,20 @@ pub fn natural_loops(func: &Function, dom: &Dominators) -> Vec<Loop> {
                         latches: vec![b],
                         exits: Vec::new(),
                     };
-                    extend_loop(func, &mut l, b);
+                    extend_loop(&preds, &mut l, b);
                     loops.push(l);
                 }
             }
         }
     }
     for l in &mut loops {
-        l.exits = loop_exits(func, l);
+        l.exits = loop_exits(&succs, l);
     }
     loops
 }
 
-fn extend_loop(func: &Function, l: &mut Loop, latch: usize) {
+fn extend_loop(preds: &[Vec<usize>], l: &mut Loop, latch: usize) {
     // classic natural-loop body collection: walk predecessors from the latch
-    let preds = func.predecessors();
     let mut stack = vec![latch];
     while let Some(b) = stack.pop() {
         if l.blocks.insert(b) {
@@ -201,10 +201,10 @@ fn extend_loop(func: &Function, l: &mut Loop, latch: usize) {
     }
 }
 
-fn loop_exits(func: &Function, l: &Loop) -> Vec<(usize, usize)> {
+fn loop_exits(succs: &[Vec<usize>], l: &Loop) -> Vec<(usize, usize)> {
     let mut exits = Vec::new();
     for &b in &l.blocks {
-        for s in func.successors(b) {
+        for &s in &succs[b] {
             if !l.contains(s) {
                 exits.push((b, s));
             }
@@ -379,9 +379,10 @@ mod tests {
         let mut f = loop_func();
         let stub = split_edge(&mut f, 2, 3);
         let si = f.block_index(stub);
-        assert_eq!(f.successors(si), vec![3]);
-        assert!(f.successors(2).contains(&si));
-        assert!(!f.successors(2).contains(&3));
+        let succs = f.successor_table();
+        assert_eq!(succs[si], vec![3]);
+        assert!(succs[2].contains(&si));
+        assert!(!succs[2].contains(&3));
     }
 
     #[test]

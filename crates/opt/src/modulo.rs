@@ -19,9 +19,10 @@
 //! `(s_i, s_j) = (a, b)` is the pure difference constraint
 //! `r_i − r_j ≤ II·(d + b − a) − L`, guarded by two stage literals. Rows
 //! are pairwise distinct (the one-dispatch-per-cycle bound). The minimal
-//! feasible `II` is found by binary search from `MII = m` up to one below
-//! the measured greedy interval; `Unsat`/`Unknown` anywhere simply keeps
-//! the greedy code, so the pass can never regress a loop it touches.
+//! feasible `II` is found by probing `MII = m` first and, only if that
+//! fails, binary search from `MII + 1` up to one below the measured greedy
+//! interval; `Unsat`/`Unknown` anywhere simply keeps the greedy code, so
+//! the pass can never regress a loop it touches.
 //!
 //! The emitted shape for a two-stage schedule reuses the loop's `jNI`
 //! counter protocol without speculation: the original block becomes the
@@ -81,6 +82,8 @@ pub struct LoopReport {
     pub ii: u32,
     /// Was the loop rescheduled?
     pub pipelined: bool,
+    /// Solver calls made for this loop (one per candidate `II` tried).
+    pub probes: u32,
 }
 
 /// What the modulo-scheduling pass did to one function.
@@ -164,9 +167,11 @@ pub fn modulo_schedule(func: &mut Function, budget: u64, mem_latency: i64) -> Mo
             greedy: greedy as u32,
             ii: greedy as u32,
             pipelined: false,
+            probes: 0,
         };
         if let Some(edges) = build_edges(&body.insts, mem_latency) {
-            if let Some((ii, rows, stages)) = find_schedule(m, &edges, greedy, budget) {
+            let found = find_schedule(m, &edges, greedy, budget, &mut entry.probes);
+            if let Some((ii, rows, stages)) = found {
                 emit(func, bi, &rows, &stages, body.els);
                 entry.ii = ii as u32;
                 entry.pipelined = true;
@@ -677,24 +682,35 @@ fn validate(edges: &[Edge], ii: i64, rows: &[i64], stages: &[bool]) -> bool {
         && (0..m).any(|i| !stages[i])
 }
 
-/// Binary-search the minimal feasible II in `[m, greedy)`.
+/// The minimal feasible II in `[m, greedy)`: probe `MII = m` first, where
+/// every loop that pipelines in practice lands, and binary-search
+/// `[m + 1, greedy)` only if that probe fails. Counts each candidate
+/// tried in `probes`.
 fn find_schedule(
     m: usize,
     edges: &[Edge],
     greedy: u64,
     budget: u64,
+    probes: &mut u32,
 ) -> Option<(i64, Vec<i64>, Vec<bool>)> {
     let mii = m as i64;
     let greedy = greedy as i64;
     if greedy <= mii {
         return None; // already at the dispatch bound
     }
-    let mut lo = mii;
+    let mut probe = |ii: i64| {
+        *probes += 1;
+        solve_ii(m, edges, ii, budget)
+    };
+    if let Some((rows, stages)) = probe(mii) {
+        return Some((mii, rows, stages));
+    }
+    let mut lo = mii + 1;
     let mut hi = (greedy - 1).min(mii + MAX_II_SLACK);
     let mut best = None;
     while lo <= hi {
         let mid = lo + (hi - lo) / 2;
-        match solve_ii(m, edges, mid, budget) {
+        match probe(mid) {
             Some((rows, stages)) => {
                 best = Some((mid, rows, stages));
                 hi = mid - 1;
@@ -851,6 +867,7 @@ mod tests {
         assert_eq!((lr.insts, lr.mii), (3, 3));
         assert_eq!(lr.ii, 3, "greedy interval {} should shrink", lr.greedy);
         assert!(lr.greedy > 3);
+        assert_eq!(lr.probes, 1, "feasible at MII: one solver call");
         // Prologue (original label) + kernel + epilogue.
         assert_eq!(f.blocks.len(), 5);
         let kernel = &f.blocks[3];
@@ -918,6 +935,32 @@ mod tests {
         let lr = report.loops()[0];
         assert!(!lr.pipelined);
         assert_eq!(lr.ii, lr.greedy);
+        // MII fails, then the one candidate below the greedy interval.
+        assert_eq!((lr.mii, lr.greedy, lr.probes), (2, 4, 2));
+    }
+
+    #[test]
+    fn the_search_probes_mii_first() {
+        // Four independent instructions: feasible at MII, far below the
+        // greedy interval, so the first probe settles it.
+        let mut probes = 0;
+        let (ii, ..) = find_schedule(4, &[], 20, BUDGET, &mut probes).expect("feasible");
+        assert_eq!((ii, probes), (4, 1));
+        // A carried self-dependence of latency 9: MII fails, then the
+        // binary search over [5, 19] probes 12, 8, 10 and 9.
+        let edges = [Edge {
+            from: 0,
+            to: 0,
+            lat: 9,
+            dist: 1,
+        }];
+        let mut probes = 0;
+        let (ii, ..) = find_schedule(4, &edges, 20, BUDGET, &mut probes).expect("feasible");
+        assert_eq!((ii, probes), (9, 5));
+        // Nothing to gain: the greedy interval is already MII.
+        let mut probes = 0;
+        assert!(find_schedule(4, &[], 4, BUDGET, &mut probes).is_none());
+        assert_eq!(probes, 0);
     }
 
     #[test]

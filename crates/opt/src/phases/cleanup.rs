@@ -56,10 +56,7 @@ fn thread_jumps(func: &mut Function) -> bool {
         l
     };
     let mut changed = false;
-    let entry = func.entry_label();
     for block in &mut func.blocks {
-        // don't rewrite the entry block's own self identity
-        let _ = entry;
         if let Some(last) = block.insts.last_mut() {
             for t in last.kind.targets_mut() {
                 let r = resolve(*t);

@@ -1,42 +1,70 @@
 //! Dead-code elimination based on live-register analysis.
 
-use wm_ir::{Function, InstKind};
+use wm_ir::{Function, InstKind, Operand, RExpr};
 
-use crate::liveness::{defs_of, uses_of, Liveness};
+use crate::liveness::{tracked, Liveness, RegSet};
 
 /// Remove pure instructions whose results are dead. Instructions with side
 /// effects (memory, control flow, FIFO traffic, condition codes, calls) are
 /// always kept. Runs to a fixed point.
 pub fn eliminate_dead_code(func: &mut Function) -> bool {
+    let (changed, _) = mark_dead_code(func);
+    if changed {
+        func.compact();
+    }
+    changed
+}
+
+/// Turn every transitively dead pure instruction of `func` into `Nop`, to
+/// a fixed point, **without** compacting: instruction positions are
+/// unchanged. Returns whether anything changed, and the liveness of the
+/// result.
+///
+/// Each round walks every block bottom-up. An instruction found dead is
+/// dropped from the walk at once, so the values only it used can die in
+/// the same round. The fixed point is the one that marking against each
+/// round's liveness alone reaches, because deleting a dead instruction
+/// never makes another one live.
+pub(crate) fn mark_dead_code(func: &mut Function) -> (bool, Liveness) {
     let mut any = false;
     loop {
         let lv = Liveness::compute(func);
         let mut changed = false;
         for bi in 0..func.blocks.len() {
-            let after = lv.live_after(func, bi);
-            for (ii, live) in after.iter().enumerate() {
-                let inst = &func.blocks[bi].insts[ii];
-                if inst.kind == InstKind::Nop || inst.kind.has_side_effects() {
-                    continue;
-                }
-                let defs = defs_of(&inst.kind);
-                if defs.is_empty() {
-                    continue; // e.g. already Nop or a terminator
-                }
-                if defs.iter().all(|d| !live.contains(d)) {
+            let mut live = lv.live_out[bi].clone();
+            for ii in (0..func.blocks[bi].insts.len()).rev() {
+                let kind = &func.blocks[bi].insts[ii].kind;
+                if is_dead(kind, &live) {
                     func.blocks[bi].insts[ii].kind = InstKind::Nop;
                     changed = true;
+                } else {
+                    live.step_back(kind, func);
                 }
             }
         }
-        if changed {
-            any = true;
-            func.compact();
-        } else {
-            break;
+        if !changed {
+            return (any, lv);
         }
+        any = true;
     }
-    any
+}
+
+/// Is `kind` a pure instruction that defines a tracked register
+/// ([`defs_of`](crate::liveness::defs_of)) and none that is `live` after
+/// it? A `Nop`, and anything without a tracked result (a terminator, a
+/// pure write to `sp` or the zero register), is not.
+fn is_dead(kind: &InstKind, live: &RegSet) -> bool {
+    if *kind == InstKind::Nop || kind.has_side_effects() {
+        return false;
+    }
+    let (mut defines, mut needed) = (false, false);
+    kind.for_each_def(|d| {
+        if tracked(d) {
+            defines = true;
+            needed |= live.contains(d);
+        }
+    });
+    defines && !needed
 }
 
 /// Remove a *matched pair* of WM load and FIFO dequeue whose dequeued value
@@ -44,36 +72,34 @@ pub fn eliminate_dead_code(func: &mut Function) -> bool {
 /// that is only safe to drop together with the load that feeds it. The pair
 /// must be adjacent (the form target expansion produces).
 pub fn eliminate_dead_load_pairs(func: &mut Function) -> bool {
-    let mut changed = false;
     let lv = Liveness::compute(func);
-    for bi in 0..func.blocks.len() {
-        let after = lv.live_after(func, bi);
-        let insts = &mut func.blocks[bi].insts;
-        for ii in 0..insts.len().saturating_sub(1) {
-            let InstKind::WLoad { fifo, .. } = insts[ii].kind else {
-                continue;
-            };
-            let next = &insts[ii + 1].kind;
-            let InstKind::Assign { dst, src } = next else {
-                continue;
-            };
-            // exactly `dst := fifo` with a dead dst
-            if *src == wm_ir::RExpr::Op(wm_ir::Operand::Reg(fifo.reg()))
-                && !dst.is_fifo()
-                && !after[ii + 1].contains(dst)
+    let mut pairs = Vec::new();
+    for (bi, block) in func.blocks.iter().enumerate() {
+        let mut live = lv.live_out[bi].clone();
+        for ii in (1..block.insts.len()).rev() {
+            // `live` holds what is live after the candidate dequeue `ii`.
+            if let (InstKind::WLoad { fifo, .. }, InstKind::Assign { dst, src }) =
+                (&block.insts[ii - 1].kind, &block.insts[ii].kind)
             {
-                insts[ii].kind = InstKind::Nop;
-                insts[ii + 1].kind = InstKind::Nop;
-                changed = true;
+                // exactly `dst := fifo` with a dead dst
+                if *src == RExpr::Op(Operand::Reg(fifo.reg()))
+                    && !dst.is_fifo()
+                    && !live.contains(*dst)
+                {
+                    pairs.push((bi, ii - 1));
+                }
             }
+            live.step_back(&block.insts[ii].kind, func);
         }
     }
-    if changed {
+    for &(bi, ii) in &pairs {
+        func.blocks[bi].insts[ii].kind = InstKind::Nop;
+        func.blocks[bi].insts[ii + 1].kind = InstKind::Nop;
+    }
+    if !pairs.is_empty() {
         func.compact();
     }
-    // uses_of is pulled in for symmetry with the liveness API
-    let _ = uses_of;
-    changed
+    !pairs.is_empty()
 }
 
 #[cfg(test)]

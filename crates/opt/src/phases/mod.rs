@@ -18,5 +18,6 @@ pub use combine::combine_duals;
 pub use constfold::{fold_constant_branches, fold_constants, propagate_single_def_constants};
 pub use copyprop::{coalesce_copy_chains, propagate_copies};
 pub use cse::eliminate_common_subexpressions;
+pub(crate) use dce::mark_dead_code;
 pub use dce::{eliminate_dead_code, eliminate_dead_load_pairs};
 pub use licm::hoist_invariants;

@@ -23,8 +23,8 @@ use wm_ir::{
 
 use crate::affine::{analyze_latch, LatchInfo, LoopAnalysis, Region};
 use crate::cfg::{ensure_preheader, natural_loops, split_edge, Dominators};
-use crate::liveness::Liveness;
 use crate::partition::{build_partitions_excluding, AliasModel};
+use crate::phases::mark_dead_code;
 
 /// Byte extents of a module's data globals, for the over-fetch analysis.
 ///
@@ -715,7 +715,8 @@ fn stream_one_loop(
         // uses are counted on a scratch copy with dead code Nopped out
         // (without compaction, preserving instruction positions).
         let iv = l.iv;
-        let cleaned = nop_dead_code(func);
+        let mut cleaned = func.clone();
+        let (_, lv) = mark_dead_code(&mut cleaned);
         let uses_in_loop: usize = lp
             .blocks
             .iter()
@@ -729,11 +730,10 @@ fn stream_one_loop(
             })
             .sum();
         if uses_in_loop == 0 {
-            let lv = Liveness::compute(&cleaned);
             let live_at_exit = lp
                 .exits
                 .iter()
-                .any(|&(_, to)| lv.live_in[to].contains(&iv.reg));
+                .any(|&(_, to)| lv.live_in[to].contains(iv.reg));
             if !live_at_exit {
                 let (bi, ii) = iv.def;
                 func.blocks[bi].insts[ii].kind = InstKind::Nop;
@@ -795,35 +795,6 @@ fn stream_one_loop(
     }
     func.compact();
     report.loops_streamed += 1;
-}
-
-/// A copy of `func` with transitively dead pure instructions turned into
-/// `Nop`, **without** compacting — instruction positions match the
-/// original. Used by step j so addressing code orphaned by the body
-/// rewrite does not count as a live use of the induction variable.
-fn nop_dead_code(func: &Function) -> Function {
-    let mut scratch = func.clone();
-    loop {
-        let lv = Liveness::compute(&scratch);
-        let mut changed = false;
-        for bi in 0..scratch.blocks.len() {
-            let after = lv.live_after(&scratch, bi);
-            for (ii, live) in after.iter().enumerate() {
-                let inst = &scratch.blocks[bi].insts[ii];
-                if inst.kind == InstKind::Nop || inst.kind.has_side_effects() {
-                    continue;
-                }
-                let defs = inst.kind.defs();
-                if !defs.is_empty() && defs.iter().all(|d| !live.contains(d)) {
-                    scratch.blocks[bi].insts[ii].kind = InstKind::Nop;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            return scratch;
-        }
-    }
 }
 
 /// The dequeue paired with a WM load: the immediately following instruction

@@ -310,11 +310,10 @@ fn qualify(
         .collect();
     let mut carried: Vec<Reg> = live.live_in[lp.header]
         .iter()
-        .copied()
         .filter(|r| *r != iv && defined.contains(r))
         .collect();
     carried.sort();
-    if live.live_in[exit_to].iter().any(|r| defined.contains(r)) {
+    if live.live_in[exit_to].iter().any(|r| defined.contains(&r)) {
         return None;
     }
     // Estimated dynamic work: trip * per-iteration instruction count,

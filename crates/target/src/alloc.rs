@@ -30,7 +30,7 @@ use wm_ir::{
     BinOp, DataFifo, Function, Inst, InstKind, MemRef, Operand, RExpr, Reg, RegClass, Width,
     FIRST_ARG_REG, NUM_ARG_REGS, SP_REG,
 };
-use wm_opt::liveness::{defs_of, tracked, uses_of, Liveness};
+use wm_opt::liveness::{defs_of, uses_of, Liveness};
 
 /// Which instruction set the allocated code will execute on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,21 +256,27 @@ fn lower_conventions(
         if !needs_work {
             continue;
         }
-        let live_after = liveness.live_after(func, bi);
+        // Every virtual live across each call, bar the call's own result:
+        // the callee shares the register file and clobbers freely.
+        let mut saved: Vec<Vec<Reg>> = vec![Vec::new(); func.blocks[bi].insts.len()];
+        let mut live = liveness.live_out[bi].clone();
+        for (ii, inst) in func.blocks[bi].insts.iter().enumerate().rev() {
+            if let InstKind::Call { ret, .. } = inst.kind {
+                saved[ii] = live
+                    .iter()
+                    .filter(|r| r.is_virt() && Some(*r) != ret)
+                    .collect();
+                saved[ii].sort();
+            }
+            live.step_back(&inst.kind, func);
+        }
         let insts = std::mem::take(&mut func.blocks[bi].insts);
         let mut out = Vec::with_capacity(insts.len() + 8);
         for (ii, inst) in insts.into_iter().enumerate() {
             let Inst { id, kind } = inst;
             match kind {
                 InstKind::Call { callee, args, ret } => {
-                    // Save every virtual live across the call: the callee
-                    // shares the register file and clobbers freely.
-                    let mut across: Vec<Reg> = live_after[ii]
-                        .iter()
-                        .copied()
-                        .filter(|r| r.is_virt() && Some(*r) != ret)
-                        .collect();
-                    across.sort();
+                    let across = std::mem::take(&mut saved[ii]);
                     for &r in &across {
                         let off = slots.offset(func, r);
                         emit_save(func, &mut out, target, r, off);
@@ -418,18 +424,15 @@ fn try_color(func: &Function) -> Result<HashMap<Reg, u8>, Vec<Reg>> {
         }
     }
 
-    for bi in 0..func.blocks.len() {
-        let live_after = liveness.live_after(func, bi);
-        for (ii, inst) in func.blocks[bi].insts.iter().enumerate() {
+    for (bi, block) in func.blocks.iter().enumerate() {
+        let mut live = liveness.live_out[bi].clone();
+        for inst in block.insts.iter().rev() {
             let move_src = match &inst.kind {
                 InstKind::Assign { src, .. } => src.as_copy(),
                 _ => None,
             };
             for d in defs_of(&inst.kind) {
-                if !tracked(d) {
-                    continue;
-                }
-                for &l in &live_after[ii] {
+                for l in live.iter() {
                     if l == d || l.class != d.class {
                         continue;
                     }
@@ -458,6 +461,7 @@ fn try_color(func: &Function) -> Result<HashMap<Reg, u8>, Vec<Reg>> {
                     }
                 }
             }
+            live.step_back(&inst.kind, func);
         }
     }
 

@@ -42,7 +42,8 @@
 //! perf --check bench/baseline.json fail (exit 1) if any workload's cycles
 //!                                  regressed >2% against the baseline, or
 //!                                  if its emitted code (static instruction
-//!                                  count and listing digest) differs where
+//!                                  count and listing digest) or its
+//!                                  counter document's digest differs where
 //!                                  the baseline records them; a failure
 //!                                  prints every pair's cycle delta
 //!                                  (baseline/now/%) to localize the damage
@@ -51,8 +52,8 @@
 //!                                  record them, matches FILE exactly (the
 //!                                  engine-equivalence gate); records the
 //!                                  wall-time speedup vs FILE in the output
-//! perf --write-baseline FILE       write the cycle and code baseline for
-//!                                  --check
+//! perf --write-baseline FILE       write the cycle, code and counter
+//!                                  baseline for --check
 //! ```
 //!
 //! Every run that measures both the streaming and modulo configs also
@@ -627,6 +628,12 @@ fn results_json(
                     code.insts, code.fnv1a
                 ));
             }
+            if !r.counters.is_empty() {
+                out.push_str(&format!(
+                    ", \"counters_fnv1a\": \"{:016x}\"",
+                    fnv1a(r.counters.as_bytes())
+                ));
+            }
             out.push_str(&format!(", \"wall_ms\": {:.3}", r.wall_ms));
             if with_counters {
                 // The counters are themselves a JSON document; inline them.
@@ -641,20 +648,27 @@ fn results_json(
     out
 }
 
-/// The baseline gate's verdict: the cycle regressions and code changes,
-/// plus a per-workload cycle-delta table covering *every* measured pair
-/// — printed on failure so the report shows where the cycles moved, not
-/// just the rows that crossed tolerance.
+/// The baseline gate's verdict: the cycle regressions, code changes and
+/// counter changes, plus a per-workload cycle-delta table covering
+/// *every* measured pair — printed on failure so the report shows where
+/// the cycles moved, not just the rows that crossed tolerance.
 struct CheckReport {
     failures: Vec<String>,
     code_changes: Vec<String>,
+    counter_changes: Vec<String>,
     delta_table: Vec<String>,
 }
 
-/// Compare against a baseline document; the gate passes when `failures`
-/// and `code_changes` are empty. Wherever both the run and the baseline
-/// record a pair's emitted code (`--wmd` runs record none), its
-/// instruction count and listing digest must match exactly.
+impl CheckReport {
+    fn passed(&self) -> bool {
+        self.failures.is_empty() && self.code_changes.is_empty() && self.counter_changes.is_empty()
+    }
+}
+
+/// Compare against a baseline document; the gate passes when `failures`,
+/// `code_changes` and `counter_changes` are empty. Wherever both the run
+/// and the baseline record a pair's emitted code or counter digest
+/// (`--wmd` runs record neither), it must match exactly.
 fn check(records: &[RunRecord], baseline_src: &str) -> Result<CheckReport, String> {
     let doc = json::parse(baseline_src)?;
     let base = doc
@@ -668,25 +682,38 @@ fn check(records: &[RunRecord], baseline_src: &str) -> Result<CheckReport, Strin
         })
     };
     let mut code_changes = Vec::new();
+    let mut counter_changes = Vec::new();
     for r in records.iter().filter(|r| r.error.is_none()) {
-        let (Some(code), Some(e)) = (r.code, entry(&r.workload, r.config)) else {
+        let Some(e) = entry(&r.workload, r.config) else {
             continue;
         };
-        let (Some(insts), Some(fnv)) = (
+        if let (Some(code), Some(insts), Some(fnv)) = (
+            r.code,
             e.get("insts").and_then(Value::as_u64),
             e.get("code_fnv1a").and_then(Value::as_str),
-        ) else {
-            continue;
-        };
-        let ours = format!("{:016x}", code.fnv1a);
-        if insts != code.insts || fnv != ours {
-            code_changes.push(format!(
-                "{}/{}: code {} vs baseline {}",
-                r.workload,
-                r.config,
-                Code::describe(code.insts, &ours),
-                Code::describe(insts, fnv)
-            ));
+        ) {
+            let ours = format!("{:016x}", code.fnv1a);
+            if insts != code.insts || fnv != ours {
+                code_changes.push(format!(
+                    "{}/{}: code {} vs baseline {}",
+                    r.workload,
+                    r.config,
+                    Code::describe(code.insts, &ours),
+                    Code::describe(insts, fnv)
+                ));
+            }
+        }
+        if let (false, Some(pin)) = (
+            r.counters.is_empty(),
+            e.get("counters_fnv1a").and_then(Value::as_str),
+        ) {
+            let ours = format!("{:016x}", fnv1a(r.counters.as_bytes()));
+            if pin != ours {
+                counter_changes.push(format!(
+                    "{}/{}: counters fnv1a {ours} vs baseline {pin}",
+                    r.workload, r.config
+                ));
+            }
         }
     }
     let lookup = |workload: &str, config: &str| -> Option<u64> {
@@ -739,6 +766,7 @@ fn check(records: &[RunRecord], baseline_src: &str) -> Result<CheckReport, Strin
     Ok(CheckReport {
         failures,
         code_changes,
+        counter_changes,
         delta_table,
     })
 }
@@ -1046,12 +1074,15 @@ fn main() {
                 eprintln!("perf: bad baseline {path}: {e}");
                 std::process::exit(2);
             }
-            Ok(report) if !report.failures.is_empty() || !report.code_changes.is_empty() => {
+            Ok(report) if !report.passed() => {
                 for f in &report.failures {
                     eprintln!("perf: REGRESSION {f}");
                 }
                 for c in &report.code_changes {
                     eprintln!("perf: CODE CHANGED {c}");
+                }
+                for c in &report.counter_changes {
+                    eprintln!("perf: COUNTERS CHANGED {c}");
                 }
                 // The full delta table: which pairs moved and by how
                 // much, so a failure report localizes the regression
@@ -1061,10 +1092,11 @@ fn main() {
                     eprintln!("perf:   {line}");
                 }
                 eprintln!(
-                    "perf: {} regression(s), {} code change(s); to accept intentionally, re-baseline with:\n\
+                    "perf: {} regression(s), {} code change(s), {} counter change(s); to accept intentionally, re-baseline with:\n\
                      perf:   cargo run --release -p wm-bench --bin perf -- --fast --write-baseline bench/baseline.json",
                     report.failures.len(),
-                    report.code_changes.len()
+                    report.code_changes.len(),
+                    report.counter_changes.len()
                 );
                 std::process::exit(1);
             }
@@ -1204,7 +1236,7 @@ mod tests {
             r
         };
         let report = check(&[ours()], &pinned(5, "0000000000000abc")).unwrap();
-        assert!(report.failures.is_empty() && report.code_changes.is_empty());
+        assert!(report.passed());
         let report = check(&[ours()], &pinned(6, "0000000000000abd")).unwrap();
         assert!(report.failures.is_empty(), "cycles did not move");
         assert_eq!(
@@ -1219,5 +1251,38 @@ mod tests {
         assert!(report.code_changes.is_empty());
         let report = check(&[record("")], &pinned(6, "0000000000000abd")).unwrap();
         assert!(report.code_changes.is_empty());
+    }
+
+    #[test]
+    fn check_pins_the_counters_where_the_baseline_records_them() {
+        let pinned = |fnv: &str| {
+            format!(
+                r#"{{"results": [{{"workload": "sieve", "config": "scalar", "cycles": 10, "counters_fnv1a": "{fnv}", "wall_ms": 2.0}}]}}"#
+            )
+        };
+        let ours = format!("{:016x}", fnv1a(COUNTERS.as_bytes()));
+        let report = check(&[record(COUNTERS)], &pinned(&ours)).unwrap();
+        assert!(report.passed());
+        // a counter moved while the cycle count did not
+        let moved = COUNTERS.replace("\"cc-empty\": 7", "\"cc-empty\": 6, \"sync\": 1");
+        let report = check(&[record(&moved)], &pinned(&ours)).unwrap();
+        assert!(report.failures.is_empty() && report.code_changes.is_empty());
+        let theirs = format!("{:016x}", fnv1a(moved.as_bytes()));
+        assert_eq!(
+            report.counter_changes,
+            [format!(
+                "sieve/scalar: counters fnv1a {theirs} vs baseline {ours}"
+            )]
+        );
+        // an older baseline without the field, or a `--wmd` run, does not pin them
+        assert!(check(&[record(&moved)], &doc(None)).unwrap().passed());
+        assert!(check(&[record("")], &pinned(&ours)).unwrap().passed());
+        // the baseline writer records the digest next to the cycles
+        let written = results_json(&[record(COUNTERS)], false, None);
+        assert!(
+            written.contains(&format!("\"counters_fnv1a\": \"{ours}\"")),
+            "{written}"
+        );
+        assert!(!written.contains("\"counters\":"), "{written}");
     }
 }

@@ -154,9 +154,15 @@ fn perf_baseline_document_shape_parses() {
         assert!(e.get("workload").unwrap().as_str().is_some());
         assert!(e.get("config").unwrap().as_str().is_some());
         assert!(e.get("cycles").unwrap().as_u64().unwrap() > 0);
-        // the code pin: static instruction count and listing digest
+        // the code pin: static instruction count and listing digest; the
+        // counter pin: digest of the pair's counter document
         assert!(e.get("insts").unwrap().as_u64().unwrap() > 0);
-        let fnv = e.get("code_fnv1a").unwrap().as_str().unwrap();
-        assert!(fnv.len() == 16 && fnv.bytes().all(|b| b.is_ascii_hexdigit()));
+        for key in ["code_fnv1a", "counters_fnv1a"] {
+            let fnv = e.get(key).unwrap().as_str().unwrap();
+            assert!(
+                fnv.len() == 16 && fnv.bytes().all(|b| b.is_ascii_hexdigit()),
+                "{key}"
+            );
+        }
     }
 }

@@ -258,16 +258,7 @@ fn parse_args() -> Options {
                     _ => usage(),
                 }
             }
-            "--opt" => {
-                o.opts = match need(&mut i).as_str() {
-                    "none" => OptOptions::none(),
-                    "classical" => OptOptions::all().without_recurrence().without_streaming(),
-                    "recurrence" => OptOptions::all().without_streaming(),
-                    "full" => OptOptions::all(),
-                    "modulo" => OptOptions::all().with_modulo(),
-                    _ => usage(),
-                }
-            }
+            "--opt" => o.opts = OptOptions::level(&need(&mut i)).unwrap_or_else(|| usage()),
             "--noalias" => o.opts = o.opts.clone().assume_noalias(),
             "--tiles" => {
                 let n = in_range("--tiles", &need(&mut i), &(1..=8));

@@ -18,22 +18,7 @@
 
 use wm_sim::{DepthSample, FfSpan, Outcome, TraceEvent};
 
-/// Escape a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::json::escape;
 
 /// The track label of a fast-forwarded outcome, or `None` for `Active`
 /// (an active unit never fast-forwards, but be defensive).

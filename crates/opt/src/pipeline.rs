@@ -107,6 +107,22 @@ impl OptOptions {
         OptOptions::default()
     }
 
+    /// The options of a named optimization level, as `wmcc --opt` and the
+    /// `wmd` job field `opt` spell them: `none`, `classical` (no
+    /// recurrence detection, no streaming), `recurrence` (no streaming),
+    /// `full` or `modulo` (full plus software pipelining). `None` for any
+    /// other name.
+    pub fn level(name: &str) -> Option<OptOptions> {
+        Some(match name {
+            "none" => OptOptions::none(),
+            "classical" => OptOptions::all().without_recurrence().without_streaming(),
+            "recurrence" => OptOptions::all().without_streaming(),
+            "full" => OptOptions::all(),
+            "modulo" => OptOptions::all().with_modulo(),
+            _ => return None,
+        })
+    }
+
     /// Everything disabled: the front end's naive code passes through.
     pub fn none() -> OptOptions {
         OptOptions {
@@ -303,6 +319,23 @@ pub fn optimize_wm_with(
 mod tests {
     use super::*;
     use wm_ir::InstKind;
+
+    #[test]
+    fn level_names_select_their_configurations() {
+        let same = |name: &str, want: OptOptions| {
+            let got = OptOptions::level(name);
+            assert_eq!(format!("{got:?}"), format!("{:?}", Some(want)), "{name}");
+        };
+        same("none", OptOptions::none());
+        same(
+            "classical",
+            OptOptions::all().without_recurrence().without_streaming(),
+        );
+        same("recurrence", OptOptions::all().without_streaming());
+        same("full", OptOptions::all());
+        same("modulo", OptOptions::all().with_modulo());
+        assert!(OptOptions::level("O2").is_none());
+    }
 
     #[test]
     fn generic_pipeline_shrinks_livermore5() {

@@ -187,18 +187,10 @@ fn parse_request_value(v: &Value) -> Result<Request, String> {
 fn parse_opts(v: &Value) -> Result<OptOptions, String> {
     let mut opts = match v.get("opt") {
         None => OptOptions::all(),
-        Some(o) => match o.as_str() {
-            Some("none") => OptOptions::none(),
-            Some("classical") => OptOptions::all().without_recurrence().without_streaming(),
-            Some("recurrence") => OptOptions::all().without_streaming(),
-            Some("full") => OptOptions::all(),
-            Some("modulo") => OptOptions::all().with_modulo(),
-            _ => {
-                return Err(
-                    "`opt` must be one of none, classical, recurrence, full, modulo".to_string(),
-                )
-            }
-        },
+        Some(o) => o
+            .as_str()
+            .and_then(OptOptions::level)
+            .ok_or("`opt` must be one of none, classical, recurrence, full, modulo".to_string())?,
     };
     if field_bool(v, "noalias")? {
         opts = opts.assume_noalias();

@@ -12,9 +12,11 @@
 //!
 //! Bit-identity with the cycle engine is structural:
 //!
-//! * every exec handler mirrors the corresponding interpreter arm
-//!   check-for-check, in the same order, mutating the same state and
-//!   counters;
+//! * scalar loads and stores run the interpreter's own paths
+//!   ([`WmMachine::exec_load`], [`WmMachine::queue_store`]) with the
+//!   address evaluated over the decoded expression, and every other exec
+//!   handler mirrors the corresponding interpreter arm check-for-check,
+//!   in the same order, mutating the same state and counters;
 //! * anything the decode tables cannot express exactly (stream
 //!   configuration, FIFO-mapped register corner cases, cross-class
 //!   operands, unresolvable symbols) carries the interpreter fallback
@@ -46,12 +48,7 @@
 use wm_ir::{Operand, RegClass, UnOp};
 
 use crate::decode::{DecExpr, DecodedInst, Dst, IfuOp, Payload, Src};
-use crate::fault::FaultUnit;
-use crate::machine::{
-    attach_inst, Exec, MemOp, Pc, PendingStore, SimError, StreamTarget, Val, WmMachine, FIFO_CC,
-    FIFO_OUT,
-};
-use crate::mem::Access;
+use crate::machine::{attach_inst, Exec, Pc, SimError, Val, WmMachine, FIFO_CC, FIFO_OUT};
 use crate::stats::{Outcome, Stall};
 
 impl<'m> WmMachine<'m> {
@@ -125,16 +122,7 @@ impl<'m> WmMachine<'m> {
         } else {
             self.unit_step_c_inner(class)?
         };
-        match class {
-            RegClass::Int => {
-                self.perf.ieu.record(outcome);
-                self.last_outcomes.ieu = outcome;
-            }
-            RegClass::Flt => {
-                self.perf.feu.record(outcome);
-                self.last_outcomes.feu = outcome;
-            }
-        }
+        self.record_unit_outcome(class, outcome);
         Ok(())
     }
 
@@ -168,36 +156,11 @@ impl<'m> WmMachine<'m> {
             }
             d
         };
-        let ex = (d.exec)(self, &d);
-        let executed_dst = match ex {
-            Ok(Exec::Retired(dst)) => dst,
-            Ok(Exec::Stall(s)) => return Ok(Outcome::Stall(s)), // retry next cycle
-            Err(e) => return Err(attach_inst(e, d.kind)),
-        };
-        self.record(
-            match class {
-                RegClass::Int => "IEU",
-                RegClass::Flt => "FEU",
-            },
-            d.kind,
-        );
-        let now = self.cycle;
-        let u = self.unit_mut(class);
-        u.iq.pop_front();
-        u.prev_dst = executed_dst;
-        u.prev_cycle = now;
-        match class {
-            RegClass::Int => {
-                self.stats.insts_ieu += 1;
-                self.perf.ieu.retired += 1;
-            }
-            RegClass::Flt => {
-                self.stats.insts_feu += 1;
-                self.perf.feu.retired += 1;
-            }
+        match (d.exec)(self, &d) {
+            Ok(Exec::Retired(dst)) => Ok(self.retire_head(class, d.kind, dst)),
+            Ok(Exec::Stall(s)) => Ok(Outcome::Stall(s)), // retry next cycle
+            Err(e) => Err(attach_inst(e, d.kind)),
         }
-        self.last_progress = self.cycle;
-        Ok(Outcome::Active)
     }
 
     /// Decoded counterpart of the interpreter's IFU step.
@@ -609,105 +572,32 @@ pub(crate) fn exec_compare<'m>(
     Ok(Exec::Retired(None))
 }
 
-/// Decoded `WLoad`: same port/stream/capacity/ordering checks as the
-/// interpreter arm, in the same order.
+/// Decoded `WLoad`: the shared load path, previewing the address over
+/// the decoded expression.
 pub(crate) fn exec_wload<'m>(m: &mut WmMachine<'m>, d: &DecodedInst<'m>) -> Result<Exec, SimError> {
     let Payload::WLoad { fifo, addr, width } = d.payload else {
         unreachable!("exec_wload wired to a non-WLoad payload");
     };
-    if !m.ports_free() {
-        return Ok(Exec::Stall(Stall::PortBusy));
-    }
-    {
-        let tf = &m.unit(fifo.class).ins[fifo.index as usize];
-        // A scalar load must not interleave its datum with an active
-        // stream's: stall until the stream's last request has been
-        // issued (the hardware interlock).
-        if tf.streamed {
-            return Ok(Exec::Stall(Stall::ScuBusy));
-        }
-        if tf.q.len() + tf.pending >= m.config.fifo_capacity {
-            return Ok(Exec::Stall(Stall::FifoFull));
-        }
-    }
-    let a = if let Some(a) = m.unit(d.class).latched_load {
-        // Retry of a refused indirect load: the index was dequeued when
-        // the address was first computed. Only the ordering check
-        // re-runs (the other unit may have queued a conflicting store
-        // while we were latched).
-        if m.conflicts_with_pending_writes(a, width) || m.conflicts_with_out_streams(a, width) {
-            return Ok(Exec::Stall(Stall::MemOrder));
-        }
-        a
-    } else {
-        let previewed = eval_dec_pure(m, d.class, &addr);
-        match previewed {
-            Some(a)
-                if m.conflicts_with_pending_writes(a, width)
-                    || m.conflicts_with_out_streams(a, width) =>
-            {
-                // wait for the conflicting store
-                return Ok(Exec::Stall(Stall::MemOrder));
-            }
-            None if !m.store_q.is_empty() || m.writes_in_flight > 0 => {
-                // unanalyzable address: drain stores first
-                return Ok(Exec::Stall(Stall::MemOrder));
-            }
-            _ => {}
-        }
+    m.exec_load(
+        d.class,
+        fifo,
+        width,
+        d.need != [0, 0],
+        |m| eval_dec_pure(m, d.class, &addr),
         // A successful integer-unit preview read no FIFO and every fold
-        // succeeded, so re-evaluating is side-effect-free, cannot fault and
-        // produces the same address: reuse it instead of running `eval_dec`
-        // again (the interpreter re-evaluates; the value is identical by
-        // construction). Float-unit address arithmetic is not previewable
-        // that way, so it always re-evaluates.
-        let a = match previewed {
-            Some(a) if d.class == RegClass::Int => a,
-            _ => eval_dec(m, d.class, &addr)?.as_i(),
-        };
-        // scalar loads fault eagerly, with precise attribution
-        if let Err(e) = m.mem.check(a, width.bytes(), false) {
-            return Err(m.access_fault(FaultUnit::Ieu, None, &e));
-        }
-        a
-    };
-    // the memory hierarchy may refuse the reference (MSHRs exhausted,
-    // target DRAM bank busy): retry next cycle
-    let acc = Access::scalar(a, false);
-    if let Err(refusal) = m.memsys.accepts(&acc, m.cycle) {
-        // If the address expression consumed a FIFO operand (d.need is
-        // the precomputed dequeue count), hold the computed address in
-        // the unit's latch so the retry does not re-dequeue. The dequeue
-        // is a state flip on a stall cycle, so pin progress
-        // (fast-forward soundness rule).
-        if d.need != [0, 0] {
-            m.unit_mut(d.class).latched_load = Some(a);
-            m.last_progress = m.cycle;
-        }
-        return Ok(Exec::Stall(refusal.stall()));
-    }
-    m.unit_mut(d.class).latched_load = None;
-    let gen = m.unit(fifo.class).ins[fifo.index as usize].gen;
-    {
-        let f = &mut m.unit_mut(fifo.class).ins[fifo.index as usize];
-        f.pending += 1;
-        f.owed += 1;
-    }
-    m.issue_mem(
-        MemOp::ReadFifo {
-            target: StreamTarget::Fifo(fifo),
-            addr: a,
-            width,
-            gen,
-            poison: None,
+        // succeeded, so re-evaluating is side-effect-free, cannot fault
+        // and produces the same address: reuse it (the interpreter
+        // re-evaluates; the value is identical by construction). Float-unit
+        // address arithmetic is not previewable that way, so it always
+        // re-evaluates.
+        |m, previewed| match previewed {
+            Some(a) if d.class == RegClass::Int => Ok(a),
+            _ => Ok(eval_dec(m, d.class, &addr)?.as_i()),
         },
-        &acc,
-    );
-    m.stats.mem_reads += 1;
-    Ok(Exec::Retired(None))
+    )
 }
 
-/// Decoded `WStore`: store-queue capacity check, evaluate, enqueue.
+/// Decoded `WStore`: the shared store-queue path.
 pub(crate) fn exec_wstore<'m>(
     m: &mut WmMachine<'m>,
     d: &DecodedInst<'m>,
@@ -715,21 +605,7 @@ pub(crate) fn exec_wstore<'m>(
     let Payload::WStore { unit, addr, width } = d.payload else {
         unreachable!("exec_wstore wired to a non-WStore payload");
     };
-    if m.store_q.len() >= m.config.store_queue {
-        return Ok(Exec::Stall(Stall::StoreQFull));
-    }
-    let a = eval_dec(m, d.class, &addr)?.as_i();
-    // stores fault at issue time, before entering the store queue, so
-    // the report names the faulting instruction
-    if let Err(e) = m.mem.check(a, width.bytes(), true) {
-        return Err(m.access_fault(FaultUnit::Ieu, None, &e));
-    }
-    m.store_q.push_back(PendingStore {
-        addr: a,
-        width,
-        class: unit,
-    });
-    Ok(Exec::Retired(None))
+    m.queue_store(unit, width, |m| Ok(eval_dec(m, d.class, &addr)?.as_i()))
 }
 
 /// The interpreter fallback: run the reference `exec_unit_head` arm on

@@ -49,6 +49,7 @@ mod fault;
 mod loader;
 mod machine;
 mod mem;
+mod scu;
 mod stats;
 mod tiled;
 

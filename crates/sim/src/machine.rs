@@ -14,6 +14,7 @@ use crate::fastforward::{CycleOutcomes, Engine, FfSpan};
 use crate::fault::{FaultInfo, FaultKind, FaultUnit, FifoState, MachineState, ScuState, UnitState};
 use crate::loader::{AccessError, AccessKind, MemoryImage};
 use crate::mem::{Access, MemStats, MemSystem};
+use crate::scu::{Scu, ScuKind, StreamTarget};
 use crate::stats::{DepthSample, FifoOccupancy, Outcome, Stall, Stats, FIFO_NAMES, SBUF_TRACK};
 
 /// Cycles without progress before the run is declared wedged. The
@@ -260,8 +261,8 @@ pub(crate) struct Poison {
 /// One FIFO entry: a value, possibly carrying a deferred stream fault.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Slot {
-    val: Val,
-    poison: Option<Box<Poison>>,
+    pub(crate) val: Val,
+    pub(crate) poison: Option<Box<Poison>>,
 }
 
 /// One value staged toward another tile's receive queue. Staged sends
@@ -370,120 +371,6 @@ impl Veu {
     }
 }
 
-/// Where a stream delivers / takes its data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StreamTarget {
-    /// A scalar unit's FIFO-mapped register 0/1.
-    Fifo(DataFifo),
-    /// A VEU input port (in-streams) or the VEU output FIFO (out-streams).
-    Veu(u8),
-}
-
-/// Addressing mode of a stream control unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ScuKind {
-    /// `base + k*stride`: the classic affine stream.
-    Affine,
-    /// Index-fed load stream: the SCU fetches an affine index stream
-    /// itself and issues `base + (idx << shift)` data reads.
-    Gather,
-    /// Index-fed store stream: the scatter dual, writing the unit's
-    /// output FIFO to `base + (idx << shift)`.
-    Scatter,
-    /// Channel send: pop the target FIFO's *input* side and push each
-    /// element toward a peer tile (no memory traffic, no port use).
-    Send,
-    /// Channel receive: pop due entries from a peer tile's channel into
-    /// the target FIFO's input side (no memory traffic, no port use).
-    Recv,
-}
-
-/// Entries of an indirect SCU's internal index ring (fetched indices
-/// waiting to become data requests). Four is enough to cover the index
-/// stream's buffer-hit latency without letting one SCU hoard ports.
-pub(crate) const IDX_RING: usize = 4;
-
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Scu {
-    pub(crate) active: bool,
-    dir_in: bool,
-    kind: ScuKind,
-    fifo: DataFifo,
-    target: StreamTarget,
-    addr: i64,
-    stride: i64,
-    remaining: Option<i64>,
-    width: Width,
-    gen: u32,
-    /// Cycle at which the SCU may issue its first request.
-    pub(crate) ready_at: u64,
-    /// Configuration order: an in-stream's prefetch must wait for
-    /// overlapping writes of out-streams configured *before* it (they
-    /// precede it in program order), but not for younger ones (a
-    /// read-modify-write loop configures its in-stream first).
-    seq: u64,
-    /// Log2 byte scale applied to index values (indirect kinds).
-    shift: u8,
-    /// Index-stream cursor (indirect kinds).
-    iaddr: i64,
-    istride: i64,
-    iwidth: Width,
-    /// Scatter only: conservative byte extent of the scattered region
-    /// `[addr, addr+span)`, used for memory-ordering checks (the exact
-    /// write set is data-dependent).
-    span: i64,
-    /// Fetched indices waiting to issue as data requests, in fetch
-    /// order. An entry is `(value, false)`, or `(index address, true)`
-    /// when the index fetch itself faulted (gather defers that fault
-    /// into the data entry's poison; scatter faults eagerly instead).
-    idx_ring: [(i64, bool); IDX_RING],
-    ring_head: u8,
-    ring_len: u8,
-    /// Index fetches in flight toward the ring.
-    idx_pending: u8,
-    /// Index fetches left to issue (mirrors `remaining`).
-    idx_remaining: Option<i64>,
-    /// An `Sstop` that discarded speculatively fetched elements holds
-    /// the slot busy until this cycle (squash recovery; see
-    /// [`crate::config::WmConfig::squash_penalty`]).
-    pub(crate) squash_until: u64,
-    /// Peer tile of a channel stream (`Send`/`Recv` kinds only).
-    peer: u8,
-}
-
-impl Scu {
-    /// The reset state of an SCU slot — also the template every
-    /// configuration starts from, via functional update.
-    fn inert() -> Scu {
-        Scu {
-            active: false,
-            dir_in: true,
-            kind: ScuKind::Affine,
-            fifo: DataFifo::new(RegClass::Int, 0),
-            target: StreamTarget::Fifo(DataFifo::new(RegClass::Int, 0)),
-            addr: 0,
-            stride: 0,
-            remaining: None,
-            width: Width::W4,
-            gen: 0,
-            ready_at: 0,
-            seq: 0,
-            shift: 0,
-            iaddr: 0,
-            istride: 0,
-            iwidth: Width::W4,
-            span: 0,
-            idx_ring: [(0, false); IDX_RING],
-            ring_head: 0,
-            ring_len: 0,
-            idx_pending: 0,
-            idx_remaining: None,
-            squash_until: 0,
-            peer: 0,
-        }
-    }
-}
-
 #[derive(Debug)]
 pub(crate) enum MemOp {
     ReadFifo {
@@ -534,6 +421,9 @@ pub(crate) struct PendingStore {
     pub(crate) addr: i64,
     pub(crate) width: Width,
     pub(crate) class: RegClass,
+    /// `scu_seq` when the store was queued: its place in program order
+    /// relative to stream configurations (see `drain_stores`).
+    pub(crate) seq: u64,
 }
 
 /// One executed instruction, recorded when tracing is enabled.
@@ -1045,15 +935,6 @@ impl<'m> WmMachine<'m> {
         }
     }
 
-    /// Has fault injection disabled SCU `i` by the current cycle?
-    pub(crate) fn scu_disabled(&self, i: usize) -> bool {
-        self.config
-            .fault_plan
-            .disable_scus
-            .iter()
-            .any(|&(idx, c)| idx == i && self.cycle >= c)
-    }
-
     /// Why the unit's head instruction cannot retire, if it cannot.
     fn stall_reason(&self, class: RegClass) -> Option<String> {
         let u = self.unit(class);
@@ -1396,27 +1277,7 @@ impl<'m> WmMachine<'m> {
                     addr,
                     width,
                     poison,
-                } => {
-                    // Matched to the issuing configuration: the stream may
-                    // have been stopped (squash) or the slot reused since
-                    // the fetch was issued — stale indices are dropped.
-                    if self.scus[scu].active && self.scus[scu].seq == seq {
-                        let entry = if poison {
-                            (addr, true)
-                        } else {
-                            let v = self
-                                .mem
-                                .read_int(addr, width)
-                                .map_err(|e| self.access_fault(FaultUnit::Scu(scu), None, &e))?;
-                            (v, false)
-                        };
-                        let s = &mut self.scus[scu];
-                        s.idx_pending = s.idx_pending.saturating_sub(1);
-                        let pos = (s.ring_head as usize + s.ring_len as usize) % IDX_RING;
-                        s.idx_ring[pos] = entry;
-                        s.ring_len += 1;
-                    }
-                }
+                } => self.deliver_index(scu, seq, addr, width, poison)?,
                 MemOp::Write { addr, width, val } => {
                     let res = match val {
                         Val::F(v) if width == Width::D8 => self.mem.write_flt(addr, v),
@@ -1494,68 +1355,6 @@ impl<'m> WmMachine<'m> {
             })
     }
 
-    /// Does an active out-stream with a configuration number below `seq`
-    /// still have `[addr, addr+width)` in its unwritten range?
-    fn older_out_stream_overlaps(&self, seq: u64, addr: i64, width: Width) -> bool {
-        let end = addr + width.bytes();
-        self.scus.iter().any(|s| {
-            if !s.active || s.dir_in || s.seq >= seq {
-                return false;
-            }
-            // A scatter's write set is data-dependent; its declared span
-            // is the conservative unwritten range.
-            if s.kind == ScuKind::Scatter {
-                return s.addr < end && addr < s.addr + s.span;
-            }
-            match s.remaining {
-                Some(n) => {
-                    let lo = s.addr.min(s.addr + s.stride * (n - 1).max(0));
-                    let hi = s.addr.max(s.addr + s.stride * (n - 1).max(0)) + s.width.bytes();
-                    lo < end && addr < hi
-                }
-                None => {
-                    if s.stride >= 0 {
-                        s.addr < end
-                    } else {
-                        addr < s.addr + s.width.bytes()
-                    }
-                }
-            }
-        })
-    }
-
-    /// Does a *scalar* load of `[addr, addr+width)` fall inside the range an
-    /// active out-stream has yet to write? Scalar loads follow the stream's
-    /// writes in program order, so they must wait; stream-in prefetches must
-    /// not (their reads precede the overlapping writes in program order).
-    pub(crate) fn conflicts_with_out_streams(&self, addr: i64, width: Width) -> bool {
-        let end = addr + width.bytes();
-        self.scus.iter().any(|s| {
-            if !s.active || s.dir_in {
-                return false;
-            }
-            if s.kind == ScuKind::Scatter {
-                return s.addr < end && addr < s.addr + s.span;
-            }
-            match s.remaining {
-                Some(n) => {
-                    let lo = s.addr.min(s.addr + s.stride * (n - 1).max(0));
-                    let hi = s.addr.max(s.addr + s.stride * (n - 1).max(0)) + s.width.bytes();
-                    lo < end && addr < hi
-                }
-                // unbounded stream: everything from the cursor onward (in
-                // stride direction) may still be written
-                None => {
-                    if s.stride >= 0 {
-                        s.addr < end
-                    } else {
-                        addr < s.addr + s.width.bytes()
-                    }
-                }
-            }
-        })
-    }
-
     // ---- execution units ----
 
     pub(crate) fn unit(&self, class: RegClass) -> &Unit {
@@ -1574,17 +1373,45 @@ impl<'m> WmMachine<'m> {
 
     fn unit_step(&mut self, class: RegClass) -> Result<(), SimError> {
         let outcome = self.unit_step_inner(class)?;
-        match class {
-            RegClass::Int => {
-                self.perf.ieu.record(outcome);
-                self.last_outcomes.ieu = outcome;
-            }
-            RegClass::Flt => {
-                self.perf.feu.record(outcome);
-                self.last_outcomes.feu = outcome;
-            }
-        }
+        self.record_unit_outcome(class, outcome);
         Ok(())
+    }
+
+    /// Attribute the `class` unit's cycle to `outcome` (both engines).
+    #[inline]
+    pub(crate) fn record_unit_outcome(&mut self, class: RegClass, outcome: Outcome) {
+        let (perf, last) = match class {
+            RegClass::Int => (&mut self.perf.ieu, &mut self.last_outcomes.ieu),
+            RegClass::Flt => (&mut self.perf.feu, &mut self.last_outcomes.feu),
+        };
+        perf.record(outcome);
+        *last = outcome;
+    }
+
+    /// Retire the `class` unit's head instruction `kind`, which executed
+    /// this cycle (both engines); `dst` is the register the paired-ALU
+    /// interlock must delay. The unit's cycle was `Active`.
+    #[inline]
+    pub(crate) fn retire_head(
+        &mut self,
+        class: RegClass,
+        kind: &InstKind,
+        dst: Option<u8>,
+    ) -> Outcome {
+        let (name, insts, perf) = match class {
+            RegClass::Int => ("IEU", &mut self.stats.insts_ieu, &mut self.perf.ieu),
+            RegClass::Flt => ("FEU", &mut self.stats.insts_feu, &mut self.perf.feu),
+        };
+        *insts += 1;
+        perf.retired += 1;
+        self.record(name, kind);
+        let now = self.cycle;
+        let u = self.unit_mut(class);
+        u.iq.pop_front();
+        u.prev_dst = dst;
+        u.prev_cycle = now;
+        self.last_progress = now;
+        Outcome::Active
     }
 
     fn unit_step_inner(&mut self, class: RegClass) -> Result<Outcome, SimError> {
@@ -1615,35 +1442,11 @@ impl<'m> WmMachine<'m> {
         if !self.fifo_ready(class, head) {
             return Ok(Outcome::Stall(Stall::FifoEmpty));
         }
-        let executed_dst = match self.exec_unit_head(class, head) {
-            Ok(Exec::Retired(dst)) => dst,
-            Ok(Exec::Stall(s)) => return Ok(Outcome::Stall(s)), // retry next cycle
-            Err(e) => return Err(attach_inst(e, head)),
-        };
-        self.record(
-            match class {
-                RegClass::Int => "IEU",
-                RegClass::Flt => "FEU",
-            },
-            head,
-        );
-        let now = self.cycle;
-        let u = self.unit_mut(class);
-        u.iq.pop_front();
-        u.prev_dst = executed_dst;
-        u.prev_cycle = now;
-        match class {
-            RegClass::Int => {
-                self.stats.insts_ieu += 1;
-                self.perf.ieu.retired += 1;
-            }
-            RegClass::Flt => {
-                self.stats.insts_feu += 1;
-                self.perf.feu.retired += 1;
-            }
+        match self.exec_unit_head(class, head) {
+            Ok(Exec::Retired(dst)) => Ok(self.retire_head(class, head, dst)),
+            Ok(Exec::Stall(s)) => Ok(Outcome::Stall(s)), // retry next cycle
+            Err(e) => Err(attach_inst(e, head)),
         }
-        self.last_progress = self.cycle;
-        Ok(Outcome::Active)
     }
 
     /// Execute the unit's head instruction if it can issue this cycle.
@@ -1692,249 +1495,29 @@ impl<'m> WmMachine<'m> {
                 self.unit_mut(class).cc.push_back(r);
             }
             InstKind::WLoad { fifo, addr, width } => {
-                if !self.ports_free() {
-                    return Ok(Exec::Stall(Stall::PortBusy));
-                }
-                {
-                    let tf = &self.unit(fifo.class).ins[fifo.index as usize];
-                    // A scalar load must not interleave its datum with an
-                    // active stream's: stall until the stream's last
-                    // request has been issued (the hardware interlock).
-                    if tf.streamed {
-                        return Ok(Exec::Stall(Stall::ScuBusy));
-                    }
-                    if tf.q.len() + tf.pending >= self.config.fifo_capacity {
-                        return Ok(Exec::Stall(Stall::FifoFull));
-                    }
-                }
-                let a = if let Some(a) = self.unit(class).latched_load {
-                    // Retry of a refused indirect load: the index was
-                    // dequeued when the address was first computed. Only
-                    // the ordering check re-runs (the other unit may have
-                    // queued a conflicting store while we were latched).
-                    if self.conflicts_with_pending_writes(a, *width)
-                        || self.conflicts_with_out_streams(a, *width)
-                    {
-                        return Ok(Exec::Stall(Stall::MemOrder));
-                    }
-                    a
-                } else {
-                    match self.eval_expr_pure(class, addr) {
-                        Some(a)
-                            if self.conflicts_with_pending_writes(a, *width)
-                                || self.conflicts_with_out_streams(a, *width) =>
-                        {
-                            // wait for the conflicting store
-                            return Ok(Exec::Stall(Stall::MemOrder));
-                        }
-                        None if !self.store_q.is_empty() || self.writes_in_flight > 0 => {
-                            // unanalyzable address: drain stores first
-                            return Ok(Exec::Stall(Stall::MemOrder));
-                        }
-                        _ => {}
-                    }
-                    let a = self.eval_expr(class, addr)?.as_i();
-                    // scalar loads fault eagerly, with precise attribution
-                    if let Err(e) = self.mem.check(a, width.bytes(), false) {
-                        return Err(self.access_fault(FaultUnit::Ieu, None, &e));
-                    }
-                    a
-                };
-                // the memory hierarchy may refuse the reference (MSHRs
-                // exhausted, target DRAM bank busy): retry next cycle
-                let acc = Access::scalar(a, false);
-                if let Err(refusal) = self.memsys.accepts(&acc, self.cycle) {
-                    // If the address expression consumed a FIFO operand,
-                    // hold the computed address in the unit's latch so the
-                    // retry does not re-dequeue. The dequeue is a state
-                    // flip on a stall cycle, so pin progress (fast-forward
-                    // soundness rule).
-                    if addr.regs().any(|r| r.is_fifo()) {
-                        self.unit_mut(class).latched_load = Some(a);
-                        self.last_progress = self.cycle;
-                    }
-                    return Ok(Exec::Stall(refusal.stall()));
-                }
-                self.unit_mut(class).latched_load = None;
-                let gen = self.unit(fifo.class).ins[fifo.index as usize].gen;
-                {
-                    let f = &mut self.unit_mut(fifo.class).ins[fifo.index as usize];
-                    f.pending += 1;
-                    f.owed += 1;
-                }
-                self.issue_mem(
-                    MemOp::ReadFifo {
-                        target: StreamTarget::Fifo(*fifo),
-                        addr: a,
-                        width: *width,
-                        gen,
-                        poison: None,
-                    },
-                    &acc,
+                return self.exec_load(
+                    class,
+                    *fifo,
+                    *width,
+                    addr.regs().any(|r| r.is_fifo()),
+                    |m| m.eval_expr_pure(class, addr),
+                    |m, _| Ok(m.eval_expr(class, addr)?.as_i()),
                 );
-                self.stats.mem_reads += 1;
             }
             InstKind::WStore { unit, addr, width } => {
-                if self.store_q.len() >= self.config.store_queue {
-                    return Ok(Exec::Stall(Stall::StoreQFull));
-                }
-                let a = self.eval_expr(class, addr)?.as_i();
-                // stores fault at issue time, before entering the store
-                // queue, so the report names the faulting instruction
-                if let Err(e) = self.mem.check(a, width.bytes(), true) {
-                    return Err(self.access_fault(FaultUnit::Ieu, None, &e));
-                }
-                self.store_q.push_back(PendingStore {
-                    addr: a,
-                    width: *width,
-                    class: *unit,
-                });
+                return self.queue_store(*unit, *width, |m| Ok(m.eval_expr(class, addr)?.as_i()));
             }
-            InstKind::StreamIn {
-                fifo,
-                base,
-                count,
-                stride,
-                width,
-                tested,
-            } => {
-                if !self.configure_scu(true, *fifo, *base, *count, *stride, *width, *tested)? {
-                    return Ok(Exec::Stall(Stall::ScuBusy)); // no free SCU
+            InstKind::StreamIn { .. }
+            | InstKind::StreamOut { .. }
+            | InstKind::StreamGather { .. }
+            | InstKind::StreamScatter { .. }
+            | InstKind::VStreamIn { .. }
+            | InstKind::VStreamOut { .. }
+            | InstKind::StreamSend { .. }
+            | InstKind::StreamRecv { .. } => {
+                if !self.configure_stream(head)? {
+                    return Ok(Exec::Stall(Stall::ScuBusy)); // no free SCU, or the target is busy
                 }
-            }
-            InstKind::StreamOut {
-                fifo,
-                base,
-                count,
-                stride,
-                width,
-            } => {
-                if !self.configure_scu(false, *fifo, *base, *count, *stride, *width, false)? {
-                    return Ok(Exec::Stall(Stall::ScuBusy));
-                }
-            }
-            InstKind::StreamGather {
-                fifo,
-                base,
-                shift,
-                width,
-                ibase,
-                istride,
-                iwidth,
-                count,
-                tested,
-            } => {
-                if !self.configure_indirect(
-                    true, *fifo, *base, *shift, *width, *ibase, *istride, *iwidth, *count, *tested,
-                    0,
-                )? {
-                    return Ok(Exec::Stall(Stall::ScuBusy));
-                }
-            }
-            InstKind::StreamScatter {
-                fifo,
-                base,
-                shift,
-                width,
-                ibase,
-                istride,
-                iwidth,
-                count,
-                span,
-            } => {
-                if !self.configure_indirect(
-                    false, *fifo, *base, *shift, *width, *ibase, *istride, *iwidth, *count, false,
-                    *span,
-                )? {
-                    return Ok(Exec::Stall(Stall::ScuBusy));
-                }
-            }
-            InstKind::VStreamIn {
-                port,
-                base,
-                count,
-                stride,
-                vectors,
-            } => {
-                let Some(slot) = self.free_scu_slot() else {
-                    return Ok(Exec::Stall(Stall::ScuBusy));
-                };
-                let addr = self.read_operand(RegClass::Int, *base)?.as_i();
-                let n = self.read_operand(RegClass::Int, *count)?.as_i();
-                let st = self.read_operand(RegClass::Int, *stride)?.as_i();
-                let v = self.read_operand(RegClass::Int, *vectors)?.as_i();
-                if n < 0 || v < 0 {
-                    return Err(self.fault(
-                        FaultUnit::Ieu,
-                        FaultKind::BadStreamCount(n.min(v)),
-                        None,
-                        None,
-                        format!("vector stream configured with count {n}/{v}"),
-                    ));
-                }
-                // a previous vector loop's stream into this port must
-                // drain before the port is reused
-                if self
-                    .scus
-                    .iter()
-                    .any(|u| u.active && u.dir_in && u.target == StreamTarget::Veu(*port))
-                {
-                    return Ok(Exec::Stall(Stall::ScuBusy));
-                }
-                self.scu_seq += 1;
-                self.scus[slot] = Scu {
-                    active: n > 0,
-                    dir_in: true,
-                    fifo: DataFifo::new(RegClass::Flt, 0), // unused for VEU targets
-                    target: StreamTarget::Veu(*port),
-                    addr,
-                    stride: st,
-                    remaining: Some(n),
-                    width: Width::D8,
-                    ready_at: self.cycle + self.config.scu_setup,
-                    seq: self.scu_seq,
-                    ..Scu::inert()
-                };
-                // only the stream carrying a positive `vectors` operand
-                // loads the termination counter (one per vector loop);
-                // re-setting it from a second port would corrupt a count
-                // the IFU is already consuming
-                if v > 0 {
-                    self.dispatch_vec = Some(v);
-                }
-            }
-            InstKind::VStreamOut {
-                base,
-                count,
-                stride,
-            } => {
-                let Some(slot) = self.free_scu_slot() else {
-                    return Ok(Exec::Stall(Stall::ScuBusy));
-                };
-                let addr = self.read_operand(RegClass::Int, *base)?.as_i();
-                let n = self.read_operand(RegClass::Int, *count)?.as_i();
-                let st = self.read_operand(RegClass::Int, *stride)?.as_i();
-                if self
-                    .scus
-                    .iter()
-                    .any(|u| u.active && !u.dir_in && u.target == StreamTarget::Veu(0))
-                {
-                    return Ok(Exec::Stall(Stall::ScuBusy));
-                }
-                self.scu_seq += 1;
-                self.scus[slot] = Scu {
-                    active: n > 0,
-                    dir_in: false,
-                    fifo: DataFifo::new(RegClass::Flt, 0),
-                    target: StreamTarget::Veu(0),
-                    addr,
-                    stride: st,
-                    remaining: Some(n),
-                    width: Width::D8,
-                    ready_at: self.cycle + self.config.scu_setup,
-                    seq: self.scu_seq,
-                    ..Scu::inert()
-                };
             }
             InstKind::StreamStop { fifo } => {
                 // stopping an out-stream must not strand enqueued data:
@@ -1995,21 +1578,6 @@ impl<'m> WmMachine<'m> {
                     executed_dst = dst.phys_num();
                 }
             }
-            InstKind::StreamSend { peer, fifo, count } => {
-                if !self.configure_chan_scu(false, *peer, *fifo, *count, false)? {
-                    return Ok(Exec::Stall(Stall::ScuBusy));
-                }
-            }
-            InstKind::StreamRecv {
-                peer,
-                fifo,
-                count,
-                tested,
-            } => {
-                if !self.configure_chan_scu(true, *peer, *fifo, *count, *tested)? {
-                    return Ok(Exec::Stall(Stall::ScuBusy));
-                }
-            }
             other => {
                 return Err(SimError::BadProgram(format!(
                     "instruction reached an execution unit: {other}"
@@ -2017,6 +1585,97 @@ impl<'m> WmMachine<'m> {
             }
         }
         Ok(Exec::Retired(executed_dst))
+    }
+
+    /// A scalar load into `fifo` (both engines): `preview` computes the
+    /// address without side effects where it can, `eval` computes it for
+    /// real (given the preview), and `dequeues` says whether that
+    /// consumes a FIFO operand.
+    pub(crate) fn exec_load(
+        &mut self,
+        class: RegClass,
+        fifo: DataFifo,
+        width: Width,
+        dequeues: bool,
+        preview: impl FnOnce(&Self) -> Option<i64>,
+        eval: impl FnOnce(&mut Self, Option<i64>) -> Result<i64, SimError>,
+    ) -> Result<Exec, SimError> {
+        if !self.ports_free() {
+            return Ok(Exec::Stall(Stall::PortBusy));
+        }
+        {
+            let tf = &self.unit(fifo.class).ins[fifo.index as usize];
+            // A scalar load must not interleave its datum with an active
+            // stream's: stall until the stream's last request has been
+            // issued (the hardware interlock).
+            if tf.streamed {
+                return Ok(Exec::Stall(Stall::ScuBusy));
+            }
+            if tf.q.len() + tf.pending >= self.config.fifo_capacity {
+                return Ok(Exec::Stall(Stall::FifoFull));
+            }
+        }
+        let conflicts = |m: &Self, a: i64| {
+            m.conflicts_with_pending_writes(a, width) || m.conflicts_with_out_streams(a, width)
+        };
+        let a = if let Some(a) = self.unit(class).latched_load {
+            // Retry of a refused indirect load: the index was dequeued
+            // when the address was first computed. Only the ordering check
+            // re-runs (the other unit may have queued a conflicting store
+            // while we were latched).
+            if conflicts(self, a) {
+                return Ok(Exec::Stall(Stall::MemOrder));
+            }
+            a
+        } else {
+            let previewed = preview(self);
+            match previewed {
+                // wait for the conflicting store
+                Some(a) if conflicts(self, a) => return Ok(Exec::Stall(Stall::MemOrder)),
+                // unanalyzable address: drain stores first
+                None if !self.store_q.is_empty() || self.writes_in_flight > 0 => {
+                    return Ok(Exec::Stall(Stall::MemOrder));
+                }
+                _ => {}
+            }
+            let a = eval(self, previewed)?;
+            // scalar loads fault eagerly, with precise attribution
+            if let Err(e) = self.mem.check(a, width.bytes(), false) {
+                return Err(self.access_fault(FaultUnit::Ieu, None, &e));
+            }
+            a
+        };
+        // the memory hierarchy may refuse the reference (MSHRs
+        // exhausted, target DRAM bank busy): retry next cycle
+        let acc = Access::scalar(a, false);
+        if let Err(refusal) = self.memsys.accepts(&acc, self.cycle) {
+            // If the address expression consumed a FIFO operand, hold the
+            // computed address in the unit's latch so the retry does not
+            // re-dequeue. The dequeue is a state flip on a stall cycle, so
+            // pin progress (fast-forward soundness rule).
+            if dequeues {
+                self.unit_mut(class).latched_load = Some(a);
+                self.last_progress = self.cycle;
+            }
+            return Ok(Exec::Stall(refusal.stall()));
+        }
+        self.unit_mut(class).latched_load = None;
+        let f = &mut self.unit_mut(fifo.class).ins[fifo.index as usize];
+        f.pending += 1;
+        f.owed += 1;
+        let gen = f.gen;
+        self.issue_mem(
+            MemOp::ReadFifo {
+                target: StreamTarget::Fifo(fifo),
+                addr: a,
+                width,
+                gen,
+                poison: None,
+            },
+            &acc,
+        );
+        self.stats.mem_reads += 1;
+        Ok(Exec::Retired(None))
     }
 
     /// Do the FIFO reads of `kind` have data available?
@@ -2030,904 +1689,6 @@ impl<'m> WmMachine<'m> {
         }
         let need = fifo_need(class, kind);
         need[0] <= u.ins[0].q.len() && need[1] <= u.ins[1].q.len()
-    }
-
-    /// First SCU slot that is both inactive and past any squash recovery.
-    fn free_scu_slot(&self) -> Option<usize> {
-        self.scus
-            .iter()
-            .position(|s| !s.active && self.cycle >= s.squash_until)
-    }
-
-    #[allow(clippy::too_many_arguments)] // mirrors the stream-instruction fields
-    fn configure_scu(
-        &mut self,
-        dir_in: bool,
-        fifo: DataFifo,
-        base: Operand,
-        count: Option<Operand>,
-        stride: Operand,
-        width: Width,
-        tested: bool,
-    ) -> Result<bool, SimError> {
-        let Some(slot) = self.free_scu_slot() else {
-            return Ok(false);
-        };
-        let addr = self.read_operand(RegClass::Int, base)?.as_i();
-        let stride = self.read_operand(RegClass::Int, stride)?.as_i();
-        let remaining = match count {
-            Some(c) => {
-                let n = self.read_operand(RegClass::Int, c)?.as_i();
-                if n <= 0 {
-                    return Err(self.fault(
-                        FaultUnit::Ieu,
-                        FaultKind::BadStreamCount(n),
-                        None,
-                        Some(fifo),
-                        format!("stream configured with count {n}"),
-                    ));
-                }
-                Some(n)
-            }
-            None => None,
-        };
-        let gen = if dir_in {
-            // The previous loop's stream may still be draining (the IEU
-            // runs ahead of the consuming unit): wait for it rather than
-            // overlap two streams on one FIFO.
-            if self.unit(fifo.class).ins[fifo.index as usize].streamed {
-                return Ok(false);
-            }
-            let f = &mut self.unit_mut(fifo.class).ins[fifo.index as usize];
-            f.streamed = true;
-            f.gen
-        } else {
-            // likewise for an out-stream still draining the output FIFO
-            if self
-                .scus
-                .iter()
-                .any(|u| u.active && !u.dir_in && u.target == StreamTarget::Fifo(fifo))
-            {
-                return Ok(false);
-            }
-            0
-        };
-        self.scu_seq += 1;
-        self.scus[slot] = Scu {
-            active: true,
-            dir_in,
-            fifo,
-            target: StreamTarget::Fifo(fifo),
-            addr,
-            stride,
-            remaining,
-            width,
-            gen,
-            ready_at: self.cycle + self.config.scu_setup,
-            seq: self.scu_seq,
-            ..Scu::inert()
-        };
-        // Register the dispatch counter for jNI jumps — but only for the
-        // stream the compiler marked as tested. Registering any other
-        // stream would leave a stale counter behind (its jNI never drains
-        // it), corrupting a later loop's termination test on the same FIFO.
-        if dir_in && tested {
-            if let Some(n) = remaining {
-                self.dispatch.insert(fifo, n);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Validate a channel peer operand: channel instructions are only
-    /// legal on a tiled machine, and only toward *another* live tile.
-    fn chan_peer(&self, peer: u8) -> Result<usize, SimError> {
-        let p = peer as usize;
-        if self.chan_rx.is_empty() {
-            return Err(SimError::BadProgram(
-                "channel instruction on a single-tile machine".into(),
-            ));
-        }
-        if p >= self.chan_rx.len() || p == self.tile_id {
-            return Err(SimError::BadProgram(format!(
-                "channel peer t{peer} is out of range for a {}-tile machine (this is tile {})",
-                self.chan_rx.len(),
-                self.tile_id
-            )));
-        }
-        Ok(p)
-    }
-
-    /// Configure a channel-stream SCU (`Ssend`/`Srecv`): the port-free
-    /// dual of [`WmMachine::configure_scu`], moving FIFO elements
-    /// core-to-core instead of to or from memory.
-    fn configure_chan_scu(
-        &mut self,
-        dir_in: bool,
-        peer: u8,
-        fifo: DataFifo,
-        count: Operand,
-        tested: bool,
-    ) -> Result<bool, SimError> {
-        let p = self.chan_peer(peer)?;
-        let Some(slot) = self.free_scu_slot() else {
-            return Ok(false);
-        };
-        let n = self.read_operand(RegClass::Int, count)?.as_i();
-        if n <= 0 {
-            return Err(self.fault(
-                FaultUnit::Ieu,
-                FaultKind::BadStreamCount(n),
-                None,
-                Some(fifo),
-                format!("channel stream configured with count {n}"),
-            ));
-        }
-        if dir_in {
-            // A receive delivers into the FIFO's input side, so it takes
-            // the same exclusive-feeder slot as an affine in-stream.
-            if self.unit(fifo.class).ins[fifo.index as usize].streamed {
-                return Ok(false);
-            }
-            self.unit_mut(fifo.class).ins[fifo.index as usize].streamed = true;
-        } else {
-            // A send *drains* the FIFO's input side: one drain at a time.
-            if self
-                .scus
-                .iter()
-                .any(|u| u.active && u.kind == ScuKind::Send && u.fifo == fifo)
-            {
-                return Ok(false);
-            }
-        }
-        self.scu_seq += 1;
-        self.scus[slot] = Scu {
-            active: true,
-            dir_in,
-            kind: if dir_in { ScuKind::Recv } else { ScuKind::Send },
-            fifo,
-            target: StreamTarget::Fifo(fifo),
-            remaining: Some(n),
-            peer: p as u8,
-            ready_at: self.cycle + self.config.scu_setup,
-            seq: self.scu_seq,
-            ..Scu::inert()
-        };
-        if dir_in && tested {
-            self.dispatch.insert(fifo, n);
-        }
-        Ok(true)
-    }
-
-    /// Configure an index-fed stream (gather in, scatter out): the SCU
-    /// fetches its own affine index stream `[ibase, ibase+istride, ..)`
-    /// and issues `base + (idx << shift)` data references. Returns
-    /// `Ok(false)` when no SCU slot (or the target FIFO) is free.
-    #[allow(clippy::too_many_arguments)] // mirrors the stream-instruction fields
-    fn configure_indirect(
-        &mut self,
-        dir_in: bool,
-        fifo: DataFifo,
-        base: Operand,
-        shift: u8,
-        width: Width,
-        ibase: Operand,
-        istride: Operand,
-        iwidth: Width,
-        count: Operand,
-        tested: bool,
-        span: i64,
-    ) -> Result<bool, SimError> {
-        let Some(slot) = self.free_scu_slot() else {
-            return Ok(false);
-        };
-        let addr = self.read_operand(RegClass::Int, base)?.as_i();
-        let iaddr = self.read_operand(RegClass::Int, ibase)?.as_i();
-        let istride = self.read_operand(RegClass::Int, istride)?.as_i();
-        let n = self.read_operand(RegClass::Int, count)?.as_i();
-        if n <= 0 {
-            return Err(self.fault(
-                FaultUnit::Ieu,
-                FaultKind::BadStreamCount(n),
-                None,
-                Some(fifo),
-                format!("indirect stream configured with count {n}"),
-            ));
-        }
-        let gen = if dir_in {
-            if self.unit(fifo.class).ins[fifo.index as usize].streamed {
-                return Ok(false);
-            }
-            let f = &mut self.unit_mut(fifo.class).ins[fifo.index as usize];
-            f.streamed = true;
-            f.gen
-        } else {
-            if self
-                .scus
-                .iter()
-                .any(|u| u.active && !u.dir_in && u.target == StreamTarget::Fifo(fifo))
-            {
-                return Ok(false);
-            }
-            0
-        };
-        self.scu_seq += 1;
-        self.scus[slot] = Scu {
-            active: true,
-            dir_in,
-            kind: if dir_in {
-                ScuKind::Gather
-            } else {
-                ScuKind::Scatter
-            },
-            fifo,
-            target: StreamTarget::Fifo(fifo),
-            addr,
-            remaining: Some(n),
-            width,
-            gen,
-            ready_at: self.cycle + self.config.scu_setup,
-            seq: self.scu_seq,
-            shift,
-            iaddr,
-            istride,
-            iwidth,
-            span,
-            idx_remaining: Some(n),
-            ..Scu::inert()
-        };
-        if dir_in && tested {
-            self.dispatch.insert(fifo, n);
-        }
-        Ok(true)
-    }
-
-    /// Stop every stream on `fifo`, discarding data fetched ahead of the
-    /// consumer. For a speculative stream this is the squash: the
-    /// discarded elements (queued, in flight, and an indirect SCU's
-    /// buffered/pending indices) are counted per SCU, and a nonzero
-    /// [`WmConfig::squash_penalty`](crate::config::WmConfig) holds the
-    /// slot in recovery for that many cycles.
-    fn stop_stream(&mut self, fifo: DataFifo) {
-        let penalty = self.config.squash_penalty;
-        let cycle = self.cycle;
-        let mut flush_in: Option<usize> = None;
-        for (k, scu) in self.scus.iter_mut().enumerate() {
-            if scu.active && scu.fifo == fifo {
-                scu.active = false;
-                let leftover = scu.ring_len as u64 + scu.idx_pending as u64;
-                scu.ring_len = 0;
-                scu.ring_head = 0;
-                scu.idx_pending = 0;
-                self.perf.scus[k].squashed += leftover;
-                if penalty > 0 && leftover > 0 {
-                    scu.squash_until = cycle + penalty;
-                }
-                if scu.dir_in {
-                    flush_in = Some(k);
-                }
-            }
-        }
-        if let Some(k) = flush_in {
-            self.fifo_changing(fifo.class, fifo.index as usize);
-            let f = &mut self.unit_mut(fifo.class).ins[fifo.index as usize];
-            let leftover = (f.q.len() + f.pending) as u64;
-            f.q.clear();
-            f.pending = 0;
-            f.owed = 0;
-            f.gen = f.gen.wrapping_add(1);
-            f.streamed = false;
-            self.perf.scus[k].squashed += leftover;
-            if penalty > 0 && leftover > 0 {
-                self.scus[k].squash_until = cycle + penalty;
-            }
-        }
-        self.dispatch.remove(&fifo);
-    }
-
-    pub(crate) fn drain_stores(&mut self) -> Result<(), SimError> {
-        while self.ports_free() {
-            let Some(&PendingStore { addr, width, class }) = self.store_q.front() else {
-                break;
-            };
-            // An active out-stream on the same unit owns the output
-            // FIFO: the next `remaining` pushes are its data, in push
-            // order, so a scalar store must hold until the stream
-            // retires (jNI early branch resolution lets the IEU queue a
-            // post-loop store's address while the FEU is still feeding
-            // the stream — the tiled write-back drain does exactly
-            // this). A store that can never be satisfied surfaces as an
-            // attributed deadlock rather than an eager fault. A channel
-            // send is `dir_in == false` but drains the *input* side, so
-            // it never owns the output FIFO — and must not block the
-            // store (its feeding in-stream may be waiting on us).
-            if self.scus.iter().any(|s| {
-                s.active
-                    && !s.dir_in
-                    && s.kind != ScuKind::Send
-                    && s.fifo.class == class
-                    && s.remaining != Some(0)
-            }) {
-                break;
-            }
-            // the hierarchy may refuse the store (write-allocate miss
-            // with no MSHR / busy bank): leave it queued and retry
-            let acc = Access::scalar(addr, true);
-            if self.memsys.accepts(&acc, self.cycle).is_err() {
-                break;
-            }
-            self.fifo_changing(class, FIFO_OUT);
-            let Some(val) = self.unit_mut(class).out.pop_front() else {
-                break; // data not produced yet
-            };
-            self.store_q.pop_front();
-            self.issue_mem(MemOp::Write { addr, width, val }, &acc);
-            self.stats.mem_writes += 1;
-        }
-        Ok(())
-    }
-
-    pub(crate) fn scu_step(&mut self) -> Result<(), SimError> {
-        for i in 0..self.scus.len() {
-            let outcome = self.scu_step_one(i)?;
-            self.perf.scus[i].unit.record(outcome);
-            self.last_outcomes.scus[i] = outcome;
-        }
-        Ok(())
-    }
-
-    /// Advance SCU `i` by one cycle and attribute what it did. The checks
-    /// run in the same order as the pre-instrumentation loop (ports first,
-    /// then activity/setup/injection, then back-pressure and ordering), so
-    /// issue behavior is cycle-identical; only the attribution is new.
-    fn scu_step_one(&mut self, i: usize) -> Result<Outcome, SimError> {
-        // An inactive SCU is idle whether or not a port is free, so the
-        // common case skips the arbitration checks (and the state copy).
-        if !self.scus[i].active {
-            // ... unless it is recovering from a speculative-stream
-            // squash, which holds the slot busy.
-            if self.cycle < self.scus[i].squash_until {
-                return Ok(Outcome::Stall(Stall::SpecSquash));
-            }
-            return Ok(Outcome::Idle);
-        }
-        let scu = self.scus[i];
-        // Channel SCUs move data tile-to-tile without touching memory, so
-        // they never contend for a port: dispatch them before arbitration
-        // (a `PortBusy` charge here would be spurious). The disable and
-        // setup checks keep their usual precedence.
-        if matches!(scu.kind, ScuKind::Send | ScuKind::Recv) {
-            if self.scu_disabled(i) {
-                return Ok(Outcome::Stall(Stall::Disabled));
-            }
-            if self.cycle < scu.ready_at {
-                return Ok(Outcome::Stall(Stall::Setup));
-            }
-            return match scu.kind {
-                ScuKind::Send => self.send_step(i, &scu),
-                _ => self.recv_step(i, &scu),
-            };
-        }
-        if !self.ports_free() {
-            // No port: even stream termination waits (as the original
-            // arbitration loop broke out before deactivating).
-            return Ok(if self.scu_disabled(i) {
-                Outcome::Stall(Stall::Disabled)
-            } else if self.cycle < scu.ready_at {
-                Outcome::Stall(Stall::Setup)
-            } else {
-                Outcome::Stall(Stall::PortBusy)
-            });
-        }
-        if self.scu_disabled(i) {
-            return Ok(Outcome::Stall(Stall::Disabled));
-        }
-        if self.cycle < scu.ready_at {
-            return Ok(Outcome::Stall(Stall::Setup));
-        }
-        match scu.kind {
-            ScuKind::Affine => {}
-            ScuKind::Gather => return self.gather_step(i, &scu),
-            ScuKind::Scatter => return self.scatter_step(i, &scu),
-            // dispatched above, before port arbitration
-            ScuKind::Send | ScuKind::Recv => unreachable!(),
-        }
-        if scu.dir_in {
-            if scu.remaining == Some(0) {
-                self.scus[i].active = false;
-                if let StreamTarget::Fifo(fifo) = scu.target {
-                    let f = &mut self.unit_mut(fifo.class).ins[fifo.index as usize];
-                    f.streamed = false;
-                }
-                return Ok(Outcome::Idle);
-            }
-            // back-pressure: respect the destination's capacity
-            match scu.target {
-                StreamTarget::Fifo(fifo) => {
-                    let f = &self.unit(fifo.class).ins[fifo.index as usize];
-                    if f.q.len() + f.pending >= self.config.fifo_capacity {
-                        return Ok(Outcome::Stall(Stall::FifoFull));
-                    }
-                }
-                StreamTarget::Veu(port) => {
-                    let p = port as usize;
-                    if self.veu.ports[p].len() + self.veu.pending[p] >= 2 * self.config.veu_length {
-                        return Ok(Outcome::Stall(Stall::FifoFull));
-                    }
-                }
-            }
-            if self.conflicts_with_pending_writes(scu.addr, scu.width) {
-                return Ok(Outcome::Stall(Stall::MemOrder)); // hold until the store lands
-            }
-            // an out-stream configured earlier (program order) may
-            // still owe a write to this address: wait until its cursor
-            // passes
-            if self.older_out_stream_overlaps(scu.seq, scu.addr, scu.width) {
-                return Ok(Outcome::Stall(Stall::MemOrder));
-            }
-            // Permission check at issue. A refused prefetch into a scalar
-            // FIFO *poisons* the entry instead of faulting: the SCU runs
-            // ahead of the consumer, and an over-fetch that is never
-            // consumed must be harmless (deferred-speculation semantics).
-            // The VEU consumes whole vectors unconditionally, so its
-            // refused prefetches fault eagerly.
-            let poison = match self.mem.check(scu.addr, scu.width.bytes(), false) {
-                Ok(()) => None,
-                Err(e) => match scu.target {
-                    StreamTarget::Fifo(_) => Some(Box::new(Poison {
-                        addr: scu.addr,
-                        scu: i,
-                        error: e.to_string(),
-                    })),
-                    StreamTarget::Veu(_) => {
-                        return Err(self.access_fault(FaultUnit::Scu(i), None, &e))
-                    }
-                },
-            };
-            if poison.is_some() {
-                self.perf.scus[i].poisoned += 1;
-            }
-            match scu.target {
-                StreamTarget::Fifo(fifo) => {
-                    self.unit_mut(fifo.class).ins[fifo.index as usize].pending += 1
-                }
-                StreamTarget::Veu(port) => self.veu.pending[port as usize] += 1,
-            }
-            self.issue_mem(
-                MemOp::ReadFifo {
-                    target: scu.target,
-                    addr: scu.addr,
-                    width: scu.width,
-                    gen: scu.gen,
-                    poison,
-                },
-                // the stream-buffer bypass path: never refused, and
-                // prefetching ahead along the stride is what hides the
-                // miss latency scalar code pays
-                &Access::stream(scu.addr, false, i, scu.stride),
-            );
-            self.stats.stream_reads += 1;
-            self.perf.scus[i].elements_in += 1;
-            self.perf.scus[i].unit.retired += 1;
-            let s = &mut self.scus[i];
-            s.addr += s.stride;
-            if let Some(r) = s.remaining.as_mut() {
-                *r -= 1;
-                if *r == 0 {
-                    // the last request is out: release the FIFO so
-                    // scalar loads may follow immediately (ordering is
-                    // preserved by the memory system's FIFO delivery)
-                    s.active = false;
-                    if let StreamTarget::Fifo(fifo) = s.target {
-                        self.unit_mut(fifo.class).ins[fifo.index as usize].streamed = false;
-                    }
-                }
-            }
-            Ok(Outcome::Active)
-        } else {
-            if scu.remaining == Some(0) {
-                // Deactivation can flip a younger stream's ordering check
-                // (`older_out_stream_overlaps`) next cycle, so this cycle
-                // must not be fast-forwarded over even though nothing
-                // retires.
-                self.scus[i].active = false;
-                self.last_progress = self.cycle;
-                return Ok(Outcome::Idle);
-            }
-            let popped = match scu.target {
-                StreamTarget::Fifo(fifo) => {
-                    self.fifo_changing(fifo.class, FIFO_OUT);
-                    self.unit_mut(fifo.class).out.pop_front()
-                }
-                StreamTarget::Veu(_) => self.veu.out.pop_front().map(Val::F),
-            };
-            let Some(val) = popped else {
-                // the producing unit has not filled the output FIFO yet
-                return Ok(Outcome::Stall(Stall::FifoEmpty));
-            };
-            // out-stream writes fault eagerly at issue: the datum was
-            // produced, so the store is architecturally committed
-            if let Err(e) = self.mem.check(scu.addr, scu.width.bytes(), true) {
-                let stream = match scu.target {
-                    StreamTarget::Fifo(f) => Some(f),
-                    StreamTarget::Veu(_) => None,
-                };
-                return Err(self.access_fault(FaultUnit::Scu(i), stream, &e));
-            }
-            self.issue_mem(
-                MemOp::Write {
-                    addr: scu.addr,
-                    width: scu.width,
-                    val,
-                },
-                // stream-out writes bypass the L1 (invalidating any
-                // cached copy) straight to the backing store
-                &Access::stream(scu.addr, true, i, scu.stride),
-            );
-            self.stats.stream_writes += 1;
-            self.stats.mem_writes += 1;
-            self.perf.scus[i].elements_out += 1;
-            self.perf.scus[i].unit.retired += 1;
-            let s = &mut self.scus[i];
-            s.addr += s.stride;
-            if let Some(r) = s.remaining.as_mut() {
-                *r -= 1;
-            }
-            Ok(Outcome::Active)
-        }
-    }
-
-    /// One cycle of a channel-send SCU: pop one element from the target
-    /// FIFO's input side and stage it toward the peer tile. No memory
-    /// port is used; back-pressure is the channel credit count.
-    fn send_step(&mut self, i: usize, scu: &Scu) -> Result<Outcome, SimError> {
-        if scu.remaining == Some(0) {
-            // Deactivation is what lets the machine halt (a send SCU
-            // drains like an out-stream), so the state flip must never
-            // be fast-forwarded over.
-            self.scus[i].active = false;
-            self.last_progress = self.cycle;
-            return Ok(Outcome::Idle);
-        }
-        let dst = scu.peer as usize;
-        if self.chan_credits[dst] == 0 {
-            // receiver backlog at capacity: wait for the barrier to
-            // return credits
-            return Ok(Outcome::Stall(Stall::ChanFull));
-        }
-        let fifo = scu.fifo;
-        if self.unit(fifo.class).ins[fifo.index as usize].owed > 0 {
-            // Program-order-earlier scalar loads still feed this FIFO
-            // and their data belongs to the execution unit, not the
-            // channel — jNI early branch resolution configured this
-            // send while the FEU is still consuming the loop body.
-            // Draining now would steal the unit's operands.
-            return Ok(Outcome::Stall(Stall::MemOrder));
-        }
-        self.fifo_changing(fifo.class, fifo.index as usize);
-        let Some(slot) = self.unit_mut(fifo.class).ins[fifo.index as usize]
-            .q
-            .pop_front()
-        else {
-            // the feeding stream (or unit) has not produced yet
-            return Ok(Outcome::Stall(Stall::FifoEmpty));
-        };
-        // Poison forwards through the channel with its provenance intact:
-        // it faults only if some tile eventually consumes it.
-        self.chan_tx.push(ChanMsg {
-            dst,
-            val: slot.val,
-            poison: slot.poison,
-        });
-        self.chan_credits[dst] -= 1;
-        self.perf.scus[i].elements_out += 1;
-        self.perf.scus[i].unit.retired += 1;
-        self.last_progress = self.cycle;
-        let s = &mut self.scus[i];
-        if let Some(r) = s.remaining.as_mut() {
-            *r -= 1;
-            if *r == 0 {
-                s.active = false;
-            }
-        }
-        Ok(Outcome::Active)
-    }
-
-    /// One cycle of a channel-receive SCU: pop the earliest due entry
-    /// from the peer tile's channel queue into the target FIFO's input
-    /// side. No memory traffic — the element was read (or computed) on
-    /// the sending tile.
-    fn recv_step(&mut self, i: usize, scu: &Scu) -> Result<Outcome, SimError> {
-        let fifo = scu.fifo;
-        if scu.remaining == Some(0) {
-            // normally unreachable (the last delivery deactivates
-            // eagerly); kept as a belt, and marked as progress so the
-            // state flip is never fast-forwarded over
-            self.scus[i].active = false;
-            self.unit_mut(fifo.class).ins[fifo.index as usize].streamed = false;
-            self.last_progress = self.cycle;
-            return Ok(Outcome::Idle);
-        }
-        {
-            let f = &self.unit(fifo.class).ins[fifo.index as usize];
-            // Ordering: scalar loads issued before this receive was
-            // configured are still in flight through the memory
-            // system. Their data reaches the FIFO in issue order only
-            // because the memory path is FIFO-ordered — the channel
-            // path is not, so a push now would jump the queue and the
-            // unit would pop channel data as load results. Hold until
-            // every outstanding load has landed.
-            if f.pending > 0 {
-                return Ok(Outcome::Stall(Stall::MemOrder));
-            }
-            // back-pressure: respect the destination FIFO's capacity
-            if f.q.len() >= self.config.fifo_capacity {
-                return Ok(Outcome::Stall(Stall::FifoFull));
-            }
-        }
-        let p = scu.peer as usize;
-        let due = self.chan_rx[p].front().is_some_and(|e| e.due <= self.cycle);
-        if !due {
-            // nothing due from the peer: it may still be computing, may
-            // be wedged, or (fault injection) may have been killed — the
-            // global deadlock check at the epoch barrier attributes that
-            return Ok(Outcome::Stall(Stall::ChanEmpty));
-        }
-        let e = self.chan_rx[p].pop_front().expect("checked non-empty");
-        if e.poison.is_some() {
-            self.perf.scus[i].poisoned += 1;
-        }
-        self.fifo_changing(fifo.class, fifo.index as usize);
-        self.unit_mut(fifo.class).ins[fifo.index as usize]
-            .q
-            .push_back(Slot {
-                val: e.val,
-                poison: e.poison,
-            });
-        self.perf.scus[i].elements_in += 1;
-        self.perf.scus[i].unit.retired += 1;
-        self.last_progress = self.cycle;
-        let s = &mut self.scus[i];
-        if let Some(r) = s.remaining.as_mut() {
-            *r -= 1;
-            if *r == 0 {
-                // last element delivered: release the FIFO immediately
-                s.active = false;
-                self.unit_mut(fifo.class).ins[fifo.index as usize].streamed = false;
-            }
-        }
-        Ok(Outcome::Active)
-    }
-
-    /// One cycle of an index-fed gather SCU. The data side has priority:
-    /// a buffered index becomes one `base + (idx << shift)` read into the
-    /// target FIFO (a poisoned index, or a data address that fails the
-    /// permission check, becomes a poisoned entry — FIFO order is
-    /// preserved either way). Otherwise the SCU fetches the next index
-    /// along its affine index stream into the internal ring; with fetches
-    /// outstanding but nothing buffered it reports `IndexFifoEmpty`.
-    fn gather_step(&mut self, i: usize, scu: &Scu) -> Result<Outcome, SimError> {
-        if scu.remaining == Some(0) {
-            // normally unreachable (the last data issue deactivates
-            // eagerly); kept as a belt, and marked as progress so the
-            // state flip is never fast-forwarded over
-            self.scus[i].active = false;
-            if let StreamTarget::Fifo(fifo) = scu.target {
-                self.unit_mut(fifo.class).ins[fifo.index as usize].streamed = false;
-            }
-            self.last_progress = self.cycle;
-            return Ok(Outcome::Idle);
-        }
-        let StreamTarget::Fifo(fifo) = scu.target else {
-            unreachable!("gather streams always target a scalar FIFO");
-        };
-        let mut data_stall: Option<Stall> = None;
-        if scu.ring_len > 0 {
-            let f = &self.unit(fifo.class).ins[fifo.index as usize];
-            if f.q.len() + f.pending >= self.config.fifo_capacity {
-                data_stall = Some(Stall::FifoFull);
-            } else {
-                let (iv, idx_poisoned) = scu.idx_ring[scu.ring_head as usize];
-                let daddr = scu.addr.wrapping_add(iv.wrapping_shl(scu.shift as u32));
-                if !idx_poisoned
-                    && (self.conflicts_with_pending_writes(daddr, scu.width)
-                        || self.older_out_stream_overlaps(scu.seq, daddr, scu.width))
-                {
-                    data_stall = Some(Stall::MemOrder); // hold until the store lands
-                } else {
-                    let poison = if idx_poisoned {
-                        // the index fetch itself faulted; the data entry
-                        // inherits the deferred fault (there is no valid
-                        // address to gather)
-                        Some(Box::new(Poison {
-                            addr: iv,
-                            scu: i,
-                            error: format!("gather index fetch at {iv:#x} faulted"),
-                        }))
-                    } else {
-                        match self.mem.check(daddr, scu.width.bytes(), false) {
-                            Ok(()) => None,
-                            Err(e) => Some(Box::new(Poison {
-                                addr: daddr,
-                                scu: i,
-                                error: e.to_string(),
-                            })),
-                        }
-                    };
-                    if poison.is_some() {
-                        self.perf.scus[i].poisoned += 1;
-                    }
-                    self.unit_mut(fifo.class).ins[fifo.index as usize].pending += 1;
-                    self.issue_mem(
-                        MemOp::ReadFifo {
-                            target: scu.target,
-                            addr: daddr,
-                            width: scu.width,
-                            gen: scu.gen,
-                            poison,
-                        },
-                        // data-dependent addresses defeat the stream
-                        // buffers' stride prediction: gathers go straight
-                        // to the backing store (and must not flush this
-                        // SCU's own index-stream buffer)
-                        &Access::gather(daddr, i),
-                    );
-                    self.stats.stream_reads += 1;
-                    self.perf.scus[i].elements_in += 1;
-                    self.perf.scus[i].unit.retired += 1;
-                    let s = &mut self.scus[i];
-                    s.ring_head = (s.ring_head + 1) % IDX_RING as u8;
-                    s.ring_len -= 1;
-                    if let Some(r) = s.remaining.as_mut() {
-                        *r -= 1;
-                        if *r == 0 {
-                            s.active = false;
-                            self.unit_mut(fifo.class).ins[fifo.index as usize].streamed = false;
-                        }
-                    }
-                    return Ok(Outcome::Active);
-                }
-            }
-        }
-        // Index side: keep the ring primed while the data side is blocked
-        // or has nothing buffered.
-        if scu.idx_remaining != Some(0) && scu.ring_len + scu.idx_pending < IDX_RING as u8 {
-            if self.conflicts_with_pending_writes(scu.iaddr, scu.iwidth)
-                || self.older_out_stream_overlaps(scu.seq, scu.iaddr, scu.iwidth)
-            {
-                return Ok(Outcome::Stall(data_stall.unwrap_or(Stall::MemOrder)));
-            }
-            // an unmapped index address delivers a poison marker instead
-            // of a value (deferred like any other gather fault)
-            let poison = self
-                .mem
-                .check(scu.iaddr, scu.iwidth.bytes(), false)
-                .is_err();
-            self.issue_mem(
-                MemOp::ReadIndex {
-                    scu: i,
-                    seq: scu.seq,
-                    addr: scu.iaddr,
-                    width: scu.iwidth,
-                    poison,
-                },
-                // the index stream is affine: it prefetches through its
-                // stream buffer like any in-stream
-                &Access::stream(scu.iaddr, false, i, scu.istride),
-            );
-            self.stats.stream_reads += 1;
-            self.perf.scus[i].index_fetches += 1;
-            self.perf.scus[i].unit.retired += 1;
-            let s = &mut self.scus[i];
-            s.idx_pending += 1;
-            s.iaddr += s.istride;
-            if let Some(r) = s.idx_remaining.as_mut() {
-                *r -= 1;
-            }
-            return Ok(Outcome::Active);
-        }
-        if let Some(s) = data_stall {
-            return Ok(Outcome::Stall(s));
-        }
-        Ok(Outcome::Stall(Stall::IndexFifoEmpty))
-    }
-
-    /// One cycle of an index-fed scatter SCU: pop one value from the
-    /// unit's output FIFO and one buffered index, and write
-    /// `base + (idx << shift)`. Scatter stores are architectural, so
-    /// every fault (index fetch or data write) is raised eagerly; a
-    /// scatter is never speculative.
-    fn scatter_step(&mut self, i: usize, scu: &Scu) -> Result<Outcome, SimError> {
-        if scu.remaining == Some(0) {
-            // normally unreachable (the last store deactivates eagerly);
-            // kept as a belt, and marked as progress so the state flip
-            // is never fast-forwarded over
-            self.scus[i].active = false;
-            self.last_progress = self.cycle;
-            return Ok(Outcome::Idle);
-        }
-        let StreamTarget::Fifo(fifo) = scu.target else {
-            unreachable!("scatter streams always drain a scalar FIFO");
-        };
-        let mut data_stall: Option<Stall> = None;
-        if scu.ring_len > 0 {
-            if self.unit(fifo.class).out.is_empty() {
-                // the producing unit has not filled the output FIFO yet
-                data_stall = Some(Stall::FifoEmpty);
-            } else {
-                let (iv, _) = scu.idx_ring[scu.ring_head as usize];
-                let daddr = scu.addr.wrapping_add(iv.wrapping_shl(scu.shift as u32));
-                if let Err(e) = self.mem.check(daddr, scu.width.bytes(), true) {
-                    return Err(self.access_fault(FaultUnit::Scu(i), Some(fifo), &e));
-                }
-                self.fifo_changing(fifo.class, FIFO_OUT);
-                let val = self
-                    .unit_mut(fifo.class)
-                    .out
-                    .pop_front()
-                    .expect("checked non-empty");
-                self.issue_mem(
-                    MemOp::Write {
-                        addr: daddr,
-                        width: scu.width,
-                        val,
-                    },
-                    &Access::stream(daddr, true, i, 0),
-                );
-                self.stats.stream_writes += 1;
-                self.stats.mem_writes += 1;
-                self.perf.scus[i].elements_out += 1;
-                self.perf.scus[i].unit.retired += 1;
-                let s = &mut self.scus[i];
-                s.ring_head = (s.ring_head + 1) % IDX_RING as u8;
-                s.ring_len -= 1;
-                if let Some(r) = s.remaining.as_mut() {
-                    *r -= 1;
-                    if *r == 0 {
-                        // the last store is out: the declared span no
-                        // longer blocks younger streams (the in-flight
-                        // writes still order through the pending-write
-                        // set until they land)
-                        s.active = false;
-                    }
-                }
-                return Ok(Outcome::Active);
-            }
-        }
-        if scu.idx_remaining != Some(0) && scu.ring_len + scu.idx_pending < IDX_RING as u8 {
-            if self.conflicts_with_pending_writes(scu.iaddr, scu.iwidth)
-                || self.older_out_stream_overlaps(scu.seq, scu.iaddr, scu.iwidth)
-            {
-                return Ok(Outcome::Stall(data_stall.unwrap_or(Stall::MemOrder)));
-            }
-            if let Err(e) = self.mem.check(scu.iaddr, scu.iwidth.bytes(), false) {
-                return Err(self.access_fault(FaultUnit::Scu(i), Some(fifo), &e));
-            }
-            self.issue_mem(
-                MemOp::ReadIndex {
-                    scu: i,
-                    seq: scu.seq,
-                    addr: scu.iaddr,
-                    width: scu.iwidth,
-                    poison: false,
-                },
-                &Access::stream(scu.iaddr, false, i, scu.istride),
-            );
-            self.stats.stream_reads += 1;
-            self.perf.scus[i].index_fetches += 1;
-            self.perf.scus[i].unit.retired += 1;
-            let s = &mut self.scus[i];
-            s.idx_pending += 1;
-            s.iaddr += s.istride;
-            if let Some(r) = s.idx_remaining.as_mut() {
-                *r -= 1;
-            }
-            return Ok(Outcome::Active);
-        }
-        if let Some(s) = data_stall {
-            return Ok(Outcome::Stall(s));
-        }
-        Ok(Outcome::Stall(Stall::IndexFifoEmpty))
     }
 
     // ---- vector execution unit ----

@@ -174,7 +174,13 @@ fn channel_on_single_tile_is_rejected() {
 /// Compile a C workload through the full pipeline with the module-level
 /// tile-partitioning pass, exactly as `wmcc --tiles N` does.
 fn compile_partitioned(src: &str, tiles: usize) -> Module {
-    let opts = OptOptions::all().assume_noalias().with_tiles(tiles);
+    compile_partitioned_with(src, OptOptions::all(), tiles)
+}
+
+/// [`compile_partitioned`] at the optimization level `opts` (under the
+/// no-alias model).
+fn compile_partitioned_with(src: &str, opts: OptOptions, tiles: usize) -> Module {
+    let opts = opts.assume_noalias().with_tiles(tiles);
     let mut module = wm_frontend::compile(src).expect("compiles");
     let extents = wm_opt::GlobalExtents::of_module(&module);
     for f in module.functions.iter_mut() {
@@ -249,6 +255,66 @@ fn partitioned_workload_engine_matrix_is_bit_identical() {
                         reference = Some(r);
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The iir workload's filter, returning an index-weighted checksum of
+/// all of `y` instead of the workload's stability check (which returns 1
+/// whether or not every element landed where it belongs). Scaled by 100
+/// so that rotating a slice by one element inside the step response
+/// (weights one apart, values up to 0.4 apart) moves the result.
+fn iir_checksum_source() -> String {
+    let src = wm_workloads::all()
+        .into_iter()
+        .find(|w| w.name == "iir")
+        .expect("iir workload")
+        .source;
+    let checks = src
+        .find("    acc = y[n-1];")
+        .expect("iir computes y, then checks it");
+    format!(
+        "{}    acc = 0.0;\n    for (i = 0; i < n; i++) acc = acc + i * y[i];\n    \
+         return (int) (acc * 100.0);\n}}\n",
+        &src[..checks]
+    )
+}
+
+/// Every partitioned iir build writes each tile's results back to the
+/// element they belong to: on 2, 3 and 4 tiles, over flat, cache and
+/// banked memory, at `recurrence` and `full`, the checksum of `y` is the
+/// untiled classical build's.
+#[test]
+fn partitioned_iir_writes_back_every_element_in_place() {
+    let src = iir_checksum_source();
+    let classical = OptOptions::all().without_recurrence().without_streaming();
+    let want = TiledMachine::run(
+        &compile_partitioned_with(&src, classical, 1),
+        "main",
+        &[],
+        &WmConfig::default(),
+        1,
+    )
+    .expect("runs")
+    .ret_int;
+    for (level, opts) in [
+        ("recurrence", OptOptions::all().without_streaming()),
+        ("full", OptOptions::all()),
+    ] {
+        for tiles in [2usize, 3, 4] {
+            let module = compile_partitioned_with(&src, opts.clone(), tiles);
+            assert!(
+                module.lookup("__tile1_main").is_some(),
+                "{level}: the filter loop must partition across {tiles} tiles"
+            );
+            for mem in ["flat", "cache", "banked"] {
+                let cfg = WmConfig::default()
+                    .with_tiles(tiles)
+                    .with_mem_model(MemModel::parse(mem).unwrap());
+                let r = TiledMachine::run(&module, "main", &[], &cfg, 2)
+                    .unwrap_or_else(|e| panic!("{level}/{tiles} tiles/{mem}: {e}"));
+                assert_eq!(r.ret_int, want, "{level}/{tiles} tiles/{mem}");
             }
         }
     }

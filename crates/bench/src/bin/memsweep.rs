@@ -36,7 +36,8 @@
 //! tiled build to beat its 1-tile build outright at the largest swept
 //! bank count on every partitionable kernel.
 
-use wm_stream::{Compiler, MemModel, OptOptions, WmConfig, Workload};
+use wm_stream::sim::TILES_RANGE;
+use wm_stream::{JobSpec, Workload};
 
 /// Kernels whose inner loops stream fully: the latency-tolerance gate
 /// applies to these. (`iir`, `dhrystone`, `sieve` keep scalar accesses
@@ -79,17 +80,19 @@ fn suite() -> Vec<Workload> {
     v
 }
 
-/// Cycles for one workload under one optimizer config and memory model.
-fn run(w: &Workload, opts: &OptOptions, spec: &str) -> u64 {
-    let compiled = Compiler::new()
-        .options(opts.clone())
-        .compile(w.source)
-        .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-    let cfg = WmConfig::default()
-        .with_mem_model(MemModel::parse(spec).unwrap_or_else(|e| panic!("{spec}: {e}")));
-    let r = compiled
-        .run_wm_config("main", &[], &cfg)
-        .unwrap_or_else(|e| panic!("{} [{spec}]: {e}", w.name));
+/// Cycles of `w` compiled with `noalias` and run with the job
+/// `settings` (see `wm_stream::driver::SETTINGS`). Tiled results are
+/// bit-identical for any host thread count, so tiled runs just let the
+/// scheduler pick.
+fn run(w: &Workload, settings: &[(&str, &str)]) -> u64 {
+    let mut job = JobSpec::new(w.source);
+    for &(name, value) in [("noalias", "true")].iter().chain(settings) {
+        job.set(name, value)
+            .unwrap_or_else(|e| panic!("{name} {value}: {e}"));
+    }
+    let r = job
+        .run(None)
+        .unwrap_or_else(|e| panic!("{} {settings:?}: {e}", w.name));
     w.check(r.ret_int);
     r.cycles
 }
@@ -114,39 +117,19 @@ impl TilePoint {
 }
 
 /// Streaming cycles of `w` partitioned over `tiles` cores on `banks`
-/// DRAM banks. Tiled results are bit-identical for any host thread
-/// count, so the sweep just lets the scheduler pick.
+/// DRAM banks.
 fn run_tiled(w: &Workload, tiles: u64, banks: u64) -> u64 {
-    let opts = OptOptions::all()
-        .assume_noalias()
-        .with_tiles(tiles as usize);
     let spec = format!("banked:banks={banks}");
-    let compiled = Compiler::new()
-        .options(opts)
-        .compile(w.source)
-        .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-    let cfg = WmConfig::default()
-        .with_mem_model(MemModel::parse(&spec).unwrap_or_else(|e| panic!("{spec}: {e}")))
-        .with_tiles(tiles as usize);
-    let r = compiled
-        .run_wm_config("main", &[], &cfg)
-        .unwrap_or_else(|e| panic!("{} [tiles={tiles} {spec}]: {e}", w.name));
-    w.check(r.ret_int);
-    r.cycles
+    run(w, &[("tiles", &tiles.to_string()), ("mem", &spec)])
 }
 
 fn measure(w: &Workload, spec: &str, x: u64) -> Point {
-    let scalar = OptOptions::all()
-        .without_recurrence()
-        .without_streaming()
-        .assume_noalias();
-    let streaming = OptOptions::all().assume_noalias();
     Point {
         workload: w.name.to_string(),
         spec: spec.to_string(),
         x,
-        scalar_cycles: run(w, &scalar, spec),
-        streaming_cycles: run(w, &streaming, spec),
+        scalar_cycles: run(w, &[("opt", "classical"), ("mem", spec)]),
+        streaming_cycles: run(w, &[("mem", spec)]),
     }
 }
 
@@ -382,8 +365,11 @@ fn main() {
             "--banks" => bank_counts = parse_list(&need(&mut i), "--banks"),
             "--tiles" => {
                 tile_counts = parse_list(&need(&mut i), "--tiles");
-                if tile_counts.iter().any(|&t| !(1..=8).contains(&t)) {
-                    eprintln!("memsweep: --tiles values must be in 1..=8");
+                if tile_counts
+                    .iter()
+                    .any(|&t| !TILES_RANGE.contains(&(t as usize)))
+                {
+                    eprintln!("memsweep: --tiles values must be in {TILES_RANGE:?}");
                     std::process::exit(2);
                 }
             }

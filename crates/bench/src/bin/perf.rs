@@ -79,8 +79,7 @@ use std::time::Instant;
 
 use wm_bench::json::{self, Value};
 use wm_bench::reps::RepPlan;
-use wm_stream::sim::Engine;
-use wm_stream::{Compiled, Compiler, MemModel, OptOptions, WmConfig, Workload};
+use wm_stream::{Compiled, JobSpec, Workload};
 
 /// Allowed cycle-count growth before `--check` fails, as a fraction.
 const TOLERANCE: f64 = 0.02;
@@ -143,60 +142,47 @@ struct WmdStats {
 
 /// Everything recorded at the top level of the results document.
 struct Meta {
-    engine: Engine,
+    /// The machine settings (`--engine`, `--mem`, `--tiles`, `--hw`) and
+    /// `noalias`, applied through [`JobSpec::set`]; each config sets its
+    /// own `opt` level on a copy.
+    job: JobSpec,
     hw: Hw,
-    mem: MemModel,
     reps: usize,
     jobs: usize,
-    tiles: usize,
     wmd: Option<WmdStats>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Hw {
-    /// The default WM implementation parameters.
-    Default,
-    /// The latency-dominated degraded configuration: 24-cycle memory,
-    /// a single memory port.
-    Latency24,
-}
+/// A `--hw` model: its name and the job settings it applies, to the
+/// in-process runs and to every `--wmd` request alike.
+type Hw = (&'static str, &'static [(&'static str, u64)]);
 
-impl Hw {
-    fn name(self) -> &'static str {
-        match self {
-            Hw::Default => "default",
-            Hw::Latency24 => "latency24",
-        }
-    }
+const HW_MODELS: [Hw; 2] = [
+    // The default WM implementation parameters.
+    ("default", &[]),
+    // The latency-dominated degraded configuration: 24-cycle memory, a
+    // single memory port.
+    ("latency24", &[("mem_latency", 24), ("mem_ports", 1)]),
+];
 
-    fn config(self) -> WmConfig {
-        match self {
-            Hw::Default => WmConfig::default(),
-            Hw::Latency24 => WmConfig::default().with_mem_latency(24).with_mem_ports(1),
-        }
-    }
-}
+/// Each config's name and its `opt` level. Every config is compiled with
+/// `noalias`, Table II's compilation model on both sides, so the
+/// streaming config actually streams the pointer-based programs. The
+/// modulo config is streaming plus the solver-based software pipeliner;
+/// the greedy-vs-optimal delta is their row difference.
+const CONFIGS: [(&str, &str); 4] = [
+    ("scalar", "classical"),
+    ("recurrence", "recurrence"),
+    ("streaming", "full"),
+    ("modulo", "modulo"),
+];
 
-fn configs() -> [(&'static str, OptOptions); 4] {
-    // Match Table II's compilation model (no-alias on both sides) so the
-    // streaming config actually streams the pointer-based programs. The
-    // modulo config is streaming plus the solver-based software
-    // pipeliner; the greedy-vs-optimal delta is their row difference.
-    [
-        (
-            "scalar",
-            OptOptions::all()
-                .without_recurrence()
-                .without_streaming()
-                .assume_noalias(),
-        ),
-        (
-            "recurrence",
-            OptOptions::all().without_streaming().assume_noalias(),
-        ),
-        ("streaming", OptOptions::all().assume_noalias()),
-        ("modulo", OptOptions::all().assume_noalias().with_modulo()),
-    ]
+/// Every workload×config pair of a suite: the workload, the config's
+/// name and its `opt` level.
+fn pairs(sel: SuiteSel) -> Vec<(Workload, &'static str, &'static str)> {
+    suite(sel)
+        .into_iter()
+        .flat_map(|w| CONFIGS.map(|(name, level)| (w, name, level)))
+        .collect()
 }
 
 /// Which workload set a run measures.
@@ -236,27 +222,27 @@ fn suite(sel: SuiteSel) -> Vec<Workload> {
     v
 }
 
-/// Compile and run one workload×config pair: one untimed warmup run,
-/// then exactly `plan.measured` timed runs whose median wall time is
-/// reported (the warmup's wall is never recorded — [`RepPlan::median`]
-/// asserts the count). Every run must reproduce the warmup's cycle count
-/// (the simulator is deterministic; anything else is a bug worth failing
-/// loudly on).
+/// Compile and run one workload×config pair, `meta`'s settings at `opt`
+/// level `level`: one untimed warmup run, then exactly `plan.measured`
+/// timed runs whose median wall time is reported (the warmup's wall is
+/// never recorded — [`RepPlan::median`] asserts the count). Every run
+/// must reproduce the warmup's cycle count (the simulator is
+/// deterministic; anything else is a bug worth failing loudly on).
 fn run_pair(
     w: &Workload,
     config: &'static str,
-    opts: &OptOptions,
-    cfg: &WmConfig,
+    level: &str,
+    meta: &Meta,
     plan: RepPlan,
 ) -> (RunRecord, String) {
-    let compiled = Compiler::new()
-        .options(opts.clone())
-        .compile(w.source)
-        .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+    let mut job = meta.job.clone();
+    job.source = w.source.to_string();
+    job.set("opt", level).expect("CONFIGS names opt levels");
+    let compiled = job.compile().unwrap_or_else(|e| panic!("{}: {e}", w.name));
     let run = || {
         let start = Instant::now();
-        let r = compiled
-            .run_wm_config("main", &[], cfg)
+        let r = job
+            .simulate(&compiled, None)
             .unwrap_or_else(|e| panic!("{} ({config}): {e}", w.name));
         (r, start.elapsed().as_secs_f64() * 1e3)
     };
@@ -300,14 +286,7 @@ fn run_suite(sel: SuiteSel, meta: &Meta) -> Vec<RunRecord> {
         eprintln!("perf: {e}");
         std::process::exit(2);
     });
-    let mut cfg = meta.hw.config();
-    cfg.engine = meta.engine;
-    cfg.mem_model = meta.mem.clone();
-    cfg.tiles = meta.tiles;
-    let pairs: Vec<(Workload, &'static str, OptOptions)> = suite(sel)
-        .into_iter()
-        .flat_map(|w| configs().map(|(name, opts)| (w, name, opts.with_tiles(meta.tiles))))
-        .collect();
+    let pairs = pairs(sel);
     let next = AtomicUsize::new(0);
     let done: Mutex<Vec<(usize, RunRecord, String)>> = Mutex::new(Vec::new());
     let workers = meta.jobs.clamp(1, pairs.len());
@@ -315,7 +294,7 @@ fn run_suite(sel: SuiteSel, meta: &Meta) -> Vec<RunRecord> {
         for _ in 0..workers {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((w, config, opts)) = pairs.get(i) else {
+                let Some((w, config, opt)) = pairs.get(i) else {
                     break;
                 };
                 // A panicking pair (compile failure, simulator fault,
@@ -324,7 +303,7 @@ fn run_suite(sel: SuiteSel, meta: &Meta) -> Vec<RunRecord> {
                 // pair. The suite exits nonzero at the end if any row
                 // carries an error.
                 let (record, line) = match catch_unwind(AssertUnwindSafe(|| {
-                    run_pair(w, config, opts, &cfg, plan)
+                    run_pair(w, config, opt, meta, plan)
                 })) {
                     Ok(ok) => ok,
                     Err(p) => {
@@ -363,29 +342,22 @@ fn run_suite(sel: SuiteSel, meta: &Meta) -> Vec<RunRecord> {
         .collect()
 }
 
-/// The request line for one workload×config pair under `--wmd`.
-fn wmd_request(id: &str, w: &Workload, config: &str, meta: &Meta) -> String {
-    // The daemon reconstructs this suite's optimizer configurations from
-    // the wire `opt` level plus `noalias` (see `configs()`).
-    let opt = match config {
-        "scalar" => "classical",
-        "recurrence" => "recurrence",
-        "streaming" => "full",
-        "modulo" => "modulo",
-        other => panic!("unknown config {other}"),
-    };
+/// The request line for one workload at `opt` level `level` under
+/// `--wmd`: the same settings the in-process path applies.
+fn wmd_request(id: &str, w: &Workload, level: &str, meta: &Meta) -> String {
+    let cfg = &meta.job.config;
     let mut req = format!(
-        "{{\"id\": \"{id}\", \"source\": \"{}\", \"opt\": \"{opt}\", \"noalias\": true, \
+        "{{\"id\": \"{id}\", \"source\": \"{}\", \"opt\": \"{level}\", \"noalias\": true, \
          \"engine\": \"{}\", \"mem\": \"{}\"",
         json::escape(w.source),
-        meta.engine,
-        meta.mem
+        cfg.engine,
+        cfg.mem_model
     );
-    if meta.hw == Hw::Latency24 {
-        req.push_str(", \"mem_latency\": 24, \"mem_ports\": 1");
+    for (name, value) in meta.hw.1 {
+        req.push_str(&format!(", \"{name}\": {value}"));
     }
-    if meta.tiles > 1 {
-        req.push_str(&format!(", \"tiles\": {}", meta.tiles));
+    if cfg.tiles > 1 {
+        req.push_str(&format!(", \"tiles\": {}", cfg.tiles));
     }
     req.push('}');
     req
@@ -398,10 +370,7 @@ fn wmd_request(id: &str, w: &Workload, config: &str, meta: &Meta) -> String {
 /// records as the in-process path, so `--compare` gates daemon-vs-direct
 /// agreement exactly like engine-vs-engine agreement.
 fn run_suite_wmd(sel: SuiteSel, meta: &mut Meta, wmd_bin: &str) -> Vec<RunRecord> {
-    let pairs: Vec<(Workload, &'static str, OptOptions)> = suite(sel)
-        .into_iter()
-        .flat_map(|w| configs().map(|(name, opts)| (w, name, opts)))
-        .collect();
+    let pairs = pairs(sel);
     let cache_dir = std::env::temp_dir().join(format!("wmd-perf-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
     let mut child = std::process::Command::new(wmd_bin)
@@ -444,8 +413,8 @@ fn run_suite_wmd(sel: SuiteSel, meta: &mut Meta, wmd_bin: &str) -> Vec<RunRecord
     // Phase 1: every pair once, cold. Responses arrive in completion
     // order; collect them all before the repeat phase so the repeats
     // deterministically hit the now-populated cache.
-    for (i, (w, config, _)) in pairs.iter().enumerate() {
-        writeln!(stdin, "{}", wmd_request(&format!("{i}:0"), w, config, meta))
+    for (i, (w, _, level)) in pairs.iter().enumerate() {
+        writeln!(stdin, "{}", wmd_request(&format!("{i}:0"), w, level, meta))
             .expect("write to wmd");
     }
     let mut cold: Vec<Option<Value>> = (0..pairs.len()).map(|_| None).collect();
@@ -467,11 +436,11 @@ fn run_suite_wmd(sel: SuiteSel, meta: &mut Meta, wmd_bin: &str) -> Vec<RunRecord
 
     // Phase 2: `reps` repeats per pair, all answerable from the cache.
     for rep in 1..=meta.reps {
-        for (i, (w, config, _)) in pairs.iter().enumerate() {
+        for (i, (w, _, level)) in pairs.iter().enumerate() {
             writeln!(
                 stdin,
                 "{}",
-                wmd_request(&format!("{i}:{rep}"), w, config, meta)
+                wmd_request(&format!("{i}:{rep}"), w, level, meta)
             )
             .expect("write to wmd");
         }
@@ -579,12 +548,7 @@ fn results_json(
         out.push_str(&format!(
             "  \"engine\": \"{}\",\n  \"hw\": \"{}\",\n  \"mem\": \"{}\",\n  \
              \"reps\": {},\n  \"jobs\": {},\n  \"tiles\": {},\n",
-            m.engine,
-            m.hw.name(),
-            m.mem,
-            m.reps,
-            m.jobs,
-            m.tiles
+            m.job.config.engine, m.hw.0, m.job.config.mem_model, m.reps, m.jobs, m.job.config.tiles
         ));
         let total: f64 = records
             .iter()
@@ -901,6 +865,15 @@ fn show(v: Option<&Value>) -> String {
     }
 }
 
+/// Apply a job setting given on the command line; a bad value is a usage
+/// error.
+fn set(job: &mut JobSpec, name: &str, value: &str) {
+    if let Err(e) = job.set(name, value) {
+        eprintln!("perf: {e}");
+        std::process::exit(2);
+    }
+}
+
 fn main() {
     let mut sel = SuiteSel::Full;
     let mut out = "BENCH_sim.json".to_string();
@@ -909,14 +882,13 @@ fn main() {
     let mut baseline_out: Option<String> = None;
     let mut wmd_bin: Option<String> = None;
     let mut meta = Meta {
-        engine: Engine::default(),
-        hw: Hw::Default,
-        mem: MemModel::default(),
+        job: JobSpec::new(String::new()),
+        hw: HW_MODELS[0],
         reps: 3,
         jobs: 0, // 0 = auto: resolved to one per available CPU below
-        tiles: 1,
         wmd: None,
     };
+    set(&mut meta.job, "noalias", "true");
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -935,29 +907,15 @@ fn main() {
             "--compare" => compare_path = Some(need(&mut i)),
             "--write-baseline" => baseline_out = Some(need(&mut i)),
             "--wmd" => wmd_bin = Some(need(&mut i)),
-            "--engine" => {
-                meta.engine = Engine::parse(&need(&mut i)).unwrap_or_else(|e| {
-                    eprintln!("perf: {e}");
-                    std::process::exit(2);
-                })
-            }
-            "--mem" => {
-                meta.mem = MemModel::parse(&need(&mut i)).unwrap_or_else(|e| {
-                    eprintln!("perf: {e}");
-                    std::process::exit(2);
-                })
-            }
+            "--engine" => set(&mut meta.job, "engine", &need(&mut i)),
+            "--mem" => set(&mut meta.job, "mem", &need(&mut i)),
+            "--tiles" => set(&mut meta.job, "tiles", &need(&mut i)),
             "--hw" => {
-                meta.hw = match need(&mut i).as_str() {
-                    "default" => Hw::Default,
-                    "latency24" => Hw::Latency24,
-                    other => {
-                        eprintln!(
-                            "perf: unknown hw model `{other}` (expected default or latency24)"
-                        );
-                        std::process::exit(2);
-                    }
-                }
+                let name = need(&mut i);
+                meta.hw = *HW_MODELS.iter().find(|hw| hw.0 == name).unwrap_or_else(|| {
+                    eprintln!("perf: unknown hw model `{name}` (expected default or latency24)");
+                    std::process::exit(2);
+                })
             }
             "--reps" => {
                 meta.reps = need(&mut i).parse().unwrap_or_else(|_| {
@@ -970,16 +928,6 @@ fn main() {
                     eprintln!("perf: --jobs takes a positive integer");
                     std::process::exit(2);
                 })
-            }
-            "--tiles" => {
-                meta.tiles = need(&mut i).parse().unwrap_or_else(|_| {
-                    eprintln!("perf: --tiles takes an integer in 1..=8");
-                    std::process::exit(2);
-                });
-                if !(1..=8).contains(&meta.tiles) {
-                    eprintln!("perf: --tiles takes an integer in 1..=8");
-                    std::process::exit(2);
-                }
             }
             other => {
                 eprintln!(
@@ -994,15 +942,18 @@ fn main() {
         }
         i += 1;
     }
-    if check_path.is_some() && meta.hw != Hw::Default {
+    for (name, value) in meta.hw.1 {
+        set(&mut meta.job, name, &value.to_string());
+    }
+    if check_path.is_some() && meta.hw != HW_MODELS[0] {
         eprintln!("perf: --check requires --hw default (the baseline holds default-hw cycles)");
         std::process::exit(2);
     }
-    if check_path.is_some() && !meta.mem.is_flat() {
+    if check_path.is_some() && !meta.job.config.mem_model.is_flat() {
         eprintln!("perf: --check requires --mem flat (the baseline holds flat-memory cycles)");
         std::process::exit(2);
     }
-    if check_path.is_some() && meta.tiles > 1 {
+    if check_path.is_some() && meta.job.config.tiles > 1 {
         eprintln!("perf: --check requires --tiles 1 (the baseline holds single-tile cycles)");
         std::process::exit(2);
     }
@@ -1049,11 +1000,11 @@ fn main() {
     eprintln!(
         "perf: wrote {} results to {out} (engine {}, hw {}, {} reps, {} jobs, {} tile(s))",
         records.len(),
-        meta.engine,
-        meta.hw.name(),
+        meta.job.config.engine,
+        meta.hw.0,
         meta.reps,
         meta.jobs,
-        meta.tiles
+        meta.job.config.tiles
     );
 
     if let Some(path) = baseline_out {

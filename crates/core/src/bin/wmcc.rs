@@ -15,33 +15,31 @@
 //! wmcc prog.c --speculative-streams
 //! wmcc prog.c --tiles 4 --mem banked     partition across 4 cores
 //! ```
+//!
+//! The job flags are the settings of `wm_stream::driver::SETTINGS`, the
+//! same ones `wmd` accepts as job fields, so they compose in any order.
 
-use std::fmt::Debug;
-use std::ops::RangeInclusive;
 use std::process::ExitCode;
-use std::str::FromStr;
 use std::time::Duration;
 
-use wm_stream::driver::{deadline_token, JobSpec};
-use wm_stream::sim::{Engine, FaultPlan, SimError, FIFO_CAPACITY_RANGE, MEM_PORTS_RANGE};
-use wm_stream::{Compiler, MachineModel, MemModel, OptOptions, Target, WmConfig};
+use wm_stream::driver::{deadline_token, JobSpec, Kind, SETTINGS};
+use wm_stream::sim::SimError;
+use wm_stream::{Compiler, MachineModel, Target};
 
 struct Options {
     file: String,
     target: Target,
     machine: MachineModel,
-    opts: OptOptions,
+    /// The job's settings, entry, arguments and tile threads; its source
+    /// is read from `file` once the arguments are parsed.
+    job: JobSpec,
     emit: bool,
-    entry: String,
-    args: Vec<i64>,
-    config: WmConfig,
     stats: bool,
     stats_json: Option<String>,
     trace_head: usize,
     trace_chrome: Option<String>,
     deadline_ms: Option<u64>,
     error_json: Option<String>,
-    tile_threads: usize,
 }
 
 const USAGE: &str = "usage: wmcc FILE.c [--target wm|scalar] [--machine sun3|hp345|vax8600|m88100]
@@ -50,10 +48,14 @@ const USAGE: &str = "usage: wmcc FILE.c [--target wm|scalar] [--machine sun3|hp3
                [--trace N | --trace chrome:FILE]
                [--entry NAME] [--args N,N,...]
                [--mem-latency N] [--mem-ports N] [--fifo N] [--mem MODEL]
-               [--inject SPEC]
+               [--inject SPEC] [--max-cycles N]
                [--squash-penalty N] [--engine cycle|compiled]
                [--tiles N] [--tile-threads M] [--no-partition]
                [--deadline-ms N] [--error-json FILE]
+
+Flags may come in any order: --opt sets only what tells the levels apart,
+so a --noalias or --tiles given before it is kept. A flag given twice
+takes its last value.
 
   --opt LEVEL            optimization level (default full). The complete
                          set, documented only here:
@@ -153,6 +155,8 @@ const USAGE: &str = "usage: wmcc FILE.c [--target wm|scalar] [--machine sun3|hp3
                          #N's response by C cycles), drop:N (drop request
                          #N's response), scu:I:C (disable SCU I at cycle C)
                          and jitter:SEED:MAX (seeded latency jitter)
+  --max-cycles N         simulated-cycle limit (default 2000000000); a run
+                         that reaches it is reported as a timeout (exit 3)
   --deadline-ms N        cancel the simulation after N milliseconds of
                          wall-clock time (cooperative; distinct from the
                          simulated-cycle limit, which reports a timeout)
@@ -170,22 +174,6 @@ exit status: the program's return value (low 8 bits) on success, else
 fn usage() -> ! {
     eprintln!("{USAGE}");
     std::process::exit(2);
-}
-
-/// Parse the value of `flag`, which must lie in `range`; anything else is
-/// a usage error.
-fn in_range<T: FromStr + PartialOrd + Debug>(
-    flag: &str,
-    value: &str,
-    range: &RangeInclusive<T>,
-) -> T {
-    match value.parse() {
-        Ok(n) if range.contains(&n) => n,
-        _ => {
-            eprintln!("wmcc: {flag} {value} out of range ({range:?})");
-            usage()
-        }
-    }
 }
 
 /// Report a simulator failure with its machine-state dump (and, when
@@ -217,18 +205,14 @@ fn parse_args() -> Options {
         file: String::new(),
         target: Target::Wm,
         machine: MachineModel::sun_3_280(),
-        opts: OptOptions::all(),
+        job: JobSpec::new(String::new()),
         emit: false,
-        entry: "main".to_string(),
-        args: Vec::new(),
-        config: WmConfig::default(),
         stats: false,
         stats_json: None,
         trace_head: 0,
         trace_chrome: None,
         deadline_ms: None,
         error_json: None,
-        tile_threads: 0,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -258,22 +242,8 @@ fn parse_args() -> Options {
                     _ => usage(),
                 }
             }
-            "--opt" => o.opts = OptOptions::level(&need(&mut i)).unwrap_or_else(|| usage()),
-            "--noalias" => o.opts = o.opts.clone().assume_noalias(),
-            "--tiles" => {
-                let n = in_range("--tiles", &need(&mut i), &(1..=8));
-                o.config.tiles = n;
-                o.opts.tiles = n;
-            }
-            "--tile-threads" => o.tile_threads = need(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--no-partition" => o.opts = o.opts.clone().without_partition(),
-            "--vectorize" => o.opts = o.opts.clone().with_vectorization(),
-            "--speculative-streams" => o.opts = o.opts.clone().with_speculative_streams(),
-            "--inject" => {
-                o.config.fault_plan = FaultPlan::parse(&need(&mut i)).unwrap_or_else(|e| {
-                    eprintln!("wmcc: {e}");
-                    std::process::exit(2);
-                })
+            "--tile-threads" => {
+                o.job.tile_threads = need(&mut i).parse().unwrap_or_else(|_| usage())
             }
             "--trace" => {
                 let spec = need(&mut i);
@@ -293,40 +263,28 @@ fn parse_args() -> Options {
             "--error-json" => o.error_json = Some(need(&mut i)),
             "--stats" => o.stats = true,
             "--stats-json" => o.stats_json = Some(need(&mut i)),
-            "--entry" => o.entry = need(&mut i),
+            "--entry" => o.job.entry = need(&mut i),
             "--args" => {
-                o.args = need(&mut i)
+                o.job.args = need(&mut i)
                     .split(',')
                     .filter(|s| !s.is_empty())
                     .map(|s| s.parse().unwrap_or_else(|_| usage()))
                     .collect()
             }
-            "--engine" => {
-                o.config.engine = Engine::parse(&need(&mut i)).unwrap_or_else(|e| {
-                    eprintln!("wmcc: {e}");
-                    std::process::exit(2);
-                })
-            }
-            "--mem-latency" => {
-                o.config.mem_latency = need(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--mem-ports" => {
-                o.config.mem_ports = in_range("--mem-ports", &need(&mut i), &MEM_PORTS_RANGE)
-            }
-            "--fifo" => {
-                o.config.fifo_capacity = in_range("--fifo", &need(&mut i), &FIFO_CAPACITY_RANGE)
-            }
-            "--squash-penalty" => {
-                o.config.squash_penalty = need(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--mem" => {
-                o.config.mem_model = MemModel::parse(&need(&mut i)).unwrap_or_else(|e| {
-                    eprintln!("wmcc: {e}");
-                    std::process::exit(2);
-                })
-            }
-            f if !f.starts_with('-') && o.file.is_empty() => o.file = f.to_string(),
-            _ => usage(),
+            arg => match SETTINGS.iter().find(|s| s.flag == arg) {
+                Some(setting) => {
+                    let value = match setting.kind {
+                        Kind::Flag(cli, _) => cli.to_string(),
+                        _ => need(&mut i),
+                    };
+                    if let Err(e) = o.job.set(setting.name, &value) {
+                        eprintln!("wmcc: {arg}: {e}");
+                        std::process::exit(2);
+                    }
+                }
+                None if !arg.starts_with('-') && o.file.is_empty() => o.file = arg.to_string(),
+                None => usage(),
+            },
         }
         i += 1;
     }
@@ -337,8 +295,8 @@ fn parse_args() -> Options {
 }
 
 fn main() -> ExitCode {
-    let o = parse_args();
-    let source = match std::fs::read_to_string(&o.file) {
+    let mut o = parse_args();
+    o.job.source = match std::fs::read_to_string(&o.file) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("wmcc: cannot read {}: {e}", o.file);
@@ -347,8 +305,8 @@ fn main() -> ExitCode {
     };
     let compiled = match Compiler::new()
         .target(o.target)
-        .options(o.opts.clone())
-        .compile(&source)
+        .options(o.job.opts.clone())
+        .compile(&o.job.source)
     {
         Ok(c) => c,
         Err(e) => {
@@ -393,122 +351,8 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    let error_json = o.error_json.as_deref();
-    match o.target {
-        Target::Wm => {
-            // The daemon and the CLI share this code path (JobSpec): one
-            // definition of how a job compiles, starts and cancels.
-            let spec = JobSpec {
-                source,
-                opts: o.opts.clone(),
-                config: o.config.clone(),
-                entry: o.entry.clone(),
-                args: o.args.clone(),
-                tile_threads: o.tile_threads,
-            };
-            let cancel = o
-                .deadline_ms
-                .map(|ms| deadline_token(Duration::from_millis(ms)));
-            if o.config.tiles > 1 {
-                // Tiled runs go through the shared driver path (no
-                // per-instruction tracing across tiles yet).
-                if let Some(t) = &compiled.tiling {
-                    eprintln!(
-                        "wmcc: partitioned loop {} over [{}, {}) across {} tiles \
-                         ({} writeback region(s), {} carried scalar(s))",
-                        t.header, t.lo, t.hi, t.tiles, t.writebacks, t.carried
-                    );
-                } else if o.opts.partition {
-                    eprintln!(
-                        "wmcc: no loop qualified for partitioning; \
-                         tiles 1..{} will idle",
-                        o.config.tiles
-                    );
-                }
-                return match spec.simulate(&compiled, cancel.as_ref()) {
-                    Ok(r) => {
-                        if !r.output.is_empty() {
-                            print!("{}", String::from_utf8_lossy(&r.output));
-                        }
-                        if o.stats {
-                            eprint!("{}", r.perf);
-                        }
-                        if let Some(path) = &o.stats_json {
-                            if path == "-" {
-                                print!("{}", r.perf.to_json());
-                            } else if let Err(e) = std::fs::write(path, r.perf.to_json()) {
-                                eprintln!("wmcc: cannot write stats {path}: {e}");
-                                return ExitCode::from(1);
-                            }
-                        }
-                        eprintln!(
-                            "wmcc: {} cycles, {} instructions, returned {}",
-                            r.cycles,
-                            r.stats.instructions(),
-                            r.ret_int
-                        );
-                        ExitCode::from((r.ret_int & 0xff) as u8)
-                    }
-                    Err(e) => sim_failure(&e, error_json),
-                };
-            }
-            let mut machine = match spec.machine(&compiled, cancel.as_ref()) {
-                Ok(m) => m,
-                Err(e) => return sim_failure(&e, error_json),
-            };
-            if o.trace_head > 0 || o.trace_chrome.is_some() {
-                machine.set_trace(true);
-            }
-            if o.trace_chrome.is_some() {
-                machine.set_timeline(true);
-            }
-            let result = machine.run_to_completion();
-            if o.trace_head > 0 {
-                for ev in machine.trace().iter().take(o.trace_head) {
-                    eprintln!("{:>8}  {:<3}  {}", ev.cycle, ev.unit, ev.text);
-                }
-            }
-            if let Some(path) = &o.trace_chrome {
-                // Written even when the run faults: the partial timeline
-                // is exactly what you want when debugging a deadlock.
-                let json = wm_stream::trace::chrome_trace(
-                    machine.trace(),
-                    machine.timeline(),
-                    machine.ff_spans(),
-                );
-                if let Err(e) = std::fs::write(path, json) {
-                    eprintln!("wmcc: cannot write trace {path}: {e}");
-                    return ExitCode::from(1);
-                }
-            }
-            match result {
-                Ok(r) => {
-                    if !r.output.is_empty() {
-                        print!("{}", String::from_utf8_lossy(&r.output));
-                    }
-                    if o.stats {
-                        eprint!("{}", r.perf);
-                    }
-                    if let Some(path) = &o.stats_json {
-                        if path == "-" {
-                            print!("{}", r.perf.to_json());
-                        } else if let Err(e) = std::fs::write(path, r.perf.to_json()) {
-                            eprintln!("wmcc: cannot write stats {path}: {e}");
-                            return ExitCode::from(1);
-                        }
-                    }
-                    eprintln!(
-                        "wmcc: {} cycles, {} instructions, returned {}",
-                        r.cycles,
-                        r.stats.instructions(),
-                        r.ret_int
-                    );
-                    ExitCode::from((r.ret_int & 0xff) as u8)
-                }
-                Err(e) => sim_failure(&e, error_json),
-            }
-        }
-        Target::Scalar => match compiled.run_scalar(&o.entry, &o.args, &o.machine) {
+    if o.target == Target::Scalar {
+        return match compiled.run_scalar(&o.job.entry, &o.job.args, &o.machine) {
             Ok(r) => {
                 if !r.output.is_empty() {
                     print!("{}", String::from_utf8_lossy(&r.output));
@@ -527,6 +371,87 @@ fn main() -> ExitCode {
                     ExitCode::from(3)
                 }
             }
-        },
+        };
+    }
+    // The daemon and the CLI share this code path (JobSpec): one
+    // definition of how a job compiles, starts and cancels.
+    let error_json = o.error_json.as_deref();
+    let cancel = o
+        .deadline_ms
+        .map(|ms| deadline_token(Duration::from_millis(ms)));
+    let result = if o.job.config.tiles > 1 {
+        // Tiled runs go through the shared driver path (no
+        // per-instruction tracing across tiles yet).
+        if let Some(t) = &compiled.tiling {
+            eprintln!(
+                "wmcc: partitioned loop {} over [{}, {}) across {} tiles \
+                 ({} writeback region(s), {} carried scalar(s))",
+                t.header, t.lo, t.hi, t.tiles, t.writebacks, t.carried
+            );
+        } else if o.job.opts.partition {
+            eprintln!(
+                "wmcc: no loop qualified for partitioning; \
+                 tiles 1..{} will idle",
+                o.job.config.tiles
+            );
+        }
+        o.job.simulate(&compiled, cancel.as_ref())
+    } else {
+        let mut machine = match o.job.machine(&compiled, cancel.as_ref()) {
+            Ok(m) => m,
+            Err(e) => return sim_failure(&e, error_json),
+        };
+        if o.trace_head > 0 || o.trace_chrome.is_some() {
+            machine.set_trace(true);
+        }
+        if o.trace_chrome.is_some() {
+            machine.set_timeline(true);
+        }
+        let result = machine.run_to_completion();
+        if o.trace_head > 0 {
+            for ev in machine.trace().iter().take(o.trace_head) {
+                eprintln!("{:>8}  {:<3}  {}", ev.cycle, ev.unit, ev.text);
+            }
+        }
+        if let Some(path) = &o.trace_chrome {
+            // Written even when the run faults: the partial timeline
+            // is exactly what you want when debugging a deadlock.
+            let json = wm_stream::trace::chrome_trace(
+                machine.trace(),
+                machine.timeline(),
+                machine.ff_spans(),
+            );
+            if let Err(e) = std::fs::write(path, json) {
+                eprintln!("wmcc: cannot write trace {path}: {e}");
+                return ExitCode::from(1);
+            }
+        }
+        result
+    };
+    match result {
+        Ok(r) => {
+            if !r.output.is_empty() {
+                print!("{}", String::from_utf8_lossy(&r.output));
+            }
+            if o.stats {
+                eprint!("{}", r.perf);
+            }
+            if let Some(path) = &o.stats_json {
+                if path == "-" {
+                    print!("{}", r.perf.to_json());
+                } else if let Err(e) = std::fs::write(path, r.perf.to_json()) {
+                    eprintln!("wmcc: cannot write stats {path}: {e}");
+                    return ExitCode::from(1);
+                }
+            }
+            eprintln!(
+                "wmcc: {} cycles, {} instructions, returned {}",
+                r.cycles,
+                r.stats.instructions(),
+                r.ret_int
+            );
+            ExitCode::from((r.ret_int & 0xff) as u8)
+        }
+        Err(e) => sim_failure(&e, error_json),
     }
 }

@@ -8,12 +8,186 @@
 //! made code: both front ends construct one and drive it, so there is a
 //! single place where the pipeline order, the cancellation wiring and the
 //! cache-key material are defined.
+//!
+//! [`SETTINGS`] is the one definition of the settings a job can be given:
+//! `wmcc`'s job flags, `wmd`'s job fields and `perf`'s machine flags all
+//! go through [`JobSpec::set`], so the three cannot disagree on a name, a
+//! range or what a setting writes.
 
+use std::ops::RangeInclusive;
 use std::time::Duration;
 
-use wm_sim::{CancelToken, SimError};
+use wm_opt::AliasModel;
+use wm_sim::{
+    CancelToken, Engine, FaultPlan, MemModel, SimError, FIFO_CAPACITY_RANGE, MEM_PORTS_RANGE,
+    TILES_RANGE,
+};
 
 use crate::{Compiled, Compiler, Error, OptOptions, RunResult, WmConfig, WmMachine};
+
+/// A setting's value kind and legal values, and the function that
+/// writes a value into a job.
+#[derive(Debug)]
+pub enum Kind {
+    /// `true` or `false`. The `wmcc` flag takes no value and stands for
+    /// the `bool` given here.
+    Flag(bool, fn(&mut JobSpec, bool)),
+    /// A non-negative integer within the range.
+    Unsigned(RangeInclusive<u64>, fn(&mut JobSpec, u64)),
+    /// Text that the function parses and checks; the string names the
+    /// legal values.
+    Text(&'static str, fn(&mut JobSpec, &str) -> Result<(), String>),
+}
+
+impl Kind {
+    /// What a value of this kind is, as error messages name it.
+    pub fn noun(&self) -> &'static str {
+        match self {
+            Kind::Flag(..) => "a boolean",
+            Kind::Unsigned(..) => "a non-negative integer",
+            Kind::Text(..) => "a string",
+        }
+    }
+}
+
+/// One job setting: its `wmd` field, its `wmcc` flag, its value kind and
+/// range, and what it writes.
+#[derive(Debug)]
+pub struct Setting {
+    /// The `wmd` job field.
+    pub name: &'static str,
+    /// The `wmcc` flag.
+    pub flag: &'static str,
+    /// Value kind, range and writer.
+    pub kind: Kind,
+    /// What the setting writes, for documentation.
+    pub writes: &'static str,
+}
+
+const ANY: RangeInclusive<u64> = 0..=u64::MAX;
+
+/// Every setting that writes [`JobSpec::opts`] or [`JobSpec::config`].
+/// Applying them in any order gives the same job: `opt` changes only the
+/// switches that tell the levels apart.
+pub static SETTINGS: [Setting; 14] = [
+    Setting {
+        name: "opt",
+        flag: "--opt",
+        kind: Kind::Text("none, classical, recurrence, full, modulo", |j, v| {
+            if j.opts.set_level(v) {
+                Ok(())
+            } else {
+                let levels = OptOptions::LEVELS.join(", ");
+                Err(format!("`opt` must be one of {levels}"))
+            }
+        }),
+        writes: "the level switches of `opts` (`classical`, `code_motion`, \
+                 `dual_combine`, `recurrence`, `streaming`, `modulo`)",
+    },
+    Setting {
+        name: "noalias",
+        flag: "--noalias",
+        kind: Kind::Flag(true, |j, on| {
+            j.opts.alias = if on {
+                AliasModel::NoAlias
+            } else {
+                AliasModel::Conservative
+            };
+        }),
+        writes: "`opts.alias`",
+    },
+    Setting {
+        name: "vectorize",
+        flag: "--vectorize",
+        kind: Kind::Flag(true, |j, on| j.opts.vectorize = on),
+        writes: "`opts.vectorize`",
+    },
+    Setting {
+        name: "speculative_streams",
+        flag: "--speculative-streams",
+        kind: Kind::Flag(true, |j, on| j.opts.speculative_streams = on),
+        writes: "`opts.speculative_streams`",
+    },
+    Setting {
+        name: "partition",
+        flag: "--no-partition",
+        kind: Kind::Flag(false, |j, on| j.opts.partition = on),
+        writes: "`opts.partition`",
+    },
+    Setting {
+        name: "engine",
+        flag: "--engine",
+        kind: Kind::Text("compiled, cycle", |j, v| {
+            Engine::parse(v).map(|e| j.config.engine = e)
+        }),
+        writes: "`config.engine`",
+    },
+    Setting {
+        name: "mem",
+        flag: "--mem",
+        kind: Kind::Text("flat, cache[:k=v,...], banked[:k=v,...]", |j, v| {
+            MemModel::parse(v).map(|m| j.config.mem_model = m)
+        }),
+        writes: "`config.mem_model`",
+    },
+    Setting {
+        name: "mem_latency",
+        flag: "--mem-latency",
+        kind: Kind::Unsigned(ANY, |j, n| j.config.mem_latency = n),
+        writes: "`config.mem_latency`",
+    },
+    Setting {
+        name: "mem_ports",
+        flag: "--mem-ports",
+        kind: Kind::Unsigned(
+            *MEM_PORTS_RANGE.start() as u64..=*MEM_PORTS_RANGE.end() as u64,
+            |j, n| j.config.mem_ports = n as u32,
+        ),
+        writes: "`config.mem_ports`",
+    },
+    Setting {
+        name: "fifo",
+        flag: "--fifo",
+        kind: Kind::Unsigned(
+            *FIFO_CAPACITY_RANGE.start() as u64..=*FIFO_CAPACITY_RANGE.end() as u64,
+            |j, n| j.config.fifo_capacity = n as usize,
+        ),
+        writes: "`config.fifo_capacity`",
+    },
+    Setting {
+        name: "squash_penalty",
+        flag: "--squash-penalty",
+        kind: Kind::Unsigned(ANY, |j, n| j.config.squash_penalty = n),
+        writes: "`config.squash_penalty`",
+    },
+    Setting {
+        name: "max_cycles",
+        flag: "--max-cycles",
+        kind: Kind::Unsigned(ANY, |j, n| j.config.max_cycles = n),
+        writes: "`config.max_cycles`",
+    },
+    Setting {
+        name: "tiles",
+        flag: "--tiles",
+        kind: Kind::Unsigned(
+            *TILES_RANGE.start() as u64..=*TILES_RANGE.end() as u64,
+            |j, n| {
+                j.opts.tiles = n as usize;
+                j.config.tiles = n as usize;
+            },
+        ),
+        writes: "`opts.tiles` and `config.tiles`",
+    },
+    Setting {
+        name: "inject",
+        flag: "--inject",
+        kind: Kind::Text(
+            "comma-separated delay:N:C, drop:N, scu:I:C, jitter:SEED:MAX",
+            |j, v| FaultPlan::parse(v).map(|p| j.config.fault_plan = p),
+        ),
+        writes: "`config.fault_plan`",
+    },
+];
 
 /// Everything that determines a WM compile-and-simulate job's result:
 /// source text, optimizer options, machine configuration, entry point and
@@ -90,6 +264,33 @@ impl JobSpec {
             args: Vec::new(),
             tile_threads: 0,
         }
+    }
+
+    /// Apply the setting `name` (a [`Setting::name`]) with `value`
+    /// spelled as text: `true`/`false` for a flag, decimal for an
+    /// unsigned. The only code that range-checks or writes a setting.
+    ///
+    /// # Errors
+    ///
+    /// An unknown name, or a value of the wrong kind or out of range.
+    pub fn set(&mut self, name: &str, value: &str) -> Result<(), String> {
+        let setting = SETTINGS
+            .iter()
+            .find(|s| s.name == name)
+            .ok_or_else(|| format!("unknown setting `{name}`"))?;
+        let bad = || format!("`{name}` must be {}", setting.kind.noun());
+        match &setting.kind {
+            Kind::Flag(_, apply) => apply(self, value.parse().map_err(|_| bad())?),
+            Kind::Unsigned(range, apply) => {
+                let n = value.parse().map_err(|_| bad())?;
+                if !range.contains(&n) {
+                    return Err(format!("`{name}` must be in {range:?}, got {n}"));
+                }
+                apply(self, n);
+            }
+            Kind::Text(_, apply) => apply(self, value)?,
+        }
+        Ok(())
     }
 
     /// Compile the source for the WM.
@@ -244,6 +445,123 @@ mod tests {
         let mut c = a.clone();
         c.args = vec![3];
         assert_ne!(a.cache_key_material(), c.cache_key_material());
+    }
+
+    /// A value for `setting` that differs from the default job's.
+    fn sample(setting: &Setting) -> String {
+        match &setting.kind {
+            Kind::Flag(cli, _) => cli.to_string(),
+            Kind::Unsigned(..) => "3".to_string(),
+            Kind::Text(..) => match setting.name {
+                "engine" => "cycle",
+                "mem" => "cache",
+                "inject" => "drop:3",
+                other => panic!("no sample value for `{other}`"),
+            }
+            .to_string(),
+        }
+    }
+
+    #[test]
+    fn settings_compose_in_any_order_with_opt() {
+        for setting in SETTINGS.iter().filter(|s| s.name != "opt") {
+            let value = sample(setting);
+            for level in OptOptions::LEVELS {
+                let mut opt_only = JobSpec::new("int main() { return 0; }");
+                opt_only.set("opt", level).unwrap();
+                let mut after = opt_only.clone();
+                after.set(setting.name, &value).unwrap();
+                let mut before = JobSpec::new("int main() { return 0; }");
+                before.set(setting.name, &value).unwrap();
+                before.set("opt", level).unwrap();
+                let what = format!("{} {value} / opt {level}", setting.name);
+                assert_ne!(
+                    after.cache_key_material(),
+                    opt_only.cache_key_material(),
+                    "{what} changes the job"
+                );
+                assert_eq!(
+                    before.cache_key_material(),
+                    after.cache_key_material(),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_settings_reject_zero_and_one_past_the_end() {
+        for name in ["fifo", "mem_ports", "tiles"] {
+            let setting = SETTINGS.iter().find(|s| s.name == name).unwrap();
+            let Kind::Unsigned(range, _) = &setting.kind else {
+                panic!("`{name}` is unsigned");
+            };
+            let mut spec = JobSpec::new("");
+            let past = range.end() + 1;
+            for bad in [0, past] {
+                let e = spec.set(name, &bad.to_string()).unwrap_err();
+                assert_eq!(e, format!("`{name}` must be in {range:?}, got {bad}"));
+            }
+            spec.set(name, &range.end().to_string()).unwrap();
+        }
+    }
+
+    #[test]
+    fn tiles_writes_both_structs() {
+        let mut spec = JobSpec::new("");
+        spec.set("tiles", "4").unwrap();
+        assert_eq!((spec.opts.tiles, spec.config.tiles), (4, 4));
+    }
+
+    #[test]
+    fn malformed_values_are_rejected() {
+        let mut spec = JobSpec::new("");
+        let untouched = spec.cache_key_material();
+        for (name, value) in [
+            ("opt", "O2"),
+            ("noalias", "yes"),
+            ("fifo", "-1"),
+            ("mem_latency", "six"),
+            ("engine", "event"),
+            ("mem", "dram"),
+            ("inject", "explode:now"),
+            ("entry", "main"),
+        ] {
+            assert!(spec.set(name, value).is_err(), "{name} {value}");
+        }
+        assert_eq!(spec.cache_key_material(), untouched);
+        let e = spec.set("opt", "O2").unwrap_err();
+        assert_eq!(
+            e,
+            "`opt` must be one of none, classical, recurrence, full, modulo"
+        );
+        let Kind::Text(values, _) = &SETTINGS[0].kind else {
+            panic!("`opt` is text");
+        };
+        assert_eq!(*values, OptOptions::LEVELS.join(", "));
+    }
+
+    /// DESIGN.md's settings table is this module's table, row for row.
+    #[test]
+    fn design_doc_lists_every_setting() {
+        let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md"))
+            .unwrap();
+        for s in &SETTINGS {
+            let (flag, range) = match &s.kind {
+                Kind::Flag(cli, _) => (format!("`{}` = `{cli}`", s.flag), "boolean".into()),
+                Kind::Unsigned(range, _) if *range == ANY => {
+                    (format!("`{} N`", s.flag), "any".to_string())
+                }
+                Kind::Unsigned(range, _) => (format!("`{} N`", s.flag), format!("`{range:?}`")),
+                Kind::Text(values, _) => (format!("`{} X`", s.flag), values.to_string()),
+            };
+            let row = format!(
+                "| `{}` | {flag} | {range} | {} |",
+                s.name,
+                s.writes.split_whitespace().collect::<Vec<_>>().join(" ")
+            );
+            assert!(doc.contains(&row), "DESIGN.md lacks the row\n{row}");
+        }
     }
 
     #[test]

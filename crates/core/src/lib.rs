@@ -122,31 +122,12 @@ impl Compiler {
         self
     }
 
-    /// The configured optimizer options.
-    pub fn options_ref(&self) -> &OptOptions {
-        &self.options
-    }
-
     /// Compile mini-C `source` down to allocated machine code.
     ///
     /// # Errors
     ///
     /// Returns [`Error`] for source errors or allocation failures.
     pub fn compile(&self, source: &str) -> Result<Compiled, Error> {
-        self.compile_inner(source, true)
-    }
-
-    /// Compile, stopping *before* register allocation — useful for
-    /// inspecting optimizer output with virtual registers intact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Frontend`] for source errors.
-    pub fn compile_unallocated(&self, source: &str) -> Result<Compiled, Error> {
-        self.compile_inner(source, false)
-    }
-
-    fn compile_inner(&self, source: &str, allocate: bool) -> Result<Compiled, Error> {
         let mut module = wm_frontend::compile(source)?;
         // Global extents feed the streaming pass's over-fetch analysis
         // (computed up front: the per-function loop borrows mutably).
@@ -184,18 +165,14 @@ impl Compiler {
                     } else {
                         stats.push((f.name.clone(), s2));
                     }
-                    if allocate {
-                        wm_target::allocate_registers(f, wm_target::TargetKind::Wm)?;
-                    }
+                    wm_target::allocate_registers(f, wm_target::TargetKind::Wm)?;
                 }
                 Target::Scalar => {
-                    if self.options.strength_reduction {
+                    if self.options.classical {
                         wm_target::strength_reduce(f, self.options.alias);
                         wm_target::select_auto_increment(f);
                     }
-                    if allocate {
-                        wm_target::allocate_registers(f, wm_target::TargetKind::Scalar)?;
-                    }
+                    wm_target::allocate_registers(f, wm_target::TargetKind::Scalar)?;
                 }
             }
         }
@@ -231,12 +208,10 @@ impl Compiled {
         self.run_wm_config(entry, args, &WmConfig::default())
     }
 
-    /// Run on the WM cycle simulator with an explicit configuration.
-    ///
-    /// A config with `tiles > 1` runs on a [`wm_sim::TiledMachine`]
-    /// (one host thread per available CPU) and reports tile 0's
-    /// architectural results with the global cycle count; `tiles == 1`
-    /// takes the plain single-core path, byte for byte.
+    /// Run on the WM cycle simulator with an explicit configuration, via
+    /// [`wm_sim::TiledMachine::run`] (one host thread per available CPU):
+    /// tile 0's architectural results with the global cycle count, and
+    /// the plain single-core path at `tiles == 1`.
     ///
     /// # Errors
     ///
@@ -247,11 +222,8 @@ impl Compiled {
         args: &[i64],
         config: &WmConfig,
     ) -> Result<RunResult, wm_sim::SimError> {
-        if config.tiles > 1 {
-            return wm_sim::TiledMachine::run(&self.module, entry, args, config, 0)
-                .map(wm_sim::TiledRunResult::into_primary);
-        }
-        WmMachine::run(&self.module, entry, args, config)
+        wm_sim::TiledMachine::run(&self.module, entry, args, config, 0)
+            .map(wm_sim::TiledRunResult::into_primary)
     }
 
     /// Run on a scalar machine model.

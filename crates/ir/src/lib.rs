@@ -21,6 +21,7 @@
 //!   machines of Table I) and the *WM access/execute* form where loads
 //!   compute an address and deliver data through FIFO register 0/1;
 //! * [`Function`], [`Block`], [`Module`] — the control-flow container;
+//! * [`hw`] — the hardware facts the compiler and the simulator share;
 //! * a paper-style pretty printer (`Display` impls) so listings can be
 //!   compared with Figures 4, 5, 6 and 7 of the paper.
 //!
@@ -44,6 +45,7 @@ mod builder;
 mod display;
 mod expr;
 mod func;
+pub mod hw;
 mod inst;
 mod module;
 mod ops;

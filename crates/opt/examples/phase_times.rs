@@ -72,9 +72,7 @@ fn optimize(f: &mut Function, o: &OptOptions, extents: &GlobalExtents, t: &mut T
     t.run("hoist_invariants", || phases::hoist_invariants(f));
     cleanup(f, t);
     if o.recurrence {
-        t.run("optimize_recurrences", || {
-            optimize_recurrences(f, o.alias, o.max_recurrence_degree)
-        });
+        t.run("optimize_recurrences", || optimize_recurrences(f, o.alias));
         cleanup(f, t);
     }
     t.run("target::expand_wm", || wm_target::expand_wm(f));
@@ -84,20 +82,12 @@ fn optimize(f: &mut Function, o: &OptOptions, extents: &GlobalExtents, t: &mut T
         phases::eliminate_dead_load_pairs(f)
     });
     if o.vectorize {
-        t.run("vectorize_maps", || {
-            vectorize::vectorize_maps(f, o.alias, o.vector_length)
-        });
+        t.run("vectorize_maps", || vectorize::vectorize_maps(f, o.alias));
         cleanup(f, t);
     }
     if o.streaming {
         t.run("optimize_streams", || {
-            wm_opt::streaming::optimize_streams(
-                f,
-                o.alias,
-                o.stream_min_count,
-                extents,
-                o.speculative_streams,
-            )
+            wm_opt::streaming::optimize_streams(f, o.alias, extents, o.speculative_streams)
         });
         cleanup(f, t);
     }

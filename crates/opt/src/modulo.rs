@@ -53,9 +53,6 @@ const RAW_LATENCY: i64 = 2;
 /// Rounds simulated by the greedy-interval estimator (the last four
 /// deltas are averaged, past the warm-up transient).
 const EST_ROUNDS: usize = 12;
-/// Per-unit instruction-queue capacity modelled by the estimator
-/// (matches the simulator's `iq_capacity`).
-const IQ_CAPACITY: usize = 8;
 /// Most in-loop `WLoad`s allowed per FIFO: the kernel can run one
 /// iteration of loads ahead of the pops, and the in-FIFO must be able to
 /// buffer them without stalling (capacities of 4+ are safe).
@@ -567,7 +564,7 @@ fn greedy_interval(body: &[BodyInst], mem_latency: i64) -> u64 {
                 RegClass::Int => &mut ieu,
                 RegClass::Flt => &mut feu,
             };
-            if unit.queue.len() < IQ_CAPACITY {
+            if unit.queue.len() < wm_ir::hw::IQ_CAPACITY {
                 unit.queue.push_back(next);
                 next.1 += 1;
                 if next.1 == m {

@@ -17,18 +17,14 @@ use crate::streaming::{optimize_streams, GlobalExtents, StreamingReport};
 /// paper's Tables I and II do.
 #[derive(Debug, Clone)]
 pub struct OptOptions {
-    /// Constant folding and algebraic simplification.
-    pub constant_folding: bool,
-    /// Copy and single-def constant propagation.
-    pub copy_propagation: bool,
-    /// Local common-subexpression elimination.
-    pub cse: bool,
+    /// The classical phases: constant folding and algebraic
+    /// simplification, copy and single-def constant propagation, local
+    /// common-subexpression elimination, dead-code elimination,
+    /// control-flow simplification, and on the scalar target strength
+    /// reduction with auto-increment selection.
+    pub classical: bool,
     /// Loop-invariant code motion.
     pub code_motion: bool,
-    /// Dead-code elimination.
-    pub dead_code: bool,
-    /// Control-flow simplification (jump threading, block merging).
-    pub cfg_simplify: bool,
     /// The recurrence detection and optimization algorithm (Table I).
     pub recurrence: bool,
     /// The streaming optimization algorithm (Table II); applies to the WM
@@ -36,19 +32,11 @@ pub struct OptOptions {
     pub streaming: bool,
     /// Dual-operation instruction combining (WM).
     pub dual_combine: bool,
-    /// Strength reduction / auto-increment selection (scalar target).
-    pub strength_reduction: bool,
     /// Vectorize elementwise map loops onto the VEU (off by default so the
     /// streaming measurements match the paper's; enable explicitly).
     pub vectorize: bool,
-    /// VEU vector length N (must match `WmConfig::veu_length`).
-    pub vector_length: i64,
     /// Aliasing assumption used when partitioning memory references.
     pub alias: AliasModel,
-    /// Maximum recurrence degree to optimize (register budget).
-    pub max_recurrence_degree: i64,
-    /// Minimum statically-known trip count worth streaming (paper: > 3).
-    pub stream_min_count: i64,
     /// Keep streams the over-fetch analysis flags as able to run past
     /// their base global, relying on the machine's deferred-fault
     /// (poison) semantics; off by default, which degrades them to scalar
@@ -69,75 +57,69 @@ pub struct OptOptions {
     /// are reproducible on any host.
     pub modulo_budget: u64,
     /// Load-to-pop latency in cycles modelled by the modulo scheduler
-    /// (matches the simulator's default memory latency).
+    /// (default: the default machine's, [`wm_ir::hw::MEM_LATENCY`]).
     pub modulo_mem_latency: i64,
 }
 
 impl Default for OptOptions {
     fn default() -> OptOptions {
         OptOptions {
-            constant_folding: true,
-            copy_propagation: true,
-            cse: true,
+            classical: true,
             code_motion: true,
-            dead_code: true,
-            cfg_simplify: true,
             recurrence: true,
             streaming: true,
             dual_combine: true,
-            strength_reduction: true,
             vectorize: false,
-            vector_length: 32,
             alias: AliasModel::Conservative,
-            max_recurrence_degree: 4,
-            stream_min_count: 3,
             speculative_streams: false,
             partition: true,
             tiles: 1,
             modulo: false,
             modulo_budget: 20_000,
-            modulo_mem_latency: 6,
+            modulo_mem_latency: wm_ir::hw::MEM_LATENCY as i64,
         }
     }
 }
 
 impl OptOptions {
+    /// The optimization levels, weakest first, as `wmcc --opt` and the
+    /// `wmd` job field `opt` spell them.
+    pub const LEVELS: [&'static str; 5] = ["none", "classical", "recurrence", "full", "modulo"];
+
     /// Everything enabled (the default).
     pub fn all() -> OptOptions {
         OptOptions::default()
     }
 
-    /// The options of a named optimization level, as `wmcc --opt` and the
-    /// `wmd` job field `opt` spell them: `none`, `classical` (no
-    /// recurrence detection, no streaming), `recurrence` (no streaming),
-    /// `full` or `modulo` (full plus software pipelining). `None` for any
-    /// other name.
-    pub fn level(name: &str) -> Option<OptOptions> {
-        Some(match name {
-            "none" => OptOptions::none(),
-            "classical" => OptOptions::all().without_recurrence().without_streaming(),
-            "recurrence" => OptOptions::all().without_streaming(),
-            "full" => OptOptions::all(),
-            "modulo" => OptOptions::all().with_modulo(),
-            _ => return None,
-        })
-    }
-
     /// Everything disabled: the front end's naive code passes through.
     pub fn none() -> OptOptions {
-        OptOptions {
-            constant_folding: false,
-            copy_propagation: false,
-            cse: false,
-            code_motion: false,
-            dead_code: false,
-            cfg_simplify: false,
-            recurrence: false,
-            streaming: false,
-            dual_combine: false,
-            strength_reduction: false,
-            ..OptOptions::default()
-        }
+        let mut o = OptOptions::default();
+        o.set_rank(0);
+        o
+    }
+
+    /// Switch to a named level of [`OptOptions::LEVELS`]: `none`,
+    /// `classical` (no recurrence detection, no streaming), `recurrence`
+    /// (no streaming), `full` or `modulo` (full plus software
+    /// pipelining). Only the switches that tell the levels apart change,
+    /// so every other setting keeps its value. Returns `false`, changing
+    /// nothing, for any other name.
+    #[must_use]
+    pub fn set_level(&mut self, name: &str) -> bool {
+        let Some(rank) = Self::LEVELS.iter().position(|&l| l == name) else {
+            return false;
+        };
+        self.set_rank(rank);
+        true
+    }
+
+    fn set_rank(&mut self, rank: usize) {
+        self.classical = rank >= 1;
+        self.code_motion = rank >= 1;
+        self.dual_combine = rank >= 1;
+        self.recurrence = rank >= 2;
+        self.streaming = rank >= 3;
+        self.modulo = rank >= 4;
     }
 
     /// Classical optimizations only — the baseline the paper compares
@@ -177,13 +159,6 @@ impl OptOptions {
         self
     }
 
-    /// Disable the tile-partitioning pass (tiles still replicate the
-    /// whole program and run it redundantly).
-    pub fn without_partition(mut self) -> OptOptions {
-        self.partition = false;
-        self
-    }
-
     /// Enable solver-based optimal software pipelining of inner loops.
     pub fn with_modulo(mut self) -> OptOptions {
         self.modulo = true;
@@ -208,32 +183,21 @@ pub struct OptStats {
 
 const MAX_ROUNDS: usize = 12;
 
-fn cleanup_round(func: &mut Function, opts: &OptOptions) -> bool {
-    let mut changed = false;
-    if opts.constant_folding {
-        changed |= phases::fold_constants(func);
-        changed |= phases::fold_constant_branches(func);
-    }
-    if opts.copy_propagation {
-        changed |= phases::propagate_single_def_constants(func);
-        changed |= phases::propagate_copies(func);
-        changed |= phases::coalesce_copy_chains(func);
-    }
-    if opts.cse {
-        changed |= phases::eliminate_common_subexpressions(func);
-    }
-    if opts.dead_code {
-        changed |= phases::eliminate_dead_code(func);
-    }
-    if opts.cfg_simplify {
-        changed |= phases::simplify_cfg(func);
-    }
+fn cleanup_round(func: &mut Function) -> bool {
+    let mut changed = phases::fold_constants(func);
+    changed |= phases::fold_constant_branches(func);
+    changed |= phases::propagate_single_def_constants(func);
+    changed |= phases::propagate_copies(func);
+    changed |= phases::coalesce_copy_chains(func);
+    changed |= phases::eliminate_common_subexpressions(func);
+    changed |= phases::eliminate_dead_code(func);
+    changed |= phases::simplify_cfg(func);
     changed
 }
 
 fn cleanup(func: &mut Function, opts: &OptOptions) -> usize {
     let mut rounds = 0;
-    while rounds < MAX_ROUNDS && cleanup_round(func, opts) {
+    while opts.classical && rounds < MAX_ROUNDS && cleanup_round(func) {
         rounds += 1;
     }
     rounds
@@ -251,7 +215,7 @@ pub fn optimize_generic(func: &mut Function, opts: &OptOptions) -> OptStats {
         stats.iterations += cleanup(func, opts);
     }
     if opts.recurrence {
-        stats.recurrence = optimize_recurrences(func, opts.alias, opts.max_recurrence_degree);
+        stats.recurrence = optimize_recurrences(func, opts.alias);
         stats.iterations += cleanup(func, opts);
     }
     stats
@@ -279,28 +243,22 @@ pub fn optimize_wm_with(
         phases::hoist_invariants(func);
     }
     stats.iterations += cleanup(func, opts);
-    if opts.dead_code {
+    if opts.classical {
         phases::eliminate_dead_load_pairs(func);
     }
     if opts.vectorize {
-        stats.vector = crate::vectorize::vectorize_maps(func, opts.alias, opts.vector_length);
+        stats.vector = crate::vectorize::vectorize_maps(func, opts.alias);
         stats.iterations += cleanup(func, opts);
     }
     if opts.streaming {
-        stats.streaming = optimize_streams(
-            func,
-            opts.alias,
-            opts.stream_min_count,
-            extents,
-            opts.speculative_streams,
-        );
+        stats.streaming = optimize_streams(func, opts.alias, extents, opts.speculative_streams);
         stats.iterations += cleanup(func, opts);
     }
     if opts.dual_combine {
         let mut rounds = 0;
         while rounds < MAX_ROUNDS && phases::combine_duals(func) {
             rounds += 1;
-            if opts.dead_code {
+            if opts.classical {
                 phases::eliminate_dead_code(func);
             }
         }
@@ -323,8 +281,13 @@ mod tests {
     #[test]
     fn level_names_select_their_configurations() {
         let same = |name: &str, want: OptOptions| {
-            let got = OptOptions::level(name);
-            assert_eq!(format!("{got:?}"), format!("{:?}", Some(want)), "{name}");
+            // From every level, so no level leaves a switch of another.
+            for from in OptOptions::LEVELS {
+                let mut got = OptOptions::all();
+                assert!(got.set_level(from));
+                assert!(got.set_level(name));
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{from} -> {name}");
+            }
         };
         same("none", OptOptions::none());
         same(
@@ -334,7 +297,9 @@ mod tests {
         same("recurrence", OptOptions::all().without_streaming());
         same("full", OptOptions::all());
         same("modulo", OptOptions::all().with_modulo());
-        assert!(OptOptions::level("O2").is_none());
+        let mut o = OptOptions::all();
+        assert!(!o.set_level("O2"));
+        assert_eq!(format!("{o:?}"), format!("{:?}", OptOptions::all()));
     }
 
     #[test]

@@ -22,6 +22,11 @@ use crate::affine::{LoopAnalysis, Region};
 use crate::cfg::{ensure_preheader, natural_loops, Dominators};
 use crate::partition::{build_partitions, AliasModel};
 
+/// Highest recurrence degree optimized: a degree-`d` recurrence needs
+/// `d + 1` registers ("in general, you need one more register than the
+/// degree of the recurrence"), so partitions needing more are left alone.
+const MAX_DEGREE: i64 = 4;
+
 /// What the pass did, for reporting and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecurrenceReport {
@@ -33,16 +38,9 @@ pub struct RecurrenceReport {
     pub max_degree: i64,
 }
 
-/// Run the recurrence optimization on every innermost loop of `func`.
-///
-/// `max_degree` bounds the register cost: a degree-`d` recurrence needs
-/// `d + 1` registers ("in general, you need one more register than the
-/// degree of the recurrence"); partitions needing more are left alone.
-pub fn optimize_recurrences(
-    func: &mut Function,
-    alias: AliasModel,
-    max_degree: i64,
-) -> RecurrenceReport {
+/// Run the recurrence optimization on every innermost loop of `func`,
+/// up to recurrence degree 4.
+pub fn optimize_recurrences(func: &mut Function, alias: AliasModel) -> RecurrenceReport {
     let mut report = RecurrenceReport::default();
     // Loop discovery is repeated after each transformed loop because the
     // preheader insertion renumbers blocks.
@@ -73,7 +71,7 @@ pub fn optimize_recurrences(
             parts
                 .partitions
                 .iter()
-                .filter_map(|p| plan_partition(&la, p, max_degree))
+                .filter_map(|p| plan_partition(&la, p))
                 .collect::<Vec<Plan>>()
         };
         if plans.is_empty() {
@@ -111,11 +109,7 @@ struct Plan {
     w_off: i64,
 }
 
-fn plan_partition(
-    la: &LoopAnalysis<'_>,
-    p: &crate::partition::MemPartition,
-    max_degree: i64,
-) -> Option<Plan> {
+fn plan_partition(la: &LoopAnalysis<'_>, p: &crate::partition::MemPartition) -> Option<Plan> {
     if !p.safe {
         return None;
     }
@@ -154,7 +148,7 @@ fn plan_partition(
         return None;
     }
     let degree = pairs.iter().map(|p| p.distance).max().unwrap();
-    if degree > max_degree {
+    if degree > MAX_DEGREE {
         return None;
     }
     // The preheader loads need a power-of-two coefficient to form a scaled
@@ -349,7 +343,7 @@ mod tests {
     #[test]
     fn livermore5_loses_one_load() {
         let mut f = compile(LOOP5, "loop5");
-        let report = optimize_recurrences(&mut f, AliasModel::Conservative, 4);
+        let report = optimize_recurrences(&mut f, AliasModel::Conservative);
         assert_eq!(report.loops_transformed, 1);
         assert_eq!(report.loads_eliminated, 1);
         assert_eq!(report.max_degree, 1);
@@ -397,7 +391,7 @@ mod tests {
         ",
             "fib",
         );
-        let report = optimize_recurrences(&mut f, AliasModel::Conservative, 4);
+        let report = optimize_recurrences(&mut f, AliasModel::Conservative);
         assert_eq!(report.loads_eliminated, 2);
         assert_eq!(report.max_degree, 2);
         // zero loads remain in the loop; two initial loads in the preheader
@@ -447,7 +441,7 @@ mod tests {
         ",
             "f",
         );
-        let report = optimize_recurrences(&mut f, AliasModel::Conservative, 4);
+        let report = optimize_recurrences(&mut f, AliasModel::Conservative);
         assert_eq!(report.loads_eliminated, 0);
     }
 
@@ -463,11 +457,11 @@ mod tests {
         ";
         let mut f = compile(SRC, "f");
         // conservatively, p[i] may alias x: no transformation
-        let report = optimize_recurrences(&mut f, AliasModel::Conservative, 4);
+        let report = optimize_recurrences(&mut f, AliasModel::Conservative);
         assert_eq!(report.loads_eliminated, 0);
         // under no-alias the recurrence on x is optimized
         let mut f2 = compile(SRC, "f");
-        let report = optimize_recurrences(&mut f2, AliasModel::NoAlias, 4);
+        let report = optimize_recurrences(&mut f2, AliasModel::NoAlias);
         assert_eq!(report.loads_eliminated, 1);
     }
 
@@ -485,7 +479,7 @@ mod tests {
         ",
             "f",
         );
-        let report = optimize_recurrences(&mut f, AliasModel::Conservative, 4);
+        let report = optimize_recurrences(&mut f, AliasModel::Conservative);
         assert_eq!(
             report.loads_eliminated, 0,
             "write does not dominate the latch"
@@ -495,7 +489,7 @@ mod tests {
     #[test]
     fn transformed_code_still_has_the_store() {
         let mut f = compile(LOOP5, "loop5");
-        optimize_recurrences(&mut f, AliasModel::Conservative, 4);
+        optimize_recurrences(&mut f, AliasModel::Conservative);
         let stores = f
             .insts()
             .filter(|i| matches!(i.kind, InstKind::GStore { .. }))
@@ -524,7 +518,7 @@ mod tests {
         ",
             "f",
         );
-        let report = optimize_recurrences(&mut f, AliasModel::Conservative, 4);
+        let report = optimize_recurrences(&mut f, AliasModel::Conservative);
         assert_eq!(report.loads_eliminated, 1);
         // the store source register must be an integer vreg
         let src = f

@@ -26,6 +26,10 @@ use crate::cfg::{ensure_preheader, natural_loops, split_edge, Dominators};
 use crate::partition::{build_partitions_excluding, AliasModel};
 use crate::phases::mark_dead_code;
 
+/// The paper's Step 1 cutoff: loops whose statically known trip count is
+/// at or below this are not worth the stream setup.
+const MIN_STREAM_COUNT: i64 = 3;
+
 /// Byte extents of a module's data globals, for the over-fetch analysis.
 ///
 /// A stream that would touch addresses outside its base global is not a
@@ -371,17 +375,16 @@ fn filter_indirect_safety(
     }
 }
 
-/// Run the streaming optimization on every innermost loop of `func`.
+/// Run the streaming optimization on every innermost loop of `func`
+/// whose trip count is not statically known to be 3 or fewer.
 ///
-/// `min_count` is the paper's Step 1 cutoff: statically-known trip counts
-/// at or below 3 are not worth the stream setup. `extents` feeds the
-/// over-fetch analysis (pass [`GlobalExtents::empty`] to skip it);
-/// `speculative` keeps over-fetching in-streams, relying on the machine's
-/// deferred-fault (poison) semantics instead of degrading to scalar code.
+/// `extents` feeds the over-fetch analysis (pass [`GlobalExtents::empty`]
+/// to skip it); `speculative` keeps over-fetching in-streams, relying on
+/// the machine's deferred-fault (poison) semantics instead of degrading
+/// to scalar code.
 pub fn optimize_streams(
     func: &mut Function,
     alias: AliasModel,
-    min_count: i64,
     extents: &GlobalExtents,
     speculative: bool,
 ) -> StreamingReport {
@@ -404,7 +407,6 @@ pub fn optimize_streams(
             &lp,
             &dom,
             alias,
-            min_count,
             nested,
             extents,
             speculative,
@@ -420,7 +422,6 @@ fn stream_one_loop(
     lp: &crate::cfg::Loop,
     dom: &Dominators,
     alias: AliasModel,
-    min_count: i64,
     nested: bool,
     extents: &GlobalExtents,
     speculative: bool,
@@ -445,7 +446,7 @@ fn stream_one_loop(
         // stream.
         let static_count = latch.as_ref().and_then(|l| static_trip_count(&la, l));
         if let Some(n) = static_count {
-            if n <= min_count {
+            if n <= MIN_STREAM_COUNT {
                 return;
             }
         }
@@ -1070,23 +1071,13 @@ fn static_iv_init(la: &LoopAnalysis<'_>, iv: Reg) -> Option<i64> {
 
 /// Statically evaluate the trip count when both the bound and the IV's
 /// initial value are compile-time constants.
-fn static_trip_count(la: &LoopAnalysis<'_>, l: &LatchInfo) -> Option<i64> {
+pub(crate) fn static_trip_count(la: &LoopAnalysis<'_>, l: &LatchInfo) -> Option<i64> {
     let bound = l.bound.imm()?;
     let init = static_iv_init(la, l.iv.reg)?;
     if !l.iv.is_const_step() {
         return None;
     }
     trip_count_value(init, bound, l.iv.step, l.cmp)
-}
-
-/// Public wrapper over the private trip-count emitter, for the vectorizer.
-pub(crate) fn emit_trip_count_public(func: &mut Function, pre: Label, l: &LatchInfo) -> Operand {
-    emit_trip_count(func, pre, l)
-}
-
-/// Public wrapper over the private static-count analysis.
-pub(crate) fn static_trip_count_public(la: &LoopAnalysis<'_>, l: &LatchInfo) -> Option<i64> {
-    static_trip_count(la, l)
 }
 
 /// Closed-form trip count for `for (iv = init; …; iv += step)` with the
@@ -1106,7 +1097,7 @@ pub fn trip_count_value(init: i64, bound: i64, step: i64, cmp: CmpOp) -> Option<
 }
 
 /// Emit preheader code computing the dynamic trip count into a register.
-fn emit_trip_count(func: &mut Function, pre: Label, l: &LatchInfo) -> Operand {
+pub(crate) fn emit_trip_count(func: &mut Function, pre: Label, l: &LatchInfo) -> Operand {
     if let Some(step) = l.iv.step_reg {
         return emit_trip_count_symbolic(func, pre, l, step);
     }
@@ -1347,7 +1338,8 @@ fn emit_stride(func: &mut Function, pre: Label, plan: &StreamPlan) -> Operand {
     }
 }
 
-fn insert_before_jump(func: &mut Function, block: Label, kind: InstKind) {
+/// Insert `kind` immediately before `block`'s terminator.
+pub(crate) fn insert_before_jump(func: &mut Function, block: Label, kind: InstKind) {
     let id = func.new_inst_id();
     let b = func.block_mut(block);
     let at = b.insts.len().saturating_sub(1);

@@ -29,13 +29,13 @@
 use std::collections::{BTreeMap, HashSet};
 
 use wm_ir::{
-    DataFifo, Function, Inst, InstKind, Label, Module, Operand, RExpr, Reg, RegClass, SymId, Width,
+    DataFifo, Function, InstKind, Label, Module, Operand, RExpr, Reg, RegClass, SymId, Width,
 };
 
 use crate::affine::{analyze_latch, Affine, LoopAnalysis, Region};
 use crate::cfg::{natural_loops, Dominators, Loop};
 use crate::liveness::Liveness;
-use crate::streaming::trip_count_value;
+use crate::streaming::{insert_before_jump, trip_count_value};
 
 /// What the partitioning pass did, for `--stats` and tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -400,10 +400,11 @@ fn apply_slice(func: &mut Function, plan: &Plan, k: usize, tiles: usize) {
     }
     // Carried scalars flow in from tile k-1 just before the loop.
     if k > 0 {
+        let init_block = func.blocks[ibi].label;
         for &s in &plan.carried {
-            insert_before_terminator(
+            insert_before_jump(
                 func,
-                ibi,
+                init_block,
                 InstKind::ChanRecv {
                     peer: (k - 1) as u8,
                     dst: s,
@@ -542,14 +543,6 @@ fn apply_slice(func: &mut Function, plan: &Plan, k: usize, tiles: usize) {
             target: plan.exit_to,
         },
     );
-}
-
-/// Insert `kind` immediately before the block's terminator.
-fn insert_before_terminator(func: &mut Function, bi: usize, kind: InstKind) {
-    let id = func.new_inst_id();
-    let b = &mut func.blocks[bi];
-    let at = b.insts.len().saturating_sub(1);
-    b.insts.insert(at, Inst { id, kind });
 }
 
 /// The labels a terminator can transfer control to.

@@ -35,11 +35,15 @@
 //! conditionals, integer data) is left for the streaming pass, exactly the
 //! division of labor the paper describes.
 
-use wm_ir::{BinOp, CmpOp, Function, Inst, InstKind, Label, Operand, RExpr, Reg, RegClass, Width};
+use wm_ir::{BinOp, CmpOp, Function, InstKind, Label, Operand, RExpr, Reg, RegClass, Width};
 
 use crate::affine::{analyze_latch, LatchInfo, LoopAnalysis, Region};
 use crate::cfg::{ensure_preheader, natural_loops, Dominators};
 use crate::partition::{build_partitions, AliasModel};
+use crate::streaming::{emit_trip_count, insert_before_jump, static_trip_count};
+
+/// The VEU's vector length N: the elements in one vector group.
+const N: i64 = wm_ir::hw::VECTOR_LENGTH as i64;
 
 /// What the pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -58,9 +62,8 @@ enum MapInput {
 }
 
 /// Vectorize every eligible innermost map loop of `func` (WM-expanded
-/// form). `n` is the vector length (must match the simulator's
-/// `WmConfig::veu_length`).
-pub fn vectorize_maps(func: &mut Function, alias: AliasModel, n: i64) -> VectorReport {
+/// form) into groups of [`wm_ir::hw::VECTOR_LENGTH`] elements.
+pub fn vectorize_maps(func: &mut Function, alias: AliasModel) -> VectorReport {
     let mut report = VectorReport::default();
     let mut visited: Vec<Label> = Vec::new();
     loop {
@@ -72,7 +75,7 @@ pub fn vectorize_maps(func: &mut Function, alias: AliasModel, n: i64) -> VectorR
         let Some(lp) = candidate else { break };
         visited.push(func.blocks[lp.header].label);
         let lp = lp.clone();
-        if vectorize_one(func, &lp, &dom, alias, n) {
+        if vectorize_one(func, &lp, &dom, alias) {
             report.loops_vectorized += 1;
         }
     }
@@ -84,7 +87,6 @@ fn vectorize_one(
     lp: &crate::cfg::Loop,
     dom: &Dominators,
     alias: AliasModel,
-    n: i64,
 ) -> bool {
     // single-block loop only
     if lp.blocks.len() != 1 || lp.latches.len() != 1 {
@@ -113,19 +115,19 @@ fn vectorize_one(
     // count (elements) into a register
     let count = match plan.static_count {
         Some(c) => {
-            if c < 2 * n {
+            if c < 2 * N {
                 return false; // not worth a vector setup
             }
             Operand::Imm(c)
         }
-        None => super::streaming::emit_trip_count_public(func, pre, &plan.latch),
+        None => emit_trip_count(func, pre, &plan.latch),
     };
     // full := count / N ; fullN := full * N
-    let full = new_int(func, pre, RExpr::Bin(BinOp::Div, count, Operand::Imm(n)));
+    let full = new_int(func, pre, RExpr::Bin(BinOp::Div, count, Operand::Imm(N)));
     let full_n = new_int(
         func,
         pre,
-        RExpr::Bin(BinOp::Mul, full.into(), Operand::Imm(n)),
+        RExpr::Bin(BinOp::Mul, full.into(), Operand::Imm(N)),
     );
 
     // stream bases (the IV register still holds its initial value here)
@@ -436,7 +438,7 @@ fn recognize_map(
 
     let static_count = {
         // reuse the streaming pass's logic through the public helper
-        super::streaming::static_trip_count_public(la, &latch)
+        static_trip_count(la, &latch)
     };
     Some(MapPlan {
         inputs,
@@ -495,11 +497,4 @@ fn emit_region_base(func: &mut Function, pre: Label, region: Region, off: i64, i
         },
     );
     Operand::Reg(addr)
-}
-
-fn insert_before_jump(func: &mut Function, block: Label, kind: InstKind) {
-    let id = func.new_inst_id();
-    let b = func.block_mut(block);
-    let at = b.insts.len().saturating_sub(1);
-    b.insts.insert(at, Inst { id, kind });
 }

@@ -16,12 +16,10 @@
 //! The full schema is documented in `DESIGN.md` § "Service and
 //! supervision".
 
-use std::fmt::Debug;
-use std::ops::RangeInclusive;
-
+use wm_stream::driver::{Kind, SETTINGS};
 use wm_stream::json::{self, Value};
-use wm_stream::sim::{Engine, FaultPlan, MemModel, SimError, FIFO_CAPACITY_RANGE, MEM_PORTS_RANGE};
-use wm_stream::{JobSpec, OptOptions};
+use wm_stream::sim::SimError;
+use wm_stream::JobSpec;
 
 /// A deterministic panic-injection point, enabled only when the daemon
 /// runs with `--chaos`. This exists so the soak tests (and an operator
@@ -115,38 +113,18 @@ fn parse_request_value(v: &Value) -> Result<Request, String> {
         .to_string();
 
     let mut spec = JobSpec::new(source);
-    spec.opts = parse_opts(v)?;
-
-    if let Some(e) = v.get("engine") {
-        let s = e.as_str().ok_or("`engine` must be a string")?;
-        spec.config = spec.config.with_engine(Engine::parse(s)?);
-    }
-    if let Some(m) = v.get("mem") {
-        let s = m.as_str().ok_or("`mem` must be a string")?;
-        spec.config = spec.config.with_mem_model(MemModel::parse(s)?);
-    }
-    if let Some(n) = field_u64(v, "mem_latency")? {
-        spec.config = spec.config.with_mem_latency(n);
-    }
-    if let Some(n) = field_in(v, "mem_ports", &MEM_PORTS_RANGE)? {
-        spec.config = spec.config.with_mem_ports(n);
-    }
-    if let Some(n) = field_in(v, "fifo", &FIFO_CAPACITY_RANGE)? {
-        spec.config = spec.config.with_fifo_capacity(n);
-    }
-    if let Some(n) = field_u64(v, "max_cycles")? {
-        spec.config = spec.config.with_max_cycles(n);
-    }
-    if let Some(n) = field_u64(v, "tiles")? {
-        if !(1..=8).contains(&n) {
-            return Err("`tiles` must be in 1..=8".to_string());
-        }
-        spec.config = spec.config.with_tiles(n as usize);
-        spec.opts = spec.opts.with_tiles(n as usize);
-    }
-    if let Some(i) = v.get("inject") {
-        let s = i.as_str().ok_or("`inject` must be a string")?;
-        spec.config = spec.config.with_fault_plan(FaultPlan::parse(s)?);
+    for setting in &SETTINGS {
+        let Some(x) = v.get(setting.name) else {
+            continue;
+        };
+        let value = match setting.kind {
+            Kind::Flag(..) => x.as_bool().map(|b| b.to_string()),
+            Kind::Unsigned(..) => x.as_u64().map(|n| n.to_string()),
+            Kind::Text(..) => x.as_str().map(str::to_string),
+        };
+        let value =
+            value.ok_or_else(|| format!("`{}` must be {}", setting.name, setting.kind.noun()))?;
+        spec.set(setting.name, &value)?;
     }
     if let Some(e) = v.get("entry") {
         spec.entry = e.as_str().ok_or("`entry` must be a string")?.to_string();
@@ -184,26 +162,6 @@ fn parse_request_value(v: &Value) -> Result<Request, String> {
     })))
 }
 
-fn parse_opts(v: &Value) -> Result<OptOptions, String> {
-    let mut opts = match v.get("opt") {
-        None => OptOptions::all(),
-        Some(o) => o
-            .as_str()
-            .and_then(OptOptions::level)
-            .ok_or("`opt` must be one of none, classical, recurrence, full, modulo".to_string())?,
-    };
-    if field_bool(v, "noalias")? {
-        opts = opts.assume_noalias();
-    }
-    if field_bool(v, "vectorize")? {
-        opts = opts.with_vectorization();
-    }
-    if field_bool(v, "speculative_streams")? {
-        opts = opts.with_speculative_streams();
-    }
-    Ok(opts)
-}
-
 fn field_u64(v: &Value, key: &str) -> Result<Option<u64>, String> {
     match v.get(key) {
         None => Ok(None),
@@ -211,20 +169,6 @@ fn field_u64(v: &Value, key: &str) -> Result<Option<u64>, String> {
             .as_u64()
             .map(Some)
             .ok_or_else(|| format!("`{key}` must be a non-negative integer")),
-    }
-}
-
-/// An optional integer field that must lie in `range`.
-fn field_in<T>(v: &Value, key: &str, range: &RangeInclusive<T>) -> Result<Option<T>, String>
-where
-    T: TryFrom<u64> + PartialOrd + Debug,
-{
-    let Some(n) = field_u64(v, key)? else {
-        return Ok(None);
-    };
-    match T::try_from(n) {
-        Ok(x) if range.contains(&x) => Ok(Some(x)),
-        _ => Err(format!("`{key}` must be in {range:?}, got {n}")),
     }
 }
 
@@ -368,7 +312,8 @@ mod tests {
             r#"{"id": "j2", "source": "int f(int n) { return n; }", "opt": "classical",
                 "noalias": true, "engine": "compiled", "mem": "banked:banks=4",
                 "mem_latency": 9, "fifo": 16, "entry": "f", "args": [7],
-                "deadline_ms": 250, "no_cache": true, "inject": "drop:3"}"#,
+                "deadline_ms": 250, "no_cache": true, "inject": "drop:3",
+                "squash_penalty": 5, "partition": false, "tiles": 2}"#,
         )
         .unwrap();
         let Request::Job(j) = r else {
@@ -381,6 +326,9 @@ mod tests {
         assert_eq!(j.spec.config.engine.name(), "compiled");
         assert_eq!(j.spec.config.mem_model.name(), "banked");
         assert!(!j.spec.config.fault_plan.is_empty());
+        assert_eq!(j.spec.config.squash_penalty, 5);
+        assert!(!j.spec.opts.partition);
+        assert_eq!((j.spec.opts.tiles, j.spec.config.tiles), (2, 2));
     }
 
     #[test]

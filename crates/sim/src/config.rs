@@ -18,6 +18,10 @@ pub const FIFO_CAPACITY_RANGE: RangeInclusive<usize> = 1..=1024;
 /// allocation.
 pub const MEM_PORTS_RANGE: RangeInclusive<u32> = 1..=64;
 
+/// Legal tile counts ([`WmConfig::tiles`]): the channel fabric addresses
+/// peers with a 3-bit tile id.
+pub const TILES_RANGE: RangeInclusive<usize> = 1..=8;
+
 /// Deterministic fault-injection plan: degrade the simulated hardware in
 /// reproducible ways to exercise the deadlock detector and the stall
 /// accounting rather than only the happy path.
@@ -108,9 +112,6 @@ pub struct WmConfig {
     pub scu_setup: u64,
     /// Number of stream control units.
     pub num_scus: usize,
-    /// Vector length N of the VEU's registers (must match the compiler's
-    /// `OptOptions::vector_length`).
-    pub veu_length: usize,
     /// VEU lanes: elements processed per cycle by one vector instruction.
     pub veu_lanes: usize,
     /// Bytes of simulated memory.
@@ -164,15 +165,14 @@ pub struct WmConfig {
 impl Default for WmConfig {
     fn default() -> WmConfig {
         WmConfig {
-            mem_latency: 6,
+            mem_latency: wm_ir::hw::MEM_LATENCY,
             mem_ports: 2,
             fifo_capacity: 8,
             cc_capacity: 8,
-            iq_capacity: 16,
+            iq_capacity: wm_ir::hw::IQ_CAPACITY,
             store_queue: 8,
             scu_setup: 4,
             num_scus: 4,
-            veu_length: 32,
             veu_lanes: 4,
             memory_size: 16 << 20,
             io_latency: 20,
@@ -271,39 +271,17 @@ impl WmConfig {
 
     /// A configuration with `n` tiles.
     ///
-    /// Valid range: `1..=8` (the channel fabric addresses peers with a
-    /// 3-bit tile id).
+    /// Valid range: [`TILES_RANGE`].
     ///
     /// # Panics
     ///
-    /// Panics if `n` is 0 or above 8.
+    /// Panics if `n` is outside [`TILES_RANGE`].
     pub fn with_tiles(mut self, n: usize) -> WmConfig {
         assert!(
-            (1..=8).contains(&n),
-            "with_tiles: tiles must be 1..=8, got {n}"
+            TILES_RANGE.contains(&n),
+            "with_tiles: tiles must be in {TILES_RANGE:?}, got {n}"
         );
         self.tiles = n;
-        self
-    }
-
-    /// A configuration with a different channel crossing latency. Any
-    /// value is valid; `0` delivers at the routing barrier itself.
-    pub fn with_chan_latency(mut self, cycles: u64) -> WmConfig {
-        self.chan_latency = cycles;
-        self
-    }
-
-    /// A configuration with a different synchronization-epoch length.
-    ///
-    /// Valid range: `epoch >= 1` (a zero-length epoch could never make
-    /// progress between barriers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycles == 0`.
-    pub fn with_chan_epoch(mut self, cycles: u64) -> WmConfig {
-        assert!(cycles >= 1, "with_chan_epoch: epoch must be >= 1, got 0");
-        self.chan_epoch = cycles;
         self
     }
 

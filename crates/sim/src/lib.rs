@@ -54,7 +54,7 @@ mod stats;
 mod tiled;
 
 pub use cancel::CancelToken;
-pub use config::{FaultPlan, WmConfig, FIFO_CAPACITY_RANGE, MEM_PORTS_RANGE};
+pub use config::{FaultPlan, WmConfig, FIFO_CAPACITY_RANGE, MEM_PORTS_RANGE, TILES_RANGE};
 pub use decode::DecodedProgram;
 pub use fastforward::{Engine, FfSpan};
 pub use fault::{

@@ -2,6 +2,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use wm_ir::hw::VECTOR_LENGTH;
 use wm_ir::{
     BinOp, DataFifo, GlobalKind, InstKind, Module, Operand, RExpr, Reg, RegClass, SymId, UnOp,
     Width,
@@ -589,7 +590,7 @@ impl<'m> WmMachine<'m> {
             mem,
             ieu,
             feu: Unit::new(RegClass::Flt),
-            veu: Veu::new(config.veu_length),
+            veu: Veu::new(VECTOR_LENGTH),
             scus: vec![Scu::inert(); config.num_scus],
             store_q: VecDeque::new(),
             in_flight: VecDeque::new(),
@@ -1710,7 +1711,7 @@ impl<'m> WmMachine<'m> {
             return Ok(Outcome::Idle);
         };
         let head: &'m InstKind = self.prog.insts[idx as usize].kind;
-        let n = self.config.veu_length;
+        let n = VECTOR_LENGTH;
         let lanes = self.config.veu_lanes.max(1);
         let op_cycles = (n as u64).div_ceil(lanes as u64);
         match head {

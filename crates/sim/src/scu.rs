@@ -15,6 +15,7 @@
 //! * the store-queue drain and the out-stream pop, which share the one
 //!   rule deciding who owns a unit's output FIFO: program order.
 
+use wm_ir::hw::VECTOR_LENGTH;
 use wm_ir::{DataFifo, InstKind, Operand, RegClass, Width};
 
 use crate::fault::{FaultKind, FaultUnit};
@@ -748,7 +749,7 @@ impl WmMachine<'_> {
             }
             StreamTarget::Veu(port) => {
                 let p = port as usize;
-                self.veu.ports[p].len() + self.veu.pending[p] >= 2 * self.config.veu_length
+                self.veu.ports[p].len() + self.veu.pending[p] >= 2 * VECTOR_LENGTH
             }
         }
     }

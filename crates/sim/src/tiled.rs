@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 use wm_ir::Module;
 
 use crate::cancel::CancelToken;
-use crate::config::WmConfig;
+use crate::config::{WmConfig, TILES_RANGE};
 use crate::machine::{Poison, RunResult, RxEntry, SimError, WmMachine, DEADLOCK_WINDOW};
 
 /// The completed run of every tile of a tiled machine.
@@ -77,9 +77,9 @@ impl<'m> TiledMachine<'m> {
         threads: usize,
     ) -> Result<TiledMachine<'m>, SimError> {
         let tiles = config.tiles;
-        if !(1..=8).contains(&tiles) {
+        if !TILES_RANGE.contains(&tiles) {
             return Err(SimError::BadProgram(format!(
-                "tile count {tiles} out of range (1..=8)"
+                "tile count {tiles} out of range ({TILES_RANGE:?})"
             )));
         }
         let mut machines = Vec::with_capacity(tiles);

@@ -34,26 +34,25 @@
 //! perf --hw default|latency24      hardware model (latency24 = 24-cycle
 //!                                  memory, one port: the degraded config)
 //! perf --mem MODEL                 memory-system model (flat, cache[:k=v,..]
-//!                                  or banked[:k=v,..]; see `wmcc --help`);
-//!                                  recorded in the output, and --check is
-//!                                  refused unless flat since the baseline
-//!                                  holds flat-memory cycles
+//!                                  or banked[:k=v,..]; see `wmcc --help`)
 //! perf --out FILE                  write results to FILE instead
-//! perf --check bench/baseline.json fail (exit 1) if any workload's cycles
+//! perf --check BASELINE            fail (exit 1) if any workload's cycles
 //!                                  regressed >2% against the baseline, or
 //!                                  if its emitted code (static instruction
 //!                                  count and listing digest) or its
 //!                                  counter document's digest differs where
 //!                                  the baseline records them; a failure
 //!                                  prints every pair's cycle delta
-//!                                  (baseline/now/%) to localize the damage
+//!                                  (baseline/now/%) to localize the damage.
+//!                                  Refused (exit 2) unless the run's leg
+//!                                  is the baseline's
 //! perf --compare FILE              fail (exit 1) unless every cycle count,
 //!                                  and every counter where both runs
 //!                                  record them, matches FILE exactly (the
 //!                                  engine-equivalence gate); records the
 //!                                  wall-time speedup vs FILE in the output
 //! perf --write-baseline FILE       write the cycle, code and counter
-//!                                  baseline for --check
+//!                                  baseline for --check, with the run's leg
 //! ```
 //!
 //! Every run that measures both the streaming and modulo configs also
@@ -61,13 +60,16 @@
 //! the greedy schedule loop-by-loop, so a modulo row with more cycles
 //! than its streaming row on any workload fails the run (exit 1).
 //!
-//! Cycle counts are engine-independent by design, so `--check` works
-//! under either engine; it is refused under `--hw latency24` because the
-//! baseline holds default-hardware cycles. To re-baseline intentionally
-//! after a simulator change:
+//! A *leg* is one point of CI's sim-matrix: the suite, the `--hw` model,
+//! the `--mem` spec and the tile count. Every leg has its own baseline,
+//! `bench/baseline/<leg>.json`, which records the leg it pins. Cycle
+//! counts, code and counters are engine-independent by design, so
+//! `--check` works under either engine. To re-baseline a leg
+//! intentionally after a simulator change, run it with its own flags:
 //!
 //! ```text
-//! cargo run --release -p wm-bench --bin perf -- --fast --write-baseline bench/baseline.json
+//! cargo run --release -p wm-bench --bin perf -- --fast --hw latency24 --mem flat --tiles 1 \
+//!     --write-baseline bench/baseline/latency24.json
 //! ```
 
 use std::fmt::Write as _;
@@ -196,6 +198,79 @@ enum SuiteSel {
     /// The sparse (indirect-stream) kernels only: the CI `sim-matrix`
     /// sparse legs' set, where gathers and scatters dominate.
     Sparse,
+}
+
+impl SuiteSel {
+    /// The suite's name in a [`Leg`], and its flag (`--fast`, `--sparse`;
+    /// the full suite is the default and has none).
+    fn name(self) -> &'static str {
+        match self {
+            SuiteSel::Full => "full",
+            SuiteSel::Fast => "fast",
+            SuiteSel::Sparse => "sparse",
+        }
+    }
+}
+
+/// The point of the run space a baseline pins: suite, `--hw` model,
+/// canonical `--mem` spec and tile count. Runs of one leg agree on every
+/// cycle, code and counter pin under either engine.
+#[derive(Debug, PartialEq)]
+struct Leg {
+    suite: String,
+    hw: String,
+    mem: String,
+    tiles: u64,
+}
+
+impl Leg {
+    fn of(sel: SuiteSel, meta: &Meta) -> Leg {
+        Leg {
+            suite: sel.name().to_string(),
+            hw: meta.hw.0.to_string(),
+            mem: meta.job.config.mem_model.to_string(),
+            tiles: meta.job.config.tiles as u64,
+        }
+    }
+
+    /// The leg a baseline document records.
+    fn parse(doc: &Value) -> Result<Leg, String> {
+        let leg = doc.get("leg").ok_or("baseline records no \"leg\"")?;
+        let field = |k: &str| {
+            leg.get(k)
+                .and_then(Value::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("baseline leg has no \"{k}\""))
+        };
+        Ok(Leg {
+            suite: field("suite")?,
+            hw: field("hw")?,
+            mem: field("mem")?,
+            tiles: leg
+                .get("tiles")
+                .and_then(Value::as_u64)
+                .ok_or("baseline leg has no \"tiles\"")?,
+        })
+    }
+
+    fn to_json(&self) -> String {
+        format!(
+            "{{\"suite\": \"{}\", \"hw\": \"{}\", \"mem\": \"{}\", \"tiles\": {}}}",
+            self.suite, self.hw, self.mem, self.tiles
+        )
+    }
+
+    /// The `perf` flags that select this leg.
+    fn flags(&self) -> String {
+        let suite = match self.suite.as_str() {
+            "full" => String::new(),
+            s => format!("--{s} "),
+        };
+        format!(
+            "{suite}--hw {} --mem {} --tiles {}",
+            self.hw, self.mem, self.tiles
+        )
+    }
 }
 
 fn suite(sel: SuiteSel) -> Vec<Workload> {
@@ -541,9 +616,13 @@ fn run_suite_wmd(sel: SuiteSel, meta: &mut Meta, wmd_bin: &str) -> Vec<RunRecord
 fn results_json(
     records: &[RunRecord],
     with_counters: bool,
+    leg: &Leg,
     meta: Option<(&Meta, Option<f64>)>,
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"wm-bench-perf-v1\",\n");
+    let mut out = format!(
+        "{{\n  \"schema\": \"wm-bench-perf-v1\",\n  \"leg\": {},\n",
+        leg.to_json()
+    );
     if let Some((m, speedup)) = meta {
         out.push_str(&format!(
             "  \"engine\": \"{}\",\n  \"hw\": \"{}\",\n  \"mem\": \"{}\",\n  \
@@ -945,18 +1024,30 @@ fn main() {
     for (name, value) in meta.hw.1 {
         set(&mut meta.job, name, &value.to_string());
     }
-    if check_path.is_some() && meta.hw != HW_MODELS[0] {
-        eprintln!("perf: --check requires --hw default (the baseline holds default-hw cycles)");
-        std::process::exit(2);
-    }
-    if check_path.is_some() && !meta.job.config.mem_model.is_flat() {
-        eprintln!("perf: --check requires --mem flat (the baseline holds flat-memory cycles)");
-        std::process::exit(2);
-    }
-    if check_path.is_some() && meta.job.config.tiles > 1 {
-        eprintln!("perf: --check requires --tiles 1 (the baseline holds single-tile cycles)");
-        std::process::exit(2);
-    }
+    let leg = Leg::of(sel, &meta);
+    // A baseline pins one leg: refuse to check any other against it.
+    let baseline = check_path.map(|path| {
+        let src = std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read baseline {path}: {e}"))
+            .and_then(|src| {
+                let pinned = json::parse(&src)
+                    .and_then(|doc| Leg::parse(&doc))
+                    .map_err(|e| format!("bad baseline {path}: {e}"))?;
+                if pinned != leg {
+                    return Err(format!(
+                        "--check: this run's leg ({}) is not the one {path} pins ({})",
+                        leg.flags(),
+                        pinned.flags()
+                    ));
+                }
+                Ok(src)
+            })
+            .unwrap_or_else(|e| {
+                eprintln!("perf: {e}");
+                std::process::exit(2);
+            });
+        (path, src)
+    });
     if meta.reps == 0 {
         eprintln!("perf: --reps must be at least 1");
         std::process::exit(2);
@@ -992,7 +1083,7 @@ fn main() {
     let with_counters = wmd_bin.is_none();
     if let Err(e) = std::fs::write(
         &out,
-        results_json(&records, with_counters, Some((&meta, speedup))),
+        results_json(&records, with_counters, &leg, Some((&meta, speedup))),
     ) {
         eprintln!("perf: cannot write {out}: {e}");
         std::process::exit(2);
@@ -1008,18 +1099,14 @@ fn main() {
     );
 
     if let Some(path) = baseline_out {
-        if let Err(e) = std::fs::write(&path, results_json(&records, false, None)) {
+        if let Err(e) = std::fs::write(&path, results_json(&records, false, &leg, None)) {
             eprintln!("perf: cannot write baseline {path}: {e}");
             std::process::exit(2);
         }
         eprintln!("perf: wrote baseline to {path}");
     }
 
-    if let Some(path) = check_path {
-        let src = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("perf: cannot read baseline {path}: {e}");
-            std::process::exit(2);
-        });
+    if let Some((path, src)) = baseline {
         match check(&records, &src) {
             Err(e) => {
                 eprintln!("perf: bad baseline {path}: {e}");
@@ -1044,10 +1131,11 @@ fn main() {
                 }
                 eprintln!(
                     "perf: {} regression(s), {} code change(s), {} counter change(s); to accept intentionally, re-baseline with:\n\
-                     perf:   cargo run --release -p wm-bench --bin perf -- --fast --write-baseline bench/baseline.json",
+                     perf:   cargo run --release -p wm-bench --bin perf -- {} --write-baseline {path}",
                     report.failures.len(),
                     report.code_changes.len(),
-                    report.counter_changes.len()
+                    report.counter_changes.len(),
+                    leg.flags()
                 );
                 std::process::exit(1);
             }
@@ -1123,6 +1211,36 @@ mod tests {
         format!(
             r#"{{"results": [{{"workload": "sieve", "config": "scalar", "cycles": 10, "wall_ms": 2.0{c}}}]}}"#
         )
+    }
+
+    fn flat() -> Leg {
+        Leg {
+            suite: "fast".to_string(),
+            hw: "default".to_string(),
+            mem: "flat".to_string(),
+            tiles: 1,
+        }
+    }
+
+    #[test]
+    fn a_baseline_records_the_leg_it_pins() {
+        let leg = Leg {
+            hw: "latency24".to_string(),
+            tiles: 2,
+            ..flat()
+        };
+        let written = results_json(&[record(COUNTERS)], false, &leg, None);
+        assert_eq!(Leg::parse(&json::parse(&written).unwrap()), Ok(leg));
+        assert_ne!(Leg::parse(&json::parse(&written).unwrap()), Ok(flat()));
+        // a document without a leg cannot be checked against
+        assert!(Leg::parse(&json::parse(&doc(None)).unwrap()).is_err());
+        // the re-baseline hint selects the same leg again
+        assert_eq!(flat().flags(), "--fast --hw default --mem flat --tiles 1");
+        let full = Leg {
+            suite: "full".to_string(),
+            ..flat()
+        };
+        assert_eq!(full.flags(), "--hw default --mem flat --tiles 1");
     }
 
     #[test]
@@ -1229,7 +1347,7 @@ mod tests {
         assert!(check(&[record(&moved)], &doc(None)).unwrap().passed());
         assert!(check(&[record("")], &pinned(&ours)).unwrap().passed());
         // the baseline writer records the digest next to the cycles
-        let written = results_json(&[record(COUNTERS)], false, None);
+        let written = results_json(&[record(COUNTERS)], false, &flat(), None);
         assert!(
             written.contains(&format!("\"counters_fnv1a\": \"{ours}\"")),
             "{written}"

@@ -144,25 +144,43 @@ fn hierarchy_counters_round_trip_through_the_hand_parser() {
 
 #[test]
 fn perf_baseline_document_shape_parses() {
-    // The same parser reads bench/baseline.json in CI; keep the checked-in
-    // file parseable and structurally sound.
-    let src = include_str!("../../../bench/baseline.json");
-    let doc = json::parse(src).expect("baseline parses");
-    let results = doc.get("results").unwrap().as_arr().unwrap();
-    assert!(!results.is_empty());
-    for e in results {
-        assert!(e.get("workload").unwrap().as_str().is_some());
-        assert!(e.get("config").unwrap().as_str().is_some());
-        assert!(e.get("cycles").unwrap().as_u64().unwrap() > 0);
-        // the code pin: static instruction count and listing digest; the
-        // counter pin: digest of the pair's counter document
-        assert!(e.get("insts").unwrap().as_u64().unwrap() > 0);
-        for key in ["code_fnv1a", "counters_fnv1a"] {
-            let fnv = e.get(key).unwrap().as_str().unwrap();
+    // The same parser reads every bench/baseline/<leg>.json in CI; keep
+    // each checked-in file parseable and structurally sound, and named
+    // after a leg it records.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench/baseline");
+    let mut legs = 0;
+    for file in std::fs::read_dir(&dir).expect("bench/baseline exists") {
+        let path = file.expect("readable entry").path();
+        let name = path.display();
+        let src = std::fs::read_to_string(&path).expect("readable baseline");
+        let doc = json::parse(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let leg = doc.get("leg").unwrap_or_else(|| panic!("{name}: no leg"));
+        for key in ["suite", "hw", "mem"] {
             assert!(
-                fnv.len() == 16 && fnv.bytes().all(|b| b.is_ascii_hexdigit()),
-                "{key}"
+                leg.get(key).unwrap().as_str().is_some(),
+                "{name}: leg {key}"
             );
         }
+        assert!(leg.get("tiles").unwrap().as_u64().unwrap() >= 1, "{name}");
+        let results = doc.get("results").unwrap().as_arr().unwrap();
+        assert!(!results.is_empty(), "{name}");
+        for e in results {
+            assert!(e.get("workload").unwrap().as_str().is_some());
+            assert!(e.get("config").unwrap().as_str().is_some());
+            assert!(e.get("cycles").unwrap().as_u64().unwrap() > 0);
+            // the code pin: static instruction count and listing digest;
+            // the counter pin: digest of the pair's counter document
+            assert!(e.get("insts").unwrap().as_u64().unwrap() > 0);
+            for key in ["code_fnv1a", "counters_fnv1a"] {
+                let fnv = e.get(key).unwrap().as_str().unwrap();
+                assert!(
+                    fnv.len() == 16 && fnv.bytes().all(|b| b.is_ascii_hexdigit()),
+                    "{name}: {key}"
+                );
+            }
+        }
+        legs += 1;
     }
+    // one baseline per CI sim-matrix leg
+    assert_eq!(legs, 9, "bench/baseline holds {legs} legs");
 }

@@ -9,7 +9,7 @@
 //! wmcc prog.c --mem-latency 24 --mem-ports 1
 //! wmcc prog.c --mem cache:size=16384,miss=32
 //! wmcc prog.c --mem banked:banks=4,busy=8 --stats
-//! wmcc prog.c --engine cycle          run the per-cycle reference interpreter
+//! wmcc prog.c --engine cycle          run the per-cycle reference stepper
 //! wmcc prog.c --entry kernel --args 100,7
 //! wmcc prog.c --inject drop:3,jitter:42:5
 //! wmcc prog.c --speculative-streams
@@ -101,12 +101,13 @@ takes its last value.
   --squash-penalty N     recovery cycles charged when a misspeculated
                          stream is squashed (default 0); shows up in
                          --stats as SpecSquash stall cycles
-  --engine NAME          simulation engine (default compiled): `compiled`
-                         executes pre-decoded threaded-dispatch tables and
-                         fast-forwards over spans where every unit is
-                         stalled or idle; `cycle` is the reference that
-                         interprets every unit every cycle. Both produce
-                         bit-identical cycle counts and statistics
+  --engine NAME          simulation engine (default compiled); both
+                         execute pre-decoded threaded-dispatch tables.
+                         `compiled` skips idle units and fast-forwards
+                         over spans where every unit is stalled or idle;
+                         `cycle` is the reference that steps every unit
+                         every cycle. Both produce bit-identical cycle
+                         counts and statistics
   --mem MODEL            memory-system model (default flat). MODEL is
                          flat | cache[:k=v,...] | banked[:k=v,...]:
                            flat     every access takes --mem-latency cycles

@@ -1,49 +1,46 @@
-//! The compiled stepping engine: threaded dispatch over pre-decoded
-//! tables.
+//! The issue path: threaded dispatch over pre-decoded tables, and the
+//! one step function both engines run.
 //!
-//! [`WmMachine::step_compiled`] simulates one cycle like the reference
-//! stepper, but the per-unit issue path executes [`DecodedInst`] records
-//! instead of interpreting [`wm_ir::InstKind`]: the FIFO demand and
-//! interlock register set are precomputed bit tests, operands are flat
-//! slots, and the instruction's behavior is an indirect call through its
-//! exec function pointer — no match on the instruction kind in the hot
-//! loop. The IFU walks the same tables with branch targets and call
-//! destinations pre-resolved.
+//! [`WmMachine::step`] simulates one cycle. The IEU and FEU issue
+//! [`DecodedInst`] records: the FIFO demand and interlock register set
+//! are precomputed bit tests, operands are flat slots, and the
+//! instruction's behavior is an indirect call through its exec function
+//! pointer — no match on the instruction kind in the hot loop. The IFU
+//! walks the same tables with branch targets and call destinations
+//! pre-resolved. Scalar loads and stores run the shared paths
+//! ([`WmMachine::exec_load`], [`WmMachine::queue_store`]) with the
+//! address evaluated over the decoded expression, and FIFO reads dequeue
+//! through the shared [`WmMachine::pop_fifo`]. Whatever the tables
+//! cannot express exactly (stream configuration, channel operations,
+//! FIFO-mapped register corner cases, cross-class operands, unresolvable
+//! symbols) carries the fallback handler, which runs
+//! [`WmMachine::exec_unit_head`] on the original instruction.
 //!
-//! Bit-identity with the cycle engine is structural:
+//! The two engines differ only in the step's *skips*, the work the
+//! compiled engine avoids because nothing needs it. `step_with` selects
+//! them once per call, as its const parameter:
 //!
-//! * scalar loads and stores run the interpreter's own paths
-//!   ([`WmMachine::exec_load`], [`WmMachine::queue_store`]) with the
-//!   address evaluated over the decoded expression, and every other exec
-//!   handler mirrors the corresponding interpreter arm check-for-check,
-//!   in the same order, mutating the same state and counters;
-//! * anything the decode tables cannot express exactly (stream
-//!   configuration, FIFO-mapped register corner cases, cross-class
-//!   operands, unresolvable symbols) carries the interpreter fallback
-//!   handler, which calls [`WmMachine::exec_unit_head`] on the original
-//!   instruction;
-//! * FIFO reads delegate to [`WmMachine::read_operand`], so dequeue,
-//!   poison-consumption and deadlock semantics are literally the same
-//!   code;
-//! * the shared per-cycle phases (memory delivery, VEU, store drain,
-//!   SCUs, perf sampling) are the same functions the cycle engine runs;
-//! * the fast-forward tail (`fastforward.rs`) only skips cycles
-//!   whose every counter update it can reproduce in bulk.
+//! * an empty IEU, FEU or VEU records `Idle` without entering its issue
+//!   path;
+//! * when every SCU is idle and inactive, the SCU phase sleeps until a
+//!   stream configuration, and the idle cycles are charged in one sum
+//!   when the SCUs wake (or the run ends);
+//! * an IFU stalled on an empty condition-code FIFO parks there and
+//!   re-records the stall without walking fetch;
+//! * after a cycle in which no unit made progress, the fast-forward tail
+//!   (`fastforward.rs`) jumps to the next event, accounting the skipped
+//!   span in bulk;
+//! * the FIFO occupancy histograms come from change points, not from
+//!   per-cycle samples.
 //!
-//! On top of that, a cycle costs only the work that happens in it. Units
-//! with nothing to do sleep: an empty VEU, IEU or FEU records `Idle`
-//! without entering its issue path; when every SCU is idle and
-//! inactive, the SCU phase is skipped until a stream configuration, and
-//! the idle cycles are charged in one sum when the SCUs wake (or the run
-//! ends); an IFU stalled on an empty condition-code FIFO parks there and
-//! re-records the stall without walking fetch. The FIFO occupancy
-//! histograms come from change points, not per-cycle samples. The
-//! reference stepper does none of this: it steps every unit and samples
-//! every FIFO every cycle, so comparing the engines checks the lazy
-//! accounting against an independent per-cycle one.
-//!
-//! `tests/engine_equiv.rs` and the differential fuzzer enforce full
-//! `Stats`/`SimError` equality between the two engines.
+//! [`Engine::Cycle`](crate::Engine::Cycle) turns every skip off and
+//! samples every FIFO every cycle. The engine comparisons
+//! (`tests/engine_equiv.rs`, the differential fuzzer's full-`Stats`
+//! property, `perf --compare`) therefore check exactly the skips and the
+//! change-point accounting against plain per-cycle stepping. They cannot
+//! see a decode error, which both engines share; the decode round-trip
+//! verifier ([`crate::DecodedProgram::verify_roundtrip`]), the per-leg
+//! `perf --check` pins and the fuzzer's result oracles catch those.
 
 use wm_ir::{Operand, RegClass, UnOp};
 
@@ -52,33 +49,38 @@ use crate::machine::{attach_inst, Exec, Pc, SimError, Val, WmMachine, FIFO_CC, F
 use crate::stats::{Outcome, Stall};
 
 impl<'m> WmMachine<'m> {
-    /// Advance one cycle with the pre-decoded dispatch tables, then
-    /// fast-forward over any all-stalled span.
-    ///
-    /// Behaves exactly like [`WmMachine::step`] — same cycle counts, same
-    /// counters, same faults — but the scalar-unit and IFU hot paths run
-    /// the decoded tables instead of interpreting the IR.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors [`WmMachine::step`] reports, at the same cycle.
-    pub fn step_compiled(&mut self) -> Result<(), SimError> {
+    /// Advance one cycle. `SKIP` turns on the compiled engine's skips
+    /// (see the module docs); the reference engine runs with it off.
+    pub(crate) fn step_with<const SKIP: bool>(&mut self) -> Result<(), SimError> {
         self.cycle += 1;
         self.ports_used = 0;
         self.deliver_memory()?;
-        self.unit_step_c(RegClass::Int)?;
-        self.unit_step_c(RegClass::Flt)?;
-        if self.veu.busy == 0 && self.veu.iq.is_empty() {
+        self.unit_step::<SKIP>(RegClass::Int)?;
+        self.unit_step::<SKIP>(RegClass::Flt)?;
+        if SKIP && self.veu.busy == 0 && self.veu.iq.is_empty() {
             self.perf.veu.idle += 1;
             self.last_outcomes.veu = Outcome::Idle;
         } else {
             self.veu_step()?;
         }
         self.drain_stores()?;
-        self.scu_step_c()?;
-        self.ifu_step_c()?;
-        self.sample_perf();
-        self.fast_forward();
+        if SKIP {
+            self.scu_step_sleeping()?;
+        } else {
+            self.scu_step()?;
+        }
+        self.ifu_step::<SKIP>()?;
+        if SKIP {
+            self.sample_perf();
+            self.fast_forward();
+        } else {
+            self.sample_fifos();
+            self.sample_perf();
+            debug_assert!(
+                self.scus_asleep.is_none() && self.scu_idle_pending == 0 && self.ifu_park.is_none(),
+                "the reference engine skipped work"
+            );
+        }
         Ok(())
     }
 
@@ -86,7 +88,7 @@ impl<'m> WmMachine<'m> {
     /// a cycle in which every SCU idled and none is active: from then on
     /// each would idle again every cycle until a stream configuration
     /// claims a slot.
-    fn scu_step_c(&mut self) -> Result<(), SimError> {
+    fn scu_step_sleeping(&mut self) -> Result<(), SimError> {
         if self.scus_asleep == Some(self.scu_seq) {
             self.scu_idle_pending += 1;
             return Ok(());
@@ -112,21 +114,27 @@ impl<'m> WmMachine<'m> {
         }
     }
 
-    /// Decoded counterpart of the interpreter's per-unit step: identical
-    /// outcome recording, decoded issue path.
-    fn unit_step_c(&mut self, class: RegClass) -> Result<(), SimError> {
+    /// One cycle of the `class` unit, attributed to its outcome.
+    fn unit_step<const SKIP: bool>(&mut self, class: RegClass) -> Result<(), SimError> {
         let u = self.unit(class);
         // an empty unit skips the call into the issue path
-        let outcome = if u.busy == 0 && u.iq.is_empty() {
+        let outcome = if SKIP && u.busy == 0 && u.iq.is_empty() {
             Outcome::Idle
         } else {
-            self.unit_step_c_inner(class)?
+            self.unit_issue(class)?
         };
-        self.record_unit_outcome(class, outcome);
+        let (perf, last) = match class {
+            RegClass::Int => (&mut self.perf.ieu, &mut self.last_outcomes.ieu),
+            RegClass::Flt => (&mut self.perf.feu, &mut self.last_outcomes.feu),
+        };
+        perf.record(outcome);
+        *last = outcome;
         Ok(())
     }
 
-    fn unit_step_c_inner(&mut self, class: RegClass) -> Result<Outcome, SimError> {
+    /// Issue the `class` unit's head instruction if it can issue this
+    /// cycle.
+    fn unit_issue(&mut self, class: RegClass) -> Result<Outcome, SimError> {
         if self.unit(class).busy > 0 {
             self.unit_mut(class).busy -= 1;
             return Ok(Outcome::Active);
@@ -139,15 +147,17 @@ impl<'m> WmMachine<'m> {
                 return Ok(Outcome::Idle);
             };
             let d = self.prog.insts[idx as usize];
-            // paired-ALU dependency interlock, as a precomputed bit test
+            // paired-ALU dependency interlock: the previous instruction's
+            // result is not available to the immediately following one
             if let Some(prev) = u.prev_dst {
                 if u.prev_cycle + 1 == self.cycle && d.read_mask & (1u32 << prev) != 0 {
                     return Ok(Outcome::Stall(Stall::Interlock)); // one-cycle bubble
                 }
             }
-            // FIFO data availability, as a precomputed demand pair. A
-            // latched load already performed its dequeues when its address
-            // was computed; its retry must not wait on the FIFO it drained.
+            // FIFO data availability for every dequeue in the
+            // instruction. A latched load already performed its dequeues
+            // when its address was computed; its retry must not wait on
+            // the FIFO it drained.
             if u.latched_load.is_none()
                 && ((d.need[0] as usize) > u.ins[0].q.len()
                     || (d.need[1] as usize) > u.ins[1].q.len())
@@ -163,9 +173,10 @@ impl<'m> WmMachine<'m> {
         }
     }
 
-    /// Decoded counterpart of the interpreter's IFU step.
-    fn ifu_step_c(&mut self) -> Result<(), SimError> {
-        if let Some(class) = self.ifu_park {
+    /// Fetch and dispatch. Control transfers are free (bounded per cycle);
+    /// one instruction is dispatched to a unit queue per cycle.
+    fn ifu_step<const SKIP: bool>(&mut self) -> Result<(), SimError> {
+        if let (true, Some(class)) = (SKIP, self.ifu_park) {
             // Only the IFU moves the pc and sets the hold, so while the
             // FIFO stays empty the walk would stop at the same jump.
             if self.unit(class).cc.is_empty() && self.cycle >= self.ifu_hold {
@@ -176,17 +187,18 @@ impl<'m> WmMachine<'m> {
             self.ifu_park = None;
         }
         let before = self.stats.insts_ifu;
-        let outcome = self.ifu_step_c_inner()?;
+        let outcome = self.ifu_fetch::<SKIP>()?;
+        // control instructions the IFU itself executed this cycle
         self.perf.ifu.retired += self.stats.insts_ifu - before;
         self.perf.ifu.record(outcome);
         self.last_outcomes.ifu = outcome;
         Ok(())
     }
 
-    /// One IFU cycle over the decoded tables, mirroring the interpreter's
-    /// fetch loop arm-for-arm (same stall reasons, same free-transfer
-    /// accounting, same runaway-control cap).
-    fn ifu_step_c_inner(&mut self) -> Result<Outcome, SimError> {
+    /// One IFU cycle, attributing it: a cycle that performed any transfer,
+    /// dispatch or IFU-executed instruction is active; otherwise the
+    /// reason the fetch could not proceed is named.
+    fn ifu_fetch<const SKIP: bool>(&mut self) -> Result<Outcome, SimError> {
         if self.cycle < self.ifu_hold {
             self.stats.ifu_stalls += 1;
             return Ok(Outcome::Stall(Stall::Sync));
@@ -227,45 +239,31 @@ impl<'m> WmMachine<'m> {
             }
             let idx = start + pc.inst as u32;
             let d = self.prog.insts[idx as usize];
-            match d.ifu {
+            // the target block of a free transfer of control; every other
+            // action ends the cycle's fetch
+            let block = match d.ifu {
                 IfuOp::Nop => {
                     self.advance();
+                    continue;
                 }
                 IfuOp::Jump { block } => {
                     self.record("IFU", d.kind);
-                    self.pc = Some(Pc {
-                        func: pc.func,
-                        block: block as usize,
-                        inst: 0,
-                    });
-                    self.stats.insts_ifu += 1;
-                    self.last_progress = self.cycle;
-                    transfers += 1;
-                    if transfers > 16 {
-                        return Ok(Outcome::Active); // runaway control; consume the cycle
-                    }
+                    block
                 }
                 IfuOp::Branch { class, when, t, e } => {
                     self.fifo_changing(class, FIFO_CC);
                     let Some(cond) = self.unit_mut(class).cc.pop_front() else {
                         self.stats.ifu_stalls += 1;
-                        if transfers == 0 {
+                        if SKIP && transfers == 0 {
                             self.ifu_park = Some(class);
                         }
                         // stall until the compare executes
                         return Ok(stall_after(transfers, Stall::CcEmpty));
                     };
-                    let b = if cond == when { t } else { e };
-                    self.pc = Some(Pc {
-                        func: pc.func,
-                        block: b as usize,
-                        inst: 0,
-                    });
-                    self.stats.insts_ifu += 1;
-                    self.last_progress = self.cycle;
-                    transfers += 1;
-                    if transfers > 16 {
-                        return Ok(Outcome::Active);
+                    if cond == when {
+                        t
+                    } else {
+                        e
                     }
                 }
                 IfuOp::BranchStream { fifo, t, e } => {
@@ -279,17 +277,10 @@ impl<'m> WmMachine<'m> {
                     if !taken {
                         self.dispatch.remove(&fifo);
                     }
-                    let b = if taken { t } else { e };
-                    self.pc = Some(Pc {
-                        func: pc.func,
-                        block: b as usize,
-                        inst: 0,
-                    });
-                    self.stats.insts_ifu += 1;
-                    self.last_progress = self.cycle;
-                    transfers += 1;
-                    if transfers > 16 {
-                        return Ok(Outcome::Active);
+                    if taken {
+                        t
+                    } else {
+                        e
                     }
                 }
                 IfuOp::BranchVec { t, e } => {
@@ -302,17 +293,10 @@ impl<'m> WmMachine<'m> {
                     if !taken {
                         self.dispatch_vec = None;
                     }
-                    let b = if taken { t } else { e };
-                    self.pc = Some(Pc {
-                        func: pc.func,
-                        block: b as usize,
-                        inst: 0,
-                    });
-                    self.stats.insts_ifu += 1;
-                    self.last_progress = self.cycle;
-                    transfers += 1;
-                    if transfers > 16 {
-                        return Ok(Outcome::Active);
+                    if taken {
+                        t
+                    } else {
+                        e
                     }
                 }
                 IfuOp::CallFunc { func } => {
@@ -411,13 +395,25 @@ impl<'m> WmMachine<'m> {
                     self.last_progress = self.cycle;
                     return Ok(Outcome::Active);
                 }
+            };
+            self.pc = Some(Pc {
+                func: pc.func,
+                block: block as usize,
+                inst: 0,
+            });
+            self.stats.insts_ifu += 1;
+            self.last_progress = self.cycle;
+            transfers += 1;
+            if transfers > 16 {
+                return Ok(Outcome::Active); // runaway control; consume the cycle
             }
         }
     }
 }
 
-// ---- exec handlers (the decoded replacements for the interpreter's
-// `exec_unit_head` match arms; each mirrors its arm check-for-check) ----
+// ---- exec handlers (the decoded forms of `exec_unit_head`'s match arms,
+// which stay the fallback for the corner cases; each mirrors its arm
+// check-for-check) ----
 
 /// Read one decoded source slot. FIFO slots dequeue through the shared
 /// [`WmMachine::pop_fifo`] (the same code `read_operand` runs), so
@@ -450,9 +446,9 @@ fn write_dst(m: &mut WmMachine<'_>, class: RegClass, d: Dst, v: Val) {
     }
 }
 
-/// Evaluate a decoded expression with the interpreter's operand order
-/// and fault semantics (FIFO dequeues happen in a, b, c order; division
-/// by zero faults from `eval_bin`).
+/// Evaluate a decoded expression with `eval_expr`'s operand order and
+/// fault semantics (FIFO dequeues happen in a, b, c order; division by
+/// zero faults from `eval_bin`).
 fn eval_dec<'m>(m: &mut WmMachine<'m>, class: RegClass, e: &DecExpr) -> Result<Val, SimError> {
     match *e {
         DecExpr::Op(a) => read_slot(m, class, a),
@@ -482,8 +478,8 @@ fn eval_dec<'m>(m: &mut WmMachine<'m>, class: RegClass, e: &DecExpr) -> Result<V
 }
 
 /// Side-effect-free preview of a decoded address expression; `None` when
-/// it reads a FIFO or cannot fold — exactly when the interpreter's
-/// `eval_expr_pure` returns `None` on the original expression (decode
+/// it reads a FIFO or cannot fold — exactly when `eval_expr_pure`
+/// returns `None` on the original expression (decode
 /// folds only immediate pairs that `fold_int` accepts, so a fold never
 /// turns an unanalyzable address into an analyzable one or vice versa).
 fn eval_dec_pure(m: &WmMachine<'_>, class: RegClass, e: &DecExpr) -> Option<i64> {
@@ -586,7 +582,7 @@ pub(crate) fn exec_wload<'m>(m: &mut WmMachine<'m>, d: &DecodedInst<'m>) -> Resu
         |m| eval_dec_pure(m, d.class, &addr),
         // A successful integer-unit preview read no FIFO and every fold
         // succeeded, so re-evaluating is side-effect-free, cannot fault
-        // and produces the same address: reuse it (the interpreter
+        // and produces the same address: reuse it (the fallback
         // re-evaluates; the value is identical by construction). Float-unit
         // address arithmetic is not previewable that way, so it always
         // re-evaluates.
@@ -608,11 +604,11 @@ pub(crate) fn exec_wstore<'m>(
     m.queue_store(unit, width, |m| Ok(eval_dec(m, d.class, &addr)?.as_i()))
 }
 
-/// The interpreter fallback: run the reference `exec_unit_head` arm on
-/// the original instruction. Carried by every instruction the decode
-/// tables cannot express exactly (stream configuration, FIFO-mapped
-/// destination corner cases, cross-class operands, unresolvable
-/// symbols), which makes those paths bit-identical by construction.
+/// The fallback: run `exec_unit_head`'s arm on the original
+/// instruction. Carried by every instruction the decode tables cannot
+/// express exactly (stream configuration, channel operations,
+/// FIFO-mapped destination corner cases, cross-class operands,
+/// unresolvable symbols).
 pub(crate) fn exec_fallback<'m>(
     m: &mut WmMachine<'m>,
     d: &DecodedInst<'m>,

@@ -129,9 +129,10 @@ pub struct WmConfig {
     pub squash_penalty: u64,
     /// Deterministic fault injection (empty by default).
     pub fault_plan: FaultPlan,
-    /// Stepping engine: the pre-decoded tables with fast-forward over
-    /// all-stalled spans (the default), or the per-cycle reference
-    /// interpreter. Bit-identical counters either way.
+    /// Stepping engine: skip the work nothing needs, fast-forwarding
+    /// all-stalled spans (the default), or step every unit every cycle
+    /// (the reference). Both issue from the pre-decoded tables.
+    /// Bit-identical counters either way.
     pub engine: Engine,
     /// Memory-system model: `flat` (the default; every request costs
     /// `mem_latency`), or a hierarchy with an L1 data cache, stream

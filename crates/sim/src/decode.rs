@@ -1,17 +1,18 @@
-//! Pre-decoded instruction tables for the compiled stepping engine.
+//! Pre-decoded instruction tables: the simulator's only issue path, run
+//! by both engines.
 //!
-//! The per-cycle reference engine interprets [`InstKind`] with a match on
-//! every issue attempt: operands are re-classified (register? FIFO? zero?
-//! immediate?), FIFO demands and interlock register sets are recomputed,
-//! branch labels are resolved by a linear block scan, and global symbols
-//! are looked up per execution. `DecodedProgram` does all of that work
-//! once, at machine construction:
+//! Issuing [`InstKind`] directly would mean a match on every issue
+//! attempt: operands re-classified (register? FIFO? zero? immediate?),
+//! FIFO demands and interlock register sets recomputed, branch labels
+//! resolved by a linear block scan, and global symbols looked up per
+//! execution. `DecodedProgram` does all of that work once, at machine
+//! construction:
 //!
 //! * every instruction slot gets a [`DecodedInst`] — a `Copy` record with
-//!   an indirect **exec function pointer** ([`ExecFn`]) replacing the
-//!   interpreter's match, its FIFO demand (`need`) and interlock register
-//!   set (`read_mask`) precomputed, and its operands resolved to flat
-//!   array slots ([`Src`]/[`Dst`]);
+//!   an indirect **exec function pointer** ([`ExecFn`]) instead of a match
+//!   on the kind, its FIFO demand (`need`) and interlock register set
+//!   (`read_mask`) precomputed, and its operands resolved to flat array
+//!   slots ([`Src`]/[`Dst`]);
 //! * immediate-only subexpressions are folded (integer folds skip
 //!   division by zero so the runtime fault is preserved; float folds use
 //!   the identical `f64` operations, so results stay bit-identical);
@@ -19,14 +20,19 @@
 //!   `Call` targets become function indices, and `LoadAddr` symbols are
 //!   folded to absolute addresses;
 //! * instructions the table cannot express exactly (stream configuration,
-//!   FIFO-mapped or cross-class corner cases) decode to a **fallback**
-//!   exec that calls the reference interpreter arm for that one
-//!   instruction, so behavior is bit-identical by construction.
+//!   channel operations, FIFO-mapped or cross-class corner cases) decode
+//!   to a **fallback** exec that runs `exec_unit_head`'s arm for that one
+//!   instruction.
 //!
-//! The unit instruction queues hold `u32` indices into this table (for
-//! every engine — a dispatched instruction is identified by its slot, not
-//! by a clone), and [`DecodedInst::kind`] points back at the module's
-//! original [`InstKind`] for traces, fault reports and the fallback path.
+//! The unit instruction queues hold `u32` indices into this table (a
+//! dispatched instruction is identified by its slot, not by a clone), and
+//! [`DecodedInst::kind`] points back at the module's original
+//! [`InstKind`] for traces, fault reports and the fallback path.
+//!
+//! Since both engines share these tables, comparing the engines cannot
+//! catch a decode error. [`DecodedProgram::verify_roundtrip`] can: it
+//! maps every slot back to the original instruction without the
+//! decoder's operand helpers.
 
 use std::collections::HashMap;
 
@@ -40,8 +46,8 @@ use crate::compiled::{
 };
 use crate::machine::{dispatch_class, fifo_need, Exec, SimError, WmMachine};
 
-/// An exec handler for one decoded instruction: the compiled engine's
-/// replacement for the interpreter's match on [`InstKind`].
+/// An exec handler for one decoded instruction, called instead of a match
+/// on its [`InstKind`].
 pub(crate) type ExecFn =
     for<'a, 'm> fn(&'a mut WmMachine<'m>, &DecodedInst<'m>) -> Result<Exec, SimError>;
 
@@ -96,8 +102,7 @@ pub(crate) enum Payload {
         dst: Dst,
         src: DecExpr,
         /// The register the paired-ALU interlock must delay (`None` for
-        /// FIFO/zero destinations) — precomputed from the interpreter's
-        /// retire bookkeeping.
+        /// FIFO/zero destinations), as `exec_unit_head` computes it.
         executed_dst: Option<u8>,
     },
     LoadAddr {
@@ -121,7 +126,7 @@ pub(crate) enum Payload {
         addr: DecExpr,
         width: Width,
     },
-    /// No decoded payload: the exec handler is the interpreter fallback.
+    /// No decoded payload: the exec handler is the fallback.
     None,
 }
 
@@ -176,9 +181,9 @@ pub(crate) enum IfuOp {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DecodedInst<'m> {
     /// The module's original instruction (for traces, fault reports and
-    /// the interpreter fallback).
+    /// the fallback).
     pub(crate) kind: &'m InstKind,
-    /// The exec handler the compiled engine calls instead of matching.
+    /// The exec handler the unit calls instead of matching on `kind`.
     pub(crate) exec: ExecFn,
     /// Entries dequeued from each input FIFO (precomputed `fifo_need`).
     pub(crate) need: [u8; 2],
@@ -200,10 +205,8 @@ pub(crate) struct DecFunc {
     pub(crate) blocks: Vec<(u32, u32)>,
 }
 
-/// The whole module, pre-decoded. Built once by [`WmMachine::new`] and
-/// shared by both engines: the cycle engine uses it to resolve queued
-/// instruction indices back to [`InstKind`]s, the compiled engine
-/// executes it directly.
+/// The whole module, pre-decoded. Built once by [`WmMachine::new`]; both
+/// engines issue from it.
 #[derive(Debug)]
 pub struct DecodedProgram<'m> {
     pub(crate) funcs: Vec<DecFunc>,
@@ -230,12 +233,6 @@ impl<'m> DecodedProgram<'m> {
         DecodedProgram { funcs, insts }
     }
 
-    /// Flat table index of the instruction at (`func`, `block`, `inst`).
-    #[inline]
-    pub(crate) fn index_of(&self, func: usize, block: usize, inst: usize) -> u32 {
-        self.funcs[func].blocks[block].0 + inst as u32
-    }
-
     /// Number of decoded instruction slots.
     pub fn len(&self) -> usize {
         self.insts.len()
@@ -251,9 +248,9 @@ impl<'m> DecodedProgram<'m> {
     /// position in the original instruction, every folded immediate must
     /// equal the fold of the original immediates, every pre-resolved
     /// control target must match a fresh label/symbol resolution, and the
-    /// precomputed FIFO demands and interlock masks must match the
-    /// interpreter's per-cycle computation. Returns the number of
-    /// instruction slots checked.
+    /// precomputed FIFO demands and interlock masks must be the ones the
+    /// operand slots imply. Returns the number of instruction slots
+    /// checked.
     ///
     /// # Errors
     ///
@@ -308,9 +305,8 @@ fn decode_inst<'m>(
     kind: &'m InstKind,
 ) -> DecodedInst<'m> {
     let bi = |l: wm_ir::Label| func.block_index(l) as u32;
-    // The IFU action mirrors the interpreter's fetch match arm-for-arm —
-    // in particular the cross-unit-conversion Assign pattern is tested
-    // *before* the generic dispatch arm, exactly as the interpreter does.
+    // The cross-unit-conversion Assign pattern is tested *before* the
+    // generic dispatch arm: the IFU executes those conversions itself.
     let ifu = match kind {
         InstKind::Nop => IfuOp::Nop,
         InstKind::Jump { target } => IfuOp::Jump { block: bi(*target) },
@@ -381,8 +377,8 @@ fn decode_inst<'m>(
     }
 }
 
-/// Decode the execution payload, falling back to the interpreter for any
-/// form the table cannot express exactly.
+/// Decode the execution payload, falling back to `exec_unit_head` for
+/// any form the table cannot express exactly.
 fn decode_exec(class: RegClass, addrs: &HashMap<SymId, i64>, kind: &InstKind) -> (ExecFn, Payload) {
     let fallback = (exec_fallback as ExecFn, Payload::None);
     match kind {
@@ -411,7 +407,7 @@ fn decode_exec(class: RegClass, addrs: &HashMap<SymId, i64>, kind: &InstKind) ->
                     Payload::LoadAddr {
                         dst: d,
                         addr: base + disp,
-                        // the interpreter records `dst.phys_num()`
+                        // `exec_unit_head` records `dst.phys_num()`
                         // unfiltered here (unlike Assign)
                         executed_dst: dst.phys_num(),
                     },
@@ -453,12 +449,12 @@ fn decode_exec(class: RegClass, addrs: &HashMap<SymId, i64>, kind: &InstKind) ->
             None => fallback,
         },
         // stream configuration and anything unexpected run on the
-        // interpreter arm (they execute once per loop, not per element)
+        // fallback (they execute once per loop, not per element)
         _ => fallback,
     }
 }
 
-/// Resolve one source operand; `None` for forms the interpreter must
+/// Resolve one source operand; `None` for forms the fallback must
 /// handle (cross-class registers).
 fn src_slot(class: RegClass, op: Operand) -> Option<Src> {
     match op {
@@ -479,7 +475,7 @@ fn src_slot(class: RegClass, op: Operand) -> Option<Src> {
 }
 
 /// Resolve a destination register; `None` for cross-class destinations
-/// and for register 1 (whose write is a runtime error the interpreter
+/// and for register 1 (whose write is a runtime error the fallback
 /// reports).
 fn dst_slot(class: RegClass, r: Reg) -> Option<Dst> {
     if r.class != class {
@@ -496,7 +492,7 @@ fn dst_slot(class: RegClass, r: Reg) -> Option<Dst> {
 /// Build a binary node, folding immediate-only operands. Integer folds
 /// use `BinOp::fold_int`, which refuses division/remainder by zero — the
 /// runtime divide fault is preserved, not folded away. Float folds apply
-/// the identical `f64` operation the interpreter would.
+/// the identical `f64` operation `eval_bin` would.
 fn fold_bin(op: BinOp, a: Src, b: Src) -> DecExpr {
     if let (Src::Imm(x), Src::Imm(y)) = (a, b) {
         if !op.is_float() {
@@ -552,57 +548,48 @@ fn decode_expr(class: RegClass, e: &RExpr) -> Option<DecExpr> {
     })
 }
 
-/// Bit `n` set iff `kind` reads physical register `n` of `class` — the
-/// same register set the interpreter's `reads_phys` walks per cycle.
+/// Bit `n` set iff `kind` reads physical register `n` of `class`: the
+/// paired-ALU interlock's register set.
 pub(crate) fn read_mask(class: RegClass, kind: &InstKind) -> u32 {
     let mut mask = 0u32;
-    let mut add = |r: Reg| {
-        if r.class == class {
-            if let Some(n) = r.phys_num() {
-                mask |= 1u32 << n;
-            }
+    kind.for_each_use(|r| {
+        if let (true, Some(n)) = (r.class == class, r.phys_num()) {
+            mask |= 1u32 << n;
         }
-    };
-    match kind {
-        InstKind::Assign { src, .. } => src.regs().for_each(&mut add),
-        InstKind::Compare { a, b, .. } => {
-            if let Some(r) = a.reg() {
-                add(r);
-            }
-            if let Some(r) = b.reg() {
-                add(r);
-            }
-        }
-        InstKind::WLoad { addr, .. } | InstKind::WStore { addr, .. } => {
-            addr.regs().for_each(&mut add)
-        }
-        other => other.uses().into_iter().for_each(&mut add),
-    }
+    });
     mask
 }
 
 // ---- round-trip verification ----
+//
+// The verifier restates the architecture's register map and re-derives
+// everything a decoded payload implies from its operand slots, without
+// the decoder's operand helpers (`src_slot`, `dst_slot`, `read_mask`,
+// `fifo_need`; only immediate folds reuse `fold_bin`). Both engines issue
+// from the tables, so no engine comparison can check them; this can.
 
-/// The ordered register reads of a decoded expression, for comparison
-/// against the original RTL's operand order (decode-time folding only
-/// combines immediates, so register sequences must survive unchanged).
-fn dec_regs(class: RegClass, e: &DecExpr, out: &mut Vec<Reg>) {
-    let push = |s: Src, out: &mut Vec<Reg>| match s {
-        Src::Reg(n) | Src::Fifo(n) => out.push(Reg::phys(class, n)),
-        Src::Zero => out.push(Reg::phys(class, 31)),
-        Src::Imm(_) | Src::FImm(_) => {}
-    };
-    match *e {
-        DecExpr::Op(a) | DecExpr::Un(_, a) => push(a, out),
-        DecExpr::Bin(_, a, b) => {
-            push(a, out);
-            push(b, out);
-        }
-        DecExpr::Dual { a, b, c, .. } => {
-            push(a, out);
-            push(b, out);
-            push(c, out);
-        }
+/// The slot a register operand of `class` must decode to: register 31
+/// reads as zero, registers 0 and 1 dequeue from the input FIFOs, every
+/// other register is read from the register file.
+fn expected_src(class: RegClass, r: Reg) -> Option<Src> {
+    if r.class != class {
+        return None;
+    }
+    Some(match r.phys_num()? {
+        31 => Src::Zero,
+        n @ (0 | 1) => Src::Fifo(n),
+        n => Src::Reg(n),
+    })
+}
+
+/// Does slot `s` read original operand `op`? Immediates must be
+/// bit-equal.
+fn src_matches(class: RegClass, s: Src, op: Operand) -> bool {
+    match (s, op) {
+        (Src::Imm(a), Operand::Imm(b)) => a == b,
+        (Src::FImm(a), Operand::FImm(b)) => a.to_bits() == b.to_bits(),
+        (s, Operand::Reg(r)) => expected_src(class, r) == Some(s),
+        _ => false,
     }
 }
 
@@ -630,6 +617,84 @@ fn const_fold(e: &RExpr) -> Option<Src> {
             c,
         } => bin(*outer, bin(*inner, imm(*a)?, imm(*b)?)?, imm(*c)?),
     }
+}
+
+/// Does decoded expression `dec` compute `orig`? Operators must match and
+/// every slot must read the original operand at its position; a subtree
+/// may only be replaced by the fold of its immediates.
+fn expr_matches(class: RegClass, dec: &DecExpr, orig: &RExpr) -> bool {
+    let folds_to = |s: Src, e: &RExpr| match (const_fold(e), s) {
+        (Some(Src::Imm(a)), Src::Imm(b)) => a == b,
+        (Some(Src::FImm(a)), Src::FImm(b)) => a.to_bits() == b.to_bits(),
+        _ => false,
+    };
+    let src = |s: Src, op: &Operand| src_matches(class, s, *op);
+    match (*dec, orig) {
+        (DecExpr::Op(s), e) if folds_to(s, e) => true,
+        (DecExpr::Op(s), RExpr::Op(a)) => src(s, a),
+        (DecExpr::Un(op, s), RExpr::Un(o2, a)) => op == *o2 && src(s, a),
+        (DecExpr::Bin(op, sa, sb), RExpr::Bin(o2, a, b)) => op == *o2 && src(sa, a) && src(sb, b),
+        // the inner pair folded, the outer operation did not
+        (
+            DecExpr::Bin(op, sab, sc),
+            RExpr::Dual {
+                inner,
+                a,
+                b,
+                outer,
+                c,
+            },
+        ) => op == *outer && folds_to(sab, &RExpr::Bin(*inner, *a, *b)) && src(sc, c),
+        (
+            DecExpr::Dual {
+                inner,
+                a: sa,
+                b: sb,
+                outer,
+                c: sc,
+            },
+            RExpr::Dual {
+                inner: i2,
+                a,
+                b,
+                outer: o2,
+                c,
+            },
+        ) => inner == *i2 && outer == *o2 && src(sa, a) && src(sb, b) && src(sc, c),
+        _ => false,
+    }
+}
+
+/// The interlock mask and the FIFO demand a decoded payload's operand
+/// slots imply: each register slot (FIFO and zero registers included)
+/// sets its register's bit, and each FIFO slot is one dequeue. `None` for
+/// the fallback, which has no slots.
+fn slot_reads(payload: &Payload) -> Option<(u32, [u8; 2])> {
+    let expr_slots = |e: DecExpr| match e {
+        DecExpr::Op(a) | DecExpr::Un(_, a) => vec![a],
+        DecExpr::Bin(_, a, b) => vec![a, b],
+        DecExpr::Dual { a, b, c, .. } => vec![a, b, c],
+    };
+    let slots = match *payload {
+        Payload::Assign { src, .. } => expr_slots(src),
+        Payload::LoadAddr { .. } => Vec::new(),
+        Payload::Compare { a, b, .. } => vec![a, b],
+        Payload::WLoad { addr, .. } | Payload::WStore { addr, .. } => expr_slots(addr),
+        Payload::None => return None,
+    };
+    let (mut mask, mut need) = (0u32, [0u8; 2]);
+    for s in slots {
+        match s {
+            Src::Reg(n) => mask |= 1u32 << n,
+            Src::Fifo(n) => {
+                mask |= 1u32 << n;
+                need[n as usize] += 1;
+            }
+            Src::Zero => mask |= 1u32 << 31,
+            Src::Imm(_) | Src::FImm(_) => {}
+        }
+    }
+    Some((mask, need))
 }
 
 /// Verify one decoded slot against its original instruction.
@@ -684,47 +749,32 @@ fn verify_inst(
     if d.ifu != IfuOp::Dispatch {
         return Ok(());
     }
-    // Dispatched instructions: class, FIFO demand and interlock mask must
-    // match the interpreter's per-cycle computation ...
     let class = dispatch_class(kind);
     if d.class != class {
         return Err(format!("class mismatch: {:?} vs {:?}", d.class, class));
     }
-    let need = fifo_need(class, kind);
-    if [need[0] as u8, need[1] as u8] != d.need {
-        return Err(format!("fifo_need mismatch: {:?} vs {need:?}", d.need));
+    // The interlock mask and FIFO demand must be what the operand slots
+    // (checked against the original operands below) imply. Only the
+    // fallback, which has no slots, is held to the `InstKind` derivation.
+    let (mask, need) = slot_reads(&d.payload).unwrap_or_else(|| {
+        let need = fifo_need(class, kind);
+        (read_mask(class, kind), [need[0] as u8, need[1] as u8])
+    });
+    if d.need != need {
+        return Err(format!("FIFO demand mismatch: {:?} vs {need:?}", d.need));
     }
-    if read_mask(class, kind) != d.read_mask {
+    if d.read_mask != mask {
         return Err(format!(
-            "read_mask mismatch: {:#x} vs {:#x}",
-            d.read_mask,
-            read_mask(class, kind)
+            "interlock mask mismatch: {:#x} vs {mask:#x}",
+            d.read_mask
         ));
     }
-    // ... and every decoded operand must map back to the original's
-    // operand at the same position.
     let check_expr = |dec: &DecExpr, orig: &RExpr| -> Result<(), String> {
-        let mut got = Vec::new();
-        dec_regs(class, dec, &mut got);
-        let want: Vec<Reg> = orig.regs().collect();
-        if got != want {
-            return Err(format!(
-                "register operands do not round-trip: {got:?} vs {want:?}"
-            ));
+        if expr_matches(class, dec, orig) {
+            Ok(())
+        } else {
+            Err(format!("expression does not round-trip: {dec:?} vs {orig}"))
         }
-        // a fully-folded expression must equal the fold of the original
-        if let DecExpr::Op(s @ (Src::Imm(_) | Src::FImm(_))) = dec {
-            if want.is_empty() {
-                match (const_fold(orig), s) {
-                    (Some(Src::Imm(a)), Src::Imm(b)) if a == *b => {}
-                    (Some(Src::FImm(a)), Src::FImm(b)) if a.to_bits() == b.to_bits() => {}
-                    (folded, _) => {
-                        return Err(format!("folded immediate mismatch: {s:?} vs {folded:?}"))
-                    }
-                }
-            }
-        }
-        Ok(())
     };
     let check_dst = |ds: Dst, r: Reg| -> Result<(), String> {
         let want = match r.phys_num() {
@@ -739,16 +789,7 @@ fn verify_inst(
         Ok(())
     };
     let check_src = |s: Src, op: Operand| -> Result<(), String> {
-        let ok = match (s, op) {
-            (Src::Imm(a), Operand::Imm(b)) => a == b,
-            (Src::FImm(a), Operand::FImm(b)) => a.to_bits() == b.to_bits(),
-            (Src::Reg(n) | Src::Fifo(n), Operand::Reg(r)) => {
-                r.class == class && r.phys_num() == Some(n) && n != 31
-            }
-            (Src::Zero, Operand::Reg(r)) => r.class == class && r.phys_num() == Some(31),
-            _ => false,
-        };
-        if ok {
+        if src_matches(class, s, op) {
             Ok(())
         } else {
             Err(format!("operand does not round-trip: {s:?} vs {op:?}"))
@@ -803,8 +844,94 @@ fn verify_inst(
             }
             check_expr(addr, a2)?;
         }
-        (Payload::None, _) => {} // interpreter fallback carries no table state
+        (Payload::None, _) => {} // the fallback carries no table state
         other => return Err(format!("payload does not match instruction: {other:?}")),
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use wm_opt::{optimize_generic, optimize_wm, OptOptions};
+    use wm_target::{allocate_registers, expand_wm, TargetKind};
+
+    use super::*;
+    use crate::{WmConfig, WmMachine};
+
+    /// A streamed FP reduction: decoded payloads that dequeue from FIFOs
+    /// and read ordinary registers.
+    fn module() -> Module {
+        let src = r"
+            double a[64]; double b[64];
+            int main() {
+                int i; double s;
+                for (i = 0; i < 64; i++) { a[i] = i; b[i] = 64 - i; }
+                s = 0.0;
+                for (i = 0; i < 64; i++) s = s + a[i] * b[i];
+                return s;
+            }
+        ";
+        let mut module = wm_frontend::compile(src).expect("compiles");
+        let opts = OptOptions::all();
+        for f in module.functions.iter_mut() {
+            optimize_generic(f, &opts);
+            expand_wm(f);
+            optimize_wm(f, &opts);
+            allocate_registers(f, TargetKind::Wm).expect("allocates");
+        }
+        module
+    }
+
+    /// The decoded-payload slots of `m`'s table, with their slot reads.
+    fn decoded(m: &WmMachine<'_>) -> Vec<(usize, u32, [u8; 2])> {
+        (0..m.prog.insts.len())
+            .filter_map(|i| {
+                slot_reads(&m.prog.insts[i].payload).map(|(mask, need)| (i, mask, need))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_flipped_interlock_bit_fails_verification() {
+        let module = module();
+        let mut m = WmMachine::new(&module, &WmConfig::default()).expect("builds");
+        m.prog
+            .verify_roundtrip(&module)
+            .expect("the decoded table verifies");
+        let slots = decoded(&m);
+        assert!(
+            slots.iter().any(|&(_, mask, _)| mask != 0),
+            "no register reads decoded"
+        );
+        for (i, _, _) in slots {
+            for bit in 0..32 {
+                m.prog.insts[i].read_mask ^= 1 << bit;
+                let err = m.prog.verify_roundtrip(&module).unwrap_err();
+                assert!(err.contains("interlock mask mismatch"), "{err}");
+                m.prog.insts[i].read_mask ^= 1 << bit;
+            }
+        }
+    }
+
+    #[test]
+    fn a_wrong_fifo_demand_fails_verification() {
+        let module = module();
+        let mut m = WmMachine::new(&module, &WmConfig::default()).expect("builds");
+        let slots = decoded(&m);
+        assert!(
+            slots.iter().any(|&(_, _, need)| need != [0, 0]),
+            "no FIFO reads decoded"
+        );
+        for (i, _, need) in slots {
+            for fifo in 0..2 {
+                for wrong in [need[fifo] + 1, need[fifo].wrapping_sub(1)] {
+                    m.prog.insts[i].need[fifo] = wrong;
+                    let err = m.prog.verify_roundtrip(&module).unwrap_err();
+                    assert!(err.contains("FIFO demand mismatch"), "{err}");
+                }
+                m.prog.insts[i].need = need;
+            }
+        }
+        m.prog.verify_roundtrip(&module).expect("restored");
+    }
 }

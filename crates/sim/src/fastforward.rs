@@ -45,13 +45,16 @@ use crate::stats::{Outcome, Stall};
 /// Which stepping engine drives the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Step every unit every cycle, interpreting the IR: the reference
-    /// stepper that tests and CI compare the production engine against.
+    /// Step every unit and sample every FIFO every cycle, with none of
+    /// the compiled engine's skips: the reference stepper that tests and
+    /// CI compare the production engine against. Both engines issue from
+    /// the same pre-decoded tables (see
+    /// [`DecodedProgram`](crate::DecodedProgram)).
     Cycle,
-    /// Execute the pre-decoded threaded-dispatch tables (see
-    /// [`DecodedProgram`](crate::DecodedProgram)) and fast-forward over
-    /// all-stalled spans. Bit-identical to [`Engine::Cycle`]; the
-    /// default.
+    /// Skip the work nothing needs: idle units and SCUs sleep, the IFU
+    /// parks on an empty condition-code FIFO, all-stalled spans are
+    /// fast-forwarded, and the FIFO histograms are charged at depth
+    /// changes. Bit-identical to [`Engine::Cycle`]; the default.
     #[default]
     Compiled,
 }
@@ -155,7 +158,7 @@ impl<'m> WmMachine<'m> {
     /// If the cycle just simulated ended with no unit able to make
     /// progress, jump to just before the next event in one bulk update;
     /// a no-op when the cycle made progress or an outcome is not provably
-    /// constant. Called by [`WmMachine::step_compiled`] after each cycle.
+    /// constant. The compiled engine's [`WmMachine::step`] ends with it.
     pub(crate) fn fast_forward(&mut self) {
         if !self.can_fast_forward() {
             return;

@@ -305,9 +305,8 @@ pub(crate) struct InFifo {
 }
 
 /// A scalar execution unit (IEU/FEU). The instruction queue holds `u32`
-/// indices into the machine's [`DecodedProgram`] table — for every
-/// engine; the interpreter resolves an index back to its [`InstKind`]
-/// through the table, so nothing is cloned at dispatch.
+/// indices into the machine's [`DecodedProgram`] table, which both
+/// engines issue from, so nothing is cloned at dispatch.
 #[derive(Debug)]
 pub(crate) struct Unit {
     pub(crate) regs: [Val; 32],
@@ -442,8 +441,8 @@ pub struct TraceEvent {
 pub struct WmMachine<'m> {
     pub(crate) module: &'m Module,
     /// The module pre-decoded into flat dispatch tables (see
-    /// [`crate::decode`]); the unit instruction queues hold indices into
-    /// it, and the compiled engine executes it directly.
+    /// [`crate::decode`]): the issue path of both engines. The unit
+    /// instruction queues hold indices into it.
     pub(crate) prog: DecodedProgram<'m>,
     pub(crate) config: WmConfig,
     pub(crate) mem: MemoryImage,
@@ -567,8 +566,8 @@ impl<'m> WmMachine<'m> {
             }
         }
         let mem = MemoryImage::new(module, config.memory_size)?;
-        // Pre-decode for every engine: the unit queues carry indices into
-        // this table, so even the interpreter dispatches without cloning.
+        // Pre-decode: both engines issue from this table, and the unit
+        // queues carry indices into it.
         let prog = DecodedProgram::decode(module, &mem.addresses);
         let mut ieu = Unit::new(RegClass::Int);
         ieu.regs[30] = Val::I(mem.initial_sp);
@@ -743,7 +742,7 @@ impl<'m> WmMachine<'m> {
                     });
                 }
             }
-            self.step_engine()?;
+            self.step()?;
             if self.cycle >= self.config.max_cycles {
                 return Err(SimError::Timeout {
                     cycles: self.config.max_cycles,
@@ -792,16 +791,23 @@ impl<'m> WmMachine<'m> {
     pub(crate) fn run_epoch(&mut self, target: u64) -> Result<(), SimError> {
         self.ff_horizon = target;
         while self.cycle < target && !self.halted() {
-            self.step_engine()?;
+            self.step()?;
         }
         Ok(())
     }
 
-    /// One step of the engine selected by [`WmConfig::engine`].
-    fn step_engine(&mut self) -> Result<(), SimError> {
+    /// Advance one cycle under the engine selected by
+    /// [`WmConfig::engine`]. The compiled engine may then fast-forward
+    /// over an all-stalled span, so one step can advance many cycles.
+    ///
+    /// # Errors
+    ///
+    /// Faults and unexecutable instructions, at the cycle they occur;
+    /// both engines report the same error at the same cycle.
+    pub fn step(&mut self) -> Result<(), SimError> {
         match self.config.engine {
-            Engine::Cycle => self.step(),
-            Engine::Compiled => self.step_compiled(),
+            Engine::Cycle => self.step_with::<false>(),
+            Engine::Compiled => self.step_with::<true>(),
         }
     }
 
@@ -1106,22 +1112,6 @@ impl<'m> WmMachine<'m> {
         self.fault(unit, kind, Some(e.addr), stream, e.to_string())
     }
 
-    /// Advance one cycle.
-    pub fn step(&mut self) -> Result<(), SimError> {
-        self.cycle += 1;
-        self.ports_used = 0;
-        self.deliver_memory()?;
-        self.unit_step(RegClass::Int)?;
-        self.unit_step(RegClass::Flt)?;
-        self.veu_step()?;
-        self.drain_stores()?;
-        self.scu_step()?;
-        self.ifu_step()?;
-        self.sample_fifos();
-        self.sample_perf();
-        Ok(())
-    }
-
     /// Occupancy of every tracked FIFO, in [`FIFO_NAMES`] order.
     pub(crate) fn fifo_depths(&self) -> [usize; FIFO_NAMES.len()] {
         [
@@ -1158,7 +1148,7 @@ impl<'m> WmMachine<'m> {
     /// The reference engine's FIFO occupancy histograms: every FIFO
     /// sampled at the end of every cycle, independently of the
     /// change-point accounting the compiled engine reports.
-    fn sample_fifos(&mut self) {
+    pub(crate) fn sample_fifos(&mut self) {
         let depths = self.fifo_depths();
         for (h, &d) in self.perf.fifos.iter_mut().zip(depths.iter()) {
             h.sample(d);
@@ -1372,26 +1362,9 @@ impl<'m> WmMachine<'m> {
         }
     }
 
-    fn unit_step(&mut self, class: RegClass) -> Result<(), SimError> {
-        let outcome = self.unit_step_inner(class)?;
-        self.record_unit_outcome(class, outcome);
-        Ok(())
-    }
-
-    /// Attribute the `class` unit's cycle to `outcome` (both engines).
-    #[inline]
-    pub(crate) fn record_unit_outcome(&mut self, class: RegClass, outcome: Outcome) {
-        let (perf, last) = match class {
-            RegClass::Int => (&mut self.perf.ieu, &mut self.last_outcomes.ieu),
-            RegClass::Flt => (&mut self.perf.feu, &mut self.last_outcomes.feu),
-        };
-        perf.record(outcome);
-        *last = outcome;
-    }
-
     /// Retire the `class` unit's head instruction `kind`, which executed
-    /// this cycle (both engines); `dst` is the register the paired-ALU
-    /// interlock must delay. The unit's cycle was `Active`.
+    /// this cycle; `dst` is the register the paired-ALU interlock must
+    /// delay. The unit's cycle was `Active`.
     #[inline]
     pub(crate) fn retire_head(
         &mut self,
@@ -1415,42 +1388,11 @@ impl<'m> WmMachine<'m> {
         Outcome::Active
     }
 
-    fn unit_step_inner(&mut self, class: RegClass) -> Result<Outcome, SimError> {
-        if self.unit(class).busy > 0 {
-            self.unit_mut(class).busy -= 1;
-            return Ok(Outcome::Active);
-        }
-        // The queue holds indices into the decoded table; the kind lives
-        // in the module (`&'m`), so peeking borrows nothing from `self`
-        // and stall cycles (interlock, FIFO-empty) never clone.
-        let head: &'m InstKind = {
-            let u = self.unit(class);
-            let Some(&idx) = u.iq.front() else {
-                return Ok(Outcome::Idle);
-            };
-            let head = self.prog.insts[idx as usize].kind;
-            // paired-ALU dependency interlock: the previous instruction's
-            // result is not available to the immediately following
-            // instruction
-            if let Some(prev) = u.prev_dst {
-                if u.prev_cycle + 1 == self.cycle && reads_phys(head, class, prev) {
-                    return Ok(Outcome::Stall(Stall::Interlock)); // one-cycle bubble
-                }
-            }
-            head
-        };
-        // FIFO data availability for every dequeue in the instruction
-        if !self.fifo_ready(class, head) {
-            return Ok(Outcome::Stall(Stall::FifoEmpty));
-        }
-        match self.exec_unit_head(class, head) {
-            Ok(Exec::Retired(dst)) => Ok(self.retire_head(class, head, dst)),
-            Ok(Exec::Stall(s)) => Ok(Outcome::Stall(s)), // retry next cycle
-            Err(e) => Err(attach_inst(e, head)),
-        }
-    }
-
-    /// Execute the unit's head instruction if it can issue this cycle.
+    /// Execute the `class` unit's head instruction `head`, whose FIFO
+    /// operands are known to be available: the fallback handler of the
+    /// decoded tables, which runs every instruction they do not decode
+    /// (stream configuration, channel operations, FIFO-mapped and
+    /// cross-class corner cases).
     ///
     /// [`Exec::Stall`] is a structural stall (full queue, busy port, memory
     /// ordering) with its attributed reason; [`Exec::Retired`] means the
@@ -1588,10 +1530,10 @@ impl<'m> WmMachine<'m> {
         Ok(Exec::Retired(executed_dst))
     }
 
-    /// A scalar load into `fifo` (both engines): `preview` computes the
-    /// address without side effects where it can, `eval` computes it for
-    /// real (given the preview), and `dequeues` says whether that
-    /// consumes a FIFO operand.
+    /// A scalar load into `fifo` (the decoded `WLoad` handler and the
+    /// fallback): `preview` computes the address without side effects
+    /// where it can, `eval` computes it for real (given the preview), and
+    /// `dequeues` says whether that consumes a FIFO operand.
     pub(crate) fn exec_load(
         &mut self,
         class: RegClass,
@@ -1677,19 +1619,6 @@ impl<'m> WmMachine<'m> {
         );
         self.stats.mem_reads += 1;
         Ok(Exec::Retired(None))
-    }
-
-    /// Do the FIFO reads of `kind` have data available?
-    pub(crate) fn fifo_ready(&self, class: RegClass, kind: &InstKind) -> bool {
-        let u = self.unit(class);
-        // A latched load already performed its dequeues when the address
-        // was computed; its retry must not wait on the (possibly empty)
-        // FIFO it consumed from.
-        if u.latched_load.is_some() {
-            return true;
-        }
-        let need = fifo_need(class, kind);
-        need[0] <= u.ins[0].q.len() && need[1] <= u.ins[1].q.len()
     }
 
     // ---- vector execution unit ----
@@ -1803,7 +1732,8 @@ impl<'m> WmMachine<'m> {
                     });
                 }
                 if n <= 1 {
-                    // dequeue (availability pre-checked by fifo_ready)
+                    // dequeue (availability pre-checked against the
+                    // decoded FIFO demand)
                     return self.pop_fifo(class, n);
                 }
                 Ok(self.unit(class).regs[n])
@@ -1812,9 +1742,9 @@ impl<'m> WmMachine<'m> {
     }
 
     /// Dequeue one datum from input FIFO `n` of the `class` unit. The
-    /// caller must have established availability (`fifo_ready`, or the
-    /// decoded tables' precomputed demand pair); a deferred stream fault
-    /// travelling in the slot surfaces here, at consumption.
+    /// caller must have established availability (the decoded tables'
+    /// precomputed demand pair); a deferred stream fault travelling in
+    /// the slot surfaces here, at consumption.
     #[inline]
     pub(crate) fn pop_fifo(&mut self, class: RegClass, n: usize) -> Result<Val, SimError> {
         self.fifo_changing(class, n);
@@ -1980,276 +1910,6 @@ impl<'m> WmMachine<'m> {
         Ok(Val::I(op.fold_int(x, y).expect("integer operator")))
     }
 
-    // ---- instruction fetch unit ----
-
-    /// Fetch and dispatch. Control transfers are free (bounded per cycle);
-    /// one instruction is dispatched to a unit queue per cycle.
-    fn ifu_step(&mut self) -> Result<(), SimError> {
-        let before = self.stats.insts_ifu;
-        let outcome = self.ifu_step_inner()?;
-        // control instructions the IFU itself executed this cycle
-        self.perf.ifu.retired += self.stats.insts_ifu - before;
-        self.perf.ifu.record(outcome);
-        self.last_outcomes.ifu = outcome;
-        Ok(())
-    }
-
-    /// One IFU cycle, attributing it: a cycle that performed any transfer,
-    /// dispatch or IFU-executed instruction is active; otherwise the
-    /// reason the fetch could not proceed is named.
-    fn ifu_step_inner(&mut self) -> Result<Outcome, SimError> {
-        if self.cycle < self.ifu_hold {
-            self.stats.ifu_stalls += 1;
-            return Ok(Outcome::Stall(Stall::Sync));
-        }
-        let module = self.module;
-        let mut transfers = 0;
-        // a stall after free transfers still did useful work this cycle
-        let stall_after = |transfers: i32, s: Stall| {
-            if transfers > 0 {
-                Outcome::Active
-            } else {
-                Outcome::Stall(s)
-            }
-        };
-        loop {
-            let Some(pc) = self.pc else {
-                return Ok(if transfers > 0 {
-                    Outcome::Active
-                } else {
-                    Outcome::Idle
-                });
-            };
-            let func = &module.functions[pc.func];
-            if pc.block >= func.blocks.len() {
-                return Err(SimError::BadProgram(format!(
-                    "control fell off the end of function {}",
-                    func.name
-                )));
-            }
-            let block = &func.blocks[pc.block];
-            if pc.inst >= block.insts.len() {
-                // implicit fallthrough to the next block in layout order
-                self.pc = Some(Pc {
-                    func: pc.func,
-                    block: pc.block + 1,
-                    inst: 0,
-                });
-                continue;
-            }
-            // `self.module` outlives `self`, so the head can be inspected
-            // by reference; only the dispatch arms clone (the clone used
-            // to happen every fetch attempt, including every stall).
-            let kind: &'m InstKind = &block.insts[pc.inst].kind;
-            let label_of = |l: wm_ir::Label| -> usize { func.block_index(l) };
-            match kind {
-                InstKind::Nop => {
-                    self.advance();
-                }
-                InstKind::Jump { target } => {
-                    let target = *target;
-                    self.record("IFU", &InstKind::Jump { target });
-                    let b = label_of(target);
-                    self.pc = Some(Pc {
-                        func: pc.func,
-                        block: b,
-                        inst: 0,
-                    });
-                    self.stats.insts_ifu += 1;
-                    self.last_progress = self.cycle;
-                    transfers += 1;
-                    if transfers > 16 {
-                        return Ok(Outcome::Active); // runaway control; consume the cycle
-                    }
-                }
-                InstKind::Branch {
-                    class,
-                    when,
-                    target,
-                    els,
-                } => {
-                    self.fifo_changing(*class, FIFO_CC);
-                    let Some(cond) = self.unit_mut(*class).cc.pop_front() else {
-                        self.stats.ifu_stalls += 1;
-                        // stall until the compare executes
-                        return Ok(stall_after(transfers, Stall::CcEmpty));
-                    };
-                    let b = label_of(if cond == *when { *target } else { *els });
-                    self.pc = Some(Pc {
-                        func: pc.func,
-                        block: b,
-                        inst: 0,
-                    });
-                    self.stats.insts_ifu += 1;
-                    self.last_progress = self.cycle;
-                    transfers += 1;
-                    if transfers > 16 {
-                        return Ok(Outcome::Active);
-                    }
-                }
-                InstKind::BranchStream { fifo, target, els } => {
-                    let Some(count) = self.dispatch.get_mut(fifo) else {
-                        // the stream instruction has not executed yet
-                        self.stats.ifu_stalls += 1;
-                        return Ok(stall_after(transfers, Stall::StreamWait));
-                    };
-                    *count -= 1;
-                    let taken = *count > 0;
-                    if !taken {
-                        self.dispatch.remove(fifo);
-                    }
-                    let b = label_of(if taken { *target } else { *els });
-                    self.pc = Some(Pc {
-                        func: pc.func,
-                        block: b,
-                        inst: 0,
-                    });
-                    self.stats.insts_ifu += 1;
-                    self.last_progress = self.cycle;
-                    transfers += 1;
-                    if transfers > 16 {
-                        return Ok(Outcome::Active);
-                    }
-                }
-                InstKind::Call { callee, .. } => {
-                    let callee = *callee;
-                    match &self.module.global(callee).kind {
-                        GlobalKind::Func(fi) => {
-                            let fi = *fi;
-                            self.ret_stack.push(Pc {
-                                func: pc.func,
-                                block: pc.block,
-                                inst: pc.inst + 1,
-                            });
-                            self.pc = Some(Pc {
-                                func: fi,
-                                block: 0,
-                                inst: 0,
-                            });
-                            self.stats.insts_ifu += 1;
-                            self.stats.calls += 1;
-                            self.last_progress = self.cycle;
-                            return Ok(Outcome::Active); // calls consume the fetch slot
-                        }
-                        GlobalKind::Builtin => {
-                            // builtins read register state directly: the
-                            // units must be synchronized first
-                            if !self.quiescent() {
-                                self.stats.ifu_stalls += 1;
-                                return Ok(stall_after(transfers, Stall::Sync));
-                            }
-                            let name = self.module.sym_name(callee).to_string();
-                            self.exec_builtin(&name)?;
-                            self.ifu_hold = self.cycle + self.config.io_latency;
-                            self.advance();
-                            self.stats.insts_ifu += 1;
-                            self.stats.calls += 1;
-                            self.last_progress = self.cycle;
-                            return Ok(Outcome::Active);
-                        }
-                        GlobalKind::Data { .. } => {
-                            return Err(SimError::BadProgram(format!(
-                                "call to data symbol {}",
-                                self.module.sym_name(callee)
-                            )))
-                        }
-                    }
-                }
-                InstKind::Ret => {
-                    self.pc = self.ret_stack.pop();
-                    self.stats.insts_ifu += 1;
-                    self.last_progress = self.cycle;
-                    return Ok(Outcome::Active);
-                }
-                // cross-unit conversions are executed by the IFU after
-                // synchronizing the execution units
-                InstKind::Assign {
-                    dst,
-                    src: RExpr::Un(op @ (UnOp::IntToFlt | UnOp::FltToInt), a),
-                } => {
-                    if !self.quiescent() {
-                        self.stats.ifu_stalls += 1;
-                        return Ok(stall_after(transfers, Stall::Sync));
-                    }
-                    let (op, a, dst) = (*op, *a, *dst);
-                    let src_class = if op == UnOp::IntToFlt {
-                        RegClass::Int
-                    } else {
-                        RegClass::Flt
-                    };
-                    // a forwarded FIFO dequeue must wait for its datum
-                    if let Operand::Reg(r) = a {
-                        if r.is_fifo()
-                            && self.unit(src_class).ins[r.phys_num().unwrap() as usize]
-                                .q
-                                .is_empty()
-                        {
-                            self.stats.ifu_stalls += 1;
-                            return Ok(stall_after(transfers, Stall::FifoEmpty));
-                        }
-                    }
-                    let v = self.read_operand(src_class, a)?;
-                    let v = self.eval_un(op, v)?;
-                    self.write_reg(dst.class, dst, v)?;
-                    self.advance();
-                    self.stats.insts_ifu += 1;
-                    self.last_progress = self.cycle;
-                    return Ok(Outcome::Active);
-                }
-                InstKind::BranchVec { target, els } => {
-                    let Some(count) = self.dispatch_vec.as_mut() else {
-                        self.stats.ifu_stalls += 1;
-                        return Ok(stall_after(transfers, Stall::StreamWait));
-                    };
-                    *count -= 1;
-                    let taken = *count > 0;
-                    if !taken {
-                        self.dispatch_vec = None;
-                    }
-                    let b = label_of(if taken { *target } else { *els });
-                    self.pc = Some(Pc {
-                        func: pc.func,
-                        block: b,
-                        inst: 0,
-                    });
-                    self.stats.insts_ifu += 1;
-                    self.last_progress = self.cycle;
-                    transfers += 1;
-                    if transfers > 16 {
-                        return Ok(Outcome::Active);
-                    }
-                }
-                InstKind::VLoad { .. }
-                | InstKind::VStore { .. }
-                | InstKind::VecBin { .. }
-                | InstKind::VecBroadcast { .. } => {
-                    if self.veu.iq.len() >= self.config.iq_capacity {
-                        self.stats.ifu_stalls += 1;
-                        return Ok(stall_after(transfers, Stall::IqFull));
-                    }
-                    let idx = self.prog.index_of(pc.func, pc.block, pc.inst);
-                    self.veu.iq.push_back(idx);
-                    self.advance();
-                    self.last_progress = self.cycle;
-                    return Ok(Outcome::Active);
-                }
-                // everything else is dispatched to an execution unit
-                other => {
-                    let class = dispatch_class(other);
-                    if self.unit(class).iq.len() >= self.config.iq_capacity {
-                        self.stats.ifu_stalls += 1;
-                        return Ok(stall_after(transfers, Stall::IqFull));
-                    }
-                    let idx = self.prog.index_of(pc.func, pc.block, pc.inst);
-                    self.unit_mut(class).iq.push_back(idx);
-                    self.advance();
-                    self.last_progress = self.cycle;
-                    return Ok(Outcome::Active);
-                }
-            }
-        }
-    }
-
     pub(crate) fn advance(&mut self) {
         if let Some(pc) = self.pc.as_mut() {
             pc.inst += 1;
@@ -2276,26 +1936,11 @@ impl<'m> WmMachine<'m> {
     }
 }
 
-/// How many entries `kind` dequeues from each input FIFO of `class`.
-/// Does `kind` read physical register `phys` of `class`?
-///
-/// Allocation-free equivalent of `kind.uses().contains(..)` for the
-/// per-cycle interlock check: the common instruction kinds are matched
-/// directly so no `Vec` of registers is built on the hot path.
-fn reads_phys(kind: &InstKind, class: RegClass, phys: u8) -> bool {
-    let hit = |r: Reg| r.class == class && r.phys_num() == Some(phys);
-    match kind {
-        InstKind::Assign { src, .. } => src.regs().any(hit),
-        InstKind::Compare { a, b, .. } => a.reg().is_some_and(hit) || b.reg().is_some_and(hit),
-        InstKind::WLoad { addr, .. } | InstKind::WStore { addr, .. } => addr.regs().any(hit),
-        other => other.uses().into_iter().any(hit),
-    }
-}
-
+/// How many entries `kind` dequeues from each input FIFO of `class`:
+/// the FIFO demand decode precomputes for the fallback slots, and the
+/// one deadlock diagnosis reports.
 pub(crate) fn fifo_need(class: RegClass, kind: &InstKind) -> [usize; 2] {
     let mut need = [0usize; 2];
-    // This runs for every queued instruction every cycle: keep it
-    // allocation-free (a `Vec` of expressions here shows up in profiles).
     let expr: Option<&RExpr> = match kind {
         InstKind::Assign { src, .. } => Some(src),
         InstKind::WLoad { addr, .. } | InstKind::WStore { addr, .. } => Some(addr),

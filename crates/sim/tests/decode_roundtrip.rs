@@ -1,12 +1,12 @@
-//! Decode-table round-trip: the pre-decoded dispatch tables must be a
-//! lossless re-encoding of the RTL the interpreter executes. For every
-//! function of every workload (and for random fuzzed programs), each
-//! [`wm_sim::DecodedProgram`] entry is checked against the original
-//! instruction: block-table alignment, operand slots, register order,
-//! folded immediates (bit-equal for floats), precomputed FIFO demand and
-//! interlock masks, and re-resolved control-flow targets. Anything the
-//! decoder cannot represent exactly must carry the interpreter fallback,
-//! which `verify_roundtrip` also checks.
+//! Decode-table round-trip: the pre-decoded dispatch tables, the issue
+//! path of both engines, must be a lossless re-encoding of the compiled
+//! RTL. For every function of every workload (and for random fuzzed
+//! programs), each [`wm_sim::DecodedProgram`] entry is checked against
+//! the original instruction: block-table alignment, operators, operand
+//! slots in order, folded immediates (bit-equal for floats), the FIFO
+//! demand and interlock mask its operand slots imply, and re-resolved
+//! control-flow targets. Anything the decoder cannot represent exactly
+//! must carry the fallback, which `verify_roundtrip` also checks.
 
 use proptest::prelude::*;
 use wm_ir::Module;

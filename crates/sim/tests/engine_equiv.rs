@@ -429,6 +429,46 @@ fn engines_agree_on_memory_hierarchy_stall_storms() {
 }
 
 #[test]
+fn the_reference_engine_never_skips() {
+    // Both engines share the issue path; what only the compiled engine
+    // runs is its skips. If a mis-set switch let `Engine::Cycle` skip
+    // too, every engine comparison would compare the skip code with
+    // itself and still pass. A scalar build on latency-24 memory spends
+    // most cycles with every unit stalled, so the compiled engine
+    // fast-forwards; the reference must step each of those cycles.
+    let module = compile(
+        r"
+        int a[256];
+        int main() {
+            int i; int s;
+            for (i = 0; i < 256; i++) a[i] = i;
+            s = 0;
+            for (i = 0; i < 256; i++) s = s + a[i];
+            return s % 1000;
+        }
+        ",
+        &OptOptions::all().without_recurrence().without_streaming(),
+    );
+    let cfg = WmConfig::default().with_mem_latency(24).with_mem_ports(1);
+    let run = |engine: Engine| {
+        let mut m = WmMachine::new(&module, &cfg.clone().with_engine(engine)).expect("builds");
+        m.set_timeline(true);
+        m.start("main", &[]).expect("starts");
+        let r = m.run_to_completion().expect("runs");
+        (r, m.ff_spans().len())
+    };
+    let (reference, reference_spans) = run(Engine::Cycle);
+    let (compiled, compiled_spans) = run(Engine::Compiled);
+    assert!(
+        compiled_spans > 0,
+        "the compiled engine fast-forwarded nothing"
+    );
+    assert_eq!(reference_spans, 0, "the reference engine fast-forwarded");
+    assert_eq!(reference.ret_int, (0..256).sum::<i64>() % 1000);
+    assert_eq!(reference.perf, compiled.perf);
+}
+
+#[test]
 fn compiled_engine_is_the_default() {
     let module = compile("int main() { return 41 + 1; }", &OptOptions::all());
     let r = WmMachine::run(&module, "main", &[], &WmConfig::default()).expect("runs");

@@ -3,6 +3,13 @@
 //! This is the broadest guard against miscompilation by the recurrence,
 //! streaming and combining passes.
 //!
+//! Each opt level draws its stepping engine, its memory model and a tile
+//! count in `1..=4`; the build is partitioned across that many tiles and
+//! run on as many cores. Every draw is checked against the untiled `-O0`
+//! result, which no engine comparison can replace: both engines share
+//! the decode tables, so only a result oracle catches a decode or
+//! partitioning error that both would make alike.
+//!
 //! The generated loop's upper bound ranges up to the arrays' exact size,
 //! so reads at `i+2` can run just past the end: every configuration must
 //! then agree on *fault-or-value* — a build that faults where another
@@ -99,21 +106,31 @@ const MEM_SPECS: [&str; 6] = [
     "banked:size=512,assoc=2,sbufs=1,depth=2,banks=2",
 ];
 
-/// Run on the WM at one opt level under the chosen stepping engine and
-/// memory model; a memory fault is a legitimate outcome (`Err`),
-/// anything else non-Ok (deadlock, timeout) is a test failure.
-fn run_wm_level(src: &str, opts: &OptOptions, engine: Engine, mem: &str) -> Result<i64, String> {
+/// Run on the WM at one opt level under the chosen stepping engine,
+/// memory model and tile count (the build is partitioned across `tiles`
+/// cores); a memory fault is a legitimate outcome (`Err`), anything else
+/// non-Ok (deadlock, timeout) is a test failure.
+fn run_wm_level(
+    src: &str,
+    opts: &OptOptions,
+    engine: Engine,
+    mem: &str,
+    tiles: usize,
+) -> Result<i64, String> {
     let c = Compiler::new()
-        .options(opts.clone())
+        .options(opts.clone().with_tiles(tiles))
         .compile(src)
         .expect("compiles");
     let cfg = WmConfig::default()
         .with_engine(engine)
-        .with_mem_model(MemModel::parse(mem).expect("valid spec"));
+        .with_mem_model(MemModel::parse(mem).expect("valid spec"))
+        .with_tiles(tiles);
     match c.run_wm_config("main", &[], &cfg) {
         Ok(r) => Ok(r.ret_int),
         Err(e @ wm_stream::sim::SimError::Fault { .. }) => Err(e.to_string()),
-        Err(e) => panic!("non-fault failure under {opts:?} ({engine}, mem={mem}): {e}\n{src}"),
+        Err(e) => panic!(
+            "non-fault failure under {opts:?} ({engine}, mem={mem}, tiles={tiles}): {e}\n{src}"
+        ),
     }
 }
 
@@ -140,15 +157,18 @@ proptest! {
         src in arbitrary_program(),
         engines in proptest::collection::vec(0..Engine::ALL.len(), 7),
         mems in proptest::collection::vec(0..MEM_SPECS.len(), 7),
+        tiles in proptest::collection::vec(1..=4usize, 7),
     ) {
-        // The reference runs on the per-cycle stepper over flat memory;
-        // each opt level draws its engine (cycle or compiled) and memory
-        // model at random so every fuzzed program also exercises engine
-        // equivalence and the timing-only-hierarchy guarantee (results must never depend on the cache/DRAM
-        // configuration).
-        let reference = run_wm_level(&src, &OptOptions::none(), Engine::Cycle, "flat");
+        // The reference runs untiled on the per-cycle stepper over flat
+        // memory; each opt level draws its engine (cycle or compiled),
+        // memory model and tile count at random, so every fuzzed program
+        // also exercises engine equivalence, the timing-only-hierarchy
+        // guarantee (results must never depend on the cache/DRAM
+        // configuration) and the tiled result oracle (a partitioned
+        // build must return the untiled result or fault alike).
+        let reference = run_wm_level(&src, &OptOptions::none(), Engine::Cycle, "flat", 1);
 
-        for ((opts, engine_ix), mem_ix) in [
+        for (((opts, engine_ix), mem_ix), tiles) in [
             OptOptions::all().without_recurrence().without_streaming(),
             OptOptions::all().without_streaming(),
             OptOptions::all(),
@@ -165,17 +185,20 @@ proptest! {
         .into_iter()
         .zip(engines)
         .zip(mems)
+        .zip(tiles)
         {
             let engine = Engine::ALL[engine_ix];
             let mem = MEM_SPECS[mem_ix];
-            let r = run_wm_level(&src, &opts, engine, mem);
+            let r = run_wm_level(&src, &opts, engine, mem, tiles);
             match (&reference, &r) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "options {:?} mem={}\n{}", opts, mem, src),
+                (Ok(a), Ok(b)) => prop_assert_eq!(
+                    a, b, "options {:?} mem={} tiles={}\n{}", opts, mem, tiles, src
+                ),
                 (Err(_), Err(_)) => {} // both fault: agreement
                 _ => prop_assert!(
                     false,
-                    "fault-or-value disagreement under {:?} (mem={}): reference {:?} vs {:?}\n{}",
-                    opts, mem, reference, r, src
+                    "fault-or-value disagreement under {:?} (mem={}, tiles={}): reference {:?} vs {:?}\n{}",
+                    opts, mem, tiles, reference, r, src
                 ),
             }
         }

@@ -19,8 +19,8 @@ use std::time::Duration;
 
 use wm_opt::AliasModel;
 use wm_sim::{
-    CancelToken, Engine, FaultPlan, MemModel, SimError, FIFO_CAPACITY_RANGE, MEM_PORTS_RANGE,
-    TILES_RANGE,
+    CancelToken, Engine, FaultPlan, MemModel, SimError, CYCLES_RANGE, FIFO_CAPACITY_RANGE,
+    MEM_PORTS_RANGE, TILES_RANGE,
 };
 
 use crate::{Compiled, Compiler, Error, OptOptions, RunResult, WmConfig, WmMachine};
@@ -133,7 +133,7 @@ pub static SETTINGS: [Setting; 14] = [
     Setting {
         name: "mem_latency",
         flag: "--mem-latency",
-        kind: Kind::Unsigned(ANY, |j, n| j.config.mem_latency = n),
+        kind: Kind::Unsigned(CYCLES_RANGE, |j, n| j.config.mem_latency = n),
         writes: "`config.mem_latency`",
     },
     Setting {
@@ -157,7 +157,7 @@ pub static SETTINGS: [Setting; 14] = [
     Setting {
         name: "squash_penalty",
         flag: "--squash-penalty",
-        kind: Kind::Unsigned(ANY, |j, n| j.config.squash_penalty = n),
+        kind: Kind::Unsigned(CYCLES_RANGE, |j, n| j.config.squash_penalty = n),
         writes: "`config.squash_penalty`",
     },
     Setting {
@@ -502,6 +502,104 @@ mod tests {
                 let e = spec.set(name, &bad.to_string()).unwrap_err();
                 assert_eq!(e, format!("`{name}` must be in {range:?}, got {bad}"));
             }
+            spec.set(name, &range.end().to_string()).unwrap();
+        }
+    }
+
+    /// The values worth trying for `setting`: every legal flag or level,
+    /// the edges of an unsigned range and the widest integers, and each
+    /// number of `inject` and each timing key of `mem` at `u32::MAX` and
+    /// `u64::MAX`.
+    fn edge_values(setting: &Setting) -> Vec<String> {
+        let huge = [u64::from(u32::MAX), u64::MAX];
+        match &setting.kind {
+            Kind::Flag(..) => vec!["true".into(), "false".into()],
+            Kind::Unsigned(range, _) => {
+                let mut v = vec![0, 1, *range.end(), range.end().saturating_add(1)];
+                v.extend(huge);
+                v.sort_unstable();
+                v.dedup();
+                v.iter().map(u64::to_string).collect()
+            }
+            Kind::Text(values, _) => match setting.name {
+                "opt" | "engine" => values.split(", ").map(str::to_string).collect(),
+                "inject" => huge
+                    .iter()
+                    .flat_map(|n| {
+                        [
+                            format!("delay:1:{n}"),
+                            format!("delay:{n}:1"),
+                            format!("drop:{n}"),
+                            format!("scu:0:{n}"),
+                            format!("scu:{n}:1"),
+                            format!("jitter:1:{n}"),
+                            format!("jitter:{n}:1"),
+                        ]
+                    })
+                    .collect(),
+                "mem" => huge
+                    .iter()
+                    .flat_map(|n| {
+                        ["hit", "miss", "transfer"]
+                            .map(|k| format!("cache:{k}={n}"))
+                            .into_iter()
+                            .chain(
+                                ["hit", "miss", "transfer", "busy", "rowmiss"]
+                                    .map(|k| format!("banked:{k}={n}")),
+                            )
+                            .chain([format!("banked:rowhit={n},rowmiss={n}")])
+                    })
+                    .collect(),
+                other => panic!("no edge values for `{other}`"),
+            },
+        }
+    }
+
+    /// No value of any setting panics a job: each one is refused by
+    /// `set`, or the job runs to a result or a `SimError`. The job
+    /// stores, loads and squashes a speculative stream, so every latency
+    /// a setting can stretch lies on its path.
+    #[test]
+    fn no_setting_value_panics_a_job() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut base = JobSpec::new(crate::tests::SENTINEL_SCAN);
+        for (name, value) in [
+            ("opt", "full"),
+            ("speculative_streams", "true"),
+            ("max_cycles", "100000"),
+        ] {
+            base.set(name, value).unwrap();
+        }
+        let mut panicked = Vec::new();
+        for setting in &SETTINGS {
+            for value in edge_values(setting) {
+                let mut spec = base.clone();
+                if spec.set(setting.name, &value).is_err() {
+                    continue;
+                }
+                let case = format!("{} = {value}", setting.name);
+                match catch_unwind(AssertUnwindSafe(|| spec.run(None))) {
+                    Ok(Ok(_) | Err(JobError::Sim(_))) => {}
+                    Ok(Err(e)) => panic!("{case}: {e}"),
+                    Err(_) => panicked.push(case),
+                }
+            }
+        }
+        assert!(panicked.is_empty(), "jobs panicked: {panicked:?}");
+    }
+
+    #[test]
+    fn cycle_settings_reject_one_past_the_end() {
+        for name in ["mem_latency", "squash_penalty"] {
+            let setting = SETTINGS.iter().find(|s| s.name == name).unwrap();
+            let Kind::Unsigned(range, _) = &setting.kind else {
+                panic!("`{name}` is unsigned");
+            };
+            assert_eq!(*range, CYCLES_RANGE, "{name}");
+            let mut spec = JobSpec::new("");
+            let past = range.end() + 1;
+            let e = spec.set(name, &past.to_string()).unwrap_err();
+            assert_eq!(e, format!("`{name}` must be in {range:?}, got {past}"));
             spec.set(name, &range.end().to_string()).unwrap();
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! The workspace deliberately carries no external dependencies, so
 //! nothing here can use `serde`: the `perf` benchmark runner reads
-//! `bench/baseline.json` and the counter documents that
+//! `bench/baseline/<leg>.json` and the counter documents that
 //! `wmcc --stats-json` and [`Stats::to_json`](crate::sim::Stats::to_json)
 //! emit, and the `wmd` daemon parses its newline-delimited JSON wire
 //! protocol, all through this module. The recursive-descent parser

@@ -323,7 +323,10 @@ mod tests {
         }
     }
 
-    const SENTINEL_SCAN: &str = r"
+    /// Stores an array, then scans it for a sentinel in its last element:
+    /// under `speculative_streams` the scan streams past the array and
+    /// squashes the stream at the exit.
+    pub(crate) const SENTINEL_SCAN: &str = r"
         int a[16];
         int main() {
             int i;

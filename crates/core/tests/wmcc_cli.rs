@@ -1,6 +1,6 @@
 //! `wmcc` job flags compose in any order: a flag given before `--opt`
-//! survives it. Each test compares `--emit` listings, so nothing is
-//! simulated.
+//! survives it (those tests compare `--emit` listings, so nothing is
+//! simulated). A cycle count past `CYCLES_RANGE` is a usage error.
 
 use std::process::Command;
 
@@ -37,6 +37,29 @@ fn tiles_before_opt_still_partition() {
     );
     let tiles_first = listing(&file, &["--tiles", "2", "--opt", "full", "--noalias"]);
     assert_eq!(tiles_first, opt_first);
+}
+
+#[test]
+fn huge_cycle_counts_exit_2() {
+    let file = program("dot_product");
+    let huge = u64::MAX.to_string();
+    for (flag, value) in [
+        ("--inject", format!("jitter:1:{huge}")),
+        ("--mem-latency", huge.clone()),
+        ("--mem", format!("cache:miss={huge}")),
+        ("--squash-penalty", huge.clone()),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_wmcc"))
+            .args([file.as_str(), flag, &value])
+            .output()
+            .expect("wmcc runs");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{flag} {value}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }
 
 #[test]

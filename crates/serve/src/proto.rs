@@ -387,6 +387,11 @@ mod tests {
             r#""mem": "cache:size=1099511627776""#,
             r#""mem": "banked:banks=1099511627776""#,
             r#""mem": "cache:sbufs=100000000000""#,
+            // cycle counts past `CYCLES_RANGE` would wrap a due cycle
+            r#""mem_latency": 18446744073709551615"#,
+            r#""squash_penalty": 18446744073709551615"#,
+            r#""mem": "cache:miss=18446744073709551615""#,
+            r#""inject": "jitter:1:18446744073709551615""#,
         ] {
             let line = format!(r#"{{"id": "p", "source": "int main() {{ return 0; }}", {field}}}"#);
             let (id, msg) = parse_request(&line).unwrap_err();

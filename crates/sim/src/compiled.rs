@@ -10,11 +10,9 @@
 //! pre-resolved. Scalar loads and stores run the shared paths
 //! ([`WmMachine::exec_load`], [`WmMachine::queue_store`]) with the
 //! address evaluated over the decoded expression, and FIFO reads dequeue
-//! through the shared [`WmMachine::pop_fifo`]. Whatever the tables
-//! cannot express exactly (stream configuration, channel operations,
-//! FIFO-mapped register corner cases, cross-class operands, unresolvable
-//! symbols) carries the fallback handler, which runs
-//! [`WmMachine::exec_unit_head`] on the original instruction.
+//! through the shared [`WmMachine::pop_fifo`]. Every instruction a unit
+//! executes has exactly one handler here; a module with a form none of
+//! them can execute never gets a machine (see [`crate::decode`]).
 //!
 //! The two engines differ only in the step's *skips*, the work the
 //! compiled engine avoids because nothing needs it. `step_with` selects
@@ -42,10 +40,12 @@
 //! verifier ([`crate::DecodedProgram::verify_roundtrip`]), the per-leg
 //! `perf --check` pins and the fuzzer's result oracles catch those.
 
-use wm_ir::{Operand, RegClass, UnOp};
+use wm_ir::{InstKind, RegClass};
 
-use crate::decode::{DecExpr, DecodedInst, Dst, IfuOp, Payload, Src};
-use crate::machine::{attach_inst, Exec, Pc, SimError, Val, WmMachine, FIFO_CC, FIFO_OUT};
+use crate::config::IO_LATENCY;
+use crate::decode::{convert_source, DecExpr, DecodedInst, Dst, IfuOp, Payload, Src};
+use crate::fault::{FaultKind, FaultUnit};
+use crate::machine::{attach_inst, ChanMsg, Exec, Pc, SimError, Val, WmMachine, FIFO_CC, FIFO_OUT};
 use crate::stats::{Outcome, Stall};
 
 impl<'m> WmMachine<'m> {
@@ -324,18 +324,12 @@ impl<'m> WmMachine<'m> {
                     }
                     let name = self.module.sym_name(callee).to_string();
                     self.exec_builtin(&name)?;
-                    self.ifu_hold = self.cycle + self.config.io_latency;
+                    self.ifu_hold = self.cycle + IO_LATENCY;
                     self.advance();
                     self.stats.insts_ifu += 1;
                     self.stats.calls += 1;
                     self.last_progress = self.cycle;
                     return Ok(Outcome::Active);
-                }
-                IfuOp::CallBad { callee } => {
-                    return Err(SimError::BadProgram(format!(
-                        "call to data symbol {}",
-                        self.module.sym_name(callee)
-                    )))
                 }
                 IfuOp::Ret => {
                     self.pc = self.ret_stack.pop();
@@ -345,30 +339,22 @@ impl<'m> WmMachine<'m> {
                 }
                 // cross-unit conversions are executed by the IFU after
                 // synchronizing the execution units
-                IfuOp::Convert { op, a, dst } => {
+                IfuOp::Convert { op, a, class, dst } => {
                     if !self.quiescent() {
                         self.stats.ifu_stalls += 1;
                         return Ok(stall_after(transfers, Stall::Sync));
                     }
-                    let src_class = if op == UnOp::IntToFlt {
-                        RegClass::Int
-                    } else {
-                        RegClass::Flt
-                    };
+                    let src_class = convert_source(op);
                     // a forwarded FIFO dequeue must wait for its datum
-                    if let Operand::Reg(r) = a {
-                        if r.is_fifo()
-                            && self.unit(src_class).ins[r.phys_num().unwrap() as usize]
-                                .q
-                                .is_empty()
-                        {
+                    if let Src::Fifo(n) = a {
+                        if self.unit(src_class).ins[n as usize].q.is_empty() {
                             self.stats.ifu_stalls += 1;
                             return Ok(stall_after(transfers, Stall::FifoEmpty));
                         }
                     }
-                    let v = self.read_operand(src_class, a)?;
+                    let v = read_slot(self, src_class, a)?;
                     let v = self.eval_un(op, v)?;
-                    self.write_reg(dst.class, dst, v)?;
+                    write_dst(self, class, dst, v);
                     self.advance();
                     self.stats.insts_ifu += 1;
                     self.last_progress = self.cycle;
@@ -411,16 +397,12 @@ impl<'m> WmMachine<'m> {
     }
 }
 
-// ---- exec handlers (the decoded forms of `exec_unit_head`'s match arms,
-// which stay the fallback for the corner cases; each mirrors its arm
-// check-for-check) ----
+// ---- exec handlers: one per instruction kind a unit executes ----
 
-/// Read one decoded source slot. FIFO slots dequeue through the shared
-/// [`WmMachine::pop_fifo`] (the same code `read_operand` runs), so
-/// poison and deadlock semantics cannot diverge; the decode-time slot
-/// classification just skips `read_operand`'s re-derivation of what the
-/// operand is.
-fn read_slot<'m>(m: &mut WmMachine<'m>, class: RegClass, s: Src) -> Result<Val, SimError> {
+/// Read one decoded source slot of the `class` unit: every operand read
+/// goes through here. FIFO slots dequeue through
+/// [`WmMachine::pop_fifo`], where a poisoned datum faults.
+pub(crate) fn read_slot(m: &mut WmMachine<'_>, class: RegClass, s: Src) -> Result<Val, SimError> {
     match s {
         Src::Imm(v) => Ok(Val::I(v)),
         Src::FImm(v) => Ok(Val::F(v)),
@@ -433,8 +415,8 @@ fn read_slot<'m>(m: &mut WmMachine<'m>, class: RegClass, s: Src) -> Result<Val, 
     }
 }
 
-/// Write a decoded destination slot (register 1 is never decoded, so
-/// this cannot fail).
+/// Write a decoded destination slot of the `class` unit: every register
+/// write goes through here (register 1 has no slot, so this cannot fail).
 fn write_dst(m: &mut WmMachine<'_>, class: RegClass, d: Dst, v: Val) {
     match d {
         Dst::Zero => {} // writes to the zero register are discarded
@@ -446,9 +428,8 @@ fn write_dst(m: &mut WmMachine<'_>, class: RegClass, d: Dst, v: Val) {
     }
 }
 
-/// Evaluate a decoded expression with `eval_expr`'s operand order and
-/// fault semantics (FIFO dequeues happen in a, b, c order; division by
-/// zero faults from `eval_bin`).
+/// Evaluate a decoded expression: FIFO dequeues happen in a, b, c order,
+/// and division by zero faults from `eval_bin`.
 fn eval_dec<'m>(m: &mut WmMachine<'m>, class: RegClass, e: &DecExpr) -> Result<Val, SimError> {
     match *e {
         DecExpr::Op(a) => read_slot(m, class, a),
@@ -478,10 +459,10 @@ fn eval_dec<'m>(m: &mut WmMachine<'m>, class: RegClass, e: &DecExpr) -> Result<V
 }
 
 /// Side-effect-free preview of a decoded address expression; `None` when
-/// it reads a FIFO or cannot fold — exactly when `eval_expr_pure`
-/// returns `None` on the original expression (decode
-/// folds only immediate pairs that `fold_int` accepts, so a fold never
-/// turns an unanalyzable address into an analyzable one or vice versa).
+/// it reads a FIFO (whose dequeue cannot be previewed) or cannot fold
+/// (decode folds only immediate pairs that `fold_int` accepts, so a fold
+/// never turns an unanalyzable address into an analyzable one or vice
+/// versa).
 fn eval_dec_pure(m: &WmMachine<'_>, class: RegClass, e: &DecExpr) -> Option<i64> {
     let read = |s: Src| -> Option<i64> {
         match s {
@@ -582,9 +563,8 @@ pub(crate) fn exec_wload<'m>(m: &mut WmMachine<'m>, d: &DecodedInst<'m>) -> Resu
         |m| eval_dec_pure(m, d.class, &addr),
         // A successful integer-unit preview read no FIFO and every fold
         // succeeded, so re-evaluating is side-effect-free, cannot fault
-        // and produces the same address: reuse it (the fallback
-        // re-evaluates; the value is identical by construction). Float-unit
-        // address arithmetic is not previewable that way, so it always
+        // and produces the same address: reuse it. Float-unit address
+        // arithmetic is not previewable that way, so it always
         // re-evaluates.
         |m, previewed| match previewed {
             Some(a) if d.class == RegClass::Int => Ok(a),
@@ -604,14 +584,101 @@ pub(crate) fn exec_wstore<'m>(
     m.queue_store(unit, width, |m| Ok(eval_dec(m, d.class, &addr)?.as_i()))
 }
 
-/// The fallback: run `exec_unit_head`'s arm on the original
-/// instruction. Carried by every instruction the decode tables cannot
-/// express exactly (stream configuration, channel operations,
-/// FIFO-mapped destination corner cases, cross-class operands,
-/// unresolvable symbols).
-pub(crate) fn exec_fallback<'m>(
+/// Stream configuration, any of the eight kinds: claim an SCU, or stall
+/// while none is free or the stream's target is busy.
+pub(crate) fn exec_stream<'m>(
     m: &mut WmMachine<'m>,
     d: &DecodedInst<'m>,
 ) -> Result<Exec, SimError> {
-    m.exec_unit_head(d.class, d.kind)
+    if m.configure_stream(d.kind)? {
+        Ok(Exec::Retired(None))
+    } else {
+        Ok(Exec::Stall(Stall::ScuBusy))
+    }
+}
+
+/// `Sstop`: stop every stream on the FIFO.
+pub(crate) fn exec_sstop<'m>(m: &mut WmMachine<'m>, d: &DecodedInst<'m>) -> Result<Exec, SimError> {
+    let InstKind::StreamStop { fifo } = *d.kind else {
+        unreachable!("exec_sstop wired to a non-Sstop instruction");
+    };
+    // stopping an out-stream must not strand enqueued data: wait until
+    // the SCU has drained the output FIFO
+    let draining = m
+        .scus
+        .iter()
+        .any(|s| s.active && !s.dir_in && s.fifo == fifo)
+        && !m.unit(fifo.class).out.is_empty();
+    if draining {
+        return Ok(Exec::Stall(Stall::ScuBusy));
+    }
+    m.stop_stream(fifo);
+    Ok(Exec::Retired(None))
+}
+
+/// `Csend`: stage one value toward the peer tile.
+pub(crate) fn exec_csend<'m>(m: &mut WmMachine<'m>, d: &DecodedInst<'m>) -> Result<Exec, SimError> {
+    let Payload::ChanSend { peer, src } = d.payload else {
+        unreachable!("exec_csend wired to a non-Csend payload");
+    };
+    let dst = m.chan_peer(peer)?;
+    let val = read_slot(m, d.class, src)?;
+    // Fire-and-forget: a scalar send never checks credits, so a runaway
+    // sender can overrun the receiver. The routing barrier poisons the
+    // overflowing entry, and the fault surfaces — with provenance — at
+    // the *consuming* tile.
+    m.chan_tx.push(ChanMsg {
+        dst,
+        val,
+        poison: None,
+    });
+    Ok(Exec::Retired(None))
+}
+
+/// `Crecv`: output-FIFO capacity check, then pop the next due value from
+/// the peer tile's channel.
+pub(crate) fn exec_crecv<'m>(m: &mut WmMachine<'m>, d: &DecodedInst<'m>) -> Result<Exec, SimError> {
+    let Payload::ChanRecv { peer, dst } = d.payload else {
+        unreachable!("exec_crecv wired to a non-Crecv payload");
+    };
+    if dst == Dst::Out && m.unit(d.class).out.len() >= m.config.fifo_capacity {
+        return Ok(Exec::Stall(Stall::OutFull)); // output FIFO full
+    }
+    let p = m.chan_peer(peer)?;
+    let due = m.chan_rx[p].front().is_some_and(|e| e.due <= m.cycle);
+    if !due {
+        return Ok(Exec::Stall(Stall::ChanEmpty));
+    }
+    let e = m.chan_rx[p].pop_front().expect("checked non-empty");
+    if let Some(poison) = e.poison {
+        let unit = match d.class {
+            RegClass::Int => FaultUnit::Ieu,
+            RegClass::Flt => FaultUnit::Feu,
+        };
+        return Err(m.fault(
+            unit,
+            FaultKind::PoisonConsumed,
+            Some(poison.addr),
+            None,
+            format!(
+                "consumed a poisoned channel datum from tile {p}: {}",
+                poison.error
+            ),
+        ));
+    }
+    write_dst(m, d.class, dst, e.val);
+    Ok(Exec::Retired(match dst {
+        Dst::Reg(n) => Some(n),
+        Dst::Out | Dst::Zero => None,
+    }))
+}
+
+/// The exec slot of an instruction the IFU or the VEU executes: never
+/// called, since only [`IfuOp::Dispatch`] slots enter a scalar unit's
+/// instruction queue.
+pub(crate) fn exec_not_dispatched<'m>(
+    _: &mut WmMachine<'m>,
+    d: &DecodedInst<'m>,
+) -> Result<Exec, SimError> {
+    unreachable!("`{}` reached a scalar unit", d.kind)
 }

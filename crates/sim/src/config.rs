@@ -22,6 +22,31 @@ pub const MEM_PORTS_RANGE: RangeInclusive<u32> = 1..=64;
 /// peers with a 3-bit tile id.
 pub const TILES_RANGE: RangeInclusive<usize> = 1..=8;
 
+/// Legal values of every cycle count the simulator adds to the current
+/// cycle: [`WmConfig::mem_latency`], [`WmConfig::squash_penalty`], the
+/// timing keys of a [`MemModel`] and the delays and jitter of a
+/// [`FaultPlan`]. The bound, about twice the default
+/// [`WmConfig::max_cycles`], keeps every due cycle far from `u64`
+/// overflow.
+pub const CYCLES_RANGE: RangeInclusive<u64> = 0..=u32::MAX as u64;
+
+/// VEU lanes: elements processed per cycle by one vector instruction.
+pub const VEU_LANES: usize = 4;
+
+/// Cycles charged for a builtin I/O call (`putchar`): system-call
+/// overhead on the simulated machine.
+pub const IO_LATENCY: u64 = 20;
+
+/// Cycles for a value to cross the inter-core channel fabric (from a send
+/// being staged to the entry becoming poppable at the receiver).
+pub const CHAN_LATENCY: u64 = 16;
+
+/// Cycles between cross-core synchronization epochs. Messages staged
+/// during an epoch are routed at the barrier that ends it, due
+/// [`CHAN_LATENCY`] cycles later — deterministic for any epoch length and
+/// any host thread count.
+pub const CHAN_EPOCH: u64 = 1024;
+
 /// Deterministic fault-injection plan: degrade the simulated hardware in
 /// reproducible ways to exercise the deadlock detector and the stall
 /// accounting rather than only the happy path.
@@ -56,7 +81,8 @@ impl FaultPlan {
     /// Parse a comma-separated spec: `delay:N:C` (delay request #N by C
     /// cycles), `drop:N` (drop request #N's response), `scu:I:C` (disable
     /// SCU I at cycle C), `jitter:SEED:MAX` (seeded latency jitter up to
-    /// MAX extra cycles).
+    /// MAX extra cycles). C of `delay` and MAX of `jitter` are cycle
+    /// counts within [`CYCLES_RANGE`].
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         for part in spec.split(',').filter(|p| !p.is_empty()) {
@@ -65,13 +91,23 @@ impl FaultPlan {
                 s.parse::<u64>()
                     .map_err(|_| format!("bad number `{s}` in fault spec `{part}`"))
             };
+            let cycles = |s: &str| -> Result<u64, String> {
+                let n = num(s)?;
+                if !CYCLES_RANGE.contains(&n) {
+                    return Err(format!(
+                        "cycle count `{s}` in fault spec `{part}` must be at most {}",
+                        CYCLES_RANGE.end()
+                    ));
+                }
+                Ok(n)
+            };
             match fields.as_slice() {
-                ["delay", n, c] => plan.delays.push((num(n)?, num(c)?)),
+                ["delay", n, c] => plan.delays.push((num(n)?, cycles(c)?)),
                 ["drop", n] => plan.drops.push(num(n)?),
                 ["scu", i, c] => plan.disable_scus.push((num(i)? as usize, num(c)?)),
                 ["jitter", seed, max] => {
                     plan.jitter_seed = Some(num(seed)?);
-                    plan.jitter_max = num(max)?;
+                    plan.jitter_max = cycles(max)?;
                 }
                 _ => {
                     return Err(format!(
@@ -112,13 +148,8 @@ pub struct WmConfig {
     pub scu_setup: u64,
     /// Number of stream control units.
     pub num_scus: usize,
-    /// VEU lanes: elements processed per cycle by one vector instruction.
-    pub veu_lanes: usize,
     /// Bytes of simulated memory.
     pub memory_size: usize,
-    /// Cycles charged for a builtin I/O call (`putchar`): system-call
-    /// overhead on the simulated machine.
-    pub io_latency: u64,
     /// Hard cycle limit (guards against runaway programs).
     pub max_cycles: u64,
     /// Cycles an SCU is held busy after a speculative-stream squash —
@@ -145,21 +176,13 @@ pub struct WmConfig {
     /// 1 instantiate a [`TiledMachine`](crate::TiledMachine) with
     /// point-to-point inter-core channels.
     pub tiles: usize,
-    /// Cycles for a value to cross the inter-core channel fabric (from a
-    /// send being staged to the entry becoming poppable at the receiver).
-    pub chan_latency: u64,
-    /// Cycles between cross-core synchronization epochs. Messages staged
-    /// during an epoch are routed at the barrier that ends it, due
-    /// `chan_latency` cycles later — deterministic for any epoch length
-    /// and any host thread count.
-    pub chan_epoch: u64,
     /// Per-sender receive-queue capacity. A scalar `Csend` ignores
     /// credits, so flooding past this poisons the overflowing entries;
     /// SCU stream sends respect credits and stall instead. Credits are
     /// returned only at epoch barriers, so the capacity bounds a
-    /// channel's throughput at `chan_capacity / chan_epoch` elements per
-    /// cycle — keep it a few times the epoch length or the channels, not
-    /// the cores, become the bottleneck.
+    /// channel's throughput at `chan_capacity /` [`CHAN_EPOCH`] elements
+    /// per cycle — keep it a few times the epoch length or the channels,
+    /// not the cores, become the bottleneck.
     pub chan_capacity: usize,
 }
 
@@ -174,17 +197,13 @@ impl Default for WmConfig {
             store_queue: 8,
             scu_setup: 4,
             num_scus: 4,
-            veu_lanes: 4,
             memory_size: 16 << 20,
-            io_latency: 20,
             max_cycles: 2_000_000_000,
             squash_penalty: 0,
             fault_plan: FaultPlan::default(),
             engine: Engine::default(),
             mem_model: MemModel::default(),
             tiles: 1,
-            chan_latency: 16,
-            chan_epoch: 1024,
             chan_capacity: 4096,
         }
     }
@@ -192,9 +211,19 @@ impl Default for WmConfig {
 
 impl WmConfig {
     /// A configuration with a different memory latency (flat model only;
-    /// hierarchical models carry their own timing). Any value is valid —
-    /// `0` delivers responses at the start of the next cycle.
+    /// hierarchical models carry their own timing). `0` delivers
+    /// responses at the start of the next cycle.
+    ///
+    /// Valid range: [`CYCLES_RANGE`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycles` is outside [`CYCLES_RANGE`].
     pub fn with_mem_latency(mut self, cycles: u64) -> WmConfig {
+        assert!(
+            CYCLES_RANGE.contains(&cycles),
+            "with_mem_latency: cycles must be in {CYCLES_RANGE:?}, got {cycles}"
+        );
         self.mem_latency = cycles;
         self
     }
@@ -241,9 +270,18 @@ impl WmConfig {
     }
 
     /// A configuration with a squash-recovery penalty for speculative
-    /// streams. Any value is valid; `0` (the default) makes squashes
-    /// free.
+    /// streams. `0` (the default) makes squashes free.
+    ///
+    /// Valid range: [`CYCLES_RANGE`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycles` is outside [`CYCLES_RANGE`].
     pub fn with_squash_penalty(mut self, cycles: u64) -> WmConfig {
+        assert!(
+            CYCLES_RANGE.contains(&cycles),
+            "with_squash_penalty: cycles must be in {CYCLES_RANGE:?}, got {cycles}"
+        );
         self.squash_penalty = cycles;
         self
     }
@@ -339,6 +377,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cycles must be in 0..=4294967295")]
+    fn mem_latency_past_the_cycle_range_is_rejected() {
+        let _ = WmConfig::default().with_mem_latency(CYCLES_RANGE.end() + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cycles must be in 0..=4294967295")]
+    fn squash_penalty_past_the_cycle_range_is_rejected() {
+        let _ = WmConfig::default().with_squash_penalty(CYCLES_RANGE.end() + 1);
+    }
+
+    #[test]
     fn fault_plan_parses() {
         let p = FaultPlan::parse("delay:3:40,drop:7,scu:1:100,jitter:42:5").unwrap();
         assert_eq!(p.delays, vec![(3, 40)]);
@@ -350,5 +400,26 @@ mod tests {
         assert!(FaultPlan::parse("").unwrap().is_empty());
         assert!(FaultPlan::parse("delay:x:1").is_err());
         assert!(FaultPlan::parse("explode:now").is_err());
+    }
+
+    #[test]
+    fn fault_plan_cycle_counts_stop_at_the_range_end() {
+        let end = *CYCLES_RANGE.end();
+        let p = FaultPlan::parse(&format!("delay:1:{end},jitter:7:{end}")).unwrap();
+        assert_eq!((p.delays[0].1, p.jitter_max), (end, end));
+        for spec in [
+            format!("delay:1:{}", end + 1),
+            format!("jitter:7:{}", end + 1),
+        ] {
+            let err = FaultPlan::parse(&spec).unwrap_err();
+            assert!(err.contains("must be at most"), "{spec}: {err}");
+        }
+        // request numbers, SCU indices, cycles and seeds are not added to
+        // the current cycle: any value parses
+        let max = u64::MAX;
+        assert!(FaultPlan::parse(&format!(
+            "delay:{max}:1,drop:{max},scu:1:{max},jitter:{max}:1"
+        ))
+        .is_ok());
     }
 }

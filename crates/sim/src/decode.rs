@@ -19,15 +19,16 @@
 //! * control flow is resolved: branch targets become block indices,
 //!   `Call` targets become function indices, and `LoadAddr` symbols are
 //!   folded to absolute addresses;
-//! * instructions the table cannot express exactly (stream configuration,
-//!   channel operations, FIFO-mapped or cross-class corner cases) decode
-//!   to a **fallback** exec that runs `exec_unit_head`'s arm for that one
-//!   instruction.
+//! * every dispatched instruction gets the one handler that executes it.
+//!   A form no handler can execute (a register of the other unit's
+//!   class, a write to register 1, the address of a symbol that is not
+//!   data, a call of a data symbol) fails the decode, so
+//!   [`WmMachine::new`] refuses the module before it runs.
 //!
 //! The unit instruction queues hold `u32` indices into this table (a
 //! dispatched instruction is identified by its slot, not by a clone), and
 //! [`DecodedInst::kind`] points back at the module's original
-//! [`InstKind`] for traces, fault reports and the fallback path.
+//! [`InstKind`] for traces, fault reports and the stream handlers.
 //!
 //! Since both engines share these tables, comparing the engines cannot
 //! catch a decode error. [`DecodedProgram::verify_roundtrip`] can: it
@@ -42,7 +43,8 @@ use wm_ir::{
 };
 
 use crate::compiled::{
-    exec_assign, exec_compare, exec_fallback, exec_loadaddr, exec_wload, exec_wstore,
+    exec_assign, exec_compare, exec_crecv, exec_csend, exec_loadaddr, exec_not_dispatched,
+    exec_sstop, exec_stream, exec_wload, exec_wstore,
 };
 use crate::machine::{dispatch_class, fifo_need, Exec, SimError, WmMachine};
 
@@ -66,8 +68,8 @@ pub(crate) enum Src {
     Zero,
 }
 
-/// A destination register resolved to a flat slot. Writes to register 1
-/// (read-only FIFO) are not representable — such instructions fall back.
+/// A destination register resolved to a flat slot. Register 1 (read-only
+/// FIFO) has no slot: a write to it fails the decode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Dst {
     /// Register 0: push onto the unit's output FIFO.
@@ -102,13 +104,15 @@ pub(crate) enum Payload {
         dst: Dst,
         src: DecExpr,
         /// The register the paired-ALU interlock must delay (`None` for
-        /// FIFO/zero destinations), as `exec_unit_head` computes it.
+        /// FIFO/zero destinations).
         executed_dst: Option<u8>,
     },
     LoadAddr {
         dst: Dst,
         /// Absolute address: symbol base + displacement, folded at decode.
         addr: i64,
+        /// The destination's register number, whatever the register
+        /// (unlike `Assign`'s).
         executed_dst: Option<u8>,
     },
     Compare {
@@ -126,7 +130,17 @@ pub(crate) enum Payload {
         addr: DecExpr,
         width: Width,
     },
-    /// No decoded payload: the exec handler is the fallback.
+    ChanSend {
+        peer: u8,
+        src: Src,
+    },
+    ChanRecv {
+        peer: u8,
+        dst: Dst,
+    },
+    /// No operand slots: stream configuration and `Sstop`, whose handlers
+    /// read the instruction itself (they run once per loop, not per
+    /// element), and every instruction the IFU or the VEU executes.
     None,
 }
 
@@ -159,16 +173,15 @@ pub(crate) enum IfuOp {
     CallBuiltin {
         callee: SymId,
     },
-    /// Call of a data symbol: a [`SimError::BadProgram`] at execution.
-    CallBad {
-        callee: SymId,
-    },
     Ret,
-    /// IFU-executed cross-unit conversion (`IntToFlt`/`FltToInt` assign).
+    /// IFU-executed cross-unit conversion (`IntToFlt`/`FltToInt` assign):
+    /// `a` is a slot of the unit [`convert_source`] names, `dst` a slot
+    /// of the `class` unit.
     Convert {
         op: UnOp,
-        a: Operand,
-        dst: Reg,
+        a: Src,
+        class: RegClass,
+        dst: Dst,
     },
     /// Enqueue on the VEU's instruction queue.
     DispatchVeu,
@@ -180,8 +193,8 @@ pub(crate) enum IfuOp {
 /// out of the table before calling the exec handler with `&mut` machine.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DecodedInst<'m> {
-    /// The module's original instruction (for traces, fault reports and
-    /// the fallback).
+    /// The module's original instruction (for traces, fault reports,
+    /// deadlock diagnosis and the stream handlers).
     pub(crate) kind: &'m InstKind,
     /// The exec handler the unit calls instead of matching on `kind`.
     pub(crate) exec: ExecFn,
@@ -216,7 +229,15 @@ pub struct DecodedProgram<'m> {
 impl<'m> DecodedProgram<'m> {
     /// Pre-decode every function of `module`. `addrs` maps data symbols
     /// to their loaded addresses (used to fold `LoadAddr`).
-    pub(crate) fn decode(module: &'m Module, addrs: &HashMap<SymId, i64>) -> DecodedProgram<'m> {
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadProgram`] for the first instruction no handler can
+    /// execute (see the module docs).
+    pub(crate) fn decode(
+        module: &'m Module,
+        addrs: &HashMap<SymId, i64>,
+    ) -> Result<DecodedProgram<'m>, SimError> {
         let mut insts = Vec::new();
         let mut funcs = Vec::with_capacity(module.functions.len());
         for f in &module.functions {
@@ -224,13 +245,13 @@ impl<'m> DecodedProgram<'m> {
             for b in &f.blocks {
                 let start = insts.len() as u32;
                 for inst in &b.insts {
-                    insts.push(decode_inst(module, f, addrs, &inst.kind));
+                    insts.push(decode_inst(module, f, addrs, &inst.kind)?);
                 }
                 blocks.push((start, b.insts.len() as u32));
             }
             funcs.push(DecFunc { blocks });
         }
-        DecodedProgram { funcs, insts }
+        Ok(DecodedProgram { funcs, insts })
     }
 
     /// Number of decoded instruction slots.
@@ -303,7 +324,7 @@ fn decode_inst<'m>(
     func: &'m wm_ir::Function,
     addrs: &HashMap<SymId, i64>,
     kind: &'m InstKind,
-) -> DecodedInst<'m> {
+) -> Result<DecodedInst<'m>, SimError> {
     let bi = |l: wm_ir::Label| func.block_index(l) as u32;
     // The cross-unit-conversion Assign pattern is tested *before* the
     // generic dispatch arm: the IFU executes those conversions itself.
@@ -333,7 +354,12 @@ fn decode_inst<'m>(
         InstKind::Call { callee, .. } => match &module.global(*callee).kind {
             GlobalKind::Func(fi) => IfuOp::CallFunc { func: *fi as u32 },
             GlobalKind::Builtin => IfuOp::CallBuiltin { callee: *callee },
-            GlobalKind::Data { .. } => IfuOp::CallBad { callee: *callee },
+            GlobalKind::Data { .. } => {
+                return Err(SimError::BadProgram(format!(
+                    "call to data symbol {}",
+                    module.sym_name(*callee)
+                )))
+            }
         },
         InstKind::Ret => IfuOp::Ret,
         InstKind::Assign {
@@ -341,8 +367,9 @@ fn decode_inst<'m>(
             src: RExpr::Un(op @ (UnOp::IntToFlt | UnOp::FltToInt), a),
         } => IfuOp::Convert {
             op: *op,
-            a: *a,
-            dst: *dst,
+            a: src_slot(convert_source(*op), *a)?,
+            class: dst.class,
+            dst: dst_slot(dst.class, *dst)?,
         },
         InstKind::VLoad { .. }
         | InstKind::VStore { .. }
@@ -352,21 +379,21 @@ fn decode_inst<'m>(
     };
     if ifu != IfuOp::Dispatch {
         // IFU-handled or VEU instructions never reach a scalar unit's
-        // issue logic; their exec slot is the (unreachable) fallback.
-        return DecodedInst {
+        // issue logic
+        return Ok(DecodedInst {
             kind,
-            exec: exec_fallback,
+            exec: exec_not_dispatched,
             need: [0, 0],
             read_mask: 0,
             class: RegClass::Int,
             payload: Payload::None,
             ifu,
-        };
+        });
     }
     let class = dispatch_class(kind);
     let need = fifo_need(class, kind);
-    let (exec, payload) = decode_exec(class, addrs, kind);
-    DecodedInst {
+    let (exec, payload) = decode_exec(module, class, addrs, kind)?;
+    Ok(DecodedInst {
         kind,
         exec,
         need: [need[0] as u8, need[1] as u8],
@@ -374,118 +401,164 @@ fn decode_inst<'m>(
         class,
         payload,
         ifu,
-    }
+    })
 }
 
-/// Decode the execution payload, falling back to `exec_unit_head` for
-/// any form the table cannot express exactly.
-fn decode_exec(class: RegClass, addrs: &HashMap<SymId, i64>, kind: &InstKind) -> (ExecFn, Payload) {
-    let fallback = (exec_fallback as ExecFn, Payload::None);
-    match kind {
-        InstKind::Assign { dst, src } => match (dst_slot(class, *dst), decode_expr(class, src)) {
-            (Some(d), Some(e)) => {
-                let executed_dst = if !dst.is_fifo() && !dst.is_zero() {
-                    dst.phys_num()
-                } else {
-                    None
-                };
-                (
-                    exec_assign as ExecFn,
-                    Payload::Assign {
-                        dst: d,
-                        src: e,
-                        executed_dst,
-                    },
-                )
-            }
-            _ => fallback,
-        },
-        InstKind::LoadAddr { dst, sym, disp } => {
-            match (dst_slot(class, *dst), addrs.get(sym)) {
-                (Some(d), Some(&base)) => (
-                    exec_loadaddr as ExecFn,
-                    Payload::LoadAddr {
-                        dst: d,
-                        addr: base + disp,
-                        // `exec_unit_head` records `dst.phys_num()`
-                        // unfiltered here (unlike Assign)
-                        executed_dst: dst.phys_num(),
-                    },
-                ),
-                _ => fallback,
-            }
+/// Decode the execution payload of an instruction the `class` unit
+/// executes, and pick the one handler that executes it.
+fn decode_exec(
+    module: &Module,
+    class: RegClass,
+    addrs: &HashMap<SymId, i64>,
+    kind: &InstKind,
+) -> Result<(ExecFn, Payload), SimError> {
+    Ok(match kind {
+        InstKind::Assign { dst, src } => {
+            let src = decode_expr(class, src)?;
+            let executed_dst = if !dst.is_fifo() && !dst.is_zero() {
+                dst.phys_num()
+            } else {
+                None
+            };
+            (
+                exec_assign as ExecFn,
+                Payload::Assign {
+                    dst: dst_slot(class, *dst)?,
+                    src,
+                    executed_dst,
+                },
+            )
         }
-        InstKind::Compare { op, a, b, .. } => match (src_slot(class, *a), src_slot(class, *b)) {
-            (Some(sa), Some(sb)) => (
-                exec_compare as ExecFn,
-                Payload::Compare {
-                    op: *op,
-                    a: sa,
-                    b: sb,
+        InstKind::LoadAddr { dst, sym, disp } => {
+            let Some(&base) = addrs.get(sym) else {
+                return Err(SimError::BadProgram(format!(
+                    "address taken of non-data symbol {}",
+                    module.sym_name(*sym)
+                )));
+            };
+            (
+                exec_loadaddr,
+                Payload::LoadAddr {
+                    dst: dst_slot(class, *dst)?,
+                    addr: base + disp,
+                    executed_dst: dst.phys_num(),
                 },
-            ),
-            _ => fallback,
-        },
-        InstKind::WLoad { fifo, addr, width } => match decode_expr(class, addr) {
-            Some(e) => (
-                exec_wload as ExecFn,
-                Payload::WLoad {
-                    fifo: *fifo,
-                    addr: e,
-                    width: *width,
-                },
-            ),
-            None => fallback,
-        },
-        InstKind::WStore { unit, addr, width } => match decode_expr(class, addr) {
-            Some(e) => (
-                exec_wstore as ExecFn,
-                Payload::WStore {
-                    unit: *unit,
-                    addr: e,
-                    width: *width,
-                },
-            ),
-            None => fallback,
-        },
-        // stream configuration and anything unexpected run on the
-        // fallback (they execute once per loop, not per element)
-        _ => fallback,
-    }
+            )
+        }
+        InstKind::Compare { op, a, b, .. } => (
+            exec_compare,
+            Payload::Compare {
+                op: *op,
+                a: src_slot(class, *a)?,
+                b: src_slot(class, *b)?,
+            },
+        ),
+        InstKind::WLoad { fifo, addr, width } => (
+            exec_wload,
+            Payload::WLoad {
+                fifo: *fifo,
+                addr: decode_expr(class, addr)?,
+                width: *width,
+            },
+        ),
+        InstKind::WStore { unit, addr, width } => (
+            exec_wstore,
+            Payload::WStore {
+                unit: *unit,
+                addr: decode_expr(class, addr)?,
+                width: *width,
+            },
+        ),
+        InstKind::ChanSend { peer, src, .. } => (
+            exec_csend,
+            Payload::ChanSend {
+                peer: *peer,
+                src: src_slot(class, *src)?,
+            },
+        ),
+        InstKind::ChanRecv { peer, dst } => (
+            exec_crecv,
+            Payload::ChanRecv {
+                peer: *peer,
+                dst: dst_slot(class, *dst)?,
+            },
+        ),
+        InstKind::StreamStop { .. } => (exec_sstop, Payload::None),
+        // The eight stream configurations (`dispatch_class` admits no
+        // other kind). They read their operands once per loop, through
+        // the same slots, so an operand no slot can hold is refused here.
+        _ => {
+            for r in kind.uses() {
+                src_slot(class, Operand::Reg(r))?;
+            }
+            (exec_stream, Payload::None)
+        }
+    })
 }
 
-/// Resolve one source operand; `None` for forms the fallback must
-/// handle (cross-class registers).
-fn src_slot(class: RegClass, op: Operand) -> Option<Src> {
+/// Resolve one source operand of an instruction the `class` unit
+/// executes.
+///
+/// # Errors
+///
+/// [`SimError::BadProgram`] for a register of the other class.
+pub(crate) fn src_slot(class: RegClass, op: Operand) -> Result<Src, SimError> {
     match op {
-        Operand::Imm(v) => Some(Src::Imm(v)),
-        Operand::FImm(v) => Some(Src::FImm(v)),
+        Operand::Imm(v) => Ok(Src::Imm(v)),
+        Operand::FImm(v) => Ok(Src::FImm(v)),
         Operand::Reg(r) => {
             if r.class != class {
-                return None;
+                return Err(SimError::BadProgram(format!(
+                    "cross-unit register read of {r} on the {class} unit"
+                )));
             }
-            let n = r.phys_num()?;
-            Some(match n {
+            Ok(match phys(r) {
                 31 => Src::Zero,
-                0 | 1 => Src::Fifo(n),
-                _ => Src::Reg(n),
+                n @ (0 | 1) => Src::Fifo(n),
+                n => Src::Reg(n),
             })
         }
     }
 }
 
-/// Resolve a destination register; `None` for cross-class destinations
-/// and for register 1 (whose write is a runtime error the fallback
-/// reports).
-fn dst_slot(class: RegClass, r: Reg) -> Option<Dst> {
+/// Resolve a destination register of an instruction the `class` unit
+/// executes.
+///
+/// # Errors
+///
+/// [`SimError::BadProgram`] for a register of the other class and for
+/// register 1, the read-only FIFO.
+fn dst_slot(class: RegClass, r: Reg) -> Result<Dst, SimError> {
     if r.class != class {
-        return None;
+        return Err(SimError::BadProgram(format!(
+            "cross-unit register write of {r} on the {class} unit"
+        )));
     }
-    match r.phys_num()? {
-        31 => Some(Dst::Zero),
-        0 => Some(Dst::Out),
-        1 => None,
-        n => Some(Dst::Reg(n)),
+    Ok(match phys(r) {
+        31 => Dst::Zero,
+        0 => Dst::Out,
+        1 => {
+            return Err(SimError::BadProgram(
+                "register 1 is read-only FIFO-mapped".into(),
+            ))
+        }
+        n => Dst::Reg(n),
+    })
+}
+
+/// The number of a register the decoder meets: [`WmMachine::new`] refuses
+/// virtual registers before decoding.
+fn phys(r: Reg) -> u8 {
+    r.phys_num()
+        .expect("virtual registers are refused before decode")
+}
+
+/// The unit whose register an IFU conversion reads.
+pub(crate) fn convert_source(op: UnOp) -> RegClass {
+    if op == UnOp::IntToFlt {
+        RegClass::Int
+    } else {
+        RegClass::Flt
     }
 }
 
@@ -516,9 +589,9 @@ fn fold_bin(op: BinOp, a: Src, b: Src) -> DecExpr {
     DecExpr::Bin(op, a, b)
 }
 
-/// Decode an expression; `None` if any operand is undecodable.
-fn decode_expr(class: RegClass, e: &RExpr) -> Option<DecExpr> {
-    Some(match e {
+/// Decode an expression, reading its operands in evaluation order.
+fn decode_expr(class: RegClass, e: &RExpr) -> Result<DecExpr, SimError> {
+    Ok(match e {
         RExpr::Op(a) => DecExpr::Op(src_slot(class, *a)?),
         RExpr::Un(op, a) => DecExpr::Un(*op, src_slot(class, *a)?),
         RExpr::Bin(op, a, b) => fold_bin(*op, src_slot(class, *a)?, src_slot(class, *b)?),
@@ -579,6 +652,18 @@ fn expected_src(class: RegClass, r: Reg) -> Option<Src> {
         31 => Src::Zero,
         n @ (0 | 1) => Src::Fifo(n),
         n => Src::Reg(n),
+    })
+}
+
+/// The slot a destination register must decode to: register 31 discards,
+/// register 0 enqueues on the output FIFO, register 1 (read-only) has no
+/// slot, every other register is written in the register file.
+fn expected_dst(r: Reg) -> Option<Dst> {
+    Some(match r.phys_num()? {
+        31 => Dst::Zero,
+        0 => Dst::Out,
+        1 => return None,
+        n => Dst::Reg(n),
     })
 }
 
@@ -668,7 +753,7 @@ fn expr_matches(class: RegClass, dec: &DecExpr, orig: &RExpr) -> bool {
 /// The interlock mask and the FIFO demand a decoded payload's operand
 /// slots imply: each register slot (FIFO and zero registers included)
 /// sets its register's bit, and each FIFO slot is one dequeue. `None` for
-/// the fallback, which has no slots.
+/// a payload without slots.
 fn slot_reads(payload: &Payload) -> Option<(u32, [u8; 2])> {
     let expr_slots = |e: DecExpr| match e {
         DecExpr::Op(a) | DecExpr::Un(_, a) => vec![a],
@@ -680,6 +765,8 @@ fn slot_reads(payload: &Payload) -> Option<(u32, [u8; 2])> {
         Payload::LoadAddr { .. } => Vec::new(),
         Payload::Compare { a, b, .. } => vec![a, b],
         Payload::WLoad { addr, .. } | Payload::WStore { addr, .. } => expr_slots(addr),
+        Payload::ChanSend { src, .. } => vec![src],
+        Payload::ChanRecv { .. } => Vec::new(),
         Payload::None => return None,
     };
     let (mut mask, mut need) = (0u32, [0u8; 2]);
@@ -733,16 +820,27 @@ fn verify_inst(
         (IfuOp::CallFunc { func: fi }, InstKind::Call { callee, .. }) if matches!(&module.global(*callee).kind, GlobalKind::Func(f) if *f as u32 == *fi) =>
             {}
         (IfuOp::CallBuiltin { callee }, InstKind::Call { callee: c2, .. }) if callee == c2 => {}
-        (IfuOp::CallBad { callee }, InstKind::Call { callee: c2, .. }) if callee == c2 => {}
         (IfuOp::Ret, InstKind::Ret) => {}
         (IfuOp::Nop, InstKind::Nop) => {}
+        // `IntToFlt` reads the integer unit, `FltToInt` the float unit
         (
-            IfuOp::Convert { op, a, dst },
+            IfuOp::Convert { op, a, class, dst },
             InstKind::Assign {
                 dst: d2,
-                src: RExpr::Un(o2, a2),
+                src: RExpr::Un(o2 @ (UnOp::IntToFlt | UnOp::FltToInt), a2),
             },
-        ) if op == o2 && a == a2 && dst == d2 => {}
+        ) if op == o2
+            && src_matches(
+                if *o2 == UnOp::IntToFlt {
+                    RegClass::Int
+                } else {
+                    RegClass::Flt
+                },
+                *a,
+                *a2,
+            )
+            && *class == d2.class
+            && expected_dst(*d2) == Some(*dst) => {}
         (IfuOp::DispatchVeu, _) | (IfuOp::Dispatch, _) => {}
         other => return Err(format!("IFU op does not round-trip: {other:?}")),
     }
@@ -755,7 +853,7 @@ fn verify_inst(
     }
     // The interlock mask and FIFO demand must be what the operand slots
     // (checked against the original operands below) imply. Only the
-    // fallback, which has no slots, is held to the `InstKind` derivation.
+    // slotless stream instructions are held to the `InstKind` derivation.
     let (mask, need) = slot_reads(&d.payload).unwrap_or_else(|| {
         let need = fifo_need(class, kind);
         (read_mask(class, kind), [need[0] as u8, need[1] as u8])
@@ -777,13 +875,7 @@ fn verify_inst(
         }
     };
     let check_dst = |ds: Dst, r: Reg| -> Result<(), String> {
-        let want = match r.phys_num() {
-            Some(31) => Dst::Zero,
-            Some(0) => Dst::Out,
-            Some(n) => Dst::Reg(n),
-            None => return Err("virtual destination decoded".into()),
-        };
-        if ds != want || r.class != class {
+        if expected_dst(r) != Some(ds) || r.class != class {
             return Err(format!("destination does not round-trip: {ds:?} vs {r}"));
         }
         Ok(())
@@ -844,7 +936,36 @@ fn verify_inst(
             }
             check_expr(addr, a2)?;
         }
-        (Payload::None, _) => {} // the fallback carries no table state
+        (
+            Payload::ChanSend { peer, src },
+            InstKind::ChanSend {
+                peer: p2, src: s2, ..
+            },
+        ) => {
+            if peer != p2 {
+                return Err("Csend peer does not round-trip".into());
+            }
+            check_src(*src, *s2)?;
+        }
+        (Payload::ChanRecv { peer, dst }, InstKind::ChanRecv { peer: p2, dst: d2 }) => {
+            if peer != p2 {
+                return Err("Crecv peer does not round-trip".into());
+            }
+            check_dst(*dst, *d2)?;
+        }
+        // the handlers of these read the instruction itself
+        (
+            Payload::None,
+            InstKind::StreamIn { .. }
+            | InstKind::StreamOut { .. }
+            | InstKind::StreamGather { .. }
+            | InstKind::StreamScatter { .. }
+            | InstKind::VStreamIn { .. }
+            | InstKind::VStreamOut { .. }
+            | InstKind::StreamSend { .. }
+            | InstKind::StreamRecv { .. }
+            | InstKind::StreamStop { .. },
+        ) => {}
         other => return Err(format!("payload does not match instruction: {other:?}")),
     }
     Ok(())
@@ -933,5 +1054,17 @@ mod tests {
             }
         }
         m.prog.verify_roundtrip(&module).expect("restored");
+    }
+
+    #[test]
+    fn a_dropped_payload_fails_verification() {
+        let module = module();
+        let mut m = WmMachine::new(&module, &WmConfig::default()).expect("builds");
+        let i = (0..m.prog.insts.len())
+            .find(|&i| matches!(m.prog.insts[i].payload, Payload::Assign { .. }))
+            .expect("an Assign decoded");
+        m.prog.insts[i].payload = Payload::None;
+        let err = m.prog.verify_roundtrip(&module).unwrap_err();
+        assert!(err.contains("payload"), "{err}");
     }
 }

@@ -54,7 +54,10 @@ mod stats;
 mod tiled;
 
 pub use cancel::CancelToken;
-pub use config::{FaultPlan, WmConfig, FIFO_CAPACITY_RANGE, MEM_PORTS_RANGE, TILES_RANGE};
+pub use config::{
+    FaultPlan, WmConfig, CHAN_EPOCH, CHAN_LATENCY, CYCLES_RANGE, FIFO_CAPACITY_RANGE, IO_LATENCY,
+    MEM_PORTS_RANGE, TILES_RANGE, VEU_LANES,
+};
 pub use decode::DecodedProgram;
 pub use fastforward::{Engine, FfSpan};
 pub use fault::{

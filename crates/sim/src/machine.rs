@@ -3,13 +3,10 @@
 use std::collections::{HashMap, VecDeque};
 
 use wm_ir::hw::VECTOR_LENGTH;
-use wm_ir::{
-    BinOp, DataFifo, GlobalKind, InstKind, Module, Operand, RExpr, Reg, RegClass, SymId, UnOp,
-    Width,
-};
+use wm_ir::{BinOp, DataFifo, GlobalKind, InstKind, Module, Operand, RExpr, RegClass, UnOp, Width};
 
 use crate::cancel::CancelToken;
-use crate::config::WmConfig;
+use crate::config::{WmConfig, VEU_LANES};
 use crate::decode::DecodedProgram;
 use crate::fastforward::{CycleOutcomes, Engine, FfSpan};
 use crate::fault::{FaultInfo, FaultKind, FaultUnit, FifoState, MachineState, ScuState, UnitState};
@@ -542,6 +539,16 @@ pub struct WmMachine<'m> {
 impl<'m> WmMachine<'m> {
     /// Build a machine around a compiled module (WM form, physical
     /// registers only).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadProgram`] for a module the machine cannot execute:
+    /// virtual registers, generic memory references, globals that do not
+    /// fit the memory, and any instruction no unit can execute — a
+    /// register operand of the other unit's class, a write to register 1
+    /// (the read-only FIFO), the address of a symbol that is not data, or
+    /// a call of a data symbol. Nothing unexecutable is left to fail at
+    /// run time.
     pub fn new(module: &'m Module, config: &WmConfig) -> Result<WmMachine<'m>, SimError> {
         for f in &module.functions {
             for inst in f.insts() {
@@ -568,7 +575,7 @@ impl<'m> WmMachine<'m> {
         let mem = MemoryImage::new(module, config.memory_size)?;
         // Pre-decode: both engines issue from this table, and the unit
         // queues carry indices into it.
-        let prog = DecodedProgram::decode(module, &mem.addresses);
+        let prog = DecodedProgram::decode(module, &mem.addresses)?;
         let mut ieu = Unit::new(RegClass::Int);
         ieu.regs[30] = Val::I(mem.initial_sp);
         let memsys = MemSystem::new(&config.mem_model, config.mem_latency);
@@ -802,8 +809,10 @@ impl<'m> WmMachine<'m> {
     ///
     /// # Errors
     ///
-    /// Faults and unexecutable instructions, at the cycle they occur;
-    /// both engines report the same error at the same cycle.
+    /// Faults, and the [`SimError::BadProgram`] errors only a run can
+    /// find (a channel instruction without a live peer tile, an unknown
+    /// builtin), at the cycle they occur; both engines report the same
+    /// error at the same cycle.
     pub fn step(&mut self) -> Result<(), SimError> {
         match self.config.engine {
             Engine::Cycle => self.step_with::<false>(),
@@ -945,13 +954,13 @@ impl<'m> WmMachine<'m> {
     /// Why the unit's head instruction cannot retire, if it cannot.
     fn stall_reason(&self, class: RegClass) -> Option<String> {
         let u = self.unit(class);
-        let head = self.prog.insts[*u.iq.front()? as usize].kind;
+        let d = &self.prog.insts[*u.iq.front()? as usize];
+        let head = d.kind;
         if u.busy > 0 {
             return Some(format!("busy for {} more cycle(s)", u.busy));
         }
-        let need = fifo_need(class, head);
-        for (i, &needed) in need.iter().enumerate() {
-            if needed > u.ins[i].q.len() {
+        for (i, &needed) in d.need.iter().enumerate() {
+            if needed as usize > u.ins[i].q.len() {
                 let f = &u.ins[i];
                 let fifo = DataFifo::new(class, i as u8);
                 let why = if let Some(k) = self
@@ -1388,152 +1397,10 @@ impl<'m> WmMachine<'m> {
         Outcome::Active
     }
 
-    /// Execute the `class` unit's head instruction `head`, whose FIFO
-    /// operands are known to be available: the fallback handler of the
-    /// decoded tables, which runs every instruction they do not decode
-    /// (stream configuration, channel operations, FIFO-mapped and
-    /// cross-class corner cases).
-    ///
-    /// [`Exec::Stall`] is a structural stall (full queue, busy port, memory
-    /// ordering) with its attributed reason; [`Exec::Retired`] means the
-    /// instruction retired, carrying the register the paired-ALU interlock
-    /// must delay.
-    pub(crate) fn exec_unit_head(
-        &mut self,
-        class: RegClass,
-        head: &InstKind,
-    ) -> Result<Exec, SimError> {
-        let mut executed_dst: Option<u8> = None;
-        match head {
-            InstKind::Assign { dst, src } => {
-                if dst.phys_num() == Some(0)
-                    && self.unit(class).out.len() >= self.config.fifo_capacity
-                {
-                    return Ok(Exec::Stall(Stall::OutFull)); // output FIFO full
-                }
-                let v = self.eval_expr(class, src)?;
-                self.write_reg(class, *dst, v)?;
-                if !dst.is_fifo() && !dst.is_zero() {
-                    executed_dst = dst.phys_num();
-                }
-            }
-            InstKind::LoadAddr { dst, sym, disp } => {
-                let addr = self.sym_addr(*sym)? + disp;
-                self.write_reg(class, *dst, Val::I(addr))?;
-                executed_dst = dst.phys_num();
-                // the llh/sll pair is two 32-bit instructions
-                self.unit_mut(class).busy = 1;
-            }
-            InstKind::Compare { op, a, b, .. } => {
-                if self.unit(class).cc.len() >= self.config.cc_capacity {
-                    return Ok(Exec::Stall(Stall::CcFull));
-                }
-                let va = self.read_operand(class, *a)?;
-                let vb = self.read_operand(class, *b)?;
-                let r = match class {
-                    RegClass::Int => op.eval_int(va.as_i(), vb.as_i()),
-                    RegClass::Flt => op.eval_flt(va.as_f(), vb.as_f()),
-                };
-                self.fifo_changing(class, FIFO_CC);
-                self.unit_mut(class).cc.push_back(r);
-            }
-            InstKind::WLoad { fifo, addr, width } => {
-                return self.exec_load(
-                    class,
-                    *fifo,
-                    *width,
-                    addr.regs().any(|r| r.is_fifo()),
-                    |m| m.eval_expr_pure(class, addr),
-                    |m, _| Ok(m.eval_expr(class, addr)?.as_i()),
-                );
-            }
-            InstKind::WStore { unit, addr, width } => {
-                return self.queue_store(*unit, *width, |m| Ok(m.eval_expr(class, addr)?.as_i()));
-            }
-            InstKind::StreamIn { .. }
-            | InstKind::StreamOut { .. }
-            | InstKind::StreamGather { .. }
-            | InstKind::StreamScatter { .. }
-            | InstKind::VStreamIn { .. }
-            | InstKind::VStreamOut { .. }
-            | InstKind::StreamSend { .. }
-            | InstKind::StreamRecv { .. } => {
-                if !self.configure_stream(head)? {
-                    return Ok(Exec::Stall(Stall::ScuBusy)); // no free SCU, or the target is busy
-                }
-            }
-            InstKind::StreamStop { fifo } => {
-                // stopping an out-stream must not strand enqueued data:
-                // wait until the SCU has drained the output FIFO
-                let draining = self
-                    .scus
-                    .iter()
-                    .any(|s| s.active && !s.dir_in && s.fifo == *fifo)
-                    && !self.unit(fifo.class).out.is_empty();
-                if draining {
-                    return Ok(Exec::Stall(Stall::ScuBusy));
-                }
-                self.stop_stream(*fifo);
-            }
-            InstKind::ChanSend { peer, src, .. } => {
-                let dst = self.chan_peer(*peer)?;
-                let v = self.read_operand(class, *src)?;
-                // Fire-and-forget: a scalar send never checks credits, so
-                // a runaway sender can overrun the receiver. The routing
-                // barrier poisons the overflowing entry, and the fault
-                // surfaces — with provenance — at the *consuming* tile.
-                self.chan_tx.push(ChanMsg {
-                    dst,
-                    val: v,
-                    poison: None,
-                });
-            }
-            InstKind::ChanRecv { peer, dst } => {
-                if dst.phys_num() == Some(0)
-                    && self.unit(class).out.len() >= self.config.fifo_capacity
-                {
-                    return Ok(Exec::Stall(Stall::OutFull)); // output FIFO full
-                }
-                let p = self.chan_peer(*peer)?;
-                let due = self.chan_rx[p].front().is_some_and(|e| e.due <= self.cycle);
-                if !due {
-                    return Ok(Exec::Stall(Stall::ChanEmpty));
-                }
-                let e = self.chan_rx[p].pop_front().expect("checked non-empty");
-                if let Some(poison) = e.poison {
-                    let unit = match class {
-                        RegClass::Int => FaultUnit::Ieu,
-                        RegClass::Flt => FaultUnit::Feu,
-                    };
-                    return Err(self.fault(
-                        unit,
-                        FaultKind::PoisonConsumed,
-                        Some(poison.addr),
-                        None,
-                        format!(
-                            "consumed a poisoned channel datum from tile {p}: {}",
-                            poison.error
-                        ),
-                    ));
-                }
-                self.write_reg(class, *dst, e.val)?;
-                if !dst.is_fifo() && !dst.is_zero() {
-                    executed_dst = dst.phys_num();
-                }
-            }
-            other => {
-                return Err(SimError::BadProgram(format!(
-                    "instruction reached an execution unit: {other}"
-                )))
-            }
-        }
-        Ok(Exec::Retired(executed_dst))
-    }
-
-    /// A scalar load into `fifo` (the decoded `WLoad` handler and the
-    /// fallback): `preview` computes the address without side effects
-    /// where it can, `eval` computes it for real (given the preview), and
-    /// `dequeues` says whether that consumes a FIFO operand.
+    /// A scalar load into `fifo` (the decoded `WLoad` handler): `preview`
+    /// computes the address without side effects where it can, `eval`
+    /// computes it for real (given the preview), and `dequeues` says
+    /// whether that consumes a FIFO operand.
     pub(crate) fn exec_load(
         &mut self,
         class: RegClass,
@@ -1641,8 +1508,7 @@ impl<'m> WmMachine<'m> {
         };
         let head: &'m InstKind = self.prog.insts[idx as usize].kind;
         let n = VECTOR_LENGTH;
-        let lanes = self.config.veu_lanes.max(1);
-        let op_cycles = (n as u64).div_ceil(lanes as u64);
+        let op_cycles = (n as u64).div_ceil(VEU_LANES as u64);
         match head {
             InstKind::VLoad { vreg, port } => {
                 let p = *port as usize;
@@ -1705,42 +1571,6 @@ impl<'m> WmMachine<'m> {
 
     // ---- operand evaluation ----
 
-    pub(crate) fn sym_addr(&self, sym: SymId) -> Result<i64, SimError> {
-        self.mem.addresses.get(&sym).copied().ok_or_else(|| {
-            SimError::BadProgram(format!(
-                "address taken of non-data symbol {}",
-                self.module.sym_name(sym)
-            ))
-        })
-    }
-
-    pub(crate) fn read_operand(&mut self, class: RegClass, op: Operand) -> Result<Val, SimError> {
-        match op {
-            Operand::Imm(v) => Ok(Val::I(v)),
-            Operand::FImm(v) => Ok(Val::F(v)),
-            Operand::Reg(r) => {
-                if r.class != class {
-                    return Err(SimError::BadProgram(format!(
-                        "cross-unit register read of {r} on the {class} unit"
-                    )));
-                }
-                let n = r.phys_num().expect("physical registers only") as usize;
-                if n == 31 {
-                    return Ok(match class {
-                        RegClass::Int => Val::I(0),
-                        RegClass::Flt => Val::F(0.0),
-                    });
-                }
-                if n <= 1 {
-                    // dequeue (availability pre-checked against the
-                    // decoded FIFO demand)
-                    return self.pop_fifo(class, n);
-                }
-                Ok(self.unit(class).regs[n])
-            }
-        }
-    }
-
     /// Dequeue one datum from input FIFO `n` of the `class` unit. The
     /// caller must have established availability (the decoded tables'
     /// precomputed demand pair); a deferred stream fault travelling in
@@ -1775,95 +1605,6 @@ impl<'m> WmMachine<'m> {
             ));
         }
         Ok(slot.val)
-    }
-
-    pub(crate) fn write_reg(&mut self, class: RegClass, r: Reg, v: Val) -> Result<(), SimError> {
-        if r.class != class {
-            return Err(SimError::BadProgram(format!(
-                "cross-unit register write of {r} on the {class} unit"
-            )));
-        }
-        let n = r.phys_num().expect("physical registers only") as usize;
-        match n {
-            31 => Ok(()), // writes to the zero register are discarded
-            0 => {
-                self.fifo_changing(class, FIFO_OUT);
-                self.unit_mut(class).out.push_back(v);
-                Ok(())
-            }
-            1 => Err(SimError::BadProgram(
-                "register 1 is read-only FIFO-mapped".into(),
-            )),
-            _ => {
-                self.unit_mut(class).regs[n] = v;
-                Ok(())
-            }
-        }
-    }
-
-    /// Evaluate an expression without side effects; `None` if it reads a
-    /// FIFO (whose dequeue cannot be previewed).
-    fn eval_expr_pure(&self, class: RegClass, e: &RExpr) -> Option<i64> {
-        if e.regs().any(|r| r.is_fifo()) {
-            return None;
-        }
-        let read = |op: Operand| -> Option<i64> {
-            match op {
-                Operand::Imm(v) => Some(v),
-                Operand::FImm(_) => None,
-                Operand::Reg(r) => {
-                    if r.class != class {
-                        return None;
-                    }
-                    let n = r.phys_num()? as usize;
-                    if n == 31 {
-                        Some(0)
-                    } else {
-                        Some(self.unit(class).regs[n].as_i())
-                    }
-                }
-            }
-        };
-        match e {
-            RExpr::Op(a) => read(*a),
-            RExpr::Un(..) => None,
-            RExpr::Bin(op, a, b) => op.fold_int(read(*a)?, read(*b)?),
-            RExpr::Dual {
-                inner,
-                a,
-                b,
-                outer,
-                c,
-            } => outer.fold_int(inner.fold_int(read(*a)?, read(*b)?)?, read(*c)?),
-        }
-    }
-
-    fn eval_expr(&mut self, class: RegClass, e: &RExpr) -> Result<Val, SimError> {
-        match e {
-            RExpr::Op(a) => self.read_operand(class, *a),
-            RExpr::Un(op, a) => {
-                let v = self.read_operand(class, *a)?;
-                self.eval_un(*op, v)
-            }
-            RExpr::Bin(op, a, b) => {
-                let va = self.read_operand(class, *a)?;
-                let vb = self.read_operand(class, *b)?;
-                self.eval_bin(class, *op, va, vb)
-            }
-            RExpr::Dual {
-                inner,
-                a,
-                b,
-                outer,
-                c,
-            } => {
-                let va = self.read_operand(class, *a)?;
-                let vb = self.read_operand(class, *b)?;
-                let vab = self.eval_bin(class, *inner, va, vb)?;
-                let vc = self.read_operand(class, *c)?;
-                self.eval_bin(class, *outer, vab, vc)
-            }
-        }
     }
 
     pub(crate) fn eval_un(&self, op: UnOp, v: Val) -> Result<Val, SimError> {
@@ -1936,9 +1677,10 @@ impl<'m> WmMachine<'m> {
     }
 }
 
-/// How many entries `kind` dequeues from each input FIFO of `class`:
-/// the FIFO demand decode precomputes for the fallback slots, and the
-/// one deadlock diagnosis reports.
+/// How many entries `kind` dequeues from each input FIFO of `class`: the
+/// decoder's derivation of [`DecodedInst::need`](crate::decode::DecodedInst),
+/// from the instruction rather than from its operand slots (the
+/// round-trip verifier derives it from the slots).
 pub(crate) fn fifo_need(class: RegClass, kind: &InstKind) -> [usize; 2] {
     let mut need = [0usize; 2];
     let expr: Option<&RExpr> = match kind {

@@ -39,6 +39,7 @@ mod cache;
 mod dram;
 mod stream_buffer;
 
+use crate::config::CYCLES_RANGE;
 use crate::stats::Stall;
 use cache::L1;
 use dram::Dram;
@@ -132,6 +133,10 @@ const SIZE_LIMITS: [(&str, u64); 8] = [
     ("row", 1 << 20),
 ];
 
+/// The timing keys of a memory spec: cycle counts, each within
+/// [`CYCLES_RANGE`].
+const TIMING_KEYS: [&str; 6] = ["hit", "miss", "transfer", "rowhit", "rowmiss", "busy"];
+
 /// Which memory-system model the simulator runs.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum MemModel {
@@ -167,12 +172,14 @@ impl MemModel {
     /// `sbufs`, `depth`, `transfer`. Additional `banked` keys: `banks`,
     /// `row`, `rowhit`, `rowmiss`, `busy`. The sizing keys (`size`,
     /// `assoc`, `line`, `mshrs`, `sbufs`, `depth`, `banks`, `row`) have
-    /// upper bounds, named in the error for a value above one.
+    /// upper bounds, named in the error for a value above one; the timing
+    /// keys (`hit`, `miss`, `transfer`, `rowhit`, `rowmiss`, `busy`) are
+    /// cycle counts within [`CYCLES_RANGE`].
     ///
     /// # Errors
     ///
     /// Returns a usage message for unknown presets, unknown or malformed
-    /// keys, sizing keys above their bound, and parameter combinations
+    /// keys, keys above their bound, and parameter combinations
     /// that do not describe a valid cache (e.g. `size` not a multiple of
     /// `line * assoc`).
     pub fn parse(spec: &str) -> Result<MemModel, String> {
@@ -206,6 +213,10 @@ impl MemModel {
                 if n > max {
                     return Err(format!("`{key}` must be at most {max}, got {n}"));
                 }
+            }
+            if TIMING_KEYS.contains(&key) && !CYCLES_RANGE.contains(&n) {
+                let max = CYCLES_RANGE.end();
+                return Err(format!("`{key}` must be at most {max}, got {n}"));
             }
             match key {
                 "size" => c.size = n as usize,
@@ -755,6 +766,20 @@ mod tests {
         }
         assert!(MemModel::parse("cache:size=16384").is_ok());
         assert!(MemModel::parse("banked:banks=8").is_ok());
+        // timing keys past the cycle range fail the parse instead of
+        // wrapping the cycle a response is due
+        let end = *CYCLES_RANGE.end();
+        for key in TIMING_KEYS {
+            let at_end = format!("banked:{key}={end}");
+            let err = MemModel::parse(&format!("banked:{key}={}", end + 1)).unwrap_err();
+            assert_eq!(
+                err,
+                format!("`{key}` must be at most {end}, got {}", end + 1)
+            );
+            if key != "rowhit" {
+                assert!(MemModel::parse(&at_end).is_ok(), "{at_end}");
+            }
+        }
     }
 
     #[test]

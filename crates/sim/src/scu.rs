@@ -16,8 +16,10 @@
 //!   rule deciding who owns a unit's output FIFO: program order.
 
 use wm_ir::hw::VECTOR_LENGTH;
-use wm_ir::{DataFifo, InstKind, Operand, RegClass, Width};
+use wm_ir::{DataFifo, InstKind, RegClass, Width};
 
+use crate::compiled::read_slot;
+use crate::decode::src_slot;
 use crate::fault::{FaultKind, FaultUnit};
 use crate::machine::{
     ChanMsg, Exec, MemOp, PendingStore, Poison, SimError, Slot, Val, WmMachine, FIFO_OUT,
@@ -228,7 +230,9 @@ impl WmMachine<'_> {
     /// while the target is busy, then claim the slot and load the `jNI`
     /// counter of a tested stream. `Ok(false)` is an `scu-busy` stall.
     pub(crate) fn configure_stream(&mut self, head: &InstKind) -> Result<bool, SimError> {
-        let int = |m: &mut Self, op: Operand| m.read_operand(RegClass::Int, op).map(Val::as_i);
+        let int = |m: &mut Self, op| {
+            Ok(read_slot(m, RegClass::Int, src_slot(RegClass::Int, op)?)?.as_i())
+        };
         let peer = match *head {
             InstKind::StreamSend { peer, .. } | InstKind::StreamRecv { peer, .. } => {
                 self.chan_peer(peer)? as u8

@@ -12,9 +12,9 @@
 //! both stepping engines, which are bit-identical per tile).
 //!
 //! Messages routed at the barrier ending epoch `e` become visible to
-//! their receiver at `barrier + chan_latency` — the epoch length bounds
-//! scheduling, the channel latency models the interconnect, and the two
-//! are deliberately decoupled (see [`crate::WmConfig::chan_epoch`]).
+//! their receiver at `barrier +` [`CHAN_LATENCY`] — the epoch length
+//! ([`CHAN_EPOCH`]) bounds scheduling, the channel latency models the
+//! interconnect, and the two are deliberately decoupled.
 //!
 //! Tile 0 runs the entry function; tile `k > 0` runs `__tile{k}_<entry>`
 //! when the module defines it (the partitioning pass emits one per
@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 use wm_ir::Module;
 
 use crate::cancel::CancelToken;
-use crate::config::{WmConfig, TILES_RANGE};
+use crate::config::{WmConfig, CHAN_EPOCH, CHAN_LATENCY, TILES_RANGE};
 use crate::machine::{Poison, RunResult, RxEntry, SimError, WmMachine, DEADLOCK_WINDOW};
 
 /// The completed run of every tile of a tiled machine.
@@ -155,7 +155,6 @@ impl<'m> TiledMachine<'m> {
     /// tiles fault in the same epoch, the earliest (cycle, tile) wins —
     /// deterministically, for any host thread count.
     pub fn run_to_completion(&mut self) -> Result<TiledRunResult, SimError> {
-        let epoch = self.config.chan_epoch.max(1);
         let mut barrier = 0u64;
         loop {
             if let Some(t) = &self.cancel {
@@ -176,7 +175,7 @@ impl<'m> TiledMachine<'m> {
                     state: Box::new(self.machines[k].snapshot()),
                 });
             }
-            let target = (barrier + epoch).min(self.config.max_cycles);
+            let target = (barrier + CHAN_EPOCH).min(self.config.max_cycles);
             // ---- parallel phase: every tile alone up to `target` ----
             let errs = self.step_epoch(target);
             if let Some((_, _, e)) = errs
@@ -254,13 +253,13 @@ impl<'m> TiledMachine<'m> {
     }
 
     /// Route every message staged during the finished epoch into its
-    /// receiver's queue, due at `barrier + chan_latency`. Tiles are
+    /// receiver's queue, due at `barrier +` [`CHAN_LATENCY`]. Tiles are
     /// drained in tile-id order, so delivery order is deterministic. A
     /// receive queue already at capacity overruns: the datum is lost and
     /// a *poisoned* entry takes its place, faulting whichever unit
     /// eventually consumes it — with the sender's provenance.
     fn route(&mut self, barrier: u64) {
-        let due = barrier + self.config.chan_latency;
+        let due = barrier + CHAN_LATENCY;
         let cap = self.config.chan_capacity;
         for src in 0..self.machines.len() {
             let staged = std::mem::take(&mut self.machines[src].chan_tx);

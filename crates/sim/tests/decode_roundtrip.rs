@@ -5,8 +5,8 @@
 //! the original instruction: block-table alignment, operators, operand
 //! slots in order, folded immediates (bit-equal for floats), the FIFO
 //! demand and interlock mask its operand slots imply, and re-resolved
-//! control-flow targets. Anything the decoder cannot represent exactly
-//! must carry the fallback, which `verify_roundtrip` also checks.
+//! control-flow targets. Only the stream instructions, whose handlers
+//! read the instruction itself, may carry no operand slots.
 
 use proptest::prelude::*;
 use wm_ir::Module;

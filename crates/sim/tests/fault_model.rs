@@ -2,8 +2,12 @@
 //! semantics, fault provenance, machine-state dumps on terminal errors,
 //! and deterministic fault injection.
 
-use wm_ir::{BinOp, DataFifo, FuncBuilder, InstKind, Module, Operand, RExpr, Reg, RegClass, Width};
-use wm_sim::{FaultKind, FaultPlan, FaultUnit, SimError, WmConfig, WmMachine, DATA_BASE};
+use wm_ir::{
+    BinOp, DataFifo, FuncBuilder, InstKind, Module, Operand, RExpr, Reg, RegClass, UnOp, Width,
+};
+use wm_sim::{
+    FaultKind, FaultPlan, FaultUnit, SimError, TiledMachine, WmConfig, WmMachine, DATA_BASE,
+};
 
 /// A module with one `tab` data global of `size` bytes holding the given
 /// little-endian int32 values, plus a `main` built by `body`.
@@ -306,6 +310,107 @@ fn oversized_globals_are_a_bad_program() {
         panic!("expected bad program, got {err}");
     };
     assert!(msg.contains("does not fit"), "{msg}");
+}
+
+/// One module per instruction form the machine cannot execute, each with
+/// the text its [`SimError::BadProgram`] must carry. The offending
+/// instruction is the first thing `main` does.
+fn unexecutable_modules() -> Vec<(&'static str, Module)> {
+    let with_main = |body: &dyn Fn(&mut Module, &mut FuncBuilder)| {
+        let mut m = Module::new();
+        let mut b = FuncBuilder::new("main", 0, 0);
+        body(&mut m, &mut b);
+        b.emit(InstKind::Ret);
+        m.add_function(b.finish());
+        m
+    };
+    vec![
+        (
+            "cross-unit register read of f4 on the int unit",
+            with_main(&|_, b| {
+                b.assign(Reg::int(4), RExpr::Op(Reg::flt(4).into()));
+            }),
+        ),
+        (
+            "cross-unit register read of f5 on the int unit",
+            with_main(&|_, b| {
+                b.assign(Reg::flt(4), RExpr::Un(UnOp::IntToFlt, Reg::flt(5).into()));
+            }),
+        ),
+        (
+            "cross-unit register read of f6 on the int unit",
+            with_main(&|_, b| {
+                b.emit(InstKind::StreamIn {
+                    fifo: DataFifo::new(RegClass::Int, 0),
+                    base: Reg::flt(6).into(),
+                    count: Some(Operand::Imm(4)),
+                    stride: Operand::Imm(4),
+                    width: Width::W4,
+                    tested: false,
+                });
+            }),
+        ),
+        (
+            "cross-unit register write of f4 on the int unit",
+            with_main(&|m, b| {
+                let sym = m.add_data("tab", 16, 8, vec![]);
+                b.emit(InstKind::LoadAddr {
+                    dst: Reg::flt(4),
+                    sym,
+                    disp: 0,
+                });
+            }),
+        ),
+        (
+            "register 1 is read-only FIFO-mapped",
+            with_main(&|_, b| {
+                b.assign(Reg::int(1), RExpr::Op(Operand::Imm(1)));
+            }),
+        ),
+        (
+            "register 1 is read-only FIFO-mapped",
+            with_main(&|_, b| {
+                b.assign(Reg::int(1), RExpr::Un(UnOp::FltToInt, Operand::FImm(1.0)));
+            }),
+        ),
+        (
+            "address taken of non-data symbol putchar",
+            with_main(&|m, b| {
+                let sym = m.add_builtin("putchar");
+                b.emit(InstKind::LoadAddr {
+                    dst: Reg::int(4),
+                    sym,
+                    disp: 0,
+                });
+            }),
+        ),
+        (
+            "call to data symbol tab",
+            with_main(&|m, b| {
+                let callee = m.add_data("tab", 16, 8, vec![]);
+                b.emit(InstKind::Call {
+                    callee,
+                    args: vec![],
+                    ret: None,
+                });
+            }),
+        ),
+    ]
+}
+
+#[test]
+fn unexecutable_modules_are_refused_at_construction() {
+    let tiled = WmConfig::default().with_tiles(2);
+    for (what, m) in unexecutable_modules() {
+        let Err(SimError::BadProgram(msg)) = WmMachine::new(&m, &WmConfig::default()) else {
+            panic!("{what}: the machine was built");
+        };
+        assert!(msg.contains(what), "expected `{what}`, got `{msg}`");
+        let Err(SimError::BadProgram(tiled_msg)) = TiledMachine::new(&m, &tiled, 1) else {
+            panic!("{what}: the tiled machine was built");
+        };
+        assert_eq!(tiled_msg, msg);
+    }
 }
 
 #[test]

@@ -55,7 +55,7 @@ fn scalar_channel_ping() {
     let r = run_tiled(&m, &cfg, 1).expect("runs");
     assert_eq!(r.ret_int, 42);
     // the receive can only complete after one epoch barrier + latency
-    assert!(r.cycles > cfg.chan_latency);
+    assert!(r.cycles > wm_sim::CHAN_LATENCY);
     assert_eq!(r.tiles.len(), 2);
 }
 

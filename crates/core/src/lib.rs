@@ -162,6 +162,7 @@ impl Compiler {
                         s.vector = s2.vector;
                         s.modulo = s2.modulo;
                         s.iterations += s2.iterations;
+                        s.capped += s2.capped;
                     } else {
                         stats.push((f.name.clone(), s2));
                     }

@@ -37,6 +37,16 @@ impl Operand {
     pub fn is_const(self) -> bool {
         matches!(self, Operand::Imm(_) | Operand::FImm(_))
     }
+
+    /// Become `to` if this operand is register `from`. Returns whether
+    /// the operand changed (`to` may be `from` itself).
+    pub(crate) fn replace(&mut self, from: Reg, to: Operand) -> bool {
+        let hit = *self == Operand::Reg(from) && to != Operand::Reg(from);
+        if hit {
+            *self = to;
+        }
+        hit
+    }
 }
 
 impl From<Reg> for Operand {
@@ -99,23 +109,13 @@ impl RExpr {
     }
 
     /// Replace every occurrence of register `from` with operand `to`.
-    pub fn substitute(&mut self, from: Reg, to: Operand) {
-        let fix = |op: &mut Operand| {
-            if *op == Operand::Reg(from) {
-                *op = to;
-            }
-        };
+    /// Returns whether an operand changed.
+    pub fn substitute(&mut self, from: Reg, to: Operand) -> bool {
+        let fix = |op: &mut Operand| op.replace(from, to);
         match self {
             RExpr::Op(a) | RExpr::Un(_, a) => fix(a),
-            RExpr::Bin(_, a, b) => {
-                fix(a);
-                fix(b);
-            }
-            RExpr::Dual { a, b, c, .. } => {
-                fix(a);
-                fix(b);
-                fix(c);
-            }
+            RExpr::Bin(_, a, b) => fix(a) | fix(b),
+            RExpr::Dual { a, b, c, .. } => fix(a) | fix(b) | fix(c),
         }
     }
 
@@ -226,8 +226,14 @@ mod tests {
     #[test]
     fn substitution() {
         let mut e = RExpr::Bin(BinOp::Add, r(1).into(), r(1).into());
-        e.substitute(r(1), Operand::Imm(9));
+        assert!(e.substitute(r(1), Operand::Imm(9)));
         assert_eq!(e, RExpr::Bin(BinOp::Add, Operand::Imm(9), Operand::Imm(9)));
+        assert!(
+            !e.substitute(r(1), Operand::Imm(9)),
+            "nothing left to rewrite"
+        );
+        let mut same = RExpr::Op(r(2).into());
+        assert!(!same.substitute(r(2), r(2).into()), "a register for itself");
     }
 
     #[test]

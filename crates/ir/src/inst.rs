@@ -486,23 +486,25 @@ impl InstKind {
     }
 
     /// Replace register `from` with operand `to` in every *use* position.
-    /// Definitions are left untouched.
-    pub fn substitute_use(&mut self, from: Reg, to: Operand) {
-        let fix = |op: &mut Operand| {
-            if *op == Operand::Reg(from) {
-                *op = to;
-            }
+    /// Definitions are left untouched. `GLoad`/`GStore` address registers
+    /// and call arguments must remain registers: there only a register
+    /// `to` replaces `from`, and an immediate leaves them as they are.
+    /// Returns whether an operand changed.
+    #[must_use]
+    pub fn substitute_use(&mut self, from: Reg, to: Operand) -> bool {
+        let fix = |op: &mut Operand| op.replace(from, to);
+        let fix_mem = |mem: &mut MemRef| match to {
+            Operand::Reg(to) => substitute_mem_reg(mem, from, to),
+            _ => false,
         };
         match self {
             InstKind::Assign { src, .. } => src.substitute(from, to),
-            InstKind::Compare { a, b, .. } => {
-                fix(a);
-                fix(b);
-            }
+            InstKind::Compare { a, b, .. } => fix(a) | fix(b),
             InstKind::WLoad { addr, .. } | InstKind::WStore { addr, .. } => {
                 addr.substitute(from, to)
             }
-            InstKind::GStore { src, .. } => fix(src),
+            InstKind::GLoad { mem, .. } => fix_mem(mem),
+            InstKind::GStore { src, mem } => fix(src) | fix_mem(mem),
             InstKind::StreamIn {
                 base,
                 count,
@@ -514,13 +516,7 @@ impl InstKind {
                 count,
                 stride,
                 ..
-            } => {
-                fix(base);
-                fix(stride);
-                if let Some(c) = count {
-                    fix(c);
-                }
-            }
+            } => fix(base) | fix(stride) | count.as_mut().is_some_and(fix),
             InstKind::StreamGather {
                 base,
                 ibase,
@@ -534,58 +530,33 @@ impl InstKind {
                 istride,
                 count,
                 ..
-            } => {
-                fix(base);
-                fix(ibase);
-                fix(istride);
-                fix(count);
-            }
+            } => fix(base) | fix(ibase) | fix(istride) | fix(count),
             InstKind::VStreamIn {
                 base,
                 count,
                 stride,
                 vectors,
                 ..
-            } => {
-                fix(base);
-                fix(count);
-                fix(stride);
-                fix(vectors);
-            }
+            } => fix(base) | fix(count) | fix(stride) | fix(vectors),
             InstKind::VStreamOut {
                 base,
                 count,
                 stride,
-            } => {
-                fix(base);
-                fix(count);
-                fix(stride);
-            }
+            } => fix(base) | fix(count) | fix(stride),
             InstKind::ChanSend { src, .. } => fix(src),
             InstKind::StreamSend { count, .. } | InstKind::StreamRecv { count, .. } => fix(count),
-            // GLoad/GStore address registers and call arguments must remain
-            // registers; substitution there is only legal reg-for-reg.
-            InstKind::GLoad { mem, .. } => {
-                if let Operand::Reg(to) = to {
-                    substitute_mem_reg(mem, from, to);
-                }
-            }
-            InstKind::Call { args, .. } => {
-                if let Operand::Reg(to) = to {
-                    for a in args.iter_mut() {
-                        if *a == from {
-                            *a = to;
-                        }
+            InstKind::Call { args, .. } => match to {
+                Operand::Reg(to) if to != from => {
+                    let mut changed = false;
+                    for a in args.iter_mut().filter(|a| **a == from) {
+                        *a = to;
+                        changed = true;
                     }
+                    changed
                 }
-            }
-            _ => {}
-        }
-        // GStore address registers.
-        if let InstKind::GStore { mem, .. } = self {
-            if let Operand::Reg(to) = to {
-                substitute_mem_reg(mem, from, to);
-            }
+                _ => false,
+            },
+            _ => false,
         }
     }
 
@@ -604,15 +575,23 @@ impl InstKind {
     }
 }
 
-fn substitute_mem_reg(mem: &mut MemRef, from: Reg, to: Reg) {
+/// Replace address register `from` with `to`; returns whether one changed.
+fn substitute_mem_reg(mem: &mut MemRef, from: Reg, to: Reg) -> bool {
+    if from == to {
+        return false;
+    }
+    let mut changed = false;
     if mem.base == Some(from) {
         mem.base = Some(to);
+        changed = true;
     }
     if let Some((r, s)) = mem.index {
         if r == from {
             mem.index = Some((to, s));
+            changed = true;
         }
     }
+    changed
 }
 
 #[cfg(test)]
@@ -678,7 +657,7 @@ mod tests {
             dst: r(1),
             src: RExpr::Op(Operand::Reg(r(1))),
         };
-        k.substitute_use(r(1), Operand::Imm(7));
+        assert!(k.substitute_use(r(1), Operand::Imm(7)));
         match k {
             InstKind::Assign { dst, src } => {
                 assert_eq!(dst, r(1)); // def untouched
@@ -686,6 +665,37 @@ mod tests {
             }
             _ => unreachable!(),
         }
+    }
+
+    #[test]
+    fn substitution_reports_only_real_rewrites() {
+        // Address registers and call arguments refuse an immediate.
+        let load = InstKind::GLoad {
+            dst: r(1),
+            mem: MemRef::base(r(2), 0, Width::D8),
+        };
+        let store = InstKind::GStore {
+            src: r(3).into(),
+            mem: MemRef::base(r(2), 0, Width::D8),
+        };
+        let call = InstKind::Call {
+            callee: SymId(0),
+            args: vec![r(2)],
+            ret: None,
+        };
+        for kind in [&load, &store, &call] {
+            let mut k = kind.clone();
+            assert!(!k.substitute_use(r(2), Operand::Imm(7)), "{kind:?}");
+            assert_eq!(&k, kind);
+            assert!(!k.substitute_use(r(2), r(2).into()), "{kind:?}");
+            assert!(!k.substitute_use(r(9), r(4).into()), "{kind:?}");
+            assert!(k.substitute_use(r(2), r(4).into()), "{kind:?}");
+            assert!(!k.uses().contains(&r(2)), "{kind:?}");
+        }
+        // The stored value may become an immediate; its address may not.
+        let mut k = store;
+        assert!(k.substitute_use(r(3), Operand::Imm(7)));
+        assert_eq!(k.uses(), vec![r(2)]);
     }
 
     #[test]

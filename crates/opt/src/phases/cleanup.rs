@@ -12,6 +12,7 @@ use wm_ir::{Function, InstKind, Label};
 ///   adjacent compare so the condition-code FIFO stays balanced),
 /// * merge a block into its unique jump predecessor,
 /// * drop unreachable blocks.
+#[must_use]
 pub fn simplify_cfg(func: &mut Function) -> bool {
     let mut any = false;
     loop {
@@ -191,7 +192,7 @@ mod tests {
         b.switch_to(exit);
         b.emit(InstKind::Ret);
         let mut f = b.finish();
-        simplify_cfg(&mut f);
+        assert!(!simplify_cfg(&mut f), "nothing to thread or merge");
         // the loop structure (self branch) must survive
         let dom = crate::cfg::Dominators::compute(&f);
         let loops = crate::cfg::natural_loops(&f, &dom);

@@ -16,6 +16,7 @@ use wm_ir::{Function, InstKind, Operand, RExpr, Reg};
 use crate::liveness::uses_of;
 
 /// Run one combining sweep. Returns true if anything was merged.
+#[must_use]
 pub fn combine_duals(func: &mut Function) -> bool {
     // Count uses of every register (including the implicit Ret use).
     let mut use_sites: HashMap<Reg, Vec<(usize, usize)>> = HashMap::new();
@@ -319,9 +320,9 @@ mod tests {
         });
         b.emit(InstKind::Ret);
         let mut f = b.finish();
-        // first sweep: t folds into u; second: u folds into the load address
+        // one sweep folds t into u, then the dual u into the load address
         assert!(combine_duals(&mut f));
-        combine_duals(&mut f);
+        assert!(!combine_duals(&mut f));
         let addr = f
             .insts()
             .find_map(|inst| match &inst.kind {

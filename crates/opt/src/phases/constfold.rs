@@ -5,6 +5,7 @@ use wm_ir::{BinOp, Function, InstKind, Operand, RExpr, Reg, UnOp};
 /// Fold constant subexpressions and apply safe algebraic identities.
 /// Floating-point identities are left alone (NaN / signed-zero hazards);
 /// FIFO-register operands are never dropped (reading one dequeues).
+#[must_use]
 pub fn fold_constants(func: &mut Function) -> bool {
     let mut changed = false;
     for inst in func.insts_mut() {
@@ -118,6 +119,7 @@ fn fold_bin(op: BinOp, a: Operand, b: Operand) -> Option<RExpr> {
 /// Fold a `Compare` between two integer constants together with the
 /// `Branch` that consumes it into an unconditional jump. The pair must be
 /// adjacent so the condition-code FIFO discipline is preserved.
+#[must_use]
 pub fn fold_constant_branches(func: &mut Function) -> bool {
     let mut changed = false;
     for block in &mut func.blocks {
@@ -164,12 +166,12 @@ pub fn fold_constant_branches(func: &mut Function) -> bool {
 /// use. (With a single definition and reachable uses, the definition
 /// dominates every use in code produced by the front end; we verify with
 /// the dominator tree.)
+#[must_use]
 pub fn propagate_single_def_constants(func: &mut Function) -> bool {
     use crate::affine::def_map;
     use crate::cfg::Dominators;
 
     let defs = def_map(func);
-    let dom = Dominators::compute(func);
     let mut subs: Vec<(Reg, Operand, (usize, usize))> = Vec::new();
     for (reg, sites) in &defs {
         if !reg.is_virt() || sites.len() != 1 {
@@ -184,6 +186,10 @@ pub fn propagate_single_def_constants(func: &mut Function) -> bool {
             subs.push((*reg, *op, (bi, ii)));
         }
     }
+    if subs.is_empty() {
+        return false;
+    }
+    let dom = Dominators::compute(func);
     let mut changed = false;
     for (reg, op, (dbi, dii)) in subs {
         for bi in 0..func.blocks.len() {
@@ -199,11 +205,7 @@ pub fn propagate_single_def_constants(func: &mut Function) -> bool {
                 if !dominated {
                     continue;
                 }
-                let inst = &mut func.blocks[bi].insts[ii];
-                if inst.kind.uses().contains(&reg) {
-                    inst.kind.substitute_use(reg, op);
-                    changed = true;
-                }
+                changed |= func.blocks[bi].insts[ii].kind.substitute_use(reg, op);
             }
         }
     }

@@ -14,6 +14,7 @@ use wm_ir::{Function, InstKind, Operand, RExpr, Reg};
 /// or constant), uses of `dst` are replaced by `src` until either register
 /// is redefined. FIFO-mapped registers are never involved: reading one has
 /// queue side effects.
+#[must_use]
 pub fn propagate_copies(func: &mut Function) -> bool {
     // Definition counts decide the *direction* of propagation for
     // register-to-register copies: after `k := t` where `t` is a
@@ -36,8 +37,7 @@ pub fn propagate_copies(func: &mut Function) -> bool {
             let uses = inst.kind.uses();
             for u in uses {
                 if let Some(&rep) = avail.get(&u) {
-                    inst.kind.substitute_use(u, rep);
-                    changed = true;
+                    changed |= inst.kind.substitute_use(u, rep);
                 }
             }
             // calls clobber nothing statically here, but any def kills
@@ -78,6 +78,7 @@ pub fn propagate_copies(func: &mut Function) -> bool {
 /// into `r := expr`. The front end produces this shape for `i = i + 1` and
 /// `i += 1`, and coalescing it restores the `r := (r) + c` form the
 /// induction-variable analysis recognizes.
+#[must_use]
 pub fn coalesce_copy_chains(func: &mut Function) -> bool {
     // count uses of each register
     let mut use_count: HashMap<Reg, usize> = HashMap::new();
@@ -166,7 +167,7 @@ mod tests {
         let _ = u;
         b.emit(InstKind::Ret);
         let mut f = b.finish();
-        propagate_copies(&mut f);
+        assert!(!propagate_copies(&mut f));
         let add = f
             .insts()
             .find_map(|i| match &i.kind {
@@ -190,7 +191,7 @@ mod tests {
         let _ = u;
         b.emit(InstKind::Ret);
         let mut f = b.finish();
-        propagate_copies(&mut f);
+        assert!(!propagate_copies(&mut f));
         let still_t = f.insts().any(|i| {
             matches!(&i.kind, InstKind::Assign { src: RExpr::Bin(BinOp::FAdd, a, b), .. }
                 if *a == Operand::Reg(t) && *b == Operand::Reg(t))

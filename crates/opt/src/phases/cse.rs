@@ -5,8 +5,9 @@ use std::collections::HashMap;
 use wm_ir::{Function, InstKind, Operand, RExpr, Reg};
 
 /// A hashable key for pure expressions. Floating-point immediates are keyed
-/// by their bit patterns.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// by their bit patterns. The order only puts commutative operands in a
+/// canonical order; any total order gives the same classes.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 enum Key {
     Reg(Reg),
     Imm(i64),
@@ -32,6 +33,7 @@ enum ExprKey {
 /// Eliminate repeated pure computations within each basic block, rewriting
 /// later occurrences into copies of the first result. Expressions touching
 /// FIFO registers are skipped (each read dequeues).
+#[must_use]
 pub fn eliminate_common_subexpressions(func: &mut Function) -> bool {
     let mut changed = false;
     for block in &mut func.blocks {
@@ -46,7 +48,7 @@ pub fn eliminate_common_subexpressions(func: &mut Function) -> bool {
                         RExpr::Bin(op, a, b) => {
                             let (ka, kb) = (key_of(*a), key_of(*b));
                             // canonicalize commutative operand order
-                            if op.is_commutative() && format!("{kb:?}") < format!("{ka:?}") {
+                            if op.is_commutative() && kb < ka {
                                 Some(ExprKey::Bin(*op, kb, ka))
                             } else {
                                 Some(ExprKey::Bin(*op, ka, kb))

@@ -7,6 +7,7 @@ use crate::liveness::{tracked, Liveness, RegSet};
 /// Remove pure instructions whose results are dead. Instructions with side
 /// effects (memory, control flow, FIFO traffic, condition codes, calls) are
 /// always kept. Runs to a fixed point.
+#[must_use]
 pub fn eliminate_dead_code(func: &mut Function) -> bool {
     let (changed, _) = mark_dead_code(func);
     if changed {
@@ -71,6 +72,7 @@ fn is_dead(kind: &InstKind, live: &RegSet) -> bool {
 /// is dead. Plain DCE cannot do this: the dequeue has a FIFO side effect
 /// that is only safe to drop together with the load that feeds it. The pair
 /// must be adjacent (the form target expansion produces).
+#[must_use]
 pub fn eliminate_dead_load_pairs(func: &mut Function) -> bool {
     let lv = Liveness::compute(func);
     let mut pairs = Vec::new();

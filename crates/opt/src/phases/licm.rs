@@ -19,7 +19,15 @@ use crate::cfg::{ensure_preheader, natural_loops, Dominators};
 /// itself hoisted), and speculation is safe (no division). Single-definition
 /// virtual registers make the transformation sound without a full
 /// reaching-definition analysis.
+#[must_use]
 pub fn hoist_invariants(func: &mut Function) -> bool {
+    // Motion only moves instructions, and a new preheader holds only a
+    // jump, so the definition counts hold for the whole call.
+    let mut def_count: HashMap<Reg, usize> = HashMap::new();
+    for inst in func.insts() {
+        inst.kind
+            .for_each_def(|d| *def_count.entry(d).or_default() += 1);
+    }
     let mut any = false;
     // Re-discover loops after each round of motion (preheader insertion
     // invalidates indices).
@@ -28,15 +36,16 @@ pub fn hoist_invariants(func: &mut Function) -> bool {
         let loops = natural_loops(func, &dom);
         let mut moved = false;
         for lp in &loops {
-            // count definitions per register
-            let mut def_count: HashMap<Reg, usize> = HashMap::new();
-            for block in &func.blocks {
-                for inst in &block.insts {
-                    for d in inst.kind.defs() {
-                        *def_count.entry(d).or_default() += 1;
-                    }
+            let mut defined_in_loop: HashSet<Reg> = HashSet::new();
+            for &bi in &lp.blocks {
+                for inst in &func.blocks[bi].insts {
+                    inst.kind.for_each_def(|d| {
+                        defined_in_loop.insert(d);
+                    });
                 }
             }
+            // Each hoisted instruction is its destination's only
+            // definition, so `invariant` also marks what is hoisted.
             let mut invariant: HashSet<Reg> = HashSet::new();
             let mut to_hoist: Vec<(usize, usize)> = Vec::new();
             // iterate to fixpoint within the loop
@@ -45,12 +54,12 @@ pub fn hoist_invariants(func: &mut Function) -> bool {
                 grew = false;
                 for &bi in &lp.blocks {
                     for (ii, inst) in func.blocks[bi].insts.iter().enumerate() {
-                        if to_hoist.contains(&(bi, ii)) {
+                        let Some(dst) = hoistable(inst, &def_count, &defined_in_loop, &invariant)
+                        else {
                             continue;
-                        }
-                        if let Some(dst) = hoistable(inst, func, lp, &def_count, &invariant) {
+                        };
+                        if invariant.insert(dst) {
                             to_hoist.push((bi, ii));
-                            invariant.insert(dst);
                             grew = true;
                         }
                     }
@@ -88,9 +97,8 @@ pub fn hoist_invariants(func: &mut Function) -> bool {
 
 fn hoistable(
     inst: &Inst,
-    func: &Function,
-    lp: &crate::cfg::Loop,
     def_count: &HashMap<Reg, usize>,
+    defined_in_loop: &HashSet<Reg>,
     invariant: &HashSet<Reg>,
 ) -> Option<Reg> {
     let dst = match &inst.kind {
@@ -119,22 +127,11 @@ fn hoistable(
         return None;
     }
     // all operands invariant: defined outside the loop or hoisted already
-    let ok = inst.kind.uses().into_iter().all(|u| {
-        if invariant.contains(&u) || u == Reg::sp() {
-            return true;
-        }
-        !reg_defined_in_loop(func, lp, u)
+    let mut ok = true;
+    inst.kind.for_each_use(|u| {
+        ok &= invariant.contains(&u) || u == Reg::sp() || !defined_in_loop.contains(&u);
     });
     ok.then_some(dst)
-}
-
-fn reg_defined_in_loop(func: &Function, lp: &crate::cfg::Loop, r: Reg) -> bool {
-    lp.blocks.iter().any(|&bi| {
-        func.blocks[bi]
-            .insts
-            .iter()
-            .any(|i| i.kind.defs().contains(&r))
-    })
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! Classical optimization phases.
 //!
-//! Each phase is a function `fn(&mut Function) -> bool` returning whether it
-//! changed anything, so the pipeline can re-invoke phases until a fixed
-//! point — the paper's third strategy ("optimization phases to be reinvoked
-//! at any time").
+//! Each phase is a function `fn(&mut Function) -> bool` returning exactly
+//! whether it changed the function, so the pipeline can re-invoke phases
+//! until a fixed point — the paper's third strategy ("optimization phases
+//! to be reinvoked at any time") — and skip a phase that cannot change
+//! anything ([`crate::pipeline::Fixpoint`]).
 
 mod cleanup;
 mod combine;

@@ -177,30 +177,121 @@ pub struct OptStats {
     pub vector: crate::vectorize::VectorReport,
     /// Modulo-scheduling report.
     pub modulo: crate::modulo::ModuloReport,
-    /// Cleanup fixpoint iterations used.
+    /// Cleanup rounds that changed the function.
     pub iterations: usize,
+    /// Fixpoint loops stopped by [`MAX_ROUNDS`] instead of at a round
+    /// that changed nothing.
+    pub capped: usize,
 }
 
-const MAX_ROUNDS: usize = 12;
+/// A phase the fixpoint driver runs: its name, which identifies it to
+/// the skip rule, and its entry point, which reports whether it changed
+/// the function.
+pub type Phase = (&'static str, fn(&mut Function) -> bool);
 
-fn cleanup_round(func: &mut Function) -> bool {
-    let mut changed = phases::fold_constants(func);
-    changed |= phases::fold_constant_branches(func);
-    changed |= phases::propagate_single_def_constants(func);
-    changed |= phases::propagate_copies(func);
-    changed |= phases::coalesce_copy_chains(func);
-    changed |= phases::eliminate_common_subexpressions(func);
-    changed |= phases::eliminate_dead_code(func);
-    changed |= phases::simplify_cfg(func);
-    changed
+/// The classical phases `cleanup` re-invokes, in order.
+pub const CLEANUP: [Phase; 8] = [
+    ("fold_constants", phases::fold_constants),
+    ("fold_constant_branches", phases::fold_constant_branches),
+    (
+        "propagate_single_def_constants",
+        phases::propagate_single_def_constants,
+    ),
+    ("propagate_copies", phases::propagate_copies),
+    ("coalesce_copy_chains", phases::coalesce_copy_chains),
+    (
+        "eliminate_common_subexpressions",
+        phases::eliminate_common_subexpressions,
+    ),
+    ("eliminate_dead_code", phases::eliminate_dead_code),
+    ("simplify_cfg", phases::simplify_cfg),
+];
+
+/// Dual-operation combining, with dead-code elimination after each
+/// sweep when the classical phases are on (the first entry alone when
+/// they are off).
+pub const COMBINE: [Phase; 2] = [
+    ("combine_duals", phases::combine_duals),
+    ("eliminate_dead_code", phases::eliminate_dead_code),
+];
+
+/// Rounds that change the function after which a fixpoint loop stops
+/// anyway. A backstop: no loop reaches it on the workload suite.
+pub const MAX_ROUNDS: usize = 12;
+
+/// The driver of the pipeline's capped loops.
+///
+/// A phase's output depends only on the function, so a phase whose last
+/// run changed nothing is skipped until something changes the function.
+/// That is sound only because every call reports exactly whether it
+/// changed the function: each [`Phase`], and each pass the pipeline
+/// sequences between loops, through [`Fixpoint::record`]. A skipped call
+/// could not have changed anything, so the result is the one running
+/// every phase every round gives.
+#[derive(Debug, Default)]
+pub struct Fixpoint {
+    /// Changes made so far: names the function's current state.
+    generation: u64,
+    /// Per phase, the generation its last run started from. While that
+    /// is still the current one, the run changed nothing.
+    idle: Vec<(&'static str, u64)>,
+    /// Loops stopped by [`MAX_ROUNDS`].
+    pub capped: usize,
 }
 
-fn cleanup(func: &mut Function, opts: &OptOptions) -> usize {
-    let mut rounds = 0;
-    while opts.classical && rounds < MAX_ROUNDS && cleanup_round(func) {
-        rounds += 1;
+impl Fixpoint {
+    /// Note a call that changed the function if `changed`.
+    pub fn record(&mut self, changed: bool) {
+        self.generation += u64::from(changed);
     }
-    rounds
+
+    /// Run `phases` in order, round after round, until a round changes
+    /// nothing or [`MAX_ROUNDS`] rounds have changed something (counted
+    /// in [`Fixpoint::capped`]). Returns the rounds that changed
+    /// something.
+    pub fn run(&mut self, func: &mut Function, phases: &[Phase]) -> usize {
+        self.run_with(func, phases, |_, func, phase| phase(func))
+    }
+
+    /// [`Fixpoint::run`], making each phase call as `call(name, func,
+    /// phase)` (a profiler times the calls this way).
+    pub fn run_with(
+        &mut self,
+        func: &mut Function,
+        phases: &[Phase],
+        mut call: impl FnMut(&'static str, &mut Function, fn(&mut Function) -> bool) -> bool,
+    ) -> usize {
+        for rounds in 0..MAX_ROUNDS {
+            let start = self.generation;
+            for &(name, phase) in phases {
+                let at = self.generation;
+                if self.idle.contains(&(name, at)) {
+                    continue;
+                }
+                let changed = call(name, func, phase);
+                self.record(changed);
+                match self.idle.iter_mut().find(|(n, _)| *n == name) {
+                    Some(entry) => entry.1 = at,
+                    None => self.idle.push((name, at)),
+                }
+            }
+            if self.generation == start {
+                return rounds;
+            }
+        }
+        self.capped += 1;
+        MAX_ROUNDS
+    }
+
+    /// The classical cleanup to a fixed point (nothing unless
+    /// `opts.classical`); returns its changing rounds.
+    fn cleanup(&mut self, func: &mut Function, opts: &OptOptions) -> usize {
+        if opts.classical {
+            self.run(func, &CLEANUP)
+        } else {
+            0
+        }
+    }
 }
 
 /// Optimize a function in its *generic* (pre-expansion) form: classical
@@ -209,15 +300,18 @@ fn cleanup(func: &mut Function, opts: &OptOptions) -> usize {
 /// job after the recurrence transformation).
 pub fn optimize_generic(func: &mut Function, opts: &OptOptions) -> OptStats {
     let mut stats = OptStats::default();
-    stats.iterations += cleanup(func, opts);
+    let mut fp = Fixpoint::default();
+    stats.iterations += fp.cleanup(func, opts);
     if opts.code_motion {
-        phases::hoist_invariants(func);
-        stats.iterations += cleanup(func, opts);
+        fp.record(phases::hoist_invariants(func));
+        stats.iterations += fp.cleanup(func, opts);
     }
     if opts.recurrence {
         stats.recurrence = optimize_recurrences(func, opts.alias);
-        stats.iterations += cleanup(func, opts);
+        fp.record(stats.recurrence.loops_transformed > 0);
+        stats.iterations += fp.cleanup(func, opts);
     }
+    stats.capped = fp.capped;
     stats
 }
 
@@ -239,30 +333,32 @@ pub fn optimize_wm_with(
     extents: &GlobalExtents,
 ) -> OptStats {
     let mut stats = OptStats::default();
+    let mut fp = Fixpoint::default();
     if opts.code_motion {
-        phases::hoist_invariants(func);
+        fp.record(phases::hoist_invariants(func));
     }
-    stats.iterations += cleanup(func, opts);
+    stats.iterations += fp.cleanup(func, opts);
     if opts.classical {
-        phases::eliminate_dead_load_pairs(func);
+        fp.record(phases::eliminate_dead_load_pairs(func));
     }
     if opts.vectorize {
         stats.vector = crate::vectorize::vectorize_maps(func, opts.alias);
-        stats.iterations += cleanup(func, opts);
+        fp.record(stats.vector.loops_vectorized > 0);
+        stats.iterations += fp.cleanup(func, opts);
     }
     if opts.streaming {
         stats.streaming = optimize_streams(func, opts.alias, extents, opts.speculative_streams);
-        stats.iterations += cleanup(func, opts);
+        fp.record(stats.streaming.loops_streamed > 0);
+        stats.iterations += fp.cleanup(func, opts);
     }
     if opts.dual_combine {
-        let mut rounds = 0;
-        while rounds < MAX_ROUNDS && phases::combine_duals(func) {
-            rounds += 1;
-            if opts.classical {
-                phases::eliminate_dead_code(func);
-            }
-        }
-        stats.iterations += cleanup(func, opts);
+        let combine = if opts.classical {
+            &COMBINE[..]
+        } else {
+            &COMBINE[..1]
+        };
+        fp.run(func, combine);
+        stats.iterations += fp.cleanup(func, opts);
     }
     // Modulo scheduling runs last: it must see the final body shape
     // (post-combining), and no later phase may reorder its kernels.
@@ -270,6 +366,7 @@ pub fn optimize_wm_with(
         stats.modulo =
             crate::modulo::modulo_schedule(func, opts.modulo_budget, opts.modulo_mem_latency);
     }
+    stats.capped = fp.capped;
     stats
 }
 

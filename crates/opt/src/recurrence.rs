@@ -40,6 +40,7 @@ pub struct RecurrenceReport {
 
 /// Run the recurrence optimization on every innermost loop of `func`,
 /// up to recurrence degree 4.
+#[must_use]
 pub fn optimize_recurrences(func: &mut Function, alias: AliasModel) -> RecurrenceReport {
     let mut report = RecurrenceReport::default();
     // Loop discovery is repeated after each transformed loop because the
@@ -489,7 +490,8 @@ mod tests {
     #[test]
     fn transformed_code_still_has_the_store() {
         let mut f = compile(LOOP5, "loop5");
-        optimize_recurrences(&mut f, AliasModel::Conservative);
+        let report = optimize_recurrences(&mut f, AliasModel::Conservative);
+        assert_eq!(report.loops_transformed, 1);
         let stores = f
             .insts()
             .filter(|i| matches!(i.kind, InstKind::GStore { .. }))

@@ -382,6 +382,7 @@ fn filter_indirect_safety(
 /// to skip it); `speculative` keeps over-fetching in-streams, relying on
 /// the machine's deferred-fault (poison) semantics instead of degrading
 /// to scalar code.
+#[must_use]
 pub fn optimize_streams(
     func: &mut Function,
     alias: AliasModel,
@@ -675,9 +676,10 @@ fn stream_one_loop(
             if plan.fifo.index == 1 {
                 // retarget the dequeue from register 0 to register 1
                 let old = Reg::phys(plan.fifo.class, 0);
-                func.blocks[bi].insts[deq]
+                let retargeted = func.blocks[bi].insts[deq]
                     .kind
                     .substitute_use(old, Operand::Reg(plan.fifo.reg()));
+                debug_assert!(retargeted, "a paired dequeue reads FIFO register 0");
             }
         } else {
             let (bi, ii) = plan.pos;
@@ -887,9 +889,10 @@ fn rewrite_indirect(
         func.blocks[g.mem_pos.0].insts[g.mem_pos.1].kind = InstKind::Nop;
         if plan.fifo.index == 1 {
             let old = Reg::phys(g.class, 0);
-            func.blocks[g.mem_pos.0].insts[deq]
+            let retargeted = func.blocks[g.mem_pos.0].insts[deq]
                 .kind
                 .substitute_use(old, Operand::Reg(plan.fifo.reg()));
+            debug_assert!(retargeted, "a paired dequeue reads FIFO register 0");
         }
     } else {
         func.blocks[g.mem_pos.0].insts[g.mem_pos.1].kind = InstKind::Nop;

@@ -63,6 +63,7 @@ enum MapInput {
 
 /// Vectorize every eligible innermost map loop of `func` (WM-expanded
 /// form) into groups of [`wm_ir::hw::VECTOR_LENGTH`] elements.
+#[must_use]
 pub fn vectorize_maps(func: &mut Function, alias: AliasModel) -> VectorReport {
     let mut report = VectorReport::default();
     let mut visited: Vec<Label> = Vec::new();
@@ -107,6 +108,9 @@ fn vectorize_one(
         recognize_map(func, &la, &parts, body, latch)
     };
     let Some(plan) = plan else { return false };
+    if plan.static_count.is_some_and(|c| c < 2 * N) {
+        return false; // not worth a vector setup
+    }
 
     // ---- transformation ----
     let pre = ensure_preheader(func, lp);
@@ -114,12 +118,7 @@ fn vectorize_one(
 
     // count (elements) into a register
     let count = match plan.static_count {
-        Some(c) => {
-            if c < 2 * N {
-                return false; // not worth a vector setup
-            }
-            Operand::Imm(c)
-        }
+        Some(c) => Operand::Imm(c),
         None => emit_trip_count(func, pre, &plan.latch),
     };
     // full := count / N ; fullN := full * N

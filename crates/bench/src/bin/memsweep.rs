@@ -36,6 +36,7 @@
 //! tiled build to beat its 1-tile build outright at the largest swept
 //! bank count on every partitionable kernel.
 
+use wm_stream::json::{self, Fixed, Layout, Writer};
 use wm_stream::sim::TILES_RANGE;
 use wm_stream::{JobSpec, Workload};
 
@@ -174,56 +175,38 @@ fn print_tile_table(points: &[TilePoint]) {
 }
 
 fn results_json(latency: &[Point], banks: &[Point], tiles: &[TilePoint]) -> String {
-    let table = |points: &[Point]| -> String {
-        let rows: Vec<String> = points
-            .iter()
-            .map(|p| {
-                format!(
-                    "    {{\"workload\": \"{}\", \"spec\": \"{}\", \"x\": {}, \
-                     \"scalar_cycles\": {}, \"streaming_cycles\": {}, \"speedup\": {:.4}}}",
-                    p.workload,
-                    p.spec,
-                    p.x,
-                    p.scalar_cycles,
-                    p.streaming_cycles,
-                    p.speedup()
-                )
-            })
-            .collect();
-        format!("[\n{}\n  ]", rows.join(",\n"))
+    let table = |w: &mut Writer, points: &[Point]| {
+        w.array(Layout::Lines, |w| {
+            for p in points {
+                w.object(Layout::Inline, |w| {
+                    w.field("workload", &p.workload)
+                        .field("spec", &p.spec)
+                        .field("x", p.x)
+                        .field("scalar_cycles", p.scalar_cycles)
+                        .field("streaming_cycles", p.streaming_cycles)
+                        .field("speedup", Fixed(p.speedup(), 4));
+                });
+            }
+        });
     };
-    let tile_rows: Vec<String> = tiles
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"workload\": \"{}\", \"tiles\": {}, \"banks\": {}, \
-                 \"cycles\": {}, \"one_tile_cycles\": {}, \"speedup\": {:.4}}}",
-                p.workload,
-                p.tiles,
-                p.banks,
-                p.cycles,
-                p.one_tile_cycles,
-                p.speedup()
-            )
-        })
-        .collect();
-    let tiles_table = if tile_rows.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n{}\n  ]", tile_rows.join(",\n"))
-    };
-    format!(
-        "{{\n  \"schema\": \"wm-bench-memsweep-v1\",\n  \"stream_heavy\": [{}],\n  \
-         \"latency_sweep\": {},\n  \"bandwidth_sweep\": {},\n  \"tiles_sweep\": {}\n}}\n",
-        STREAM_HEAVY
-            .iter()
-            .map(|n| format!("\"{n}\""))
-            .collect::<Vec<_>>()
-            .join(", "),
-        table(latency),
-        table(banks),
-        tiles_table
-    )
+    json::object(Layout::Lines, |w| {
+        w.field("schema", "wm-bench-memsweep-v1")
+            .field("stream_heavy", STREAM_HEAVY.as_slice());
+        table(w.key("latency_sweep"), latency);
+        table(w.key("bandwidth_sweep"), banks);
+        w.key("tiles_sweep").array(Layout::Lines, |w| {
+            for p in tiles {
+                w.object(Layout::Inline, |w| {
+                    w.field("workload", &p.workload)
+                        .field("tiles", p.tiles)
+                        .field("banks", p.banks)
+                        .field("cycles", p.cycles)
+                        .field("one_tile_cycles", p.one_tile_cycles)
+                        .field("speedup", Fixed(p.speedup(), 4));
+                });
+            }
+        });
+    }) + "\n"
 }
 
 /// The latency-tolerance gate: on every stream-heavy kernel the speedup

@@ -49,7 +49,8 @@
 //! perf --compare FILE              fail (exit 1) unless every cycle count,
 //!                                  and every counter where both runs
 //!                                  record them, matches FILE exactly (the
-//!                                  engine-equivalence gate); records the
+//!                                  engine-equivalence gate; FILE may be
+//!                                  a run or a baseline); records the
 //!                                  wall-time speedup vs FILE in the output
 //! perf --write-baseline FILE       write the cycle, code and counter
 //!                                  baseline for --check, with the run's leg
@@ -79,8 +80,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use wm_bench::json::{self, Value};
 use wm_bench::reps::RepPlan;
+use wm_stream::json::{self, Fixed, Layout, ToJson, Value, Writer};
 use wm_stream::{Compiled, JobSpec, Workload};
 
 /// Allowed cycle-count growth before `--check` fails, as a fraction.
@@ -253,13 +254,6 @@ impl Leg {
         })
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"suite\": \"{}\", \"hw\": \"{}\", \"mem\": \"{}\", \"tiles\": {}}}",
-            self.suite, self.hw, self.mem, self.tiles
-        )
-    }
-
     /// The `perf` flags that select this leg.
     fn flags(&self) -> String {
         let suite = match self.suite.as_str() {
@@ -270,6 +264,17 @@ impl Leg {
             "{suite}--hw {} --mem {} --tiles {}",
             self.hw, self.mem, self.tiles
         )
+    }
+}
+
+impl ToJson for Leg {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(Layout::Inline, |w| {
+            w.field("suite", &self.suite)
+                .field("hw", &self.hw)
+                .field("mem", &self.mem)
+                .field("tiles", self.tiles);
+        });
     }
 }
 
@@ -421,29 +426,29 @@ fn run_suite(sel: SuiteSel, meta: &Meta) -> Vec<RunRecord> {
 /// `--wmd`: the same settings the in-process path applies.
 fn wmd_request(id: &str, w: &Workload, level: &str, meta: &Meta) -> String {
     let cfg = &meta.job.config;
-    let mut req = format!(
-        "{{\"id\": \"{id}\", \"source\": \"{}\", \"opt\": \"{level}\", \"noalias\": true, \
-         \"engine\": \"{}\", \"mem\": \"{}\"",
-        json::escape(w.source),
-        cfg.engine,
-        cfg.mem_model
-    );
-    for (name, value) in meta.hw.1 {
-        req.push_str(&format!(", \"{name}\": {value}"));
-    }
-    if cfg.tiles > 1 {
-        req.push_str(&format!(", \"tiles\": {}", cfg.tiles));
-    }
-    req.push('}');
-    req
+    json::object(Layout::Inline, |j| {
+        j.field("id", id)
+            .field("source", w.source)
+            .field("opt", level)
+            .field("noalias", true)
+            .field("engine", cfg.engine.name())
+            .field("mem", cfg.mem_model.to_string());
+        for &(name, value) in meta.hw.1 {
+            j.field(name, value);
+        }
+        if cfg.tiles > 1 {
+            j.field("tiles", cfg.tiles);
+        }
+    })
 }
 
 /// Run the suite as a client of the `wmd` daemon: spawn it with a fresh
 /// cache directory, submit every pair cold (populating the cache), then
 /// submit `reps` repeats that must be answered from the cache with
 /// results bit-identical to the cold run. Cycle counts land in the same
-/// records as the in-process path, so `--compare` gates daemon-vs-direct
-/// agreement exactly like engine-vs-engine agreement.
+/// records as the in-process path, so `--compare` gates them against a
+/// direct run or the leg's baseline exactly like engine-vs-engine
+/// agreement.
 fn run_suite_wmd(sel: SuiteSel, meta: &mut Meta, wmd_bin: &str) -> Vec<RunRecord> {
     let pairs = pairs(sel);
     let cache_dir = std::env::temp_dir().join(format!("wmd-perf-cache-{}", std::process::id()));
@@ -485,6 +490,14 @@ fn run_suite_wmd(sel: SuiteSel, meta: &mut Meta, wmd_bin: &str) -> Vec<RunRecord
         }
     };
 
+    // The pair a job response answers: its id is `<pair>:<rep>`.
+    let pair_of = |v: &Value| -> usize {
+        v.get("id")
+            .and_then(Value::as_str)
+            .and_then(|id| id.split(':').next()?.parse().ok())
+            .expect("pair index id")
+    };
+
     // Phase 1: every pair once, cold. Responses arrive in completion
     // order; collect them all before the repeat phase so the repeats
     // deterministically hit the now-populated cache.
@@ -495,17 +508,7 @@ fn run_suite_wmd(sel: SuiteSel, meta: &mut Meta, wmd_bin: &str) -> Vec<RunRecord
     let mut cold: Vec<Option<Value>> = (0..pairs.len()).map(|_| None).collect();
     for _ in 0..pairs.len() {
         let v = read_response(true);
-        let id = v
-            .get("id")
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_string();
-        let i: usize = id
-            .split(':')
-            .next()
-            .unwrap()
-            .parse()
-            .expect("pair index id");
+        let i = pair_of(&v);
         cold[i] = Some(v);
     }
 
@@ -523,22 +526,15 @@ fn run_suite_wmd(sel: SuiteSel, meta: &mut Meta, wmd_bin: &str) -> Vec<RunRecord
     let mut repeats: Vec<Vec<Value>> = (0..pairs.len()).map(|_| Vec::new()).collect();
     for _ in 0..pairs.len() * meta.reps {
         let v = read_response(true);
-        let id = v
-            .get("id")
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_string();
-        let i: usize = id
-            .split(':')
-            .next()
-            .unwrap()
-            .parse()
-            .expect("pair index id");
+        let i = pair_of(&v);
         repeats[i].push(v);
     }
     let elapsed = started.elapsed().as_secs_f64();
 
-    writeln!(stdin, "{{\"op\": \"stats\"}}").expect("write to wmd");
+    let stats_request = json::object(Layout::Inline, |j| {
+        j.field("op", "stats");
+    });
+    writeln!(stdin, "{stats_request}").expect("write to wmd");
     let stats = read_response(false);
     let counter = |k: &str| stats.get(k).and_then(Value::as_u64).unwrap_or(0);
     meta.wmd = Some(WmdStats {
@@ -619,76 +615,65 @@ fn results_json(
     leg: &Leg,
     meta: Option<(&Meta, Option<f64>)>,
 ) -> String {
-    let mut out = format!(
-        "{{\n  \"schema\": \"wm-bench-perf-v1\",\n  \"leg\": {},\n",
-        leg.to_json()
-    );
-    if let Some((m, speedup)) = meta {
-        out.push_str(&format!(
-            "  \"engine\": \"{}\",\n  \"hw\": \"{}\",\n  \"mem\": \"{}\",\n  \
-             \"reps\": {},\n  \"jobs\": {},\n  \"tiles\": {},\n",
-            m.job.config.engine, m.hw.0, m.job.config.mem_model, m.reps, m.jobs, m.job.config.tiles
-        ));
-        let total: f64 = records
-            .iter()
-            .filter(|r| r.error.is_none())
-            .map(|r| r.wall_ms)
-            .sum();
-        out.push_str(&format!("  \"total_wall_ms\": {total:.3},\n"));
-        if let Some(s) = speedup {
-            out.push_str(&format!("  \"speedup_vs_compare\": {s:.3},\n"));
-        }
-        if let Some(w) = &m.wmd {
-            let rate = if w.cache_hits + w.cache_misses > 0 {
-                w.cache_hits as f64 / (w.cache_hits + w.cache_misses) as f64
-            } else {
-                0.0
-            };
-            out.push_str(&format!(
-                "  \"wmd\": {{\"jobs_per_sec\": {:.1}, \"cache_hits\": {}, \
-                 \"cache_misses\": {}, \"cache_hit_rate\": {rate:.3}}},\n",
-                w.jobs_per_sec, w.cache_hits, w.cache_misses
-            ));
-        }
-    }
-    out.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        if let Some(e) = &r.error {
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"config\": \"{}\", \"error\": \"{}\"}}",
-                r.workload,
-                r.config,
-                json::escape(e)
-            ));
-        } else {
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"config\": \"{}\", \"cycles\": {}",
-                r.workload, r.config, r.cycles
-            ));
-            if let Some(code) = r.code {
-                out.push_str(&format!(
-                    ", \"insts\": {}, \"code_fnv1a\": \"{:016x}\"",
-                    code.insts, code.fnv1a
-                ));
+    json::object(Layout::Lines, |w| {
+        w.field("schema", "wm-bench-perf-v1").field("leg", leg);
+        if let Some((m, speedup)) = meta {
+            let total: f64 = records
+                .iter()
+                .filter(|r| r.error.is_none())
+                .map(|r| r.wall_ms)
+                .sum();
+            w.field("engine", m.job.config.engine.name())
+                .field("hw", m.hw.0)
+                .field("mem", m.job.config.mem_model.to_string())
+                .field("reps", m.reps)
+                .field("jobs", m.jobs)
+                .field("tiles", m.job.config.tiles)
+                .field("total_wall_ms", Fixed(total, 3));
+            if let Some(s) = speedup {
+                w.field("speedup_vs_compare", Fixed(s, 3));
             }
-            if !r.counters.is_empty() {
-                out.push_str(&format!(
-                    ", \"counters_fnv1a\": \"{:016x}\"",
-                    fnv1a(r.counters.as_bytes())
-                ));
+            if let Some(d) = &m.wmd {
+                let lookups = d.cache_hits + d.cache_misses;
+                let rate = if lookups > 0 {
+                    d.cache_hits as f64 / lookups as f64
+                } else {
+                    0.0
+                };
+                w.key("wmd").object(Layout::Inline, |w| {
+                    w.field("jobs_per_sec", Fixed(d.jobs_per_sec, 1))
+                        .field("cache_hits", d.cache_hits)
+                        .field("cache_misses", d.cache_misses)
+                        .field("cache_hit_rate", Fixed(rate, 3));
+                });
             }
-            out.push_str(&format!(", \"wall_ms\": {:.3}", r.wall_ms));
-            if with_counters {
-                // The counters are themselves a JSON document; inline them.
-                out.push_str(", \"counters\": ");
-                out.push_str(r.counters.trim_end());
-            }
-            out.push('}');
         }
-        out.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+        w.key("results").array(Layout::Lines, |w| {
+            for r in records {
+                w.object(Layout::Inline, |w| {
+                    w.field("workload", &r.workload).field("config", r.config);
+                    if let Some(e) = &r.error {
+                        w.field("error", e);
+                        return;
+                    }
+                    w.field("cycles", r.cycles);
+                    if let Some(code) = r.code {
+                        w.field("insts", code.insts)
+                            .field("code_fnv1a", format!("{:016x}", code.fnv1a));
+                    }
+                    if !r.counters.is_empty() {
+                        let digest = fnv1a(r.counters.as_bytes());
+                        w.field("counters_fnv1a", format!("{digest:016x}"));
+                    }
+                    w.field("wall_ms", Fixed(r.wall_ms, 3));
+                    if with_counters {
+                        // The counter document, as rendered and pinned.
+                        w.key("counters").raw(r.counters.trim_end());
+                    }
+                });
+            }
+        });
+    }) + "\n"
 }
 
 /// The baseline gate's verdict: the cycle regressions, code changes and
@@ -844,7 +829,8 @@ fn modulo_gate(records: &[RunRecord]) -> Vec<String> {
     failures
 }
 
-/// Compare against another results document run by a different engine:
+/// Compare against another results document (a run by the other engine
+/// or through `wmd`, or a baseline):
 /// every pair must exist there with the exact same cycle count and, when
 /// both documents carry the pair's counters (`--wmd` runs record none),
 /// the exact same counters. Returns the mismatch report and the
@@ -1145,10 +1131,10 @@ fn main() {
 
     if let Some((path, mismatches, speedup)) = compared {
         if mismatches.is_empty() {
-            eprintln!("perf: engines agree with {path} on every cycle count and every counter both runs record ({speedup:.2}x wall-time speedup)");
+            eprintln!("perf: every cycle count, and every counter both runs record, matches {path} ({speedup:.2}x wall-time speedup)");
         } else {
             for m in &mismatches {
-                eprintln!("perf: ENGINE MISMATCH {m}");
+                eprintln!("perf: MISMATCH {m}");
             }
             eprintln!("perf: {} mismatch(es) vs {path}", mismatches.len());
             std::process::exit(1);

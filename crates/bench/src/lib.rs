@@ -13,8 +13,6 @@
 
 pub mod reps;
 
-pub use wm_stream::json;
-
 use wm_stream::{Compiler, MachineModel, OptOptions, Target, WmConfig};
 
 /// A row of a percent-improvement table.

@@ -1,9 +1,10 @@
 //! The counters `wmcc --stats-json` emits must round-trip through the
-//! hand-rolled JSON parser the perf binary uses — the two sides share no
-//! code beyond the JSON grammar, so this is the contract test between
-//! the simulator's writer (`Stats::to_json`) and `wm_bench::json`.
+//! JSON parser the perf binary reads them with: the contract test
+//! between the counter document (`Stats::to_json`, rendered by
+//! `wm_stream::json`'s writer) and that module's parser. The writer and
+//! the parser share no code beyond the string escape rules.
 
-use wm_bench::json::{self, Value};
+use wm_stream::json::{self, Value};
 use wm_stream::{Compiler, MemModel, OptOptions, WmConfig};
 
 fn run_dot_product_config(cfg: &WmConfig) -> wm_stream::RunResult {

@@ -23,7 +23,6 @@
 //! ```
 
 pub mod driver;
-pub mod json;
 pub mod trace;
 
 pub use wm_frontend as frontend;
@@ -31,6 +30,7 @@ pub use wm_ir as ir;
 pub use wm_machines as machines;
 pub use wm_opt as opt;
 pub use wm_sim as sim;
+pub use wm_sim::json;
 pub use wm_target as target;
 pub use wm_workloads as workloads;
 

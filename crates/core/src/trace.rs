@@ -16,9 +16,8 @@
 //!
 //! [Perfetto]: https://ui.perfetto.dev
 
-use wm_sim::{DepthSample, FfSpan, Outcome, TraceEvent};
-
-use crate::json::escape;
+use wm_sim::json::{self, Layout};
+use wm_sim::{DepthSample, FfSpan, Outcome, TraceEvent, UnitName};
 
 /// The track label of a fast-forwarded outcome, or `None` for `Active`
 /// (an active unit never fast-forwards, but be defensive).
@@ -54,8 +53,8 @@ pub fn chrome_trace(events: &[TraceEvent], timeline: &[DepthSample], spans: &[Ff
         intern(ev.unit, &mut units);
     }
     if let Some(s) = spans.first() {
-        for unit in ["IEU", "FEU", "VEU", "IFU"] {
-            intern(unit, &mut units);
+        for unit in UnitName::ALL {
+            intern(unit.label(), &mut units);
         }
         for i in 0..s.scus.len() {
             intern(&format!("SCU{i}"), &mut units);
@@ -63,87 +62,76 @@ pub fn chrome_trace(events: &[TraceEvent], timeline: &[DepthSample], spans: &[Ff
     }
     let tid = |unit: &str| units.iter().position(|u| u == unit).unwrap_or(0);
 
-    let mut out = String::with_capacity(events.len() * 96 + timeline.len() * 64 + 256);
-    out.push_str("{\"traceEvents\": [\n");
-    let mut first = true;
-    let mut push = |out: &mut String, line: String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str("  ");
-        out.push_str(&line);
-    };
-
-    // Track names (metadata events) so the viewer labels each unit row.
-    for (k, unit) in units.iter().enumerate() {
-        push(
-            &mut out,
-            format!(
-                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": {k}, \
-                 \"args\": {{\"name\": \"{}\"}}}}",
-                escape(unit)
-            ),
-        );
-    }
-
-    // One 1-cycle duration event per executed instruction.
-    for ev in events {
-        push(
-            &mut out,
-            format!(
-                "{{\"name\": \"{}\", \"cat\": \"instr\", \"ph\": \"X\", \"ts\": {}, \
-                 \"dur\": 1, \"pid\": 0, \"tid\": {}}}",
-                escape(&ev.text),
-                ev.cycle,
-                tid(ev.unit)
-            ),
-        );
-    }
-
-    // Coalesced stall spans: one duration event per unit per
-    // fast-forwarded span, covering all skipped cycles at once.
-    for span in spans {
-        let mut emit = |out: &mut String, unit: &str, o: Outcome| {
-            if let Some(label) = outcome_label(o) {
-                push(
-                    out,
-                    format!(
-                        "{{\"name\": \"{}\", \"cat\": \"stall\", \"ph\": \"X\", \
-                         \"ts\": {}, \"dur\": {}, \"pid\": 0, \"tid\": {}}}",
-                        label,
-                        span.start,
-                        span.len,
-                        tid(unit)
-                    ),
-                );
+    json::object(Layout::Inline, |w| {
+        w.key("traceEvents").array(Layout::Lines, |w| {
+            // Track names (metadata events) so the viewer labels each
+            // unit row.
+            for (k, unit) in units.iter().enumerate() {
+                w.object(Layout::Inline, |w| {
+                    w.field("name", "thread_name")
+                        .field("ph", "M")
+                        .field("pid", 0)
+                        .field("tid", k);
+                    w.key("args").object(Layout::Inline, |w| {
+                        w.field("name", unit);
+                    });
+                });
             }
-        };
-        emit(&mut out, "IEU", span.ieu);
-        emit(&mut out, "FEU", span.feu);
-        emit(&mut out, "VEU", span.veu);
-        emit(&mut out, "IFU", span.ifu);
-        for (i, &o) in span.scus.iter().enumerate() {
-            emit(&mut out, &format!("SCU{i}"), o);
-        }
-    }
 
-    // FIFO occupancy as counter tracks: one sample per change point.
-    for s in timeline {
-        push(
-            &mut out,
-            format!(
-                "{{\"name\": \"{}\", \"ph\": \"C\", \"pid\": 0, \"ts\": {}, \
-                 \"args\": {{\"depth\": {}}}}}",
-                escape(s.fifo),
-                s.cycle,
-                s.depth
-            ),
-        );
-    }
+            // One 1-cycle duration event per executed instruction.
+            for ev in events {
+                w.object(Layout::Inline, |w| {
+                    w.field("name", &ev.text)
+                        .field("cat", "instr")
+                        .field("ph", "X")
+                        .field("ts", ev.cycle)
+                        .field("dur", 1)
+                        .field("pid", 0)
+                        .field("tid", tid(ev.unit));
+                });
+            }
 
-    out.push_str("\n], \"displayTimeUnit\": \"ns\"}\n");
-    out
+            // Coalesced stall spans: one duration event per unit per
+            // fast-forwarded span, covering all skipped cycles at once.
+            for span in spans {
+                let units = [span.ieu, span.feu, span.veu, span.ifu]
+                    .into_iter()
+                    .zip(UnitName::ALL)
+                    .map(|(o, unit)| (o, tid(unit.label())));
+                let scus =
+                    (span.scus.iter().enumerate()).map(|(i, &o)| (o, tid(&format!("SCU{i}"))));
+                for (o, tid) in units.chain(scus) {
+                    let Some(label) = outcome_label(o) else {
+                        continue;
+                    };
+                    w.object(Layout::Inline, |w| {
+                        w.field("name", label)
+                            .field("cat", "stall")
+                            .field("ph", "X")
+                            .field("ts", span.start)
+                            .field("dur", span.len)
+                            .field("pid", 0)
+                            .field("tid", tid);
+                    });
+                }
+            }
+
+            // FIFO occupancy as counter tracks: one sample per change
+            // point.
+            for s in timeline {
+                w.object(Layout::Inline, |w| {
+                    w.field("name", s.fifo)
+                        .field("ph", "C")
+                        .field("pid", 0)
+                        .field("ts", s.cycle);
+                    w.key("args").object(Layout::Inline, |w| {
+                        w.field("depth", s.depth);
+                    });
+                });
+            }
+        });
+        w.field("displayTimeUnit", "ns");
+    }) + "\n"
 }
 
 #[cfg(test)]

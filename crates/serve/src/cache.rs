@@ -11,9 +11,13 @@
 //! `<dir>/<key>.wmd`, where `<key>` is 64 hex chars:
 //!
 //! ```text
-//! wmd-cache-v1 <key> <sha256(payload)> <payload-byte-length>\n
+//! wmd-cache-v2 <key> <sha256(payload)> <payload-byte-length>\n
 //! <payload bytes>
 //! ```
+//!
+//! The schema tag changes whenever the payload's rendering does (v2
+//! writes `stats` inline), so an entry of an older schema is a miss and
+//! is scrubbed, never served beside a fresh rendering.
 //!
 //! # Crash safety and integrity
 //!
@@ -35,7 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::hash::sha256_hex;
 
-const SCHEMA: &str = "wmd-cache-v1";
+const SCHEMA: &str = "wmd-cache-v2";
 const ENTRY_EXT: &str = "wmd";
 
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -261,6 +265,19 @@ mod tests {
     }
 
     #[test]
+    fn an_older_schema_is_never_served() {
+        let (cache, _) = ArtifactCache::open(tmpdir("schema")).unwrap();
+        let key = ArtifactCache::key_of("z");
+        cache.store(&key, "{\"stats\": {}}").unwrap();
+        let path = cache.dir().join(format!("{key}.{ENTRY_EXT}"));
+        let entry = fs::read_to_string(&path).unwrap();
+        fs::write(&path, entry.replacen(SCHEMA, "wmd-cache-v1", 1)).unwrap();
+        assert_eq!(cache.lookup(&key), None);
+        assert!(!path.exists(), "the old entry is removed");
+        fs::remove_dir_all(cache.dir()).unwrap();
+    }
+
+    #[test]
     fn truncation_is_detected() {
         let (cache, _) = ArtifactCache::open(tmpdir("truncate")).unwrap();
         let key = ArtifactCache::key_of("y");
@@ -283,7 +300,7 @@ mod tests {
         // Simulate a crash: a stray temp file and a torn entry.
         fs::write(dir.join("deadbeef.tmp-1-0"), b"partial").unwrap();
         let bad = dir.join(format!("{}.{ENTRY_EXT}", ArtifactCache::key_of("bad")));
-        fs::write(&bad, b"wmd-cache-v1 torn\n").unwrap();
+        fs::write(&bad, b"wmd-cache-v2 torn\n").unwrap();
         let (cache, report) = ArtifactCache::open(&dir).unwrap();
         assert_eq!(report.kept, 1);
         assert_eq!(report.removed_corrupt, 1);

@@ -8,6 +8,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
+use wm_stream::json::{self, Layout};
 use wm_stream::sim::{CancelToken, SimError};
 use wm_stream::{Compiled, JobSpec, RunResult};
 
@@ -136,25 +137,19 @@ pub fn execute(
 /// Render a run into the canonical single-line result document — the
 /// exact bytes that are cached and spliced into `ok` responses. Two runs
 /// of the same job must render identically (the engines are bit-exact
-/// and [`wm_stream::sim::Stats::to_json`] is deterministic), which is
+/// and [`wm_stream::sim::Stats::write_json`] is deterministic), which is
 /// what the cache-identity property test pins down.
 pub fn result_payload(r: &RunResult) -> String {
-    let ret_flt = if r.ret_flt.is_finite() {
-        format!("{:?}", r.ret_flt)
-    } else {
-        // NaN/inf are not JSON numbers; encode as a string.
-        format!("\"{:?}\"", r.ret_flt)
-    };
-    format!(
-        "{{\"cycles\": {}, \"instructions\": {}, \"ret_int\": {}, \"ret_flt\": {ret_flt}, \
-         \"output\": \"{}\", \"engine\": \"{}\", \"stats\": {}}}",
-        r.cycles,
-        r.stats.instructions(),
-        r.ret_int,
-        wm_stream::json::escape(&String::from_utf8_lossy(&r.output)),
-        r.engine.name(),
-        r.perf.to_json().replace('\n', "")
-    )
+    json::object(Layout::Inline, |w| {
+        w.field("cycles", r.cycles)
+            .field("instructions", r.stats.instructions())
+            .field("ret_int", r.ret_int)
+            .field("ret_flt", r.ret_flt)
+            .field("output", &*String::from_utf8_lossy(&r.output))
+            .field("engine", r.engine.name())
+            .key("stats");
+        r.perf.write_json(w, Layout::Inline);
+    })
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! supervision".
 
 use wm_stream::driver::{Kind, SETTINGS};
-use wm_stream::json::{self, Value};
+use wm_stream::json::{self, Fixed, Layout, ToJson, Value, Writer};
 use wm_stream::sim::SimError;
 use wm_stream::JobSpec;
 
@@ -228,34 +228,27 @@ impl ErrorClass {
             ErrorClass::BadRequest(_) => "bad-request",
         }
     }
-
-    fn body_json(&self) -> String {
-        match self {
-            ErrorClass::Compile(msg) => {
-                format!(", \"detail\": \"{}\"", json::escape(msg))
-            }
-            ErrorClass::Sim(e) => format!(", \"sim\": {}", e.to_json()),
-            ErrorClass::Panic { stage, payload } => format!(
-                ", \"stage\": \"{stage}\", \"payload\": \"{}\"",
-                json::escape(payload)
-            ),
-            ErrorClass::Deadline { deadline_ms, stuck } => {
-                format!(", \"deadline_ms\": {deadline_ms}, \"stuck\": {stuck}")
-            }
-            ErrorClass::Overloaded { queued, limit } => {
-                format!(", \"queued\": {queued}, \"limit\": {limit}")
-            }
-            ErrorClass::BadRequest(msg) => {
-                format!(", \"detail\": \"{}\"", json::escape(msg))
-            }
-        }
-    }
 }
 
-fn id_json(id: Option<&str>) -> String {
-    match id {
-        Some(id) => format!("\"{}\"", json::escape(id)),
-        None => "null".to_string(),
+/// `class`, then the class's own members.
+impl ToJson for ErrorClass {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(Layout::Inline, |w| {
+            w.field("class", self.name());
+            match self {
+                ErrorClass::Compile(msg) | ErrorClass::BadRequest(msg) => w.field("detail", msg),
+                ErrorClass::Sim(e) => w.field("sim", e),
+                ErrorClass::Panic { stage, payload } => {
+                    w.field("stage", *stage).field("payload", payload)
+                }
+                ErrorClass::Deadline { deadline_ms, stuck } => {
+                    w.field("deadline_ms", deadline_ms).field("stuck", stuck)
+                }
+                ErrorClass::Overloaded { queued, limit } => {
+                    w.field("queued", queued).field("limit", limit)
+                }
+            };
+        });
     }
 }
 
@@ -263,7 +256,7 @@ fn id_json(id: Option<&str>) -> String {
 /// cache-controlled document produced by [`crate::job::result_payload`]
 /// — on a cache hit the stored bytes are spliced in verbatim, which is
 /// what makes hit/miss bit-identity a protocol property rather than a
-/// hope.
+/// hope. `result` is the line's last member.
 pub fn ok_line(
     id: &str,
     cached: bool,
@@ -271,22 +264,32 @@ pub fn ok_line(
     wall_ms: f64,
     result_payload: &str,
 ) -> String {
-    format!(
-        "{{\"id\": {}, \"status\": \"ok\", \"cached\": {cached}, \
-         \"attempts\": {attempts}, \"wall_ms\": {wall_ms:.3}, \"result\": {result_payload}}}",
-        id_json(Some(id))
-    )
+    json::object(Layout::Inline, |w| {
+        w.field("id", id)
+            .field("status", "ok")
+            .field("cached", cached)
+            .field("attempts", attempts)
+            .field("wall_ms", Fixed(wall_ms, 3))
+            .key("result")
+            .raw(result_payload);
+    })
 }
 
 /// Render a terminal error line.
 pub fn error_line(id: Option<&str>, attempts: u32, class: &ErrorClass) -> String {
-    format!(
-        "{{\"id\": {}, \"status\": \"error\", \"attempts\": {attempts}, \
-         \"error\": {{\"class\": \"{}\"{}}}}}",
-        id_json(id),
-        class.name(),
-        class.body_json()
-    )
+    json::object(Layout::Inline, |w| {
+        w.field("id", id)
+            .field("status", "error")
+            .field("attempts", attempts)
+            .field("error", class);
+    })
+}
+
+/// Render a control response with no other members: `{"op": "pong"}`.
+pub fn op_line(op: &str) -> String {
+    json::object(Layout::Inline, |w| {
+        w.field("op", op);
+    })
 }
 
 #[cfg(test)]

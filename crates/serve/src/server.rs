@@ -15,6 +15,8 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
+use wm_stream::json::{self, Layout};
+
 use crate::cache::{ArtifactCache, ScrubReport};
 use crate::pool::{Counters, Pool, PoolConfig};
 use crate::proto::{self, ControlOp, ErrorClass, Request};
@@ -150,13 +152,24 @@ impl Server {
     }
 
     /// The request loop. Returns whether a `shutdown` op was received.
-    fn handle_reader(&self, reader: impl BufRead, tx: &Sender<String>) -> bool {
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
+    /// Lines are read as bytes, so a line that is not UTF-8 gets its
+    /// `bad-request` like any other malformed line, and the lines after
+    /// it are still read; only EOF, an I/O error or `shutdown` ends the
+    /// loop.
+    fn handle_reader(&self, mut reader: impl BufRead, tx: &Sender<String>) -> bool {
+        let mut bytes = Vec::new();
+        loop {
+            bytes.clear();
+            if !matches!(reader.read_until(b'\n', &mut bytes), Ok(1..)) {
+                return false;
+            }
+            let line = bytes.strip_suffix(b"\n").unwrap_or(&bytes);
+            let line = std::str::from_utf8(line.strip_suffix(b"\r").unwrap_or(line))
+                .map_err(|e| (None, format!("request line is not UTF-8: {e}")));
+            if line.as_ref().is_ok_and(|l| l.trim().is_empty()) {
                 continue;
             }
-            match proto::parse_request(&line) {
+            match line.and_then(proto::parse_request) {
                 Err((id, msg)) => {
                     Counters::bump(&self.pool.counters().bad_requests);
                     let _ = tx.send(proto::error_line(
@@ -166,56 +179,59 @@ impl Server {
                     ));
                 }
                 Ok(Request::Control(ControlOp::Ping)) => {
-                    let _ = tx.send("{\"op\": \"pong\"}".to_string());
+                    let _ = tx.send(proto::op_line("pong"));
                 }
                 Ok(Request::Control(ControlOp::Stats)) => {
                     let _ = tx.send(self.stats_line());
                 }
                 Ok(Request::Control(ControlOp::Shutdown)) => {
-                    let _ = tx.send("{\"op\": \"bye\"}".to_string());
+                    let _ = tx.send(proto::op_line("bye"));
                     return true;
                 }
                 Ok(Request::Job(job)) => self.pool.submit(*job, tx.clone()),
             }
         }
-        false
     }
 
     /// The `{"op": "stats"}` response document.
     fn stats_line(&self) -> String {
         let c = self.pool.counters();
         let g = |f: &std::sync::atomic::AtomicU64| f.load(Ordering::Relaxed);
-        format!(
-            "{{\"op\": \"stats\", \"uptime_ms\": {}, \"workers\": {}, \"queue\": {}, \
-             \"received\": {}, \"ok\": {}, \"errors\": {}, \"panics\": {}, \"retries\": {}, \
-             \"shed\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"stuck\": {}, \"bad_requests\": {}, \"scrub_removed\": {}}}",
-            self.started.elapsed().as_millis(),
-            self.workers,
-            self.pool.queue_len(),
-            g(&c.received),
-            g(&c.ok),
-            g(&c.errors),
-            g(&c.panics),
-            g(&c.retries),
-            g(&c.shed),
-            g(&c.cache_hits),
-            g(&c.cache_misses),
-            g(&c.stuck),
-            g(&c.bad_requests),
-            self.scrub.removed_corrupt + self.scrub.removed_temp,
-        )
+        json::object(Layout::Inline, |w| {
+            w.field("op", "stats")
+                .field("uptime_ms", self.started.elapsed().as_millis())
+                .field("workers", self.workers)
+                .field("queue", self.pool.queue_len())
+                .field("received", g(&c.received))
+                .field("ok", g(&c.ok))
+                .field("errors", g(&c.errors))
+                .field("panics", g(&c.panics))
+                .field("retries", g(&c.retries))
+                .field("shed", g(&c.shed))
+                .field("cache_hits", g(&c.cache_hits))
+                .field("cache_misses", g(&c.cache_misses))
+                .field("stuck", g(&c.stuck))
+                .field("bad_requests", g(&c.bad_requests))
+                .field(
+                    "scrub_removed",
+                    self.scrub.removed_corrupt + self.scrub.removed_temp,
+                );
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use wm_stream::json::Value;
+
     use super::*;
 
-    fn serve_lines(cfg: ServerConfig, input: &str) -> Vec<String> {
+    fn serve_lines(cfg: ServerConfig, input: impl AsRef<[u8]>) -> Vec<String> {
         let server = Server::new(cfg).unwrap();
         let (tx, rx) = channel::<String>();
-        server.handle_reader(BufReader::new(input.as_bytes()), &tx);
+        server.handle_reader(BufReader::new(input.as_ref()), &tx);
         drop(tx);
         drop(server); // drains the pool; all replies land first
         rx.into_iter().collect()
@@ -253,5 +269,96 @@ mod tests {
             !lines.iter().any(|l| l.contains("\"id\": \"after\"")),
             "lines after shutdown are not read: {lines:?}"
         );
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_answered_and_reading_goes_on() {
+        let mut input = b"{\"op\": \"ping\"}\r\n".to_vec();
+        input.extend_from_slice(b"{\"id\": \"x\", \"source\": \"int main() { return 1; }\xff\"}\n");
+        input.extend_from_slice(b"{\"id\": \"y\", \"source\": \"int main() { return 2; }\"}\r\n");
+        input.extend_from_slice(b"{\"op\": \"ping\"}");
+        let lines = serve_lines(ServerConfig::default(), input);
+        assert_eq!(lines.len(), 4, "{lines:?}");
+        assert_eq!(
+            lines.iter().filter(|l| *l == "{\"op\": \"pong\"}").count(),
+            2
+        );
+        assert!(lines.iter().any(|l| l.starts_with("{\"id\": null")
+            && l.contains("\"bad-request\"")
+            && l.contains("not UTF-8")));
+        assert!(lines
+            .iter()
+            .any(|l| l.contains("\"id\": \"y\"") && l.contains("\"status\": \"ok\"")));
+    }
+
+    #[test]
+    fn ids_and_sources_keep_every_escape() {
+        let input = concat!(
+            r#"{"id": "job-\ud83d\ude00", "source": "int main() { /*\f\b\/*/ return 3; }"}"#,
+            "\n",
+        );
+        let lines = serve_lines(ServerConfig::default(), input);
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        let v = json::parse(&lines[0]).unwrap();
+        assert_eq!(v.get("id").and_then(Value::as_str), Some("job-😀"));
+        assert_eq!(v.get("status").and_then(Value::as_str), Some("ok"), "{v:?}");
+    }
+
+    /// Well-formed requests for the property below to cut and mutate:
+    /// every job is capped at a few thousand cycles, so whatever one
+    /// mutation makes of it still ends quickly.
+    const REQUESTS: [&str; 4] = [
+        r#"{"id": "a", "source": "int main() { int i; int s; s = 0; for (i = 0; i < 9; i++) s += i; return s; }", "max_cycles": 5000}"#,
+        r#"{"id": "b\ud83d\ude00", "source": "int main() { return 2; } /*\"\\\/\b\f\n\r\t\u0041*/", "opt": "full", "max_cycles": 5000}"#,
+        r#"{"id": "c", "source": "int f(int a, int b) { return a - b; }", "entry": "f", "args": [7, 2], "mem": "banked", "max_cycles": 3000}"#,
+        r#"{"op": "stats"}"#,
+    ];
+
+    proptest! {
+        /// One response per non-blank line, every response valid JSON,
+        /// and a ping after hostile lines still answered: random bytes,
+        /// a cut and a one-byte mutation of a valid request, nesting
+        /// within and far beyond the parser's bound, and every escape.
+        #[test]
+        fn every_hostile_line_gets_one_parseable_response(
+            noise in vec(any::<u8>(), 0..120),
+            pick in 0..REQUESTS.len(),
+            cut in any::<usize>(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+            depth in 1usize..400,
+        ) {
+            let valid = REQUESTS[pick].as_bytes();
+            let mut mutated = valid.to_vec();
+            mutated[at % valid.len()] = byte;
+            let nest = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+            let mut input = Vec::new();
+            for line in [
+                &noise[..],
+                &valid[..cut % valid.len()],
+                &mutated,
+                nest.as_bytes(),
+                "{\"a\": ".repeat(depth * 100).as_bytes(),
+                valid,
+            ] {
+                input.extend_from_slice(line);
+                input.push(b'\n');
+            }
+            input.extend_from_slice(b"{\"op\": \"ping\"}\n");
+            let requests = input
+                .split(|&b| b == b'\n')
+                .filter(|l| std::str::from_utf8(l).map_or(true, |l| !l.trim().is_empty()))
+                .count();
+            let lines = serve_lines(ServerConfig::default(), &input);
+            prop_assert_eq!(lines.len(), requests, "{:?}", lines);
+            for line in &lines {
+                let v = json::parse(line);
+                prop_assert!(v.is_ok(), "unparseable response {}", line);
+            }
+            prop_assert_eq!(
+                lines.iter().filter(|l| *l == "{\"op\": \"pong\"}").count(),
+                1
+            );
+        }
     }
 }

@@ -46,7 +46,7 @@ use crate::config::IO_LATENCY;
 use crate::decode::{convert_source, DecExpr, DecodedInst, Dst, IfuOp, Payload, Src};
 use crate::fault::{FaultKind, FaultUnit};
 use crate::machine::{attach_inst, ChanMsg, Exec, Pc, SimError, Val, WmMachine, FIFO_CC, FIFO_OUT};
-use crate::stats::{Outcome, Stall};
+use crate::stats::{Outcome, Stall, UnitName};
 
 impl<'m> WmMachine<'m> {
     /// Advance one cycle. `SKIP` turns on the compiled engine's skips
@@ -247,7 +247,7 @@ impl<'m> WmMachine<'m> {
                     continue;
                 }
                 IfuOp::Jump { block } => {
-                    self.record("IFU", d.kind);
+                    self.record(UnitName::Ifu, d.kind);
                     block
                 }
                 IfuOp::Branch { class, when, t, e } => {

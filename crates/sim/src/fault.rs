@@ -8,6 +8,9 @@
 
 use wm_ir::DataFifo;
 
+use crate::json::{Layout, ToJson, Writer};
+use crate::stats::UnitName;
+
 /// The unit on whose behalf a fault was raised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultUnit {
@@ -40,10 +43,10 @@ impl FaultUnit {
 impl std::fmt::Display for FaultUnit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FaultUnit::Ieu => write!(f, "IEU"),
-            FaultUnit::Feu => write!(f, "FEU"),
-            FaultUnit::Veu => write!(f, "VEU"),
-            FaultUnit::Ifu => write!(f, "IFU"),
+            FaultUnit::Ieu => f.write_str(UnitName::Ieu.label()),
+            FaultUnit::Feu => f.write_str(UnitName::Feu.label()),
+            FaultUnit::Veu => f.write_str(UnitName::Veu.label()),
+            FaultUnit::Ifu => f.write_str(UnitName::Ifu.label()),
             FaultUnit::Scu(n) => write!(f, "SCU {n}"),
         }
     }
@@ -115,35 +118,32 @@ pub struct FaultInfo {
     pub detail: String,
 }
 
-impl FaultInfo {
-    /// Render the provenance as a stable one-object JSON document:
-    /// `unit`/`scu`, `class` (plus `count` for bad stream counts), and —
-    /// when known — `addr`, `stream` and `inst`, with the human-readable
-    /// `detail` last. Shared by [`crate::SimError::to_json`] and the
-    /// `wmd` wire protocol.
-    pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"unit\": \"{}\"", self.unit.name());
-        if let FaultUnit::Scu(n) = self.unit {
-            out.push_str(&format!(", \"scu\": {n}"));
-        }
-        out.push_str(&format!(", \"class\": \"{}\"", self.kind.name()));
-        if let FaultKind::BadStreamCount(n) = self.kind {
-            out.push_str(&format!(", \"count\": {n}"));
-        }
-        if let Some(a) = self.addr {
-            out.push_str(&format!(", \"addr\": {a}"));
-        }
-        if let Some(s) = &self.stream {
-            out.push_str(&format!(", \"stream\": \"{s}\""));
-        }
-        if let Some(i) = &self.inst {
-            out.push_str(&format!(", \"inst\": \"{}\"", json_escape(i)));
-        }
-        out.push_str(&format!(
-            ", \"detail\": \"{}\"}}",
-            json_escape(&self.detail)
-        ));
-        out
+/// The provenance as a stable one-object JSON document: `unit`/`scu`,
+/// `class` (plus `count` for bad stream counts), and — when known —
+/// `addr`, `stream` and `inst`, with the human-readable `detail` last.
+/// Part of [`crate::SimError::to_json`], which `wmd` shares.
+impl ToJson for FaultInfo {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(Layout::Inline, |w| {
+            w.field("unit", self.unit.name());
+            if let FaultUnit::Scu(n) = self.unit {
+                w.field("scu", n);
+            }
+            w.field("class", self.kind.name());
+            if let FaultKind::BadStreamCount(n) = self.kind {
+                w.field("count", n);
+            }
+            if let Some(a) = self.addr {
+                w.field("addr", a);
+            }
+            if let Some(s) = &self.stream {
+                w.field("stream", s.to_string());
+            }
+            if let Some(i) = &self.inst {
+                w.field("inst", i);
+            }
+            w.field("detail", &self.detail);
+        });
     }
 }
 
@@ -162,24 +162,6 @@ impl std::fmt::Display for FaultInfo {
 
 impl std::error::Error for FaultInfo {}
 
-/// Escape a string for embedding in a JSON string literal (quotes,
-/// backslashes and control characters; everything else passes through).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Occupancy of one input FIFO.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FifoState {
@@ -196,7 +178,7 @@ pub struct FifoState {
 /// One execution unit's externally visible state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnitState {
-    /// `"IEU"` or `"FEU"`.
+    /// The IEU's or the FEU's [`UnitName::label`].
     pub name: &'static str,
     /// Instruction-queue depth.
     pub iq: usize,

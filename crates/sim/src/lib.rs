@@ -46,6 +46,7 @@ mod config;
 mod decode;
 mod fastforward;
 mod fault;
+pub mod json;
 mod loader;
 mod machine;
 mod mem;
@@ -60,13 +61,12 @@ pub use config::{
 };
 pub use decode::DecodedProgram;
 pub use fastforward::{Engine, FfSpan};
-pub use fault::{
-    json_escape, FaultInfo, FaultKind, FaultUnit, FifoState, MachineState, ScuState, UnitState,
-};
+pub use fault::{FaultInfo, FaultKind, FaultUnit, FifoState, MachineState, ScuState, UnitState};
 pub use loader::{AccessError, AccessKind, MapRegion, MemoryImage, DATA_BASE, GUARD_SIZE};
 pub use machine::{RunResult, SimError, SimStats, TraceEvent, WmMachine};
 pub use mem::{CacheParams, DramParams, MemModel, MemStats};
 pub use stats::{
-    DepthSample, FifoHist, Outcome, ScuCounters, Stall, Stats, UnitCounters, FIFO_NAMES, SBUF_TRACK,
+    DepthSample, FifoHist, Outcome, ScuCounters, Stall, Stats, UnitCounters, UnitName, FIFO_NAMES,
+    SBUF_TRACK,
 };
 pub use tiled::{TiledMachine, TiledRunResult};

@@ -10,10 +10,13 @@ use crate::config::{WmConfig, VEU_LANES};
 use crate::decode::DecodedProgram;
 use crate::fastforward::{CycleOutcomes, Engine, FfSpan};
 use crate::fault::{FaultInfo, FaultKind, FaultUnit, FifoState, MachineState, ScuState, UnitState};
+use crate::json::{self, Layout, ToJson, Writer};
 use crate::loader::{AccessError, AccessKind, MemoryImage};
 use crate::mem::{Access, MemStats, MemSystem};
 use crate::scu::{Scu, ScuKind, StreamTarget};
-use crate::stats::{DepthSample, FifoOccupancy, Outcome, Stall, Stats, FIFO_NAMES, SBUF_TRACK};
+use crate::stats::{
+    DepthSample, FifoOccupancy, Outcome, Stall, Stats, UnitName, FIFO_NAMES, SBUF_TRACK,
+};
 
 /// Cycles without progress before the run is declared wedged. The
 /// fast-forward tail clamps its jumps to this horizon so both engines
@@ -97,38 +100,29 @@ impl SimError {
     /// and the `wmd` wire protocol; the machine-state dump is deliberately
     /// omitted (it is a debugging aid, not part of the wire contract).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str(&format!(
-            "{{\"error\": \"{}\", \"message\": \"{}\"",
-            self.kind_name(),
-            crate::fault::json_escape(&self.to_string())
-        ));
-        match self {
-            SimError::Timeout { cycles, .. } => {
-                out.push_str(&format!(", \"cycles\": {cycles}"));
-            }
-            SimError::Deadlock { cycle, detail, .. } => {
-                out.push_str(&format!(
-                    ", \"cycle\": {cycle}, \"detail\": \"{}\"",
-                    crate::fault::json_escape(detail)
-                ));
-            }
-            SimError::Fault { cycle, fault, .. } => {
-                out.push_str(&format!(", \"cycle\": {cycle}, \"fault\": "));
-                out.push_str(&fault.to_json());
-            }
-            SimError::Cancelled { cycle, .. } => {
-                out.push_str(&format!(", \"cycle\": {cycle}"));
-            }
-            SimError::BadProgram(detail) => {
-                out.push_str(&format!(
-                    ", \"detail\": \"{}\"",
-                    crate::fault::json_escape(detail)
-                ));
-            }
-        }
-        out.push('}');
-        out
+        json::render(|w| {
+            w.value(self);
+        })
+    }
+}
+
+impl ToJson for SimError {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(Layout::Inline, |w| {
+            w.field("error", self.kind_name())
+                .field("message", self.to_string());
+            match self {
+                SimError::Timeout { cycles, .. } => w.field("cycles", cycles),
+                SimError::Deadlock { cycle, detail, .. } => {
+                    w.field("cycle", cycle).field("detail", detail)
+                }
+                SimError::Fault { cycle, fault, .. } => {
+                    w.field("cycle", cycle).field("fault", fault)
+                }
+                SimError::Cancelled { cycle, .. } => w.field("cycle", cycle),
+                SimError::BadProgram(detail) => w.field("detail", detail),
+            };
+        });
     }
 }
 
@@ -428,7 +422,7 @@ pub(crate) struct PendingStore {
 pub struct TraceEvent {
     /// Cycle of execution.
     pub cycle: u64,
-    /// Which unit executed it (`"IEU"`, `"FEU"`, `"IFU"`).
+    /// The [`UnitName::label`] of the unit that executed it.
     pub unit: &'static str,
     /// The instruction, rendered in listing notation.
     pub text: String,
@@ -694,11 +688,11 @@ impl<'m> WmMachine<'m> {
         &self.ff_spans
     }
 
-    pub(crate) fn record(&mut self, unit: &'static str, kind: &InstKind) {
+    pub(crate) fn record(&mut self, unit: UnitName, kind: &InstKind) {
         if self.trace_enabled {
             self.trace.push(TraceEvent {
                 cycle: self.cycle,
-                unit,
+                unit: unit.label(),
                 text: kind.to_string(),
             });
         }
@@ -880,10 +874,10 @@ impl<'m> WmMachine<'m> {
 
     /// A diagnostic snapshot of the machine (attached to terminal errors).
     pub fn snapshot(&self) -> MachineState {
-        let unit_state = |class: RegClass, name: &'static str| -> UnitState {
+        let unit_state = |class: RegClass| -> UnitState {
             let u = self.unit(class);
             UnitState {
-                name,
+                name: UnitName::of(class).label(),
                 iq: u.iq.len(),
                 head: u
                     .iq
@@ -908,10 +902,7 @@ impl<'m> WmMachine<'m> {
                     self.module.functions[pc.func].name, pc.block, pc.inst
                 )
             }),
-            units: vec![
-                unit_state(RegClass::Int, "IEU"),
-                unit_state(RegClass::Flt, "FEU"),
-            ],
+            units: vec![unit_state(RegClass::Int), unit_state(RegClass::Flt)],
             scus: self
                 .scus
                 .iter()
@@ -1006,20 +997,17 @@ impl<'m> WmMachine<'m> {
     /// Attribute a wedge: name the stalled units and what starves them.
     pub(crate) fn diagnose(&self) -> String {
         let mut parts: Vec<String> = Vec::new();
-        for (class, name) in [(RegClass::Int, "IEU"), (RegClass::Flt, "FEU")] {
+        for class in [RegClass::Int, RegClass::Flt] {
             if let Some(s) = self.stall_reason(class) {
-                parts.push(format!("{name}: {s}"));
+                parts.push(format!("{}: {s}", UnitName::of(class).label()));
             }
         }
         if let Some(st) = self.store_q.front() {
             if self.unit(st.class).out.is_empty() {
-                let name = match st.class {
-                    RegClass::Int => "IEU",
-                    RegClass::Flt => "FEU",
-                };
                 parts.push(format!(
-                    "a store to {:#x} waits for data in the empty {name} output FIFO",
-                    st.addr
+                    "a store to {:#x} waits for data in the empty {} output FIFO",
+                    st.addr,
+                    UnitName::of(st.class).label()
                 ));
             }
         }
@@ -1381,13 +1369,13 @@ impl<'m> WmMachine<'m> {
         kind: &InstKind,
         dst: Option<u8>,
     ) -> Outcome {
-        let (name, insts, perf) = match class {
-            RegClass::Int => ("IEU", &mut self.stats.insts_ieu, &mut self.perf.ieu),
-            RegClass::Flt => ("FEU", &mut self.stats.insts_feu, &mut self.perf.feu),
+        let (insts, perf) = match class {
+            RegClass::Int => (&mut self.stats.insts_ieu, &mut self.perf.ieu),
+            RegClass::Flt => (&mut self.stats.insts_feu, &mut self.perf.feu),
         };
         *insts += 1;
         perf.retired += 1;
-        self.record(name, kind);
+        self.record(UnitName::of(class), kind);
         let now = self.cycle;
         let u = self.unit_mut(class);
         u.iq.pop_front();
@@ -1561,7 +1549,7 @@ impl<'m> WmMachine<'m> {
                 )))
             }
         }
-        self.record("VEU", head);
+        self.record(UnitName::Veu, head);
         self.veu.iq.pop_front();
         self.stats.insts_feu += 1; // counted with the FP work
         self.perf.veu.retired += 1;

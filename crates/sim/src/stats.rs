@@ -16,6 +16,9 @@
 
 use std::fmt;
 
+use wm_ir::RegClass;
+
+use crate::json::{self, Layout, ToJson, Writer};
 use crate::mem::MemStats;
 
 /// Why a unit could not do useful work in a cycle.
@@ -145,6 +148,43 @@ pub enum Outcome {
     Idle,
     /// Had work but could not make progress, for the named reason.
     Stall(Stall),
+}
+
+/// The units besides the SCUs. [`UnitName::label`] is the one spelling
+/// of each in counters, traces, fault reports and machine-state dumps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UnitName {
+    /// Integer execution unit.
+    Ieu,
+    /// Floating-point execution unit.
+    Feu,
+    /// Vector execution unit.
+    Veu,
+    /// Instruction fetch unit.
+    Ifu,
+}
+
+impl UnitName {
+    /// Every unit, in rendering order.
+    pub const ALL: [UnitName; 4] = [UnitName::Ieu, UnitName::Feu, UnitName::Veu, UnitName::Ifu];
+
+    /// The unit's name: `"IEU"`, `"FEU"`, `"VEU"` or `"IFU"`.
+    pub fn label(self) -> &'static str {
+        match self {
+            UnitName::Ieu => "IEU",
+            UnitName::Feu => "FEU",
+            UnitName::Veu => "VEU",
+            UnitName::Ifu => "IFU",
+        }
+    }
+
+    /// The execute unit of a register class.
+    pub fn of(class: RegClass) -> UnitName {
+        match class {
+            RegClass::Int => UnitName::Ieu,
+            RegClass::Flt => UnitName::Feu,
+        }
+    }
 }
 
 /// Cycle attribution and retirement count for one unit.
@@ -389,12 +429,8 @@ impl Stats {
 
     /// Named units with their counters, in rendering order.
     pub fn units(&self) -> [(&'static str, &UnitCounters); 4] {
-        [
-            ("IEU", &self.ieu),
-            ("FEU", &self.feu),
-            ("VEU", &self.veu),
-            ("IFU", &self.ifu),
-        ]
+        let counters = [&self.ieu, &self.feu, &self.veu, &self.ifu];
+        std::array::from_fn(|i| (UnitName::ALL[i].label(), counters[i]))
     }
 
     /// Verify the exactness invariant: every unit (and every SCU) has
@@ -453,90 +489,79 @@ impl Stats {
         Ok(())
     }
 
-    /// Render as a machine-readable JSON document (no external
-    /// dependencies; see `wm-bench`'s hand parser for the inverse).
+    /// Render as the machine-readable counter document of `wmcc
+    /// --stats-json`: one member per line down to each unit, SCU and
+    /// FIFO histogram, which sit inline on their lines. [`json::parse`]
+    /// reads it back.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"cycles\": {},\n", self.cycles));
-        out.push_str("  \"units\": {\n");
-        let units = self.units();
-        for (k, (name, u)) in units.iter().enumerate() {
-            out.push_str(&format!("    \"{name}\": "));
-            push_unit_json(&mut out, u, "    ");
-            out.push_str(if k + 1 < units.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  },\n");
-        out.push_str("  \"scus\": [\n");
-        for (i, s) in self.scus.iter().enumerate() {
-            out.push_str("    {\"unit\": ");
-            push_unit_json(&mut out, &s.unit, "    ");
-            out.push_str(&format!(
-                ", \"elements_in\": {}, \"elements_out\": {}, \"poisoned\": {}, \
-                 \"index_fetches\": {}, \"squashed\": {}}}",
-                s.elements_in, s.elements_out, s.poisoned, s.index_fetches, s.squashed
-            ));
-            out.push_str(if i + 1 < self.scus.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"fifos\": {\n");
-        for (i, f) in self.fifos.iter().enumerate() {
-            out.push_str(&format!("    \"{}\": {}", f.name, json_u64_array(&f.depth)));
-            out.push_str(if i + 1 < self.fifos.len() {
-                ",\n"
-            } else {
-                "\n"
+        json::render(|w| self.write_json(w, Layout::Lines)) + "\n"
+    }
+
+    /// Write the counter document into `w`, with `layout` for its
+    /// top-level object and the `units`, `scus` and `fifos` containers;
+    /// everything inside them is inline. `wmd` writes it all inline.
+    pub fn write_json(&self, w: &mut Writer, layout: Layout) {
+        w.object(layout, |w| {
+            w.field("cycles", self.cycles);
+            w.key("units").object(layout, |w| {
+                for (name, u) in self.units() {
+                    w.field(name, u);
+                }
             });
-        }
-        out.push_str("  },\n");
-        if let Some(m) = &self.mem {
-            out.push_str(&format!(
-                "  \"mem\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-                 \"writebacks\": {}, \"invalidations\": {}, \"sb_hits\": {}, \
-                 \"sb_misses\": {}, \"sb_prefetches\": {}, \"bank_conflicts\": {}, \
-                 \"row_hits\": {}, \"row_misses\": {}, \"sb_occupancy\": {}}},\n",
-                m.hits,
-                m.misses,
-                m.evictions,
-                m.writebacks,
-                m.invalidations,
-                m.sb_hits,
-                m.sb_misses,
-                m.sb_prefetches,
-                m.bank_conflicts,
-                m.row_hits,
-                m.row_misses,
-                json_u64_array(&m.sb_occupancy)
-            ));
-        }
-        out.push_str(&format!("  \"ports\": {}\n", json_u64_array(&self.ports)));
-        out.push_str("}\n");
-        out
-    }
-}
-
-fn json_u64_array(v: &[u64]) -> String {
-    let items: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", items.join(", "))
-}
-
-fn push_unit_json(out: &mut String, u: &UnitCounters, _indent: &str) {
-    out.push_str(&format!(
-        "{{\"retired\": {}, \"active\": {}, \"idle\": {}, \"stalls\": {{",
-        u.retired, u.active, u.idle
-    ));
-    let mut first = true;
-    for s in Stall::ALL {
-        let n = u.stalled_on(s);
-        if n > 0 {
-            if !first {
-                out.push_str(", ");
+            w.key("scus").array(layout, |w| {
+                for s in &self.scus {
+                    w.object(Layout::Inline, |w| {
+                        w.field("unit", &s.unit)
+                            .field("elements_in", s.elements_in)
+                            .field("elements_out", s.elements_out)
+                            .field("poisoned", s.poisoned)
+                            .field("index_fetches", s.index_fetches)
+                            .field("squashed", s.squashed);
+                    });
+                }
+            });
+            w.key("fifos").object(layout, |w| {
+                for f in &self.fifos {
+                    w.field(f.name, f.depth.as_slice());
+                }
+            });
+            if let Some(m) = &self.mem {
+                w.key("mem").object(Layout::Inline, |w| {
+                    w.field("hits", m.hits)
+                        .field("misses", m.misses)
+                        .field("evictions", m.evictions)
+                        .field("writebacks", m.writebacks)
+                        .field("invalidations", m.invalidations)
+                        .field("sb_hits", m.sb_hits)
+                        .field("sb_misses", m.sb_misses)
+                        .field("sb_prefetches", m.sb_prefetches)
+                        .field("bank_conflicts", m.bank_conflicts)
+                        .field("row_hits", m.row_hits)
+                        .field("row_misses", m.row_misses)
+                        .field("sb_occupancy", m.sb_occupancy.as_slice());
+                });
             }
-            out.push_str(&format!("\"{}\": {n}", s.name()));
-            first = false;
-        }
+            w.field("ports", self.ports.as_slice());
+        });
     }
-    out.push_str("}}");
+}
+
+/// `retired`, `active`, `idle` and the nonzero `stalls` by name.
+impl ToJson for UnitCounters {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(Layout::Inline, |w| {
+            w.field("retired", self.retired)
+                .field("active", self.active)
+                .field("idle", self.idle);
+            w.key("stalls").object(Layout::Inline, |w| {
+                for s in Stall::ALL {
+                    if self.stalled_on(s) > 0 {
+                        w.field(s.name(), self.stalled_on(s));
+                    }
+                }
+            });
+        });
+    }
 }
 
 fn fmt_stalls(u: &UnitCounters) -> String {

@@ -36,25 +36,24 @@
 //! perf --mem MODEL                 memory-system model (flat, cache[:k=v,..]
 //!                                  or banked[:k=v,..]; see `wmcc --help`)
 //! perf --out FILE                  write results to FILE instead
-//! perf --check BASELINE            fail (exit 1) if any workload's cycles
-//!                                  regressed >2% against the baseline, or
-//!                                  if its emitted code (static instruction
-//!                                  count and listing digest) or its
-//!                                  counter document's digest differs where
-//!                                  the baseline records them; a failure
-//!                                  prints every pair's cycle delta
-//!                                  (baseline/now/%) to localize the damage.
-//!                                  Refused (exit 2) unless the run's leg
-//!                                  is the baseline's
-//! perf --compare FILE              fail (exit 1) unless every cycle count,
-//!                                  and every counter where both runs
-//!                                  record them, matches FILE exactly (the
-//!                                  engine-equivalence gate; FILE may be
-//!                                  a run or a baseline); records the
-//!                                  wall-time speedup vs FILE in the output
+//! perf --check FILE                the gate. FILE is any document perf
+//!                                  writes: a baseline or an --out run.
+//!                                  Fail (exit 1) unless both cover the
+//!                                  same workload×config pairs and every
+//!                                  cycle count, static instruction count,
+//!                                  code digest and counter digest both
+//!                                  record for a pair matches exactly.
+//!                                  Refused (exit 2) unless FILE records
+//!                                  the run's leg
 //! perf --write-baseline FILE       write the cycle, code and counter
 //!                                  baseline for --check, with the run's leg
 //! ```
+//!
+//! Each mismatch prints as `workload/config: field here vs there`; a
+//! counter-digest mismatch also names the first counter that differs
+//! when both documents carry the full counters (an `--out` run does, a
+//! baseline does not). A `--wmd` run records cycles only, so the gate
+//! compares nothing else for it.
 //!
 //! Every run that measures both the streaming and modulo configs also
 //! gates the scheduler's never-worse contract: `-O modulo` falls back to
@@ -65,7 +64,8 @@
 //! the `--mem` spec and the tile count. Every leg has its own baseline,
 //! `bench/baseline/<leg>.json`, which records the leg it pins. Cycle
 //! counts, code and counters are engine-independent by design, so
-//! `--check` works under either engine. To re-baseline a leg
+//! `--check` works under either engine, and one engine's run checks the
+//! other's. To re-baseline a leg
 //! intentionally after a simulator change, run it with its own flags:
 //!
 //! ```text
@@ -84,9 +84,6 @@ use wm_bench::reps::RepPlan;
 use wm_stream::json::{self, Fixed, Layout, ToJson, Value, Writer};
 use wm_stream::{Compiled, JobSpec, Workload};
 
-/// Allowed cycle-count growth before `--check` fails, as a fraction.
-const TOLERANCE: f64 = 0.02;
-
 struct RunRecord {
     workload: String,
     config: &'static str,
@@ -97,8 +94,8 @@ struct RunRecord {
     counters: String,
     /// A failure message when this pair did not produce a result (its
     /// worker panicked, or the daemon reported an error). Error rows
-    /// carry no cycles and are excluded from gates; their presence makes
-    /// the run exit nonzero after the document is written.
+    /// carry no cycles, so the gates compare nothing for them; their
+    /// presence makes the run exit nonzero after the document is written.
     error: Option<String>,
 }
 
@@ -121,11 +118,6 @@ impl Code {
             insts: module.functions.iter().map(|f| f.inst_count() as u64).sum(),
             fnv1a: fnv1a(listing.as_bytes()),
         }
-    }
-
-    /// As `check` reports it: `412 insts (fnv1a 0123456789abcdef)`.
-    fn describe(insts: u64, fnv1a: &str) -> String {
-        format!("{insts} insts (fnv1a {fnv1a})")
     }
 }
 
@@ -234,14 +226,14 @@ impl Leg {
         }
     }
 
-    /// The leg a baseline document records.
+    /// The leg a document records.
     fn parse(doc: &Value) -> Result<Leg, String> {
-        let leg = doc.get("leg").ok_or("baseline records no \"leg\"")?;
+        let leg = doc.get("leg").ok_or("no \"leg\" recorded")?;
         let field = |k: &str| {
             leg.get(k)
                 .and_then(Value::as_str)
                 .map(str::to_string)
-                .ok_or_else(|| format!("baseline leg has no \"{k}\""))
+                .ok_or_else(|| format!("the leg has no \"{k}\""))
         };
         Ok(Leg {
             suite: field("suite")?,
@@ -250,7 +242,7 @@ impl Leg {
             tiles: leg
                 .get("tiles")
                 .and_then(Value::as_u64)
-                .ok_or("baseline leg has no \"tiles\"")?,
+                .ok_or("the leg has no \"tiles\"")?,
         })
     }
 
@@ -446,7 +438,7 @@ fn wmd_request(id: &str, w: &Workload, level: &str, meta: &Meta) -> String {
 /// cache directory, submit every pair cold (populating the cache), then
 /// submit `reps` repeats that must be answered from the cache with
 /// results bit-identical to the cold run. Cycle counts land in the same
-/// records as the in-process path, so `--compare` gates them against a
+/// records as the in-process path, so `--check` gates them against a
 /// direct run or the leg's baseline exactly like engine-vs-engine
 /// agreement.
 fn run_suite_wmd(sel: SuiteSel, meta: &mut Meta, wmd_bin: &str) -> Vec<RunRecord> {
@@ -613,11 +605,11 @@ fn results_json(
     records: &[RunRecord],
     with_counters: bool,
     leg: &Leg,
-    meta: Option<(&Meta, Option<f64>)>,
+    meta: Option<&Meta>,
 ) -> String {
     json::object(Layout::Lines, |w| {
         w.field("schema", "wm-bench-perf-v1").field("leg", leg);
-        if let Some((m, speedup)) = meta {
+        if let Some(m) = meta {
             let total: f64 = records
                 .iter()
                 .filter(|r| r.error.is_none())
@@ -630,9 +622,6 @@ fn results_json(
                 .field("jobs", m.jobs)
                 .field("tiles", m.job.config.tiles)
                 .field("total_wall_ms", Fixed(total, 3));
-            if let Some(s) = speedup {
-                w.field("speedup_vs_compare", Fixed(s, 3));
-            }
             if let Some(d) = &m.wmd {
                 let lookups = d.cache_hits + d.cache_misses;
                 let rate = if lookups > 0 {
@@ -676,127 +665,76 @@ fn results_json(
     }) + "\n"
 }
 
-/// The baseline gate's verdict: the cycle regressions, code changes and
-/// counter changes, plus a per-workload cycle-delta table covering
-/// *every* measured pair — printed on failure so the report shows where
-/// the cycles moved, not just the rows that crossed tolerance.
-struct CheckReport {
-    failures: Vec<String>,
-    code_changes: Vec<String>,
-    counter_changes: Vec<String>,
-    delta_table: Vec<String>,
-}
+/// The fields the gate compares, for every pair, wherever both documents
+/// record them: a `--wmd` run records only `cycles`.
+const PINNED: [&str; 4] = ["cycles", "insts", "code_fnv1a", "counters_fnv1a"];
 
-impl CheckReport {
-    fn passed(&self) -> bool {
-        self.failures.is_empty() && self.code_changes.is_empty() && self.counter_changes.is_empty()
+/// The other document of `--check`, parsed: any document `perf` writes,
+/// provided it records this run's leg and names every result's pair.
+fn parse_other(src: &str, leg: &Leg) -> Result<Value, String> {
+    let doc = json::parse(src)?;
+    rows(&doc)?;
+    let other = Leg::parse(&doc)?;
+    if other != *leg {
+        return Err(format!(
+            "this run's leg ({}) is not the one it records ({})",
+            leg.flags(),
+            other.flags()
+        ));
     }
+    Ok(doc)
 }
 
-/// Compare against a baseline document; the gate passes when `failures`,
-/// `code_changes` and `counter_changes` are empty. Wherever both the run
-/// and the baseline record a pair's emitted code or counter digest
-/// (`--wmd` runs record neither), it must match exactly.
-fn check(records: &[RunRecord], baseline_src: &str) -> Result<CheckReport, String> {
-    let doc = json::parse(baseline_src)?;
-    let base = doc
-        .get("results")
-        .and_then(Value::as_arr)
-        .ok_or("baseline has no \"results\" array")?;
-    let entry = |workload: &str, config: &str| -> Option<&Value> {
-        base.iter().find(|e| {
-            e.get("workload").and_then(Value::as_str) == Some(workload)
-                && e.get("config").and_then(Value::as_str) == Some(config)
-        })
-    };
-    let mut code_changes = Vec::new();
-    let mut counter_changes = Vec::new();
-    for r in records.iter().filter(|r| r.error.is_none()) {
-        let Some(e) = entry(&r.workload, r.config) else {
+/// The gate: every way this run's document `here` differs from `there`.
+/// Both must cover the same workload×config pairs, and every [`PINNED`]
+/// field both record for a pair must match exactly. A counter-digest
+/// mismatch also names the first counter that differs, where both
+/// documents carry the full `counters`.
+fn check(here: &Value, there: &Value) -> Result<Vec<String>, String> {
+    let (here, there) = (rows(here)?, rows(there)?);
+    let mut mismatches = Vec::new();
+    for (pair, h) in &here {
+        let Some((_, t)) = there.iter().find(|(p, _)| p == pair) else {
+            mismatches.push(format!("{pair}: missing there"));
             continue;
         };
-        if let (Some(code), Some(insts), Some(fnv)) = (
-            r.code,
-            e.get("insts").and_then(Value::as_u64),
-            e.get("code_fnv1a").and_then(Value::as_str),
-        ) {
-            let ours = format!("{:016x}", code.fnv1a);
-            if insts != code.insts || fnv != ours {
-                code_changes.push(format!(
-                    "{}/{}: code {} vs baseline {}",
-                    r.workload,
-                    r.config,
-                    Code::describe(code.insts, &ours),
-                    Code::describe(insts, fnv)
-                ));
-            }
-        }
-        if let (false, Some(pin)) = (
-            r.counters.is_empty(),
-            e.get("counters_fnv1a").and_then(Value::as_str),
-        ) {
-            let ours = format!("{:016x}", fnv1a(r.counters.as_bytes()));
-            if pin != ours {
-                counter_changes.push(format!(
-                    "{}/{}: counters fnv1a {ours} vs baseline {pin}",
-                    r.workload, r.config
-                ));
-            }
-        }
-    }
-    let lookup = |workload: &str, config: &str| -> Option<u64> {
-        entry(workload, config)?.get("cycles")?.as_u64()
-    };
-    let mut failures = Vec::new();
-    let mut delta_table = vec![format!(
-        "{:<14} {:<10} {:>12} {:>12} {:>9}",
-        "workload", "config", "baseline", "now", "delta"
-    )];
-    for r in records.iter().filter(|r| r.error.is_none()) {
-        match lookup(&r.workload, r.config) {
-            None => {
-                eprintln!(
-                    "perf: note: {}/{} not in baseline (new entry)",
-                    r.workload, r.config
-                );
-                delta_table.push(format!(
-                    "{:<14} {:<10} {:>12} {:>12} {:>9}",
-                    r.workload, r.config, "-", r.cycles, "new"
-                ));
-            }
-            Some(base_cycles) => {
-                let pct = 100.0 * (r.cycles as f64 / base_cycles as f64 - 1.0);
-                let limit = (base_cycles as f64 * (1.0 + TOLERANCE)).floor() as u64;
-                let over = r.cycles > limit;
-                delta_table.push(format!(
-                    "{:<14} {:<10} {:>12} {:>12} {:>+8.2}%{}",
-                    r.workload,
-                    r.config,
-                    base_cycles,
-                    r.cycles,
-                    pct,
-                    if over { "  <-- REGRESSION" } else { "" }
-                ));
-                if over {
-                    failures.push(format!(
-                        "{}/{}: {} cycles vs baseline {} (+{:.2}%, tolerance {:.0}%)",
-                        r.workload,
-                        r.config,
-                        r.cycles,
-                        base_cycles,
-                        pct,
-                        100.0 * TOLERANCE,
-                    ));
+        for field in PINNED {
+            let (Some(a), Some(b)) = (h.get(field), t.get(field)) else {
+                continue;
+            };
+            if a != b {
+                let (x, y) = (show(Some(a)), show(Some(b)));
+                let mut m = format!("{pair}: {field} {x} here vs {y} there");
+                if let (Some(a), Some(b)) = (h.get("counters"), t.get("counters")) {
+                    if let Some(d) = first_difference(a, b, "") {
+                        write!(m, ", first at {d}").expect("writing to a String");
+                    }
                 }
+                mismatches.push(m);
             }
         }
     }
-    Ok(CheckReport {
-        failures,
-        code_changes,
-        counter_changes,
-        delta_table,
-    })
+    for (pair, _) in &there {
+        if !here.iter().any(|(p, _)| p == pair) {
+            mismatches.push(format!("{pair}: missing here"));
+        }
+    }
+    Ok(mismatches)
+}
+
+/// The results of a document, each under its `workload/config` name.
+fn rows(doc: &Value) -> Result<Vec<(String, &Value)>, String> {
+    let rows = doc.get("results").and_then(Value::as_arr);
+    rows.ok_or("no \"results\" array")?
+        .iter()
+        .map(|e| {
+            let name = |k: &str| e.get(k).and_then(Value::as_str);
+            match (name("workload"), name("config")) {
+                (Some(w), Some(c)) => Ok((format!("{w}/{c}"), e)),
+                _ => Err("a result names no workload and config".to_string()),
+            }
+        })
+        .collect()
 }
 
 /// The modulo-scheduling invariant, gated on every run that measures
@@ -827,64 +765,6 @@ fn modulo_gate(records: &[RunRecord]) -> Vec<String> {
         }
     }
     failures
-}
-
-/// Compare against another results document (a run by the other engine
-/// or through `wmd`, or a baseline):
-/// every pair must exist there with the exact same cycle count and, when
-/// both documents carry the pair's counters (`--wmd` runs record none),
-/// the exact same counters. Returns the mismatch report and the
-/// wall-time speedup (their total / ours).
-fn compare(records: &[RunRecord], other_src: &str) -> Result<(Vec<String>, f64), String> {
-    let doc = json::parse(other_src)?;
-    let other = doc
-        .get("results")
-        .and_then(Value::as_arr)
-        .ok_or("comparison file has no \"results\" array")?;
-    let lookup = |workload: &str, config: &str| -> Option<(u64, f64, Option<&Value>)> {
-        other.iter().find_map(|e| {
-            (e.get("workload")?.as_str()? == workload && e.get("config")?.as_str()? == config)
-                .then(|| {
-                    Some((
-                        e.get("cycles")?.as_u64()?,
-                        e.get("wall_ms")?.as_f64()?,
-                        e.get("counters"),
-                    ))
-                })?
-        })
-    };
-    let mut mismatches = Vec::new();
-    let (mut ours_ms, mut theirs_ms) = (0.0, 0.0);
-    for r in records.iter().filter(|r| r.error.is_none()) {
-        match lookup(&r.workload, r.config) {
-            None => mismatches.push(format!(
-                "{}/{}: missing from comparison",
-                r.workload, r.config
-            )),
-            Some((cycles, wall_ms, counters)) => {
-                if cycles != r.cycles {
-                    mismatches.push(format!(
-                        "{}/{}: {} cycles here vs {} there",
-                        r.workload, r.config, r.cycles, cycles
-                    ));
-                }
-                if let (Some(theirs), false) = (counters, r.counters.is_empty()) {
-                    let ours = json::parse(&r.counters)?;
-                    if let Some(d) = first_difference(&ours, theirs, "") {
-                        mismatches.push(format!("{}/{}: counter {d}", r.workload, r.config));
-                    }
-                }
-                ours_ms += r.wall_ms;
-                theirs_ms += wall_ms;
-            }
-        }
-    }
-    let speedup = if ours_ms > 0.0 {
-        theirs_ms / ours_ms
-    } else {
-        1.0
-    };
-    Ok((mismatches, speedup))
 }
 
 /// The first place, in key order, where two counter documents differ,
@@ -925,6 +805,7 @@ fn show(v: Option<&Value>) -> String {
     match v {
         None => "absent".to_string(),
         Some(Value::Num(n)) => n.to_string(),
+        Some(Value::Str(s)) => s.clone(),
         Some(Value::Arr(a)) => format!("{} cells", a.len()),
         Some(other) => format!("{other:?}"),
     }
@@ -943,7 +824,6 @@ fn main() {
     let mut sel = SuiteSel::Full;
     let mut out = "BENCH_sim.json".to_string();
     let mut check_path: Option<String> = None;
-    let mut compare_path: Option<String> = None;
     let mut baseline_out: Option<String> = None;
     let mut wmd_bin: Option<String> = None;
     let mut meta = Meta {
@@ -969,7 +849,6 @@ fn main() {
             "--sparse" => sel = SuiteSel::Sparse,
             "--out" => out = need(&mut i),
             "--check" => check_path = Some(need(&mut i)),
-            "--compare" => compare_path = Some(need(&mut i)),
             "--write-baseline" => baseline_out = Some(need(&mut i)),
             "--wmd" => wmd_bin = Some(need(&mut i)),
             "--engine" => set(&mut meta.job, "engine", &need(&mut i)),
@@ -999,8 +878,7 @@ fn main() {
                     "perf: unknown option {other}\n\
                      usage: perf [--fast|--sparse] [--jobs N] [--tiles N] [--reps N] [--engine cycle|compiled]\n\
                      [--hw default|latency24] [--mem flat|cache[:k=v,..]|banked[:k=v,..]]\n\
-                     [--wmd BIN] [--out FILE] [--check BASELINE] [--compare RESULTS]\n\
-                     [--write-baseline FILE]"
+                     [--wmd BIN] [--out FILE] [--check FILE] [--write-baseline FILE]"
                 );
                 std::process::exit(2);
             }
@@ -1011,28 +889,16 @@ fn main() {
         set(&mut meta.job, name, &value.to_string());
     }
     let leg = Leg::of(sel, &meta);
-    // A baseline pins one leg: refuse to check any other against it.
-    let baseline = check_path.map(|path| {
-        let src = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read baseline {path}: {e}"))
-            .and_then(|src| {
-                let pinned = json::parse(&src)
-                    .and_then(|doc| Leg::parse(&doc))
-                    .map_err(|e| format!("bad baseline {path}: {e}"))?;
-                if pinned != leg {
-                    return Err(format!(
-                        "--check: this run's leg ({}) is not the one {path} pins ({})",
-                        leg.flags(),
-                        pinned.flags()
-                    ));
-                }
-                Ok(src)
-            })
+    // Refuse a document of another leg before running anything.
+    let other = check_path.map(|path| {
+        let doc = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|src| parse_other(&src, &leg))
             .unwrap_or_else(|e| {
-                eprintln!("perf: {e}");
+                eprintln!("perf: --check {path}: {e}");
                 std::process::exit(2);
             });
-        (path, src)
+        (path, doc)
     });
     if meta.reps == 0 {
         eprintln!("perf: --reps must be at least 1");
@@ -1049,28 +915,11 @@ fn main() {
         None => run_suite(sel, &meta),
     };
 
-    // Resolve the engine-equivalence comparison before writing results so
-    // the measured speedup lands in the output document.
-    let compared = compare_path.map(|path| {
-        let src = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("perf: cannot read comparison {path}: {e}");
-            std::process::exit(2);
-        });
-        let (mismatches, speedup) = compare(&records, &src).unwrap_or_else(|e| {
-            eprintln!("perf: bad comparison {path}: {e}");
-            std::process::exit(2);
-        });
-        (path, mismatches, speedup)
-    });
-    let speedup = compared.as_ref().map(|(_, _, s)| *s);
-
     // The daemon path records no per-run counters (the gate compares
     // cycles, which both paths carry).
     let with_counters = wmd_bin.is_none();
-    if let Err(e) = std::fs::write(
-        &out,
-        results_json(&records, with_counters, &leg, Some((&meta, speedup))),
-    ) {
+    let doc = results_json(&records, with_counters, &leg, Some(&meta));
+    if let Err(e) = std::fs::write(&out, &doc) {
         eprintln!("perf: cannot write {out}: {e}");
         std::process::exit(2);
     }
@@ -1092,53 +941,28 @@ fn main() {
         eprintln!("perf: wrote baseline to {path}");
     }
 
-    if let Some((path, src)) = baseline {
-        match check(&records, &src) {
-            Err(e) => {
-                eprintln!("perf: bad baseline {path}: {e}");
-                std::process::exit(2);
-            }
-            Ok(report) if !report.passed() => {
-                for f in &report.failures {
-                    eprintln!("perf: REGRESSION {f}");
-                }
-                for c in &report.code_changes {
-                    eprintln!("perf: CODE CHANGED {c}");
-                }
-                for c in &report.counter_changes {
-                    eprintln!("perf: COUNTERS CHANGED {c}");
-                }
-                // The full delta table: which pairs moved and by how
-                // much, so a failure report localizes the regression
-                // without a manual re-run against the baseline.
-                eprintln!("perf: per-workload cycle deltas vs baseline:");
-                for line in &report.delta_table {
-                    eprintln!("perf:   {line}");
-                }
-                eprintln!(
-                    "perf: {} regression(s), {} code change(s), {} counter change(s); to accept intentionally, re-baseline with:\n\
-                     perf:   cargo run --release -p wm-bench --bin perf -- {} --write-baseline {path}",
-                    report.failures.len(),
-                    report.code_changes.len(),
-                    report.counter_changes.len(),
-                    leg.flags()
-                );
-                std::process::exit(1);
-            }
-            Ok(_) => eprintln!("perf: baseline check passed ({path})"),
-        }
-    }
-
-    if let Some((path, mismatches, speedup)) = compared {
-        if mismatches.is_empty() {
-            eprintln!("perf: every cycle count, and every counter both runs record, matches {path} ({speedup:.2}x wall-time speedup)");
-        } else {
+    if let Some((path, there)) = other {
+        let here = json::parse(&doc).expect("perf parses what it writes");
+        let mismatches = check(&here, &there).unwrap_or_else(|e| {
+            eprintln!("perf: --check {path}: {e}");
+            std::process::exit(2);
+        });
+        if !mismatches.is_empty() {
             for m in &mismatches {
                 eprintln!("perf: MISMATCH {m}");
             }
-            eprintln!("perf: {} mismatch(es) vs {path}", mismatches.len());
+            eprintln!(
+                "perf: {} mismatch(es) vs {path}; to accept intentionally, re-baseline with:\n\
+                 perf:   cargo run --release -p wm-bench --bin perf -- {} --write-baseline {path}",
+                mismatches.len(),
+                leg.flags()
+            );
             std::process::exit(1);
         }
+        eprintln!(
+            "perf: --check passed: {path} has the same {} pairs, and every field both record matches",
+            records.len()
+        );
     }
 
     // Modulo scheduling's never-worse contract, gated unconditionally
@@ -1178,25 +1002,49 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn record(counters: &str) -> RunRecord {
+    const COUNTERS: &str = r#"{"cycles": 10, "units": {"IFU": {"idle": 3, "stalls": {"cc-empty": 7}}}, "fifos": {"ieu.cc": [4, 6]}}"#;
+
+    /// One pair of a run that records code and counters (`code: false`:
+    /// a `--wmd` run, which records cycles only).
+    fn record(config: &'static str, counters: &str, code: bool) -> RunRecord {
         RunRecord {
             workload: "sieve".to_string(),
-            config: "scalar",
+            config,
             cycles: 10,
-            code: None,
+            code: code.then_some(Code {
+                insts: 5,
+                fnv1a: 0xabc,
+            }),
             wall_ms: 1.0,
             counters: counters.to_string(),
             error: None,
         }
     }
 
-    const COUNTERS: &str = r#"{"cycles": 10, "units": {"IFU": {"idle": 3, "stalls": {"cc-empty": 7}}}, "fifos": {"ieu.cc": [4, 6]}}"#;
+    fn run(counters: &str) -> Vec<RunRecord> {
+        vec![
+            record("scalar", counters, true),
+            record("streaming", COUNTERS, true),
+        ]
+    }
 
-    fn doc(counters: Option<&str>) -> String {
-        let c = counters.map_or(String::new(), |c| format!(", \"counters\": {c}"));
-        format!(
-            r#"{{"results": [{{"workload": "sieve", "config": "scalar", "cycles": 10, "wall_ms": 2.0{c}}}]}}"#
-        )
+    /// The document `perf` writes for `records`: an `--out` run with
+    /// its full counters, or a baseline without them.
+    fn written(records: &[RunRecord], with_counters: bool) -> Value {
+        json::parse(&results_json(records, with_counters, &flat(), None)).unwrap()
+    }
+
+    /// `doc` with `field` of its `row`th result replaced by `value`.
+    fn with(mut doc: Value, row: usize, field: &str, value: Value) -> Value {
+        let Value::Obj(d) = &mut doc else { panic!() };
+        let Some(Value::Arr(rows)) = d.get_mut("results") else {
+            panic!()
+        };
+        let Value::Obj(r) = &mut rows[row] else {
+            panic!()
+        };
+        r.insert(field.to_string(), value);
+        doc
     }
 
     fn flat() -> Leg {
@@ -1209,19 +1057,24 @@ mod tests {
     }
 
     #[test]
-    fn a_baseline_records_the_leg_it_pins() {
-        let leg = Leg {
+    fn a_document_records_the_leg_it_pins() {
+        let leg = || Leg {
             hw: "latency24".to_string(),
             tiles: 2,
             ..flat()
         };
-        let written = results_json(&[record(COUNTERS)], false, &leg, None);
-        assert_eq!(Leg::parse(&json::parse(&written).unwrap()), Ok(leg));
-        assert_ne!(Leg::parse(&json::parse(&written).unwrap()), Ok(flat()));
-        // a document without a leg cannot be checked against
-        assert!(Leg::parse(&json::parse(&doc(None)).unwrap()).is_err());
-        // the re-baseline hint selects the same leg again
-        assert_eq!(flat().flags(), "--fast --hw default --mem flat --tiles 1");
+        let src = results_json(&run(COUNTERS), false, &leg(), None);
+        assert_eq!(Leg::parse(&json::parse(&src).unwrap()), Ok(leg()));
+        assert!(parse_other(&src, &leg()).is_ok());
+        // a document of another leg is refused (exit 2), naming both legs
+        assert_eq!(
+            parse_other(&src, &flat()).unwrap_err(),
+            "this run's leg (--fast --hw default --mem flat --tiles 1) is not the one it \
+             records (--fast --hw latency24 --mem flat --tiles 2)"
+        );
+        // so is a document without a leg, or without its results
+        assert!(parse_other(r#"{"results": []}"#, &flat()).is_err());
+        assert!(parse_other(&src.replace("\"results\"", "\"rows\""), &leg()).is_err());
         let full = Leg {
             suite: "full".to_string(),
             ..flat()
@@ -1230,42 +1083,94 @@ mod tests {
     }
 
     #[test]
-    fn compare_gates_every_counter_both_sides_carry() {
-        let ours = [record(COUNTERS)];
-        let (m, speedup) = compare(&ours, &doc(Some(COUNTERS))).unwrap();
-        assert!(m.is_empty(), "{m:?}");
-        assert_eq!(speedup, 2.0);
-        let stall = COUNTERS.replace("\"cc-empty\": 7", "\"cc-empty\": 6, \"sync\": 1");
-        let (m, _) = compare(&ours, &doc(Some(&stall))).unwrap();
+    fn a_run_passes_against_itself_and_its_baseline() {
+        let out = written(&run(COUNTERS), true);
+        let baseline = written(&run(COUNTERS), false);
+        let first = |doc: &Value| doc.get("results").unwrap().as_arr().unwrap()[0].clone();
+        assert!(first(&out).get("counters").is_some());
+        assert!(first(&baseline).get("counters").is_none());
+        for (here, there) in [(&out, &out), (&out, &baseline), (&baseline, &out)] {
+            assert_eq!(check(here, there), Ok(Vec::new()));
+        }
+    }
+
+    #[test]
+    fn every_pinned_field_must_match_exactly() {
+        let here = written(&run(COUNTERS), true);
+        let baseline = written(&run(COUNTERS), false);
+        for (field, value, there) in [
+            ("cycles", Value::Num(11.0), "11"),
+            ("insts", Value::Num(6.0), "6"),
+            (
+                "code_fnv1a",
+                Value::Str("0000000000000abd".into()),
+                "0000000000000abd",
+            ),
+            ("counters_fnv1a", Value::Str("0123".into()), "0123"),
+        ] {
+            let ours = show(here.get("results").unwrap().as_arr().unwrap()[1].get(field));
+            assert_eq!(
+                check(&here, &with(baseline.clone(), 1, field, value)).unwrap(),
+                [format!(
+                    "sieve/streaming: {field} {ours} here vs {there} there"
+                )]
+            );
+        }
+    }
+
+    #[test]
+    fn both_documents_must_cover_the_same_pairs() {
+        let both = written(&run(COUNTERS), false);
+        let one = written(&run(COUNTERS)[..1], false);
         assert_eq!(
-            m,
-            ["sieve/scalar: counter units.IFU.stalls.cc-empty: 7 here vs 6 there"]
+            check(&both, &one).unwrap(),
+            ["sieve/streaming: missing there"]
         );
-        let hist = COUNTERS.replace("[4, 6]", "[5, 5]");
-        let (m, _) = compare(&ours, &doc(Some(&hist))).unwrap();
         assert_eq!(
-            m,
-            ["sieve/scalar: counter fifos.ieu.cc[0]: 4 here vs 5 there"]
-        );
-        let extra = COUNTERS.replace("\"idle\": 3", "\"idle\": 3, \"retired\": 1");
-        let (m, _) = compare(&ours, &doc(Some(&extra))).unwrap();
-        assert_eq!(
-            m,
-            ["sieve/scalar: counter units.IFU.retired: absent here vs 1 there"]
+            check(&one, &both).unwrap(),
+            ["sieve/streaming: missing here"]
         );
     }
 
     #[test]
-    fn compare_is_cycles_only_when_a_side_has_no_counters() {
-        // a `--wmd` run records no counters; neither does an old document
-        let (m, _) = compare(&[record("")], &doc(Some(COUNTERS))).unwrap();
-        assert!(m.is_empty(), "{m:?}");
-        let (m, _) = compare(&[record(COUNTERS)], &doc(None)).unwrap();
-        assert!(m.is_empty(), "{m:?}");
-        let mut slow = record("");
-        slow.cycles = 11;
-        let (m, _) = compare(&[slow], &doc(None)).unwrap();
-        assert_eq!(m, ["sieve/scalar: 11 cycles here vs 10 there"]);
+    fn a_counter_mismatch_names_the_first_counter_that_differs() {
+        let here = written(&run(COUNTERS), true);
+        for (there, path) in [
+            (
+                COUNTERS.replace("\"cc-empty\": 7", "\"cc-empty\": 6, \"sync\": 1"),
+                "units.IFU.stalls.cc-empty: 7 here vs 6 there",
+            ),
+            (
+                COUNTERS.replace("[4, 6]", "[5, 5]"),
+                "fifos.ieu.cc[0]: 4 here vs 5 there",
+            ),
+            (
+                COUNTERS.replace("\"idle\": 3", "\"idle\": 3, \"retired\": 1"),
+                "units.IFU.retired: absent here vs 1 there",
+            ),
+        ] {
+            let (a, b) = (fnv1a(COUNTERS.as_bytes()), fnv1a(there.as_bytes()));
+            assert_eq!(
+                check(&here, &written(&run(&there), true)).unwrap(),
+                [format!(
+                    "sieve/scalar: counters_fnv1a {a:016x} here vs {b:016x} there, first at {path}"
+                )]
+            );
+        }
+    }
+
+    #[test]
+    fn a_wmd_run_is_gated_on_cycles_alone() {
+        let wmd = written(&[record("scalar", "", false)], false);
+        let row = &wmd.get("results").unwrap().as_arr().unwrap()[0];
+        assert_eq!(row.get("insts").or(row.get("counters_fnv1a")), None);
+        let baseline = written(&run(COUNTERS)[..1], false);
+        assert_eq!(check(&wmd, &baseline), Ok(Vec::new()));
+        let slower = with(baseline, 0, "cycles", Value::Num(9.0));
+        assert_eq!(
+            check(&wmd, &slower).unwrap(),
+            ["sieve/scalar: cycles 10 here vs 9 there"]
+        );
     }
 
     #[test]
@@ -1273,71 +1178,5 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
-    }
-
-    #[test]
-    fn check_pins_the_emitted_code_where_the_baseline_records_it() {
-        let pinned = |insts: u64, fnv: &str| {
-            format!(
-                r#"{{"results": [{{"workload": "sieve", "config": "scalar", "cycles": 10, "insts": {insts}, "code_fnv1a": "{fnv}", "wall_ms": 2.0}}]}}"#
-            )
-        };
-        let ours = || {
-            let mut r = record("");
-            r.code = Some(Code {
-                insts: 5,
-                fnv1a: 0xabc,
-            });
-            r
-        };
-        let report = check(&[ours()], &pinned(5, "0000000000000abc")).unwrap();
-        assert!(report.passed());
-        let report = check(&[ours()], &pinned(6, "0000000000000abd")).unwrap();
-        assert!(report.failures.is_empty(), "cycles did not move");
-        assert_eq!(
-            report.code_changes,
-            ["sieve/scalar: code 5 insts (fnv1a 0000000000000abc) vs baseline 6 insts (fnv1a 0000000000000abd)"]
-        );
-        // a listing change at the same size is caught by the digest alone
-        let report = check(&[ours()], &pinned(5, "0000000000000abd")).unwrap();
-        assert_eq!(report.code_changes.len(), 1);
-        // an older baseline without the fields, or a `--wmd` run, gates cycles only
-        let report = check(&[ours()], &doc(None)).unwrap();
-        assert!(report.code_changes.is_empty());
-        let report = check(&[record("")], &pinned(6, "0000000000000abd")).unwrap();
-        assert!(report.code_changes.is_empty());
-    }
-
-    #[test]
-    fn check_pins_the_counters_where_the_baseline_records_them() {
-        let pinned = |fnv: &str| {
-            format!(
-                r#"{{"results": [{{"workload": "sieve", "config": "scalar", "cycles": 10, "counters_fnv1a": "{fnv}", "wall_ms": 2.0}}]}}"#
-            )
-        };
-        let ours = format!("{:016x}", fnv1a(COUNTERS.as_bytes()));
-        let report = check(&[record(COUNTERS)], &pinned(&ours)).unwrap();
-        assert!(report.passed());
-        // a counter moved while the cycle count did not
-        let moved = COUNTERS.replace("\"cc-empty\": 7", "\"cc-empty\": 6, \"sync\": 1");
-        let report = check(&[record(&moved)], &pinned(&ours)).unwrap();
-        assert!(report.failures.is_empty() && report.code_changes.is_empty());
-        let theirs = format!("{:016x}", fnv1a(moved.as_bytes()));
-        assert_eq!(
-            report.counter_changes,
-            [format!(
-                "sieve/scalar: counters fnv1a {theirs} vs baseline {ours}"
-            )]
-        );
-        // an older baseline without the field, or a `--wmd` run, does not pin them
-        assert!(check(&[record(&moved)], &doc(None)).unwrap().passed());
-        assert!(check(&[record("")], &pinned(&ours)).unwrap().passed());
-        // the baseline writer records the digest next to the cycles
-        let written = results_json(&[record(COUNTERS)], false, &flat(), None);
-        assert!(
-            written.contains(&format!("\"counters_fnv1a\": \"{ours}\"")),
-            "{written}"
-        );
-        assert!(!written.contains("\"counters\":"), "{written}");
     }
 }

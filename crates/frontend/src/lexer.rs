@@ -131,7 +131,8 @@ impl<'a> Lexer<'a> {
     fn skip_trivia(&mut self) -> Result<(), CompileError> {
         loop {
             match self.peek() {
-                b' ' | b'\t' | b'\r' | b'\n' => {
+                // C's whitespace: space, tab, CR, LF, form feed, vertical tab
+                b' ' | b'\t' | b'\r' | b'\n' | b'\x0c' | b'\x0b' => {
                     self.bump();
                 }
                 b'/' if self.peek2() == b'*' => {
@@ -468,6 +469,21 @@ mod tests {
             .unwrap();
         assert_eq!(toks[0].line, 1);
         assert_eq!(toks[1].line, 3);
+    }
+
+    #[test]
+    fn form_feed_and_vertical_tab_are_whitespace() {
+        assert_eq!(
+            kinds("return\x0c3\x0b;"),
+            vec![
+                TokenKind::KwReturn,
+                TokenKind::IntLit(3),
+                TokenKind::Semi,
+                TokenKind::Eof
+            ]
+        );
+        let toks = Lexer::new("a\x0c\nb").tokenize().unwrap();
+        assert_eq!(toks[1].line, 2, "a form feed starts no line");
     }
 
     #[test]

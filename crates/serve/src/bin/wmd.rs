@@ -18,8 +18,6 @@ OPTIONS:
     --jobs N             worker threads (default 4)
     --queue-limit N      shed jobs with `overloaded` beyond this queue
                          depth (default 256)
-    --retries N          extra attempts for deadline overruns (default 1)
-    --backoff-ms N       base retry backoff, doubled per attempt (default 10)
     --deadline-ms N      default per-job wall-clock deadline (default: none)
     --stuck-grace-ms N   watchdog answers for workers this long past
                          deadline (default 2000)
@@ -63,11 +61,6 @@ fn parse_args() -> Result<Options, String> {
                 cfg.pool.workers = n as usize;
             }
             "--queue-limit" => cfg.pool.queue_limit = num(&mut args, "--queue-limit")? as usize,
-            "--retries" => {
-                cfg.pool.retries = u32::try_from(num(&mut args, "--retries")?)
-                    .map_err(|_| "--retries too large")?;
-            }
-            "--backoff-ms" => cfg.pool.backoff_ms = num(&mut args, "--backoff-ms")?,
             "--deadline-ms" => {
                 cfg.pool.default_deadline_ms = Some(num(&mut args, "--deadline-ms")?)
             }
@@ -100,7 +93,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Panics are contained per-attempt by the pool; keep the default
+    // Panics are contained per job by the pool; keep the default
     // hook's multi-line backtrace noise out of the daemon log.
     std::panic::set_hook(Box::new(|info| {
         eprintln!("wmd: contained panic: {info}");

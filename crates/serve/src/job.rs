@@ -1,4 +1,4 @@
-//! Executing one job attempt: compile (memoized), simulate (cancellable),
+//! Executing one job: compile (memoized), simulate (cancellable),
 //! render the result payload — with every stage fenced by
 //! [`catch_unwind`] so a panic anywhere in the pipeline becomes a
 //! structured [`ExecFailure::Panic`] instead of a dead worker.
@@ -15,7 +15,7 @@ use wm_stream::{Compiled, JobSpec, RunResult};
 use crate::hash::sha256_hex;
 use crate::proto::{ChaosPoint, JobRequest};
 
-/// A failed job attempt. Deadline classification happens in the pool
+/// A failed job. Deadline classification happens in the pool
 /// (a [`SimError::Cancelled`] is a deadline exactly when the job had
 /// one); everything else is classified here.
 #[derive(Debug)]
@@ -36,8 +36,7 @@ pub enum ExecFailure {
 
 /// A bounded memo of compiled modules keyed by the SHA-256 of
 /// `(source, optimizer options)`. Distinct jobs that share a source —
-/// the same program swept over machine configurations, or retried
-/// attempts — compile once. On overflow the whole map is dropped:
+/// the same program swept over machine configurations — compile once. On overflow the whole map is dropped:
 /// compilation is cheap enough that simple-and-correct beats LRU
 /// bookkeeping here.
 #[derive(Debug)]
@@ -80,7 +79,7 @@ fn panic_payload(p: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Run one attempt of `req` to a rendered result payload.
+/// Run `req` to a rendered result payload.
 ///
 /// # Errors
 ///

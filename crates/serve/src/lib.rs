@@ -8,17 +8,17 @@
 //!
 //! What the daemon adds over `wmcc` in a loop:
 //!
-//! * **Supervision** ([`pool`]) — every job attempt runs inside
+//! * **Supervision** ([`pool`]) — every job runs inside
 //!   `catch_unwind` on a worker from a shared-queue pool; a panic
 //!   becomes a structured `{"class": "panic", "stage": ...}` response
 //!   and the worker survives to take the next job.
 //! * **Deadlines** — per-job wall-clock deadlines enforced through the
 //!   simulator's cooperative [`wm_stream::sim::CancelToken`], with a
 //!   watchdog that answers for workers stuck past deadline + grace.
-//! * **Retry and load shedding** — deadline overruns retry with capped
-//!   exponential backoff (every other failure, injected faults included,
-//!   is deterministic and answered after one attempt); a full queue
-//!   sheds with an explicit `overloaded` response.
+//! * **One attempt and load shedding** — every job runs once, since
+//!   every failure, a deadline overrun or an injected fault included,
+//!   would repeat on a second run; a full queue sheds with an explicit
+//!   `overloaded` response.
 //! * **A crash-safe artifact cache** ([`cache`]) — results are stored
 //!   content-addressed by the SHA-256 ([`hash`]) of the job's canonical
 //!   key material, written atomically (temp file + rename) with an

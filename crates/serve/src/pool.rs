@@ -3,28 +3,29 @@
 //! Jobs enter a shared queue; a fixed set of workers claim work from it
 //! (work "stealing" degenerates to claiming off one shared deque — the
 //! generalization of `perf --jobs`' atomic-counter loop to a dynamic job
-//! stream). Every attempt runs under [`crate::job::execute`], which
+//! stream). Every job runs under [`crate::job::execute`], which
 //! fences panics, and under a fresh [`CancelToken`] that a watchdog
 //! thread cancels when the job's wall-clock deadline passes.
 //!
 //! # Exactly-once responses
 //!
 //! Each job carries a `claimed` flag. Whoever flips it first — the
-//! worker finishing the attempt, or the watchdog giving up on a stuck
+//! worker finishing the job, or the watchdog giving up on a stuck
 //! worker — owns the (single) terminal response. The loser drops its
 //! result. This is what keeps "a worker wedged in the simulator" from
 //! ever wedging the *client*: the watchdog answers after
 //! `deadline + grace`, and if the worker later comes back, its late
 //! result is discarded rather than duplicated.
 //!
-//! # Retry and shedding
+//! # One attempt, and shedding
 //!
-//! Deadline overruns are retried with capped exponential backoff: the
-//! host may simply have been busy. Every other failure is deterministic
-//! — compile errors, panics, and simulator errors, including those of a
-//! fault-injection plan, which is seeded and replays identically — so a
-//! retry could only reproduce it. Admission control sheds jobs with an
-//! `overloaded` response when the queue is full.
+//! Every job runs once. A job is deterministic: compile errors, panics
+//! and simulator errors, including those of a fault-injection plan,
+//! which is seeded, replay identically, and a deadline overrun asks for
+//! the same simulated work again. A retry would only repeat the failure,
+//! add load when the host is busiest and delay the answer. Admission
+//! control sheds jobs with an `overloaded` response when the queue is
+//! full.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,10 +47,6 @@ pub struct PoolConfig {
     pub workers: usize,
     /// Queue depth at which jobs are shed with `overloaded`.
     pub queue_limit: usize,
-    /// Extra attempts after the first for deadline overruns.
-    pub retries: u32,
-    /// Base backoff; attempt `n` waits `backoff_ms << (n-1)`.
-    pub backoff_ms: u64,
     /// How long past its deadline a worker may run before the watchdog
     /// claims the response and marks the worker stuck.
     pub stuck_grace_ms: u64,
@@ -64,8 +61,6 @@ impl Default for PoolConfig {
         PoolConfig {
             workers: 4,
             queue_limit: 256,
-            retries: 1,
-            backoff_ms: 10,
             stuck_grace_ms: 2_000,
             default_deadline_ms: None,
             chaos: false,
@@ -82,10 +77,8 @@ pub struct Counters {
     pub ok: AtomicU64,
     /// Terminal `error` responses (all classes).
     pub errors: AtomicU64,
-    /// Attempts that panicked.
+    /// Jobs that panicked.
     pub panics: AtomicU64,
-    /// Attempts re-queued by the retry policy.
-    pub retries: AtomicU64,
     /// Jobs shed at admission.
     pub shed: AtomicU64,
     /// Artifact-cache hits.
@@ -124,7 +117,6 @@ struct Inflight {
     claimed: Arc<AtomicBool>,
     reply: Sender<String>,
     id: String,
-    attempt: u32,
 }
 
 struct Shared {
@@ -212,7 +204,6 @@ impl Pool {
             Counters::bump(&s.counters.errors);
             let line = proto::error_line(
                 Some(&req.id),
-                0,
                 &ErrorClass::Overloaded {
                     queued,
                     limit: s.cfg.queue_limit,
@@ -271,15 +262,6 @@ fn worker_loop(s: &Arc<Shared>, index: usize) {
     }
 }
 
-/// Is this failure worth retrying? Only a deadline overrun (the host may
-/// simply have been busy). Everything else replays identically: compile
-/// errors, panics and simulator errors — a fault-injection plan is
-/// seeded, so its rerun fails the same way — and retrying them wastes
-/// the client's deadline.
-fn is_transient(class: &ErrorClass) -> bool {
-    matches!(class, ErrorClass::Deadline { .. })
-}
-
 fn run_job(s: &Arc<Shared>, index: usize, job: QueuedJob) {
     let QueuedJob {
         req,
@@ -297,73 +279,56 @@ fn run_job(s: &Arc<Shared>, index: usize, job: QueuedJob) {
             if claim(&claimed) {
                 Counters::bump(&s.counters.ok);
                 let wall_ms = lookup_start.elapsed().as_secs_f64() * 1e3;
-                let _ = reply.send(proto::ok_line(&req.id, true, 0, wall_ms, &payload));
+                let _ = reply.send(proto::ok_line(&req.id, true, wall_ms, &payload));
             }
             return;
         }
         Counters::bump(&s.counters.cache_misses);
     }
 
-    let total_attempts = s.cfg.retries + 1;
-    let mut attempt: u32 = 1;
-    loop {
-        let token = CancelToken::new();
-        let started = Instant::now();
-        *s.inflight[index].lock().unwrap() = Some(Inflight {
-            token: token.clone(),
-            started,
-            deadline: deadline_ms.map(Duration::from_millis),
-            deadline_ms: deadline_ms.unwrap_or(0),
-            claimed: Arc::clone(&claimed),
-            reply: reply.clone(),
-            id: req.id.clone(),
-            attempt,
-        });
-        let result = execute(&req, &token, s.cfg.chaos, &s.modules);
-        *s.inflight[index].lock().unwrap() = None;
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    let token = CancelToken::new();
+    let started = Instant::now();
+    *s.inflight[index].lock().unwrap() = Some(Inflight {
+        token: token.clone(),
+        started,
+        deadline: deadline_ms.map(Duration::from_millis),
+        deadline_ms: deadline_ms.unwrap_or(0),
+        claimed: Arc::clone(&claimed),
+        reply: reply.clone(),
+        id: req.id.clone(),
+    });
+    let result = execute(&req, &token, s.cfg.chaos, &s.modules);
+    *s.inflight[index].lock().unwrap() = None;
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
-        match result {
-            Ok(payload) => {
-                if let (Some(cache), Some(key)) = (s.cache.as_ref(), key.as_deref()) {
-                    if let Err(e) = cache.store(key, &payload) {
-                        eprintln!("wmd: cache store failed for {key}: {e}");
-                    }
+    match result {
+        Ok(payload) => {
+            if let (Some(cache), Some(key)) = (s.cache.as_ref(), key.as_deref()) {
+                if let Err(e) = cache.store(key, &payload) {
+                    eprintln!("wmd: cache store failed for {key}: {e}");
                 }
-                if claim(&claimed) {
-                    Counters::bump(&s.counters.ok);
-                    let _ = reply.send(proto::ok_line(&req.id, false, attempt, wall_ms, &payload));
-                }
-                return;
             }
-            Err(failure) => {
-                if matches!(failure, ExecFailure::Panic { .. }) {
-                    Counters::bump(&s.counters.panics);
-                }
+            if claim(&claimed) {
+                Counters::bump(&s.counters.ok);
+                let _ = reply.send(proto::ok_line(&req.id, false, wall_ms, &payload));
+            }
+        }
+        Err(failure) => {
+            if matches!(failure, ExecFailure::Panic { .. }) {
+                Counters::bump(&s.counters.panics);
+            }
+            // A claimed flag here means the watchdog already answered
+            // (stuck path): the late result is dropped.
+            if claim(&claimed) {
+                Counters::bump(&s.counters.errors);
                 let class = classify(failure, deadline_ms);
-                // A claimed flag here means the watchdog already answered
-                // (stuck path): drop the late result, don't retry.
-                if claimed.load(Ordering::SeqCst) {
-                    return;
-                }
-                if is_transient(&class) && attempt < total_attempts {
-                    Counters::bump(&s.counters.retries);
-                    let backoff = s.cfg.backoff_ms << (attempt - 1);
-                    std::thread::sleep(Duration::from_millis(backoff));
-                    attempt += 1;
-                    continue;
-                }
-                if claim(&claimed) {
-                    Counters::bump(&s.counters.errors);
-                    let _ = reply.send(proto::error_line(Some(&req.id), attempt, &class));
-                }
-                return;
+                let _ = reply.send(proto::error_line(Some(&req.id), &class));
             }
         }
     }
 }
 
-/// Map an attempt failure to its wire class. A cancellation is a
+/// Map a job's failure to its wire class. A cancellation is a
 /// deadline overrun precisely when the job had a deadline — nothing else
 /// cancels job tokens.
 fn classify(failure: ExecFailure, deadline_ms: Option<u64>) -> ErrorClass {
@@ -386,7 +351,7 @@ fn watchdog_loop(s: &Arc<Shared>) {
     const TICK: Duration = Duration::from_millis(5);
     loop {
         // `drained` is set only after every worker has exited, so the
-        // watchdog provably outlives every attempt it supervises.
+        // watchdog provably outlives every job it supervises.
         if s.drained.load(Ordering::SeqCst) {
             return;
         }
@@ -407,7 +372,6 @@ fn watchdog_loop(s: &Arc<Shared>) {
                 Counters::bump(&s.counters.errors);
                 let line = proto::error_line(
                     Some(&inf.id),
-                    inf.attempt,
                     &ErrorClass::Deadline {
                         deadline_ms: inf.deadline_ms,
                         stuck: true,
@@ -522,11 +486,9 @@ mod tests {
     }
 
     #[test]
-    fn deadlines_cancel_long_jobs_and_count_attempts() {
+    fn deadlines_cancel_long_jobs_after_one_attempt() {
         let mut pool = small_pool(PoolConfig {
             workers: 1,
-            retries: 1,
-            backoff_ms: 1,
             ..PoolConfig::default()
         });
         let (tx, rx) = channel();
@@ -547,19 +509,14 @@ mod tests {
                 .and_then(Value::as_str),
             Some("deadline")
         );
-        assert_eq!(
-            v.get("attempts").and_then(Value::as_u64),
-            Some(2),
-            "deadline failures are transient: retried once, then reported"
-        );
+        assert_eq!(v.get("attempts"), None, "every job runs once");
+        assert_eq!(Counters::get(&pool.counters().errors), 1);
     }
 
     #[test]
     fn injected_faults_are_reported_without_retry() {
         let mut pool = small_pool(PoolConfig {
             workers: 1,
-            retries: 2,
-            backoff_ms: 1,
             ..PoolConfig::default()
         });
         let (tx, rx) = channel();
@@ -581,11 +538,12 @@ mod tests {
         let v = json::parse(&line).unwrap();
         assert_eq!(v.get("status").and_then(Value::as_str), Some("error"));
         assert_eq!(
-            v.get("attempts").and_then(Value::as_u64),
-            Some(1),
-            "a seeded fault plan replays identically: never retried"
+            v.get("error")
+                .and_then(|e| e.get("class"))
+                .and_then(Value::as_str),
+            Some("sim")
         );
-        assert_eq!(Counters::get(&pool.counters().retries), 0);
+        assert_eq!(Counters::get(&pool.counters().errors), 1);
     }
 
     #[test]

@@ -257,18 +257,11 @@ impl ToJson for ErrorClass {
 /// — on a cache hit the stored bytes are spliced in verbatim, which is
 /// what makes hit/miss bit-identity a protocol property rather than a
 /// hope. `result` is the line's last member.
-pub fn ok_line(
-    id: &str,
-    cached: bool,
-    attempts: u32,
-    wall_ms: f64,
-    result_payload: &str,
-) -> String {
+pub fn ok_line(id: &str, cached: bool, wall_ms: f64, result_payload: &str) -> String {
     json::object(Layout::Inline, |w| {
         w.field("id", id)
             .field("status", "ok")
             .field("cached", cached)
-            .field("attempts", attempts)
             .field("wall_ms", Fixed(wall_ms, 3))
             .key("result")
             .raw(result_payload);
@@ -276,11 +269,10 @@ pub fn ok_line(
 }
 
 /// Render a terminal error line.
-pub fn error_line(id: Option<&str>, attempts: u32, class: &ErrorClass) -> String {
+pub fn error_line(id: Option<&str>, class: &ErrorClass) -> String {
     json::object(Layout::Inline, |w| {
         w.field("id", id)
             .field("status", "error")
-            .field("attempts", attempts)
             .field("error", class);
     })
 }
@@ -406,7 +398,6 @@ mod tests {
     fn response_lines_are_single_line_json() {
         let line = error_line(
             Some("x\ny"),
-            2,
             &ErrorClass::Panic {
                 stage: "simulate",
                 payload: "boom\nbang".to_string(),
@@ -421,7 +412,7 @@ mod tests {
                 .and_then(Value::as_str),
             Some("panic")
         );
-        assert_eq!(v.get("attempts").and_then(Value::as_u64), Some(2));
+        assert_eq!(v.get("id").and_then(Value::as_str), Some("x\ny"));
     }
 
     #[test]

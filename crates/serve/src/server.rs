@@ -7,7 +7,7 @@
 //! every job submitted from that connection has produced its terminal
 //! response. Joining the writer *is* the drain barrier.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -21,10 +21,16 @@ use crate::cache::{ArtifactCache, ScrubReport};
 use crate::pool::{Counters, Pool, PoolConfig};
 use crate::proto::{self, ControlOp, ErrorClass, Request};
 
+/// The longest request line the daemon reads, in bytes before its
+/// newline. The largest workload source is about 3 KB, so a real job
+/// fits several hundred times over; the bound keeps one client line from
+/// making the daemon buffer without limit.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Daemon configuration, assembled by `wmd`'s argument parser.
 #[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
-    /// Pool tuning (workers, queue limit, retry policy, deadlines).
+    /// Pool tuning (workers, queue limit, deadlines).
     pub pool: PoolConfig,
     /// Artifact-cache directory; `None` disables the cache entirely.
     pub cache_dir: Option<PathBuf>,
@@ -155,17 +161,35 @@ impl Server {
     /// Lines are read as bytes, so a line that is not UTF-8 gets its
     /// `bad-request` like any other malformed line, and the lines after
     /// it are still read; only EOF, an I/O error or `shutdown` ends the
-    /// loop.
+    /// loop. At most [`MAX_LINE_BYTES`] of a line are held: a longer one
+    /// gets one `bad-request`, and the rest of it is skipped unread.
     fn handle_reader(&self, mut reader: impl BufRead, tx: &Sender<String>) -> bool {
         let mut bytes = Vec::new();
         loop {
             bytes.clear();
-            if !matches!(reader.read_until(b'\n', &mut bytes), Ok(1..)) {
+            let bound = MAX_LINE_BYTES as u64 + 1; // the line and its newline
+            if !matches!(
+                (&mut reader).take(bound).read_until(b'\n', &mut bytes),
+                Ok(1..)
+            ) {
                 return false;
             }
-            let line = bytes.strip_suffix(b"\n").unwrap_or(&bytes);
-            let line = std::str::from_utf8(line.strip_suffix(b"\r").unwrap_or(line))
-                .map_err(|e| (None, format!("request line is not UTF-8: {e}")));
+            let line = match bytes.strip_suffix(b"\n") {
+                None if bytes.len() > MAX_LINE_BYTES => {
+                    if reader.skip_until(b'\n').is_err() {
+                        return false;
+                    }
+                    Err((
+                        None,
+                        format!("request line longer than {MAX_LINE_BYTES} bytes"),
+                    ))
+                }
+                line => {
+                    let line = line.unwrap_or(&bytes);
+                    std::str::from_utf8(line.strip_suffix(b"\r").unwrap_or(line))
+                        .map_err(|e| (None, format!("request line is not UTF-8: {e}")))
+                }
+            };
             if line.as_ref().is_ok_and(|l| l.trim().is_empty()) {
                 continue;
             }
@@ -174,7 +198,6 @@ impl Server {
                     Counters::bump(&self.pool.counters().bad_requests);
                     let _ = tx.send(proto::error_line(
                         id.as_deref(),
-                        0,
                         &ErrorClass::BadRequest(msg),
                     ));
                 }
@@ -206,7 +229,6 @@ impl Server {
                 .field("ok", g(&c.ok))
                 .field("errors", g(&c.errors))
                 .field("panics", g(&c.panics))
-                .field("retries", g(&c.retries))
                 .field("shed", g(&c.shed))
                 .field("cache_hits", g(&c.cache_hits))
                 .field("cache_misses", g(&c.cache_misses))
@@ -292,16 +314,53 @@ mod tests {
     }
 
     #[test]
+    fn an_over_long_line_is_refused_once_and_reading_goes_on() {
+        let mut input = vec![b'x'; 3 * MAX_LINE_BYTES];
+        input.extend_from_slice(b"\n{\"op\": \"ping\"}\n");
+        let lines = serve_lines(ServerConfig::default(), input);
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(
+            lines[0].starts_with("{\"id\": null")
+                && lines[0].contains("\"bad-request\"")
+                && lines[0].contains(&format!("longer than {MAX_LINE_BYTES} bytes"))
+        );
+        assert_eq!(lines[1], "{\"op\": \"pong\"}");
+    }
+
+    #[test]
+    fn a_line_of_exactly_the_bound_is_read() {
+        let padded = |len: usize| {
+            let mut line = b"{\"op\": \"ping\"}".to_vec();
+            line.resize(len, b' ');
+            line.push(b'\n');
+            line
+        };
+        let lines = serve_lines(ServerConfig::default(), padded(MAX_LINE_BYTES));
+        assert_eq!(lines, ["{\"op\": \"pong\"}"]);
+        let lines = serve_lines(ServerConfig::default(), padded(MAX_LINE_BYTES + 1));
+        assert_eq!(lines.len(), 1);
+        assert!(lines[0].contains("\"bad-request\""), "{lines:?}");
+    }
+
+    #[test]
     fn ids_and_sources_keep_every_escape() {
         let input = concat!(
             r#"{"id": "job-\ud83d\ude00", "source": "int main() { /*\f\b\/*/ return 3; }"}"#,
             "\n",
+            r#"{"id": "ff", "source": "int main() {\f return 4;\f}"}"#,
+            "\n",
         );
-        let lines = serve_lines(ServerConfig::default(), input);
-        assert_eq!(lines.len(), 1, "{lines:?}");
-        let v = json::parse(&lines[0]).unwrap();
+        let mut lines = serve_lines(ServerConfig::default(), input);
+        lines.sort();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        let v = json::parse(&lines[1]).unwrap();
         assert_eq!(v.get("id").and_then(Value::as_str), Some("job-😀"));
         assert_eq!(v.get("status").and_then(Value::as_str), Some("ok"), "{v:?}");
+        // a form feed between tokens is whitespace to the compiler too
+        let v = json::parse(&lines[0]).unwrap();
+        assert_eq!(v.get("id").and_then(Value::as_str), Some("ff"));
+        let ret = v.get("result").and_then(|r| r.get("ret_int"));
+        assert_eq!(ret.and_then(Value::as_i64), Some(4), "{v:?}");
     }
 
     /// Well-formed requests for the property below to cut and mutate:

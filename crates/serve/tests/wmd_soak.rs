@@ -154,17 +154,7 @@ fn cache_entries(dir: &Path) -> Vec<PathBuf> {
 fn mixed_chaos_batch_gets_exactly_one_response_per_job() {
     let mut d = Daemon::spawn(
         "mixed",
-        &[
-            "--jobs",
-            "4",
-            "--chaos",
-            "--retries",
-            "1",
-            "--backoff-ms",
-            "1",
-            "--stuck-grace-ms",
-            "100",
-        ],
+        &["--jobs", "4", "--chaos", "--stuck-grace-ms", "100"],
     );
 
     // Phase 1: everything that can go wrong, plus healthy jobs mixed in.
@@ -230,9 +220,9 @@ fn mixed_chaos_batch_gets_exactly_one_response_per_job() {
     assert_eq!(class_of(by_id["no-source"]), "bad-request");
     assert_eq!(class_of(by_id["faulted"]), "sim");
     assert_eq!(
-        field(by_id["faulted"], &["attempts"]).and_then(Value::as_u64),
-        Some(1),
-        "a seeded fault plan replays identically: reported without retry"
+        field(by_id["faulted"], &["attempts"]),
+        None,
+        "every job runs once, so no response counts attempts"
     );
     assert_eq!(class_of(by_id["too-slow"]), "deadline");
     assert_eq!(
@@ -405,10 +395,7 @@ fn scrub_recovers_the_cache_after_a_hard_kill() {
 
 #[test]
 fn overload_sheds_excess_jobs_but_answers_every_one() {
-    let mut d = Daemon::spawn(
-        "overload",
-        &["--jobs", "1", "--queue-limit", "2", "--retries", "0"],
-    );
+    let mut d = Daemon::spawn("overload", &["--jobs", "1", "--queue-limit", "2"]);
 
     // One slow job to pin the single worker, then a burst behind it.
     d.send(&job(
@@ -516,4 +503,21 @@ fn socket_transport_round_trips_and_shuts_down() {
     assert!(status.success(), "shutdown op exits 0");
     std::fs::remove_file(&sock).ok();
     std::fs::remove_dir_all(&cache).ok();
+}
+
+#[test]
+fn retry_flags_are_usage_errors() {
+    for flag in ["--retries", "--backoff-ms"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_wmd"))
+            .args([flag, "1", "--no-cache"])
+            .stdin(Stdio::null())
+            .output()
+            .expect("run wmd");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option `{flag}`")) && stderr.contains("USAGE"),
+            "{flag}: {stderr}"
+        );
+    }
 }

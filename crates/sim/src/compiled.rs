@@ -34,11 +34,16 @@
 //! [`Engine::Cycle`](crate::Engine::Cycle) turns every skip off and
 //! samples every FIFO every cycle. The engine comparisons
 //! (`tests/engine_equiv.rs`, the differential fuzzer's full-`Stats`
-//! property, `perf --compare`) therefore check exactly the skips and the
-//! change-point accounting against plain per-cycle stepping. They cannot
-//! see a decode error, which both engines share; the decode round-trip
-//! verifier ([`crate::DecodedProgram::verify_roundtrip`]), the per-leg
+//! property, and `perf --check` of one engine's run against the other's)
+//! therefore check exactly the skips and the change-point accounting
+//! against plain per-cycle stepping. They cannot see a decode error,
+//! which both engines share; the decode round-trip verifier
+//! ([`crate::DecodedProgram::verify_roundtrip`]), the per-leg
 //! `perf --check` pins and the fuzzer's result oracles catch those.
+//!
+//! The step counts each unit's cycles and retirements once, in
+//! [`crate::Stats`]; the cycle count, instruction counts and IFU stall
+//! cycles of [`crate::SimStats`] are read off it when the run ends.
 
 use wm_ir::{InstKind, RegClass};
 
@@ -180,16 +185,12 @@ impl<'m> WmMachine<'m> {
             // Only the IFU moves the pc and sets the hold, so while the
             // FIFO stays empty the walk would stop at the same jump.
             if self.unit(class).cc.is_empty() && self.cycle >= self.ifu_hold {
-                self.stats.ifu_stalls += 1;
                 self.perf.ifu.record(Outcome::Stall(Stall::CcEmpty));
                 return Ok(());
             }
             self.ifu_park = None;
         }
-        let before = self.stats.insts_ifu;
         let outcome = self.ifu_fetch::<SKIP>()?;
-        // control instructions the IFU itself executed this cycle
-        self.perf.ifu.retired += self.stats.insts_ifu - before;
         self.perf.ifu.record(outcome);
         self.last_outcomes.ifu = outcome;
         Ok(())
@@ -200,7 +201,6 @@ impl<'m> WmMachine<'m> {
     /// reason the fetch could not proceed is named.
     fn ifu_fetch<const SKIP: bool>(&mut self) -> Result<Outcome, SimError> {
         if self.cycle < self.ifu_hold {
-            self.stats.ifu_stalls += 1;
             return Ok(Outcome::Stall(Stall::Sync));
         }
         let mut transfers = 0;
@@ -253,7 +253,6 @@ impl<'m> WmMachine<'m> {
                 IfuOp::Branch { class, when, t, e } => {
                     self.fifo_changing(class, FIFO_CC);
                     let Some(cond) = self.unit_mut(class).cc.pop_front() else {
-                        self.stats.ifu_stalls += 1;
                         if SKIP && transfers == 0 {
                             self.ifu_park = Some(class);
                         }
@@ -269,7 +268,6 @@ impl<'m> WmMachine<'m> {
                 IfuOp::BranchStream { fifo, t, e } => {
                     let Some(count) = self.dispatch.get_mut(&fifo) else {
                         // the stream instruction has not executed yet
-                        self.stats.ifu_stalls += 1;
                         return Ok(stall_after(transfers, Stall::StreamWait));
                     };
                     *count -= 1;
@@ -285,7 +283,6 @@ impl<'m> WmMachine<'m> {
                 }
                 IfuOp::BranchVec { t, e } => {
                     let Some(count) = self.dispatch_vec.as_mut() else {
-                        self.stats.ifu_stalls += 1;
                         return Ok(stall_after(transfers, Stall::StreamWait));
                     };
                     *count -= 1;
@@ -310,7 +307,7 @@ impl<'m> WmMachine<'m> {
                         block: 0,
                         inst: 0,
                     });
-                    self.stats.insts_ifu += 1;
+                    self.perf.ifu.retired += 1;
                     self.stats.calls += 1;
                     self.last_progress = self.cycle;
                     return Ok(Outcome::Active); // calls consume the fetch slot
@@ -319,21 +316,20 @@ impl<'m> WmMachine<'m> {
                     // builtins read register state directly: the units
                     // must be synchronized first
                     if !self.quiescent() {
-                        self.stats.ifu_stalls += 1;
                         return Ok(stall_after(transfers, Stall::Sync));
                     }
                     let name = self.module.sym_name(callee).to_string();
                     self.exec_builtin(&name)?;
                     self.ifu_hold = self.cycle + IO_LATENCY;
                     self.advance();
-                    self.stats.insts_ifu += 1;
+                    self.perf.ifu.retired += 1;
                     self.stats.calls += 1;
                     self.last_progress = self.cycle;
                     return Ok(Outcome::Active);
                 }
                 IfuOp::Ret => {
                     self.pc = self.ret_stack.pop();
-                    self.stats.insts_ifu += 1;
+                    self.perf.ifu.retired += 1;
                     self.last_progress = self.cycle;
                     return Ok(Outcome::Active);
                 }
@@ -341,14 +337,12 @@ impl<'m> WmMachine<'m> {
                 // synchronizing the execution units
                 IfuOp::Convert { op, a, class, dst } => {
                     if !self.quiescent() {
-                        self.stats.ifu_stalls += 1;
                         return Ok(stall_after(transfers, Stall::Sync));
                     }
                     let src_class = convert_source(op);
                     // a forwarded FIFO dequeue must wait for its datum
                     if let Src::Fifo(n) = a {
                         if self.unit(src_class).ins[n as usize].q.is_empty() {
-                            self.stats.ifu_stalls += 1;
                             return Ok(stall_after(transfers, Stall::FifoEmpty));
                         }
                     }
@@ -356,13 +350,12 @@ impl<'m> WmMachine<'m> {
                     let v = self.eval_un(op, v)?;
                     write_dst(self, class, dst, v);
                     self.advance();
-                    self.stats.insts_ifu += 1;
+                    self.perf.ifu.retired += 1;
                     self.last_progress = self.cycle;
                     return Ok(Outcome::Active);
                 }
                 IfuOp::DispatchVeu => {
                     if self.veu.iq.len() >= self.config.iq_capacity {
-                        self.stats.ifu_stalls += 1;
                         return Ok(stall_after(transfers, Stall::IqFull));
                     }
                     self.veu.iq.push_back(idx);
@@ -373,7 +366,6 @@ impl<'m> WmMachine<'m> {
                 // everything else is dispatched to an execution unit
                 IfuOp::Dispatch => {
                     if self.unit(d.class).iq.len() >= self.config.iq_capacity {
-                        self.stats.ifu_stalls += 1;
                         return Ok(stall_after(transfers, Stall::IqFull));
                     }
                     self.unit_mut(d.class).iq.push_back(idx);
@@ -387,7 +379,7 @@ impl<'m> WmMachine<'m> {
                 block: block as usize,
                 inst: 0,
             });
-            self.stats.insts_ifu += 1;
+            self.perf.ifu.retired += 1;
             self.last_progress = self.cycle;
             transfers += 1;
             if transfers > 16 {

@@ -15,8 +15,7 @@
 //! skippable when its per-unit outcomes are provably constant until the
 //! next event, and the bulk update adds the skipped span to exactly the
 //! same counters the per-cycle stepper would have touched: each unit's
-//! idle/stall bucket, `ifu_stalls`, and the zero-requests memory-port
-//! bucket. The FIFO-occupancy histograms need nothing: they are charged
+//! idle/stall bucket and the zero-requests memory-port bucket. The FIFO-occupancy histograms need nothing: they are charged
 //! at depth changes, and no depth changes in a skipped span.
 //! Every counter in [`crate::Stats`], every cycle count, every fault and
 //! deadlock (down to the reported cycle and machine-state dump) is
@@ -271,8 +270,8 @@ impl<'m> WmMachine<'m> {
     }
 
     /// Account `n` skipped cycles exactly as `n` repetitions of the cycle
-    /// just simulated: same per-unit outcome buckets, same IFU stall
-    /// counter, same memory-port histogram cell.
+    /// just simulated: same per-unit outcome buckets, same memory-port
+    /// histogram cell.
     fn bulk_account(&mut self, n: u64) {
         let o = &self.last_outcomes;
         self.perf.ieu.record_n(o.ieu, n);
@@ -285,11 +284,6 @@ impl<'m> WmMachine<'m> {
             for (i, scu) in self.perf.scus.iter_mut().enumerate() {
                 scu.unit.record_n(o.scus[i], n);
             }
-        }
-        // every IFU stall outcome increments `ifu_stalls` exactly once
-        // per cycle in the per-cycle stepper
-        if matches!(o.ifu, Outcome::Stall(_)) {
-            self.stats.ifu_stalls += n;
         }
         // no memory request is accepted in a no-progress span
         self.perf.ports[0] += n;

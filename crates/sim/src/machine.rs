@@ -149,14 +149,17 @@ impl std::error::Error for SimError {
     }
 }
 
-/// Execution statistics.
+/// Execution statistics. The cycle count, the instruction counts and
+/// `ifu_stalls` are read off [`Stats`] when the run ends; the machine
+/// counts only the memory, stream and call events itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Total cycles simulated.
     pub cycles: u64,
     /// Instructions executed by the integer execution unit.
     pub insts_ieu: u64,
-    /// Instructions executed by the floating-point execution unit.
+    /// Instructions executed by the floating-point execution unit, and
+    /// by the vector unit.
     pub insts_feu: u64,
     /// Control instructions handled by the instruction fetch unit.
     pub insts_ifu: u64,
@@ -454,6 +457,8 @@ pub struct WmMachine<'m> {
     /// IFU-side vector-termination counter for `jNIv` jumps.
     pub(crate) dispatch_vec: Option<i64>,
     pub(crate) output: Vec<u8>,
+    /// The memory, stream and call counts; `take_result` fills in the
+    /// rest from `perf`.
     pub(crate) stats: SimStats,
     pub(crate) cycle: u64,
     pub(crate) last_progress: u64,
@@ -823,20 +828,28 @@ impl<'m> WmMachine<'m> {
         if self.config.engine == Engine::Compiled {
             self.perf.fifos = self.fifo_occupancy.finish(&self.fifo_depths(), self.cycle);
         }
-        self.stats.cycles = self.cycle;
         self.perf.cycles = self.cycle;
         debug_assert_eq!(
             self.perf.check_attribution(),
             Ok(()),
             "counter conservation law broken"
         );
+        let p = &self.perf;
         RunResult {
             cycles: self.cycle,
             ret_int: self.ieu.regs[2].as_i(),
             ret_flt: self.feu.regs[2].as_f(),
             output: self.output.clone(),
-            stats: self.stats,
-            perf: self.perf.clone(),
+            stats: SimStats {
+                cycles: self.cycle,
+                insts_ieu: p.ieu.retired,
+                // the VEU's work is counted with the FEU's
+                insts_feu: p.feu.retired + p.veu.retired,
+                insts_ifu: p.ifu.retired,
+                ifu_stalls: p.ifu.stalled(),
+                ..self.stats
+            },
+            perf: p.clone(),
             engine: self.config.engine,
         }
     }
@@ -1369,12 +1382,10 @@ impl<'m> WmMachine<'m> {
         kind: &InstKind,
         dst: Option<u8>,
     ) -> Outcome {
-        let (insts, perf) = match class {
-            RegClass::Int => (&mut self.stats.insts_ieu, &mut self.perf.ieu),
-            RegClass::Flt => (&mut self.stats.insts_feu, &mut self.perf.feu),
-        };
-        *insts += 1;
-        perf.retired += 1;
+        match class {
+            RegClass::Int => self.perf.ieu.retired += 1,
+            RegClass::Flt => self.perf.feu.retired += 1,
+        }
         self.record(UnitName::of(class), kind);
         let now = self.cycle;
         let u = self.unit_mut(class);
@@ -1551,7 +1562,6 @@ impl<'m> WmMachine<'m> {
         }
         self.record(UnitName::Veu, head);
         self.veu.iq.pop_front();
-        self.stats.insts_feu += 1; // counted with the FP work
         self.perf.veu.retired += 1;
         self.last_progress = self.cycle;
         Ok(Outcome::Active)

@@ -9,7 +9,7 @@
 
 use wm_ir::Module;
 use wm_opt::{optimize_generic, optimize_wm, OptOptions};
-use wm_sim::{MemModel, Stall, WmConfig, WmMachine};
+use wm_sim::{Engine, MemModel, Stall, TiledMachine, WmConfig, WmMachine};
 use wm_target::{allocate_registers, expand_wm, TargetKind};
 
 fn compile(src: &str, opts: &OptOptions) -> Module {
@@ -347,5 +347,71 @@ fn stats_json_is_emitted_and_attribution_named() {
         "\"row_misses\"",
     ] {
         assert!(json.contains(key), "hierarchy JSON missing {key}: {json}");
+    }
+}
+
+/// `SimStats` repeats five of the counters' facts; each is read off its
+/// `Stats` source, under both engines, untiled and on two tiles, with the
+/// VEU's retirements counted with the FEU's.
+#[test]
+fn sim_stats_are_read_off_the_counters() {
+    fn check(r: &wm_sim::RunResult, label: &str) {
+        let (s, p) = (&r.stats, &r.perf);
+        assert_eq!(s.cycles, p.cycles, "{label}: cycles");
+        assert_eq!(s.insts_ieu, p.ieu.retired, "{label}: insts_ieu");
+        assert_eq!(
+            s.insts_feu,
+            p.feu.retired + p.veu.retired,
+            "{label}: insts_feu"
+        );
+        assert_eq!(s.insts_ifu, p.ifu.retired, "{label}: insts_ifu");
+        assert_eq!(s.ifu_stalls, p.ifu.stalled(), "{label}: ifu_stalls");
+    }
+    const MAP: &str = r"
+        double a[300]; double b[300];
+        int main() {
+            int i; double s;
+            for (i = 0; i < 300; i++) a[i] = i % 7;
+            for (i = 0; i < 300; i++) b[i] = a[i] * 2.0;
+            s = 0.0;
+            for (i = 0; i < 300; i++) s = s + b[i];
+            return (int) s;
+        }
+    ";
+    let vectorized = compile(MAP, &OptOptions::all().with_vectorization());
+    let livermore5 = livermore5_streamed();
+    let tiled = {
+        let opts = OptOptions::all().assume_noalias().with_tiles(2);
+        let mut module = wm_frontend::compile(wm_workloads::livermore5().source).expect("compiles");
+        let extents = wm_opt::GlobalExtents::of_module(&module);
+        for f in module.functions.iter_mut() {
+            optimize_generic(f, &opts);
+        }
+        wm_opt::partition_tiles(&mut module, "main", 2).expect("livermore5 partitions");
+        for f in module.functions.iter_mut() {
+            expand_wm(f);
+            wm_opt::optimize_wm_with(f, &opts, &extents);
+            allocate_registers(f, TargetKind::Wm).expect("allocates");
+        }
+        module
+    };
+    for engine in Engine::ALL {
+        let config = WmConfig::default().with_engine(engine);
+        let r = run(&vectorized, &config);
+        assert!(r.perf.veu.retired > 0, "{engine}: the VEU retired nothing");
+        check(&r, &format!("vectorized, {engine}"));
+        let r = run(&livermore5, &config);
+        assert!(r.stats.ifu_stalls > 0, "{engine}: the IFU never stalled");
+        check(&r, &format!("livermore5, {engine}"));
+        let r = TiledMachine::run(&tiled, "main", &[], &config.with_tiles(2), 1).expect("runs");
+        assert_eq!(r.ret_int, wm_workloads::livermore5_expected());
+        for (k, tile) in r.tiles.iter().enumerate() {
+            check(tile, &format!("livermore5 tile {k}, {engine}"));
+        }
+        let primary = r.into_primary();
+        assert_eq!(
+            primary.stats.cycles, primary.cycles,
+            "{engine}: global cycles"
+        );
     }
 }

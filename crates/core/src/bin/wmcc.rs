@@ -78,8 +78,8 @@ takes its last value.
                          attribution, FIFO occupancy, memory-port usage) on
                          stderr after the run; with --opt modulo, also one
                          line per candidate loop with its MII, the greedy
-                         interval, the achieved II and the number of
-                         solver probes it took
+                         interval, the achieved II, the number of solver
+                         probes it took and their decisions and conflicts
   --stats-json FILE      write the same counters as JSON to FILE ('-' for
                          stdout)
   --trace N              print the first N executed instructions on stderr
@@ -329,7 +329,8 @@ fn main() -> ExitCode {
             );
             for l in s.modulo.loops() {
                 eprintln!(
-                    "{name}: L{}: modulo {} insts, MII {}, greedy interval {} -> II {} ({}, probes {})",
+                    "{name}: L{}: modulo {} insts, MII {}, greedy interval {} -> II {} \
+                     ({}, probes {}, {} decisions, {} conflicts)",
                     l.label,
                     l.insts,
                     l.mii,
@@ -341,6 +342,8 @@ fn main() -> ExitCode {
                         "greedy fallback"
                     },
                     l.probes,
+                    l.decisions,
+                    l.conflicts,
                 );
             }
         }

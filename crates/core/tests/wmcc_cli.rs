@@ -1,6 +1,7 @@
 //! `wmcc` job flags compose in any order: a flag given before `--opt`
 //! survives it (those tests compare `--emit` listings, so nothing is
 //! simulated). A cycle count past `CYCLES_RANGE` is a usage error.
+//! `--stats` reports the size of each modulo loop's solver search.
 
 use std::process::Command;
 
@@ -68,4 +69,26 @@ fn noalias_before_opt_is_kept() {
     let opt_first = listing(&file, &["--opt", "modulo", "--noalias"]);
     let noalias_first = listing(&file, &["--noalias", "--opt", "modulo"]);
     assert_eq!(noalias_first, opt_first);
+}
+
+#[test]
+fn stats_report_the_modulo_search() {
+    let out = Command::new(env!("CARGO_BIN_EXE_wmcc"))
+        .args([
+            &program("uuencode"),
+            "--opt",
+            "modulo",
+            "--noalias",
+            "--stats",
+        ])
+        .output()
+        .expect("wmcc runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(
+            "main: L5: modulo 24 insts, MII 24, greedy interval 40 -> II 24 \
+             (pipelined, probes 1, 58105 decisions, 488 conflicts)"
+        ),
+        "{stderr}"
+    );
 }

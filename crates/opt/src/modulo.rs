@@ -81,6 +81,10 @@ pub struct LoopReport {
     pub pipelined: bool,
     /// Solver calls made for this loop (one per candidate `II` tried).
     pub probes: u32,
+    /// Solver decisions, summed over the probes.
+    pub decisions: u64,
+    /// Solver conflicts, summed over the probes.
+    pub conflicts: u64,
 }
 
 /// What the modulo-scheduling pass did to one function.
@@ -163,11 +167,10 @@ pub fn modulo_schedule(func: &mut Function, budget: u64, mem_latency: i64) -> Mo
             mii: m as u32,
             greedy: greedy as u32,
             ii: greedy as u32,
-            pipelined: false,
-            probes: 0,
+            ..LoopReport::default()
         };
         if let Some(edges) = build_edges(&body.insts, mem_latency) {
-            let found = find_schedule(m, &edges, greedy, budget, &mut entry.probes);
+            let found = find_schedule(m, &edges, greedy, budget, &mut entry);
             if let Some((ii, rows, stages)) = found {
                 emit(func, bi, &rows, &stages, body.els);
                 entry.ii = ii as u32;
@@ -596,7 +599,14 @@ fn not_in_stage(stages: &[BVar], i: usize, a: i64) -> Lit {
 
 /// Try to schedule the body at initiation interval `ii`; returns the rows
 /// and stages of a model the solver found and this function re-verified.
-fn solve_ii(m: usize, edges: &[Edge], ii: i64, budget: u64) -> Option<(Vec<i64>, Vec<bool>)> {
+/// Adds the solver's decisions and conflicts to `search`.
+fn solve_ii(
+    m: usize,
+    edges: &[Edge],
+    ii: i64,
+    budget: u64,
+    search: &mut LoopReport,
+) -> Option<(Vec<i64>, Vec<bool>)> {
     // A self-edge is feasible iff its latency fits in `dist` intervals.
     for e in edges {
         if e.from == e.to && e.lat > ii * e.dist {
@@ -651,7 +661,10 @@ fn solve_ii(m: usize, edges: &[Edge], ii: i64, budget: u64) -> Option<(Vec<i64>,
     // stage-translation symmetry and keeps the prologue meaningful).
     let anchor: Vec<Lit> = stages.iter().map(|&b| Lit::neg(b)).collect();
     s.add_clause(&anchor);
-    match s.solve(Budget::conflicts(budget)) {
+    let outcome = s.solve(Budget::conflicts(budget));
+    search.decisions += s.stats.decisions;
+    search.conflicts += s.stats.conflicts;
+    match outcome {
         Outcome::Sat(model) => {
             let z = model.time(zero);
             let r: Vec<i64> = rows.iter().map(|&t| model.time(t) - z).collect();
@@ -682,13 +695,13 @@ fn validate(edges: &[Edge], ii: i64, rows: &[i64], stages: &[bool]) -> bool {
 /// The minimal feasible II in `[m, greedy)`: probe `MII = m` first, where
 /// every loop that pipelines in practice lands, and binary-search
 /// `[m + 1, greedy)` only if that probe fails. Counts each candidate
-/// tried in `probes`.
+/// tried, and the search it took, in `search`.
 fn find_schedule(
     m: usize,
     edges: &[Edge],
     greedy: u64,
     budget: u64,
-    probes: &mut u32,
+    search: &mut LoopReport,
 ) -> Option<(i64, Vec<i64>, Vec<bool>)> {
     let mii = m as i64;
     let greedy = greedy as i64;
@@ -696,8 +709,8 @@ fn find_schedule(
         return None; // already at the dispatch bound
     }
     let mut probe = |ii: i64| {
-        *probes += 1;
-        solve_ii(m, edges, ii, budget)
+        search.probes += 1;
+        solve_ii(m, edges, ii, budget, search)
     };
     if let Some((rows, stages)) = probe(mii) {
         return Some((mii, rows, stages));
@@ -865,6 +878,7 @@ mod tests {
         assert_eq!(lr.ii, 3, "greedy interval {} should shrink", lr.greedy);
         assert!(lr.greedy > 3);
         assert_eq!(lr.probes, 1, "feasible at MII: one solver call");
+        assert_eq!((lr.decisions, lr.conflicts), (17, 5), "the search it took");
         // Prologue (original label) + kernel + epilogue.
         assert_eq!(f.blocks.len(), 5);
         let kernel = &f.blocks[3];
@@ -940,9 +954,9 @@ mod tests {
     fn the_search_probes_mii_first() {
         // Four independent instructions: feasible at MII, far below the
         // greedy interval, so the first probe settles it.
-        let mut probes = 0;
-        let (ii, ..) = find_schedule(4, &[], 20, BUDGET, &mut probes).expect("feasible");
-        assert_eq!((ii, probes), (4, 1));
+        let mut lr = LoopReport::default();
+        let (ii, ..) = find_schedule(4, &[], 20, BUDGET, &mut lr).expect("feasible");
+        assert_eq!((ii, lr.probes), (4, 1));
         // A carried self-dependence of latency 9: MII fails, then the
         // binary search over [5, 19] probes 12, 8, 10 and 9.
         let edges = [Edge {
@@ -951,13 +965,13 @@ mod tests {
             lat: 9,
             dist: 1,
         }];
-        let mut probes = 0;
-        let (ii, ..) = find_schedule(4, &edges, 20, BUDGET, &mut probes).expect("feasible");
-        assert_eq!((ii, probes), (9, 5));
+        let mut lr = LoopReport::default();
+        let (ii, ..) = find_schedule(4, &edges, 20, BUDGET, &mut lr).expect("feasible");
+        assert_eq!((ii, lr.probes), (9, 5));
         // Nothing to gain: the greedy interval is already MII.
-        let mut probes = 0;
-        assert!(find_schedule(4, &[], 4, BUDGET, &mut probes).is_none());
-        assert_eq!(probes, 0);
+        let mut lr = LoopReport::default();
+        assert!(find_schedule(4, &[], 4, BUDGET, &mut lr).is_none());
+        assert_eq!(lr, LoopReport::default());
     }
 
     #[test]

@@ -12,16 +12,17 @@
 //! The design follows the standard lazy SMT architecture:
 //!
 //! * a CDCL SAT core — two-watched-literal propagation, first-UIP clause
-//!   learning with backjumping, activity-driven decisions and Luby
-//!   restarts — owns the boolean search;
+//!   learning with backjumping, activity-driven decisions taken from a
+//!   binary heap, and Luby restarts — owns the boolean search;
 //! * a difference-logic theory keeps the constraint graph of the atoms
 //!   the SAT core has currently assigned, maintains a feasible potential
 //!   function incrementally, and reports each negative cycle back as a
 //!   learned clause (the negation of the atoms on the cycle).
 //!
 //! Everything is deterministic: decisions break activity ties by variable
-//! index, there is no randomization anywhere, and a run is a pure
-//! function of the constraint set and the budget. Models are
+//! index, there is no randomization anywhere, the only budget is a
+//! conflict count, and a run is a pure function of the constraint set
+//! and the budget. Models are
 //! **self-checking**: before a `Sat` verdict is returned every clause and
 //! every active difference constraint is re-verified against the model,
 //! and a violation panics rather than letting a bad schedule escape into
@@ -45,7 +46,6 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
 /// A boolean variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -103,34 +103,24 @@ impl std::fmt::Display for Lit {
     }
 }
 
-/// Search budget. The conflict budget is the deterministic knob (same
-/// constraints + same budget = same verdict on every machine); the
-/// wall-clock budget is a belt-and-braces bound for interactive use.
+/// Search budget: a conflict count, so the same constraints and the same
+/// budget give the same verdict on every machine.
 #[derive(Debug, Clone, Copy)]
 pub struct Budget {
     /// Give up (`Outcome::Unknown`) after this many conflicts.
     pub max_conflicts: u64,
-    /// Give up after this much wall-clock time (`None` = unbounded).
-    /// Checked coarsely, between conflicts.
-    pub max_time: Option<Duration>,
 }
 
 impl Default for Budget {
     fn default() -> Budget {
-        Budget {
-            max_conflicts: 100_000,
-            max_time: None,
-        }
+        Budget::conflicts(100_000)
     }
 }
 
 impl Budget {
-    /// A purely conflict-bounded budget (fully deterministic).
+    /// Give up after `n` conflicts.
     pub fn conflicts(n: u64) -> Budget {
-        Budget {
-            max_conflicts: n,
-            max_time: None,
-        }
+        Budget { max_conflicts: n }
     }
 }
 
@@ -204,6 +194,119 @@ struct Clause {
     lits: Vec<Lit>,
 }
 
+/// Position marker of a variable that is not in the [`VarOrder`] heap.
+const NOT_IN_HEAP: u32 = u32::MAX;
+
+/// Does variable `a` come before `b` in decision order: higher activity
+/// first, then lower index? A strict total order, since activities are
+/// never NaN.
+fn precedes(activity: &[f64], a: u32, b: u32) -> bool {
+    let (x, y) = (activity[a as usize], activity[b as usize]);
+    x > y || (x == y && a < b)
+}
+
+/// The decision order: a binary heap of variables under [`precedes`],
+/// holding every unassigned variable (and possibly some assigned ones,
+/// which [`Solver::decide`] discards as it meets them). Its top is
+/// therefore exactly the variable a scan of all unassigned variables
+/// for the highest activity, lowest index first, would pick.
+#[derive(Debug, Default)]
+struct VarOrder {
+    heap: Vec<u32>,
+    /// `pos[v]`: `v`'s index in `heap`, or [`NOT_IN_HEAP`].
+    pos: Vec<u32>,
+}
+
+impl VarOrder {
+    /// Make room for a new variable and insert it.
+    fn push_var(&mut self, activity: &[f64]) {
+        let v = u32::try_from(self.pos.len()).expect("variable count fits u32");
+        self.pos.push(NOT_IN_HEAP);
+        self.insert(v, activity);
+    }
+
+    /// Insert `v` unless it is already in the heap.
+    fn insert(&mut self, v: u32, activity: &[f64]) {
+        if self.pos[v as usize] != NOT_IN_HEAP {
+            return;
+        }
+        self.pos[v as usize] = self.heap.len() as u32;
+        self.heap.push(v);
+        self.sift_up(self.heap.len() - 1, activity);
+    }
+
+    /// `v`'s activity grew: restore the heap above it.
+    fn increased(&mut self, v: u32, activity: &[f64]) {
+        let at = self.pos[v as usize];
+        if at != NOT_IN_HEAP {
+            self.sift_up(at as usize, activity);
+        }
+    }
+
+    /// Remove and return the first variable in decision order.
+    fn pop(&mut self, activity: &[f64]) -> Option<u32> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty heap");
+        self.pos[top as usize] = NOT_IN_HEAP;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.pos[last as usize] = 0;
+            self.sift_down(0, activity);
+        }
+        Some(top)
+    }
+
+    /// Re-establish the heap after every activity changed at once.
+    fn rebuild(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heap[parent];
+            if !precedes(activity, v, p) {
+                break;
+            }
+            self.heap[i] = p;
+            self.pos[p as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len()
+                && precedes(activity, self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if !precedes(activity, c, v) {
+                break;
+            }
+            self.heap[i] = c;
+            self.pos[c as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+}
+
 /// The DPLL(T) solver. See the crate docs for the architecture.
 #[derive(Debug, Default)]
 pub struct Solver {
@@ -218,6 +321,8 @@ pub struct Solver {
     reason: Vec<Option<u32>>,
     /// VSIDS-style activity, decayed multiplicatively on conflict.
     activity: Vec<f64>,
+    /// Decision order over `activity`.
+    order: VarOrder,
     clauses: Vec<Clause>,
     /// `watches[lit.code()]`: clause indices watching `lit`.
     watches: Vec<Vec<u32>>,
@@ -241,6 +346,18 @@ pub struct Solver {
     out: Vec<Vec<u32>>,
     edges: Vec<Edge>,
 
+    // --- buffers reused across calls, cleared after each use ---
+    /// Relaxation wave: the edge that last lowered each difference
+    /// variable's potential (`None` outside a wave).
+    parent: Vec<Option<u32>>,
+    /// Relaxation wave: every potential it lowered, with the old value.
+    undo: Vec<(usize, i64)>,
+    /// Relaxation wave: variables whose out-edges are still to scan.
+    queue: VecDeque<usize>,
+    /// Conflict analysis: variables of the clause being resolved
+    /// (all false outside `analyze`).
+    seen: Vec<bool>,
+
     /// Search statistics for the most recent `solve`.
     pub stats: Stats,
 }
@@ -262,6 +379,8 @@ impl Solver {
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
+        self.order.push_var(&self.activity);
+        self.seen.push(false);
         self.atom.push(None);
         self.atom_active.push(false);
         self.watches.push(Vec::new());
@@ -274,6 +393,7 @@ impl Solver {
         let t = TVar(u32::try_from(self.potential.len()).expect("tvar count fits u32"));
         self.potential.push(0);
         self.out.push(Vec::new());
+        self.parent.push(None);
         t
     }
 
@@ -483,13 +603,11 @@ impl Solver {
         // incremental check). `undo` records every touched potential so a
         // conflict can roll the repair back (an aborted wave may leave
         // constraints out of `e`'s cycle violated).
-        let mut undo: Vec<(usize, i64)> = Vec::new();
-        let mut parent: Vec<Option<u32>> = vec![None; self.potential.len()];
-        undo.push((w, self.potential[w]));
+        debug_assert!(self.undo.is_empty() && self.queue.is_empty());
+        self.undo.push((w, self.potential[w]));
         self.potential[w] = self.potential[u] + wt;
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        queue.push_back(w);
-        while let Some(x) = queue.pop_front() {
+        self.queue.push_back(w);
+        while let Some(x) = self.queue.pop_front() {
             if x == u && self.potential[w] > self.potential[u] + wt {
                 // The wave lowered pi(from) enough to re-violate `e`:
                 // negative cycle = parent chain from `from` back to `to`,
@@ -497,13 +615,16 @@ impl Solver {
                 let mut cycle = vec![e.lit];
                 let mut n = u;
                 while n != w {
-                    let g = self.edges[parent[n].expect("relaxed nodes have parents") as usize];
+                    let g =
+                        self.edges[self.parent[n].expect("relaxed nodes have parents") as usize];
                     cycle.push(g.lit);
                     n = g.from as usize;
                 }
-                for (node, old) in undo.into_iter().rev() {
+                while let Some((node, old)) = self.undo.pop() {
                     self.potential[node] = old;
+                    self.parent[node] = None;
                 }
+                self.queue.clear();
                 cycle.dedup();
                 return Some(cycle);
             }
@@ -511,12 +632,15 @@ impl Solver {
                 let g = self.edges[self.out[x][gi] as usize];
                 let y = g.to as usize;
                 if self.potential[y] > self.potential[x] + g.weight {
-                    undo.push((y, self.potential[y]));
+                    self.undo.push((y, self.potential[y]));
                     self.potential[y] = self.potential[x] + g.weight;
-                    parent[y] = Some(self.out[x][gi]);
-                    queue.push_back(y);
+                    self.parent[y] = Some(self.out[x][gi]);
+                    self.queue.push_back(y);
                 }
             }
+        }
+        for (node, _) in self.undo.drain(..) {
+            self.parent[node] = None;
         }
         self.activate(v, e);
         None
@@ -553,6 +677,12 @@ impl Solver {
                 *x *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            // Rescaling keeps the order of unequal activities but can
+            // round two of them to one value, which the index tie-break
+            // then decides: rebuild rather than sift.
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.increased(v.0, &self.activity);
         }
     }
 
@@ -560,7 +690,6 @@ impl Solver {
     /// literal first) and the backjump level.
     fn analyze(&mut self, conflict: u32) -> (Vec<Lit>, u32) {
         let mut learnt: Vec<Lit> = Vec::new();
-        let mut seen = vec![false; self.assign.len()];
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut ci = conflict;
@@ -568,14 +697,14 @@ impl Solver {
         let cur = self.decision_level();
 
         loop {
-            let reason_lits = self.clauses[ci as usize].lits.clone();
-            for q in reason_lits {
+            for k in 0..self.clauses[ci as usize].lits.len() {
+                let q = self.clauses[ci as usize].lits[k];
                 if p == Some(q) {
                     continue;
                 }
                 let v = q.var().0 as usize;
-                if !seen[v] && self.level[v] > 0 {
-                    seen[v] = true;
+                if !self.seen[v] && self.level[v] > 0 {
+                    self.seen[v] = true;
                     self.bump(q.var());
                     if self.level[v] >= cur {
                         counter += 1;
@@ -587,13 +716,13 @@ impl Solver {
             // Walk back to the most recent seen literal on the trail.
             loop {
                 idx -= 1;
-                if seen[self.trail[idx].var().0 as usize] {
+                if self.seen[self.trail[idx].var().0 as usize] {
                     break;
                 }
             }
             let l = self.trail[idx];
             let v = l.var().0 as usize;
-            seen[v] = false;
+            self.seen[v] = false;
             counter -= 1;
             if counter == 0 {
                 p = Some(l);
@@ -603,6 +732,11 @@ impl Solver {
             p = Some(l);
         }
 
+        // Every current-level mark was cleared on the walk back; clear the
+        // lower-level ones the learned clause keeps.
+        for l in &learnt {
+            self.seen[l.var().0 as usize] = false;
+        }
         let uip = !p.expect("first UIP exists");
         let mut lits = vec![uip];
         lits.extend(learnt);
@@ -631,22 +765,24 @@ impl Solver {
                 self.theory_unassign(v);
                 self.assign[v] = UNASSIGNED;
                 self.reason[v] = None;
+                self.order.insert(l.var().0, &self.activity);
             }
         }
         self.qhead = self.trail.len();
     }
 
     /// Deterministic decision: the unassigned variable with the highest
-    /// activity (ties broken by lowest index), at its saved phase.
+    /// activity (ties broken by lowest index), at its saved phase. The
+    /// heap yields it in `O(log n)`; assigned variables met on the way
+    /// leave the heap until backtracking unassigns them.
     fn decide(&mut self) -> Option<Lit> {
-        let mut best: Option<usize> = None;
-        for v in 0..self.assign.len() {
-            if self.assign[v] == UNASSIGNED
-                && best.is_none_or(|b| self.activity[v] > self.activity[b])
-            {
-                best = Some(v);
+        let best = loop {
+            match self.order.pop(&self.activity) {
+                Some(v) if self.assign[v as usize] != UNASSIGNED => {}
+                pick => break pick.map(|v| v as usize),
             }
-        }
+        };
+        debug_assert_eq!(best, self.decide_by_scan(), "heap and scan disagree");
         best.map(|v| {
             let var = BVar(u32::try_from(v).expect("fits"));
             if self.phase[v] {
@@ -655,6 +791,20 @@ impl Solver {
                 Lit::neg(var)
             }
         })
+    }
+
+    /// The decision rule as a scan over every variable: the reference
+    /// that debug builds hold each heap pick to.
+    fn decide_by_scan(&self) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for v in 0..self.assign.len() {
+            if self.assign[v] == UNASSIGNED
+                && best.is_none_or(|b| self.activity[v] > self.activity[b])
+            {
+                best = Some(v);
+            }
+        }
+        best
     }
 
     /// Luby restart sequence: 1 1 2 1 1 2 4 ...
@@ -682,7 +832,6 @@ impl Solver {
         if self.root_unsat {
             return Outcome::Unsat;
         }
-        let start = Instant::now();
         let mut restart_no = 0u64;
         let mut conflicts_left = 64 * Self::luby(restart_no);
 
@@ -692,9 +841,7 @@ impl Solver {
                 if self.decision_level() == 0 {
                     return Outcome::Unsat;
                 }
-                if self.stats.conflicts >= budget.max_conflicts
-                    || budget.max_time.is_some_and(|t| start.elapsed() > t)
-                {
+                if self.stats.conflicts >= budget.max_conflicts {
                     return Outcome::Unknown;
                 }
                 let (lits, bt) = self.analyze(conflict);
@@ -925,6 +1072,22 @@ mod tests {
             }
         }
         assert!(matches!(s2.solve(Budget::default()), Outcome::Unsat));
+    }
+
+    #[test]
+    fn rescaling_ties_fall_back_to_index_order() {
+        let mut s = Solver::new();
+        for _ in 0..8 {
+            s.new_bool();
+        }
+        for (v, inc) in [(6, 3e-300), (2, 1e-300), (4, 1.0), (5, 2e100)] {
+            s.var_inc = inc;
+            s.bump(BVar(v));
+        }
+        // The last bump rescaled by 1e-100: 5 and 4 keep their lead, and
+        // 6 and 2 round to 0 with everything else, so index order decides.
+        let popped: Vec<u32> = std::iter::from_fn(|| s.order.pop(&s.activity)).collect();
+        assert_eq!(popped, [5, 4, 0, 1, 2, 3, 6, 7]);
     }
 
     #[test]

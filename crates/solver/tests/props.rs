@@ -13,10 +13,14 @@
 //! Instances deliberately include self-loop atoms (`a - a <= c`), which
 //! exercise the unit theory-conflict path, and pure boolean variables
 //! mixed with theory atoms.
+//!
+//! A third check pins the search itself: fixed probes shaped like the
+//! modulo scheduler's must take exactly the recorded number of
+//! decisions, conflicts and propagations and return the recorded model.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use wm_solver::{Budget, Lit, Outcome, Solver, TVar};
+use wm_solver::{BVar, Budget, Lit, Outcome, Solver, TVar};
 
 /// Number of time variables per generated instance.
 const NT: u32 = 4;
@@ -211,5 +215,155 @@ proptest! {
             (Outcome::Unsat, Outcome::Unsat) | (Outcome::Unknown, Outcome::Unknown) => {}
             _ => prop_assert!(false, "outcomes diverged between identical runs"),
         }
+    }
+}
+
+/// A dependence `from → to` of a loop body: `t_to + II·dist ≥ t_from + lat`.
+struct Dep {
+    from: usize,
+    to: usize,
+    lat: i64,
+    dist: i64,
+}
+
+/// The dependences of an `m`-instruction body: register chains of
+/// latency 2, load-to-pop pairs of latency 6 four slots apart, and one
+/// loop-carried recurrence.
+fn body_deps(m: usize) -> Vec<Dep> {
+    let mut deps = Vec::new();
+    for i in 0..m - 1 {
+        if i % 3 != 2 {
+            deps.push(Dep {
+                from: i,
+                to: i + 1,
+                lat: 2,
+                dist: 0,
+            });
+        }
+    }
+    for i in (1..m - 4).step_by(4) {
+        deps.push(Dep {
+            from: i,
+            to: i + 4,
+            lat: 6,
+            dist: 0,
+        });
+    }
+    deps.push(Dep {
+        from: m - 1,
+        to: m / 2,
+        lat: 2,
+        dist: 1,
+    });
+    deps
+}
+
+/// One probe of the modulo scheduler at `II = m`, encoded as
+/// `wm_opt::modulo::solve_ii` encodes it: a row in `[0, II)` and a stage
+/// boolean per instruction, each dependence as stage-guarded difference
+/// atoms, all rows pairwise distinct, and some instruction in stage 0.
+fn modulo_probe(m: usize) -> (Solver, Vec<TVar>, Vec<BVar>) {
+    let ii = m as i64;
+    let mut s = Solver::new();
+    let zero = s.new_tvar();
+    let rows: Vec<TVar> = (0..m).map(|_| s.new_tvar()).collect();
+    let stages: Vec<_> = (0..m).map(|_| s.new_bool()).collect();
+    for &r in &rows {
+        s.assert_diff(r, zero, ii - 1);
+        s.assert_diff(zero, r, 0);
+    }
+    let not_in = |i: usize, a: i64| {
+        if a == 0 {
+            Lit::pos(stages[i])
+        } else {
+            Lit::neg(stages[i])
+        }
+    };
+    for d in body_deps(m) {
+        for a in 0..2 {
+            for b in 0..2 {
+                let c = ii * (d.dist + b - a) - d.lat;
+                if c >= ii - 1 {
+                    continue;
+                }
+                if c < -(ii - 1) {
+                    s.add_clause(&[not_in(d.from, a), not_in(d.to, b)]);
+                } else {
+                    let diff = s.diff_leq(rows[d.from], rows[d.to], c);
+                    s.add_clause(&[not_in(d.from, a), not_in(d.to, b), diff]);
+                }
+            }
+        }
+    }
+    for i in 0..m {
+        for j in i + 1..m {
+            let a = s.diff_leq(rows[i], rows[j], -1);
+            let b = s.diff_leq(rows[j], rows[i], -1);
+            s.add_clause(&[a, b]);
+        }
+    }
+    let anchor: Vec<Lit> = stages.iter().map(|&b| Lit::neg(b)).collect();
+    s.add_clause(&anchor);
+    let mut times = vec![zero];
+    times.extend(rows);
+    (s, times, stages)
+}
+
+/// The solver's search is pinned, not only its verdict: any change to
+/// the decision order, to conflict analysis or to the theory's relaxation
+/// moves these counts even where the schedule survives. Each row is
+/// `(m, [decisions, conflicts, theory_conflicts, propagations, restarts],
+/// the model's times (zero, then rows), its stages)`.
+#[test]
+fn modulo_probes_pin_the_search() {
+    const EXPECTED: [(usize, [u64; 5], &str, &str); 3] = [
+        (
+            8,
+            [339, 25, 25, 600, 0],
+            "-11 -8 -6 -4 -11 -9 -7 -10 -5",
+            "00000100",
+        ),
+        (
+            16,
+            [4748, 116, 116, 7943, 1],
+            "-48 -47 -45 -34 -48 -46 -39 -44 -42 -40 -33 -43 -35 -41 -38 -36 -37",
+            "0000000000110110",
+        ),
+        (
+            24,
+            [21191, 233, 233, 34553, 2],
+            "-66 -65 -63 -55 -66 -59 -57 -58 -48 -46 -51 -49 -44 -47 -45 -43 -64 -62 -60 -61 \
+             -56 -53 -54 -52 -50",
+            "000000000000000001000111",
+        ),
+    ];
+    let mut first_difference = None;
+    let mut table = String::new();
+    for (m, stats, times, stages) in EXPECTED {
+        let (mut s, tvars, bvars) = modulo_probe(m);
+        let Outcome::Sat(model) = s.solve(Budget::default()) else {
+            panic!("m = {m}: the probe is satisfiable");
+        };
+        let st = s.stats;
+        let got_stats = [
+            st.decisions,
+            st.conflicts,
+            st.theory_conflicts,
+            st.propagations,
+            st.restarts,
+        ];
+        let got_times: Vec<String> = tvars.iter().map(|&t| model.time(t).to_string()).collect();
+        let got_times = got_times.join(" ");
+        let got_stages: String = bvars
+            .iter()
+            .map(|&b| if model.bool(b) { '1' } else { '0' })
+            .collect();
+        if (got_stats, got_times.as_str(), got_stages.as_str()) != (stats, times, stages) {
+            first_difference.get_or_insert(m);
+        }
+        table += &format!("({m}, {got_stats:?}, \"{got_times}\", \"{got_stages}\"),\n");
+    }
+    if let Some(m) = first_difference {
+        panic!("the search differs first at m = {m}; this build's table:\n{table}");
     }
 }

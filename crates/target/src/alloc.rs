@@ -23,14 +23,14 @@
 //!    is known, the prologue decrements the stack pointer at function entry
 //!    and an epilogue restores it before every return.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 
 use wm_ir::{
     BinOp, DataFifo, Function, Inst, InstKind, MemRef, Operand, RExpr, Reg, RegClass, Width,
     FIRST_ARG_REG, NUM_ARG_REGS, SP_REG,
 };
-use wm_opt::liveness::{defs_of, uses_of, Liveness};
+use wm_opt::liveness::{defs_of, tracked, Liveness};
 
 /// Which instruction set the allocated code will execute on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -378,148 +378,198 @@ fn color_and_rewrite(
     // single instructions, so re-spilling them is equally hopeless).
     let mut spilled: HashSet<Reg> = HashSet::new();
     loop {
-        match try_color(func) {
-            Ok(assignment) => {
-                apply_assignment(func, &assignment);
-                return Ok(());
-            }
-            Err(to_spill) => {
-                for r in &to_spill {
-                    if spill_temps.contains(r) || spilled.contains(r) {
-                        return Err(AllocError::OutOfRegisters {
-                            function: func.name.clone(),
-                            class: r.class,
-                        });
-                    }
-                }
-                spilled.extend(to_spill.iter().copied());
-                spill_everywhere(func, target, slots, &to_spill, &mut spill_temps);
+        let (assignment, to_spill) = try_color(func);
+        if to_spill.is_empty() {
+            apply_assignment(func, &assignment);
+            return Ok(());
+        }
+        for r in &to_spill {
+            if spill_temps.contains(r) || spilled.contains(r) {
+                return Err(AllocError::OutOfRegisters {
+                    function: func.name.clone(),
+                    class: r.class,
+                });
             }
         }
+        spilled.extend(to_spill.iter().copied());
+        spill_everywhere(func, target, slots, &to_spill, &mut spill_temps);
     }
 }
 
-/// One build/simplify/select round. Returns the coloring, or the registers
-/// chosen for spilling.
-fn try_color(func: &Function) -> Result<HashMap<Reg, u8>, Vec<Reg>> {
-    let liveness = Liveness::compute(func);
+/// Allocatable colors as a mask over register numbers.
+const ALLOC_MASK: u32 = (1 << (LAST_ALLOC + 1)) - (1 << FIRST_ALLOC);
 
-    // Interference graph over virtual registers; physical neighbors become
-    // forbidden colors. Only same-class registers interfere (the two
-    // register files are disjoint).
-    let mut nodes: BTreeSet<Reg> = BTreeSet::new();
-    let mut adj: BTreeMap<Reg, BTreeSet<Reg>> = BTreeMap::new();
-    let mut forbidden: BTreeMap<Reg, BTreeSet<u8>> = BTreeMap::new();
+/// Position of virtual register `r` in a table with two entries per id
+/// below [`Function::vreg_count`], one per class.
+fn virt_slot(r: Reg) -> usize {
+    2 * r.virt_id().expect("virtual register") as usize + class_slot(r.class)
+}
 
-    for block in &func.blocks {
-        for inst in &block.insts {
-            for r in defs_of(&inst.kind)
-                .into_iter()
-                .chain(uses_of(&inst.kind, func))
-            {
-                if r.is_virt() {
-                    nodes.insert(r);
+/// The interference graph of one coloring round, on dense node indices
+/// in `Reg` order (integer virtuals by id, then floating-point ones).
+/// Only same-class registers interfere: the two register files are
+/// disjoint.
+struct Interference {
+    /// Node `i` is virtual register `nodes[i]`.
+    nodes: Vec<Reg>,
+    /// Words per adjacency row.
+    words: usize,
+    /// Row `i` is `adj[i * words..][..words]`: bit `j` set iff nodes `i`
+    /// and `j` interfere.
+    adj: Vec<u64>,
+    /// Bit `n` of `forbidden[i]` set iff node `i` interferes with
+    /// physical register `n`, which it therefore cannot take.
+    forbidden: Vec<u32>,
+}
+
+impl Interference {
+    fn build(func: &Function) -> Interference {
+        let liveness = Liveness::compute(func);
+        // Nodes: every virtual register an instruction defines or uses.
+        let mut index = vec![u32::MAX; 2 * func.vreg_count() as usize];
+        let mut nodes = Vec::new();
+        let mut mention = |r: Reg| {
+            if r.is_virt() && index[virt_slot(r)] == u32::MAX {
+                index[virt_slot(r)] = 0;
+                nodes.push(r);
+            }
+        };
+        for block in &func.blocks {
+            for inst in &block.insts {
+                inst.kind.for_each_def(&mut mention);
+                inst.kind.for_each_use(&mut mention);
+                if let (InstKind::Ret, Some(r)) = (&inst.kind, func.ret) {
+                    mention(r);
                 }
             }
         }
-    }
-
-    for (bi, block) in func.blocks.iter().enumerate() {
-        let mut live = liveness.live_out[bi].clone();
-        for inst in block.insts.iter().rev() {
-            let move_src = match &inst.kind {
-                InstKind::Assign { src, .. } => src.as_copy(),
-                _ => None,
-            };
-            for d in defs_of(&inst.kind) {
-                for l in live.iter() {
-                    if l == d || l.class != d.class {
-                        continue;
-                    }
-                    // A copy's destination may share the source's register.
-                    if Some(l) == move_src {
-                        continue;
-                    }
-                    match (d.is_virt(), l.is_virt()) {
-                        (true, true) => {
-                            adj.entry(d).or_default().insert(l);
-                            adj.entry(l).or_default().insert(d);
-                            nodes.insert(d);
-                            nodes.insert(l);
-                        }
-                        (true, false) => {
-                            if let Some(n) = l.phys_num() {
-                                forbidden.entry(d).or_default().insert(n);
-                            }
-                        }
-                        (false, true) => {
-                            if let Some(n) = d.phys_num() {
-                                forbidden.entry(l).or_default().insert(n);
-                            }
-                        }
-                        (false, false) => {}
-                    }
-                }
-            }
-            live.step_back(&inst.kind, func);
+        nodes.sort_unstable();
+        for (i, &r) in nodes.iter().enumerate() {
+            index[virt_slot(r)] = i as u32;
         }
+        let words = nodes.len().div_ceil(64);
+        let mut g = Interference {
+            adj: vec![0; nodes.len() * words],
+            forbidden: vec![0; nodes.len()],
+            nodes,
+            words,
+        };
+        // Every register live after an instruction interferes with what
+        // the instruction defines. A virtual is live only where some
+        // instruction uses it, so it is a node.
+        let node = |r: Reg| index[virt_slot(r)] as usize;
+        for (bi, block) in func.blocks.iter().enumerate() {
+            let mut live = liveness.live_out[bi].clone();
+            for inst in block.insts.iter().rev() {
+                let move_src = match &inst.kind {
+                    InstKind::Assign { src, .. } => src.as_copy(),
+                    _ => None,
+                };
+                inst.kind.for_each_def(|d| {
+                    if !tracked(d) {
+                        return;
+                    }
+                    for l in live.iter() {
+                        // A copy's destination may share the source's
+                        // register.
+                        if l == d || l.class != d.class || Some(l) == move_src {
+                            continue;
+                        }
+                        match (d.phys_num(), l.phys_num()) {
+                            (None, None) => g.add_edge(node(d), node(l)),
+                            (None, Some(n)) => g.forbidden[node(d)] |= 1 << n,
+                            (Some(n), None) => g.forbidden[node(l)] |= 1 << n,
+                            (Some(_), Some(_)) => {}
+                        }
+                    }
+                });
+                live.step_back(&inst.kind, func);
+            }
+        }
+        g
     }
 
-    // Simplify: repeatedly remove a trivially colorable node; when none
-    // exists push the highest-degree node anyway (Briggs optimism).
-    let mut degree: BTreeMap<Reg, usize> = nodes
-        .iter()
-        .map(|r| (*r, adj.get(r).map_or(0, BTreeSet::len)))
-        .collect();
-    let mut in_graph = nodes.clone();
-    let mut stack: Vec<Reg> = Vec::with_capacity(nodes.len());
-    while !in_graph.is_empty() {
-        let pick = in_graph
-            .iter()
-            .copied()
-            .find(|r| degree[r] < NUM_COLORS)
+    fn add_edge(&mut self, a: usize, b: usize) {
+        self.adj[a * self.words + b / 64] |= 1 << (b % 64);
+        self.adj[b * self.words + a / 64] |= 1 << (a % 64);
+    }
+
+    fn row(&self, i: usize) -> &[u64] {
+        &self.adj[i * self.words..][..self.words]
+    }
+
+    fn degree(&self, i: usize) -> usize {
+        self.row(i).iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The neighbors of node `i`, in index order.
+    fn neighbors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.row(i).iter().enumerate().flat_map(|(w, &bits)| {
+            let mut rest = bits;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let b = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + b
+                })
+            })
+        })
+    }
+}
+
+/// One build/simplify/select round: the colors it gave, and the registers
+/// it could not color, in the order select met them (to be spilled).
+fn try_color(func: &Function) -> (HashMap<Reg, u8>, Vec<Reg>) {
+    let g = Interference::build(func);
+    let n = g.nodes.len();
+
+    // Simplify: repeatedly remove the first trivially colorable node in
+    // `Reg` order; when none exists push the last node of highest degree
+    // anyway (Briggs optimism).
+    let mut degree: Vec<usize> = (0..n).map(|i| g.degree(i)).collect();
+    let mut in_graph = vec![true; n];
+    let mut stack: Vec<usize> = Vec::with_capacity(n);
+    while stack.len() < n {
+        let pick = (0..n)
+            .find(|&i| in_graph[i] && degree[i] < NUM_COLORS)
             .unwrap_or_else(|| {
-                in_graph
-                    .iter()
-                    .copied()
-                    .max_by_key(|r| degree[r])
+                (0..n)
+                    .filter(|&i| in_graph[i])
+                    .max_by_key(|&i| degree[i])
                     .expect("non-empty graph")
             });
-        in_graph.remove(&pick);
+        in_graph[pick] = false;
         stack.push(pick);
-        if let Some(ns) = adj.get(&pick) {
-            for n in ns {
-                if in_graph.contains(n) {
-                    *degree.get_mut(n).expect("neighbor tracked") -= 1;
-                }
+        for j in g.neighbors(pick) {
+            if in_graph[j] {
+                degree[j] -= 1;
             }
         }
     }
 
-    // Select: color in reverse simplification order.
-    let mut assignment: HashMap<Reg, u8> = HashMap::new();
+    // Select: color in reverse simplification order, each node the
+    // lowest color no colored neighbor or physical neighbor holds.
+    let mut color: Vec<Option<u8>> = vec![None; n];
     let mut failed: Vec<Reg> = Vec::new();
-    while let Some(r) = stack.pop() {
-        let mut used: BTreeSet<u8> = forbidden.get(&r).cloned().unwrap_or_default();
-        if let Some(ns) = adj.get(&r) {
-            for n in ns {
-                if let Some(&c) = assignment.get(n) {
-                    used.insert(c);
-                }
-            }
-        }
-        match (FIRST_ALLOC..=LAST_ALLOC).find(|c| !used.contains(c)) {
-            Some(c) => {
-                assignment.insert(r, c);
-            }
-            None => failed.push(r),
+    while let Some(i) = stack.pop() {
+        let used = g
+            .neighbors(i)
+            .filter_map(|j| color[j])
+            .fold(g.forbidden[i], |m, c| m | 1 << c);
+        let free = ALLOC_MASK & !used;
+        if free == 0 {
+            failed.push(g.nodes[i]);
+        } else {
+            color[i] = Some(free.trailing_zeros() as u8);
         }
     }
-    if failed.is_empty() {
-        Ok(assignment)
-    } else {
-        Err(failed)
-    }
+    let assignment = g
+        .nodes
+        .iter()
+        .zip(color)
+        .filter_map(|(&r, c)| Some((r, c?)))
+        .collect();
+    (assignment, failed)
 }
 
 /// Rewrite every occurrence of a colored virtual register.
@@ -770,5 +820,82 @@ fn map_inst_regs(kind: &mut InstKind, map: &impl Fn(Reg) -> Reg) {
         | InstKind::VecBroadcast { .. }
         | InstKind::BranchVec { .. }
         | InstKind::Nop => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wm_ir::{CmpOp, FuncBuilder};
+
+    /// Virtual registers `s`, `t` (ids 0 and 1), then two groups of 27,
+    /// `g1` and `g2`, with `s` and `t` live across both groups and each
+    /// group one clique. Every node has degree at least 28 = `NUM_COLORS`,
+    /// and `s` and `t` tie at the maximal degree, 55. Physical `r9` is
+    /// live across the definition of `g1[19]` only, so 9 is the one
+    /// forbidden color.
+    fn tied_pressure() -> (Function, Vec<Reg>) {
+        let mut b = FuncBuilder::new("tied", 0, 0);
+        let regs: Vec<Reg> = (0..56).map(|_| b.vreg(RegClass::Int)).collect();
+        let (g1, g2) = regs[2..].split_at(27);
+        let def = |b: &mut FuncBuilder, r: Reg, v: i64| b.copy(r, Operand::Imm(v));
+        let cmp = |b: &mut FuncBuilder, x: Reg, y: Operand| {
+            b.emit(InstKind::Compare {
+                class: RegClass::Int,
+                op: CmpOp::Eq,
+                a: Operand::Reg(x),
+                b: y,
+            })
+        };
+        let r9 = Reg::int(9);
+        def(&mut b, r9, 5);
+        def(&mut b, g1[19], 119);
+        cmp(&mut b, r9, Operand::Imm(0));
+        def(&mut b, regs[0], 1);
+        def(&mut b, regs[1], 2);
+        for group in [g1, g2] {
+            for (i, &g) in group.iter().enumerate() {
+                if g != g1[19] {
+                    def(&mut b, g, 100 + i as i64);
+                }
+            }
+            for &g in group {
+                cmp(&mut b, g, Operand::Imm(0));
+            }
+        }
+        cmp(&mut b, regs[0], Operand::Reg(regs[1]));
+        b.ret_value(None);
+        (b.finish(), regs)
+    }
+
+    #[test]
+    fn optimistic_pick_takes_the_last_of_tied_maximal_degrees() {
+        let (f, regs) = tied_pressure();
+        let g = Interference::build(&f);
+        assert!((0..g.nodes.len()).all(|i| g.degree(i) >= NUM_COLORS));
+        assert_eq!((g.degree(0), g.degree(1)), (55, 55));
+        assert!((2..g.nodes.len()).all(|i| g.degree(i) < 55));
+        let forbidding: Vec<(usize, u32)> = (0..g.nodes.len())
+            .map(|i| (i, g.forbidden[i]))
+            .filter(|&(_, mask)| mask != 0)
+            .collect();
+        assert_eq!(forbidding, [(2 + 19, 1 << 9)]);
+
+        // Simplify pushes `t` (the later of the tie) first, so select
+        // colors it last and finds every color taken; `s` gets 29, and
+        // `g1[19]` skips its forbidden 9 for 10.
+        let (assignment, spills) = try_color(&f);
+        assert_eq!(spills, [regs[1]]);
+        let colors: Vec<u8> = regs
+            .iter()
+            .filter_map(|r| assignment.get(r).copied())
+            .collect();
+        let mut want = vec![29];
+        want.extend([
+            28, 27, 26, 25, 24, 23, 22, 21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11,
+        ]);
+        want.extend([9, 10, 8, 7, 6, 5, 4, 3, 2]);
+        want.extend((2..=28).rev());
+        assert_eq!(colors, want);
     }
 }

@@ -7,7 +7,10 @@
 //! row difference) and writes `BENCH_sim.json`: per run, the simulated cycle
 //! count, the simulator's own wall-clock time (median of `--reps`
 //! measured runs after one warmup), and the full performance counters
-//! from the [`wm_stream::sim::Stats`] layer.
+//! from the [`wm_stream::sim::Stats`] layer. The document's top level
+//! sums the wall times as `total_wall_ms` and, for an in-process run,
+//! divides them by the summed cycles as `ns_per_cycle`, host time per
+//! simulated cycle; the summary line prints it too.
 //!
 //! ```text
 //! perf                             run the full suite, write BENCH_sim.json
@@ -610,18 +613,16 @@ fn results_json(
     json::object(Layout::Lines, |w| {
         w.field("schema", "wm-bench-perf-v1").field("leg", leg);
         if let Some(m) = meta {
-            let total: f64 = records
-                .iter()
-                .filter(|r| r.error.is_none())
-                .map(|r| r.wall_ms)
-                .sum();
             w.field("engine", m.job.config.engine.name())
                 .field("hw", m.hw.0)
                 .field("mem", m.job.config.mem_model.to_string())
                 .field("reps", m.reps)
                 .field("jobs", m.jobs)
                 .field("tiles", m.job.config.tiles)
-                .field("total_wall_ms", Fixed(total, 3));
+                .field("total_wall_ms", Fixed(total_wall_ms(records), 3));
+            if let (None, Some(ns)) = (&m.wmd, ns_per_cycle(records)) {
+                w.field("ns_per_cycle", Fixed(ns, 1));
+            }
             if let Some(d) = &m.wmd {
                 let lookups = d.cache_hits + d.cache_misses;
                 let rate = if lookups > 0 {
@@ -663,6 +664,27 @@ fn results_json(
             }
         });
     }) + "\n"
+}
+
+/// The summed wall time of the pairs that produced a result.
+fn total_wall_ms(records: &[RunRecord]) -> f64 {
+    records
+        .iter()
+        .filter(|r| r.error.is_none())
+        .map(|r| r.wall_ms)
+        .sum()
+}
+
+/// Host nanoseconds per simulated cycle: [`total_wall_ms`] over the
+/// summed cycles of the same pairs. Only meaningful for in-process runs,
+/// whose wall time is the simulator's alone; `None` when nothing ran.
+fn ns_per_cycle(records: &[RunRecord]) -> Option<f64> {
+    let cycles: u64 = records
+        .iter()
+        .filter(|r| r.error.is_none())
+        .map(|r| r.cycles)
+        .sum();
+    (cycles > 0).then(|| total_wall_ms(records) * 1e6 / cycles as f64)
 }
 
 /// The fields the gate compares, for every pair, wherever both documents
@@ -923,8 +945,12 @@ fn main() {
         eprintln!("perf: cannot write {out}: {e}");
         std::process::exit(2);
     }
+    let per_cycle = match (&wmd_bin, ns_per_cycle(&records)) {
+        (None, Some(ns)) => format!(", {ns:.1} ns per simulated cycle"),
+        _ => String::new(),
+    };
     eprintln!(
-        "perf: wrote {} results to {out} (engine {}, hw {}, {} reps, {} jobs, {} tile(s))",
+        "perf: wrote {} results to {out} (engine {}, hw {}, {} reps, {} jobs, {} tile(s){per_cycle})",
         records.len(),
         meta.job.config.engine,
         meta.hw.0,
@@ -1171,6 +1197,38 @@ mod tests {
             check(&wmd, &slower).unwrap(),
             ["sieve/scalar: cycles 10 here vs 9 there"]
         );
+    }
+
+    #[test]
+    fn ns_per_cycle_is_wall_time_over_cycles_for_in_process_runs() {
+        let mut meta = Meta {
+            job: JobSpec::new(String::new()),
+            hw: HW_MODELS[0],
+            reps: 1,
+            jobs: 1,
+            wmd: None,
+        };
+        let mut records = run(COUNTERS);
+        // an error row adds neither wall time nor cycles
+        records.push(RunRecord {
+            cycles: 0,
+            wall_ms: 0.0,
+            error: Some("panicked".to_string()),
+            ..record("modulo", "", false)
+        });
+        let doc =
+            |meta: &Meta| json::parse(&results_json(&records, false, &flat(), Some(meta))).unwrap();
+        // 2 ms over 20 cycles
+        let here = doc(&meta);
+        assert_eq!(here.get("ns_per_cycle"), Some(&Value::Num(100_000.0)));
+        assert_eq!(check(&here, &written(&records, false)), Ok(Vec::new()));
+        // a --wmd run's wall time is the daemon's, so it records none
+        meta.wmd = Some(WmdStats {
+            jobs_per_sec: 1.0,
+            cache_hits: 0,
+            cache_misses: 2,
+        });
+        assert_eq!(doc(&meta).get("ns_per_cycle"), None);
     }
 
     #[test]

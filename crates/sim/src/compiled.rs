@@ -2,12 +2,16 @@
 //! one step function both engines run.
 //!
 //! [`WmMachine::step`] simulates one cycle. The IEU and FEU issue
-//! [`DecodedInst`] records: the FIFO demand and interlock register set
-//! are precomputed bit tests, operands are flat slots, and the
-//! instruction's behavior is an indirect call through its exec function
-//! pointer — no match on the instruction kind in the hot loop. The IFU
-//! walks the same tables with branch targets and call destinations
-//! pre-resolved. Scalar loads and stores run the shared paths
+//! [`DecodedInst`] records, read in place from the run's shared handle on
+//! the table: the FIFO demand and interlock register set are precomputed
+//! bit tests, operands are flat slots, and the instruction's behavior is
+//! an indirect call through its exec function pointer — no match on the
+//! instruction kind in the hot loop. The commonest operand shapes (a
+//! move, integer `reg op imm` and `reg op reg`, an integer compare) have
+//! handlers of their own that read the register file directly. The IFU
+//! fetches `insts[pc]` from the same table: the program counter is one
+//! slot index, fallthrough is `pc + 1`, and branch targets and call
+//! destinations are slots. Scalar loads and stores run the shared paths
 //! ([`WmMachine::exec_load`], [`WmMachine::queue_store`]) with the
 //! address evaluated over the decoded expression, and FIFO reads dequeue
 //! through the shared [`WmMachine::pop_fifo`]. Every instruction a unit
@@ -48,36 +52,47 @@
 use wm_ir::{InstKind, RegClass};
 
 use crate::config::IO_LATENCY;
-use crate::decode::{convert_source, DecExpr, DecodedInst, Dst, IfuOp, Payload, Src};
+use crate::decode::{
+    convert_source, DecExpr, DecodedInst, DecodedProgram, Dst, IfuOp, Payload, Src,
+};
 use crate::fault::{FaultKind, FaultUnit};
-use crate::machine::{attach_inst, ChanMsg, Exec, Pc, SimError, Val, WmMachine, FIFO_CC, FIFO_OUT};
+use crate::machine::{attach_inst, ChanMsg, Exec, SimError, Val, WmMachine, FIFO_CC, FIFO_OUT};
 use crate::stats::{Outcome, Stall, UnitName};
 
 impl<'m> WmMachine<'m> {
-    /// Advance one cycle. `SKIP` turns on the compiled engine's skips
-    /// (see the module docs); the reference engine runs with it off.
-    pub(crate) fn step_with<const SKIP: bool>(&mut self) -> Result<(), SimError> {
+    /// Advance one cycle over `prog`, the machine's own decoded table.
+    /// `SKIP` turns on the compiled engine's skips (see the module docs);
+    /// the reference engine runs with it off.
+    pub(crate) fn step_with<const SKIP: bool>(
+        &mut self,
+        prog: &DecodedProgram<'m>,
+    ) -> Result<(), SimError> {
         self.cycle += 1;
         self.ports_used = 0;
         self.deliver_memory()?;
-        self.unit_step::<SKIP>(RegClass::Int)?;
-        self.unit_step::<SKIP>(RegClass::Flt)?;
+        self.unit_step::<SKIP>(prog, RegClass::Int)?;
+        self.unit_step::<SKIP>(prog, RegClass::Flt)?;
         if SKIP && self.veu.busy == 0 && self.veu.iq.is_empty() {
             self.perf.veu.idle += 1;
             self.last_outcomes.veu = Outcome::Idle;
         } else {
-            self.veu_step()?;
+            self.veu_step(prog);
         }
-        self.drain_stores()?;
+        if !self.store_q.is_empty() {
+            self.drain_stores()?;
+        }
         if SKIP {
             self.scu_step_sleeping()?;
         } else {
             self.scu_step()?;
         }
-        self.ifu_step::<SKIP>()?;
+        self.ifu_step::<SKIP>(prog)?;
         if SKIP {
             self.sample_perf();
-            self.fast_forward();
+            // only a cycle without progress can start a skippable span
+            if self.last_progress != self.cycle {
+                self.fast_forward();
+            }
         } else {
             self.sample_fifos();
             self.sample_perf();
@@ -120,13 +135,17 @@ impl<'m> WmMachine<'m> {
     }
 
     /// One cycle of the `class` unit, attributed to its outcome.
-    fn unit_step<const SKIP: bool>(&mut self, class: RegClass) -> Result<(), SimError> {
+    fn unit_step<const SKIP: bool>(
+        &mut self,
+        prog: &DecodedProgram<'m>,
+        class: RegClass,
+    ) -> Result<(), SimError> {
         let u = self.unit(class);
         // an empty unit skips the call into the issue path
         let outcome = if SKIP && u.busy == 0 && u.iq.is_empty() {
             Outcome::Idle
         } else {
-            self.unit_issue(class)?
+            self.unit_issue(prog, class)?
         };
         let (perf, last) = match class {
             RegClass::Int => (&mut self.perf.ieu, &mut self.last_outcomes.ieu),
@@ -138,40 +157,38 @@ impl<'m> WmMachine<'m> {
     }
 
     /// Issue the `class` unit's head instruction if it can issue this
-    /// cycle.
-    fn unit_issue(&mut self, class: RegClass) -> Result<Outcome, SimError> {
-        if self.unit(class).busy > 0 {
+    /// cycle. The record is read in place: `prog` is not borrowed from
+    /// the machine, so the exec handler can take `&mut self`.
+    fn unit_issue(
+        &mut self,
+        prog: &DecodedProgram<'m>,
+        class: RegClass,
+    ) -> Result<Outcome, SimError> {
+        let u = self.unit(class);
+        if u.busy > 0 {
             self.unit_mut(class).busy -= 1;
             return Ok(Outcome::Active);
         }
-        // `DecodedInst` is `Copy`: lift it out of the table so the exec
-        // handler can take `&mut self`.
-        let d: DecodedInst<'m> = {
-            let u = self.unit(class);
-            let Some(&idx) = u.iq.front() else {
-                return Ok(Outcome::Idle);
-            };
-            let d = self.prog.insts[idx as usize];
-            // paired-ALU dependency interlock: the previous instruction's
-            // result is not available to the immediately following one
-            if let Some(prev) = u.prev_dst {
-                if u.prev_cycle + 1 == self.cycle && d.read_mask & (1u32 << prev) != 0 {
-                    return Ok(Outcome::Stall(Stall::Interlock)); // one-cycle bubble
-                }
-            }
-            // FIFO data availability for every dequeue in the
-            // instruction. A latched load already performed its dequeues
-            // when its address was computed; its retry must not wait on
-            // the FIFO it drained.
-            if u.latched_load.is_none()
-                && ((d.need[0] as usize) > u.ins[0].q.len()
-                    || (d.need[1] as usize) > u.ins[1].q.len())
-            {
-                return Ok(Outcome::Stall(Stall::FifoEmpty));
-            }
-            d
+        let Some(&idx) = u.iq.front() else {
+            return Ok(Outcome::Idle);
         };
-        match (d.exec)(self, &d) {
+        let d = &prog.insts[idx as usize];
+        // paired-ALU dependency interlock: the previous instruction's
+        // result is not available to the immediately following one
+        if let Some(prev) = u.prev_dst {
+            if u.prev_cycle + 1 == self.cycle && d.read_mask & (1u32 << prev) != 0 {
+                return Ok(Outcome::Stall(Stall::Interlock)); // one-cycle bubble
+            }
+        }
+        // FIFO data availability for every dequeue in the instruction. A
+        // latched load already performed its dequeues when its address
+        // was computed; its retry must not wait on the FIFO it drained.
+        if u.latched_load.is_none()
+            && ((d.need[0] as usize) > u.ins[0].q.len() || (d.need[1] as usize) > u.ins[1].q.len())
+        {
+            return Ok(Outcome::Stall(Stall::FifoEmpty));
+        }
+        match (d.exec)(self, d) {
             Ok(Exec::Retired(dst)) => Ok(self.retire_head(class, d.kind, dst)),
             Ok(Exec::Stall(s)) => Ok(Outcome::Stall(s)), // retry next cycle
             Err(e) => Err(attach_inst(e, d.kind)),
@@ -180,7 +197,7 @@ impl<'m> WmMachine<'m> {
 
     /// Fetch and dispatch. Control transfers are free (bounded per cycle);
     /// one instruction is dispatched to a unit queue per cycle.
-    fn ifu_step<const SKIP: bool>(&mut self) -> Result<(), SimError> {
+    fn ifu_step<const SKIP: bool>(&mut self, prog: &DecodedProgram<'m>) -> Result<(), SimError> {
         if let (true, Some(class)) = (SKIP, self.ifu_park) {
             // Only the IFU moves the pc and sets the hold, so while the
             // FIFO stays empty the walk would stop at the same jump.
@@ -190,7 +207,7 @@ impl<'m> WmMachine<'m> {
             }
             self.ifu_park = None;
         }
-        let outcome = self.ifu_fetch::<SKIP>()?;
+        let outcome = self.ifu_fetch::<SKIP>(prog)?;
         self.perf.ifu.record(outcome);
         self.last_outcomes.ifu = outcome;
         Ok(())
@@ -199,7 +216,10 @@ impl<'m> WmMachine<'m> {
     /// One IFU cycle, attributing it: a cycle that performed any transfer,
     /// dispatch or IFU-executed instruction is active; otherwise the
     /// reason the fetch could not proceed is named.
-    fn ifu_fetch<const SKIP: bool>(&mut self) -> Result<Outcome, SimError> {
+    fn ifu_fetch<const SKIP: bool>(
+        &mut self,
+        prog: &DecodedProgram<'m>,
+    ) -> Result<Outcome, SimError> {
         if self.cycle < self.ifu_hold {
             return Ok(Outcome::Stall(Stall::Sync));
         }
@@ -220,35 +240,17 @@ impl<'m> WmMachine<'m> {
                     Outcome::Idle
                 });
             };
-            let blocks = &self.prog.funcs[pc.func].blocks;
-            if pc.block >= blocks.len() {
-                return Err(SimError::BadProgram(format!(
-                    "control fell off the end of function {}",
-                    self.module.functions[pc.func].name
-                )));
-            }
-            let (start, len) = blocks[pc.block];
-            if pc.inst >= len as usize {
-                // implicit fallthrough to the next block in layout order
-                self.pc = Some(Pc {
-                    func: pc.func,
-                    block: pc.block + 1,
-                    inst: 0,
-                });
-                continue;
-            }
-            let idx = start + pc.inst as u32;
-            let d = self.prog.insts[idx as usize];
-            // the target block of a free transfer of control; every other
+            let d = &prog.insts[pc as usize];
+            // the target slot of a free transfer of control; every other
             // action ends the cycle's fetch
-            let block = match d.ifu {
+            let to = match d.ifu {
                 IfuOp::Nop => {
-                    self.advance();
+                    self.pc = Some(pc + 1);
                     continue;
                 }
-                IfuOp::Jump { block } => {
+                IfuOp::Jump { to } => {
                     self.record(UnitName::Ifu, d.kind);
-                    block
+                    to
                 }
                 IfuOp::Branch { class, when, t, e } => {
                     self.fifo_changing(class, FIFO_CC);
@@ -266,14 +268,14 @@ impl<'m> WmMachine<'m> {
                     }
                 }
                 IfuOp::BranchStream { fifo, t, e } => {
-                    let Some(count) = self.dispatch.get_mut(&fifo) else {
+                    let Some(count) = self.dispatch.get_mut(fifo) else {
                         // the stream instruction has not executed yet
                         return Ok(stall_after(transfers, Stall::StreamWait));
                     };
                     *count -= 1;
                     let taken = *count > 0;
                     if !taken {
-                        self.dispatch.remove(&fifo);
+                        self.dispatch.remove(fifo);
                     }
                     if taken {
                         t
@@ -296,30 +298,21 @@ impl<'m> WmMachine<'m> {
                         e
                     }
                 }
-                IfuOp::CallFunc { func } => {
-                    self.ret_stack.push(Pc {
-                        func: pc.func,
-                        block: pc.block,
-                        inst: pc.inst + 1,
-                    });
-                    self.pc = Some(Pc {
-                        func: func as usize,
-                        block: 0,
-                        inst: 0,
-                    });
+                IfuOp::CallFunc { entry } => {
+                    self.ret_stack.push(pc + 1);
+                    self.pc = Some(entry);
                     self.perf.ifu.retired += 1;
                     self.stats.calls += 1;
                     self.last_progress = self.cycle;
                     return Ok(Outcome::Active); // calls consume the fetch slot
                 }
-                IfuOp::CallBuiltin { callee } => {
+                IfuOp::CallBuiltin { builtin } => {
                     // builtins read register state directly: the units
                     // must be synchronized first
                     if !self.quiescent() {
                         return Ok(stall_after(transfers, Stall::Sync));
                     }
-                    let name = self.module.sym_name(callee).to_string();
-                    self.exec_builtin(&name)?;
+                    self.exec_builtin(builtin);
                     self.ifu_hold = self.cycle + IO_LATENCY;
                     self.advance();
                     self.perf.ifu.retired += 1;
@@ -358,7 +351,7 @@ impl<'m> WmMachine<'m> {
                     if self.veu.iq.len() >= self.config.iq_capacity {
                         return Ok(stall_after(transfers, Stall::IqFull));
                     }
-                    self.veu.iq.push_back(idx);
+                    self.veu.iq.push_back(pc);
                     self.advance();
                     self.last_progress = self.cycle;
                     return Ok(Outcome::Active);
@@ -368,17 +361,19 @@ impl<'m> WmMachine<'m> {
                     if self.unit(d.class).iq.len() >= self.config.iq_capacity {
                         return Ok(stall_after(transfers, Stall::IqFull));
                     }
-                    self.unit_mut(d.class).iq.push_back(idx);
+                    self.unit_mut(d.class).iq.push_back(pc);
                     self.advance();
                     self.last_progress = self.cycle;
                     return Ok(Outcome::Active);
                 }
+                IfuOp::End { func } => {
+                    return Err(SimError::BadProgram(format!(
+                        "control fell off the end of function {}",
+                        self.module.functions[func as usize].name
+                    )));
+                }
             };
-            self.pc = Some(Pc {
-                func: pc.func,
-                block: block as usize,
-                inst: 0,
-            });
+            self.pc = Some(to);
             self.perf.ifu.retired += 1;
             self.last_progress = self.cycle;
             transfers += 1;
@@ -394,6 +389,7 @@ impl<'m> WmMachine<'m> {
 /// Read one decoded source slot of the `class` unit: every operand read
 /// goes through here. FIFO slots dequeue through
 /// [`WmMachine::pop_fifo`], where a poisoned datum faults.
+#[inline]
 pub(crate) fn read_slot(m: &mut WmMachine<'_>, class: RegClass, s: Src) -> Result<Val, SimError> {
     match s {
         Src::Imm(v) => Ok(Val::I(v)),
@@ -409,6 +405,7 @@ pub(crate) fn read_slot(m: &mut WmMachine<'_>, class: RegClass, s: Src) -> Resul
 
 /// Write a decoded destination slot of the `class` unit: every register
 /// write goes through here (register 1 has no slot, so this cannot fail).
+#[inline]
 fn write_dst(m: &mut WmMachine<'_>, class: RegClass, d: Dst, v: Val) {
     match d {
         Dst::Zero => {} // writes to the zero register are discarded
@@ -478,7 +475,8 @@ fn eval_dec_pure(m: &WmMachine<'_>, class: RegClass, e: &DecExpr) -> Option<i64>
     }
 }
 
-/// Decoded `Assign`: output-FIFO capacity check, evaluate, write.
+/// Decoded `Assign` of any shape: output-FIFO capacity check, evaluate,
+/// write.
 pub(crate) fn exec_assign<'m>(
     m: &mut WmMachine<'m>,
     d: &DecodedInst<'m>,
@@ -491,11 +489,86 @@ pub(crate) fn exec_assign<'m>(
     else {
         unreachable!("exec_assign wired to a non-Assign payload");
     };
-    if dst == Dst::Out && m.unit(d.class).out.len() >= m.config.fifo_capacity {
-        return Ok(Exec::Stall(Stall::OutFull)); // output FIFO full
+    if out_full(m, d.class, dst) {
+        return Ok(Exec::Stall(Stall::OutFull));
     }
     let v = eval_dec(m, d.class, &src)?;
     write_dst(m, d.class, dst, v);
+    Ok(Exec::Retired(executed_dst))
+}
+
+/// Does `dst` name the `class` unit's output FIFO, and is it full? An
+/// instruction writing it stalls then.
+#[inline]
+fn out_full(m: &WmMachine<'_>, class: RegClass, dst: Dst) -> bool {
+    dst == Dst::Out && m.unit(class).out.len() >= m.config.fifo_capacity
+}
+
+/// `Assign` of one slot: a move of a register, an immediate, a FIFO
+/// datum or zero.
+pub(crate) fn exec_assign_op<'m>(
+    m: &mut WmMachine<'m>,
+    d: &DecodedInst<'m>,
+) -> Result<Exec, SimError> {
+    let Payload::Assign {
+        dst,
+        src: DecExpr::Op(a),
+        executed_dst,
+    } = d.payload
+    else {
+        unreachable!("exec_assign_op wired to another shape");
+    };
+    if out_full(m, d.class, dst) {
+        return Ok(Exec::Stall(Stall::OutFull));
+    }
+    let v = read_slot(m, d.class, a)?;
+    write_dst(m, d.class, dst, v);
+    Ok(Exec::Retired(executed_dst))
+}
+
+/// Integer `Assign` of `reg op imm` whose fold cannot fault.
+pub(crate) fn exec_assign_ri<'m>(
+    m: &mut WmMachine<'m>,
+    d: &DecodedInst<'m>,
+) -> Result<Exec, SimError> {
+    let Payload::Assign {
+        dst,
+        src: DecExpr::Bin(op, Src::Reg(a), Src::Imm(b)),
+        executed_dst,
+    } = d.payload
+    else {
+        unreachable!("exec_assign_ri wired to another shape");
+    };
+    if out_full(m, RegClass::Int, dst) {
+        return Ok(Exec::Stall(Stall::OutFull));
+    }
+    let x = m.ieu.regs[a as usize].as_i();
+    let v = op
+        .fold_int(x, b)
+        .expect("decode admits only folds that cannot fault");
+    write_dst(m, RegClass::Int, dst, Val::I(v));
+    Ok(Exec::Retired(executed_dst))
+}
+
+/// Integer `Assign` of `reg op reg` with no divide or remainder.
+pub(crate) fn exec_assign_rr<'m>(
+    m: &mut WmMachine<'m>,
+    d: &DecodedInst<'m>,
+) -> Result<Exec, SimError> {
+    let Payload::Assign {
+        dst,
+        src: DecExpr::Bin(op, Src::Reg(a), Src::Reg(b)),
+        executed_dst,
+    } = d.payload
+    else {
+        unreachable!("exec_assign_rr wired to another shape");
+    };
+    if out_full(m, RegClass::Int, dst) {
+        return Ok(Exec::Stall(Stall::OutFull));
+    }
+    let (x, y) = (m.ieu.regs[a as usize].as_i(), m.ieu.regs[b as usize].as_i());
+    let v = op.fold_int(x, y).expect("decode admits no divide");
+    write_dst(m, RegClass::Int, dst, Val::I(v));
     Ok(Exec::Retired(executed_dst))
 }
 
@@ -538,6 +611,33 @@ pub(crate) fn exec_compare<'m>(
     };
     m.fifo_changing(d.class, FIFO_CC);
     m.unit_mut(d.class).cc.push_back(r);
+    Ok(Exec::Retired(None))
+}
+
+/// Integer `Compare` of a register with a register or an immediate.
+pub(crate) fn exec_compare_int<'m>(
+    m: &mut WmMachine<'m>,
+    d: &DecodedInst<'m>,
+) -> Result<Exec, SimError> {
+    let Payload::Compare {
+        op,
+        a: Src::Reg(a),
+        b,
+    } = d.payload
+    else {
+        unreachable!("exec_compare_int wired to another shape");
+    };
+    if m.ieu.cc.len() >= m.config.cc_capacity {
+        return Ok(Exec::Stall(Stall::CcFull));
+    }
+    let y = match b {
+        Src::Imm(v) => v,
+        Src::Reg(n) => m.ieu.regs[n as usize].as_i(),
+        _ => unreachable!("exec_compare_int wired to another shape"),
+    };
+    let r = op.eval_int(m.ieu.regs[a as usize].as_i(), y);
+    m.fifo_changing(RegClass::Int, FIFO_CC);
+    m.ieu.cc.push_back(r);
     Ok(Exec::Retired(None))
 }
 
@@ -633,8 +733,8 @@ pub(crate) fn exec_crecv<'m>(m: &mut WmMachine<'m>, d: &DecodedInst<'m>) -> Resu
     let Payload::ChanRecv { peer, dst } = d.payload else {
         unreachable!("exec_crecv wired to a non-Crecv payload");
     };
-    if dst == Dst::Out && m.unit(d.class).out.len() >= m.config.fifo_capacity {
-        return Ok(Exec::Stall(Stall::OutFull)); // output FIFO full
+    if out_full(m, d.class, dst) {
+        return Ok(Exec::Stall(Stall::OutFull));
     }
     let p = m.chan_peer(peer)?;
     let due = m.chan_rx[p].front().is_some_and(|e| e.due <= m.cycle);

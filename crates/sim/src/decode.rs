@@ -8,25 +8,37 @@
 //! execution. `DecodedProgram` does all of that work once, at machine
 //! construction:
 //!
-//! * every instruction slot gets a [`DecodedInst`] — a `Copy` record with
-//!   an indirect **exec function pointer** ([`ExecFn`]) instead of a match
+//! * every instruction slot gets a [`DecodedInst`] record with an
+//!   indirect **exec function pointer** ([`ExecFn`]) instead of a match
 //!   on the kind, its FIFO demand (`need`) and interlock register set
 //!   (`read_mask`) precomputed, and its operands resolved to flat array
 //!   slots ([`Src`]/[`Dst`]);
+//! * the commonest operand shapes get handlers of their own: a move of
+//!   one slot, integer `reg op imm` whose fold cannot fault, integer
+//!   `reg op reg` without a divide, and an integer compare of a register
+//!   with a register or an immediate. Every other shape keeps the
+//!   generic handler. The choice is recorded as a [`Handler`] tag beside
+//!   the pointer;
 //! * immediate-only subexpressions are folded (integer folds skip
 //!   division by zero so the runtime fault is preserved; float folds use
 //!   the identical `f64` operations, so results stay bit-identical);
-//! * control flow is resolved: branch targets become block indices,
-//!   `Call` targets become function indices, and `LoadAddr` symbols are
-//!   folded to absolute addresses;
+//! * control flow is resolved to **slot indices**: the table lays out
+//!   each function's blocks in order, then one sentinel slot
+//!   ([`IfuOp::End`]) that raises "control fell off the end", so the
+//!   program counter is one index and fallthrough is `pc + 1`. Branch
+//!   and call targets are slots, `LoadAddr` symbols are folded to
+//!   absolute addresses, builtins are named by [`Builtin`], and each VEU
+//!   instruction carries its operands in its payload;
 //! * every dispatched instruction gets the one handler that executes it.
 //!   A form no handler can execute (a register of the other unit's
 //!   class, a write to register 1, the address of a symbol that is not
-//!   data, a call of a data symbol) fails the decode, so
+//!   data, a call of a data symbol or of an unknown builtin, a vector
+//!   operator that is not floating point, a vector register or VEU port
+//!   that does not exist) fails the decode, so
 //!   [`WmMachine::new`] refuses the module before it runs.
 //!
-//! The unit instruction queues hold `u32` indices into this table (a
-//! dispatched instruction is identified by its slot, not by a clone), and
+//! The unit instruction queues and the program counter hold `u32`
+//! indices into this table, and the units read each record in place.
 //! [`DecodedInst::kind`] points back at the module's original
 //! [`InstKind`] for traces, fault reports and the stream handlers.
 //!
@@ -38,20 +50,74 @@
 use std::collections::HashMap;
 
 use wm_ir::{
-    BinOp, CmpOp, DataFifo, GlobalKind, InstKind, Module, Operand, RExpr, Reg, RegClass, SymId,
-    UnOp, Width,
+    BinOp, CmpOp, DataFifo, GlobalKind, InstKind, Label, Module, Operand, RExpr, Reg, RegClass,
+    SymId, UnOp, Width,
 };
 
 use crate::compiled::{
-    exec_assign, exec_compare, exec_crecv, exec_csend, exec_loadaddr, exec_not_dispatched,
-    exec_sstop, exec_stream, exec_wload, exec_wstore,
+    exec_assign, exec_assign_op, exec_assign_ri, exec_assign_rr, exec_compare, exec_compare_int,
+    exec_crecv, exec_csend, exec_loadaddr, exec_not_dispatched, exec_sstop, exec_stream,
+    exec_wload, exec_wstore,
 };
-use crate::machine::{dispatch_class, fifo_need, Exec, SimError, WmMachine};
+use crate::machine::{
+    dispatch_class, fifo_need, Exec, SimError, WmMachine, VECTOR_REGS, VEU_PORTS,
+};
 
 /// An exec handler for one decoded instruction, called instead of a match
 /// on its [`InstKind`].
 pub(crate) type ExecFn =
     for<'a, 'm> fn(&'a mut WmMachine<'m>, &DecodedInst<'m>) -> Result<Exec, SimError>;
+
+/// Which exec handler a slot carries: the decoder's choice, recorded
+/// beside [`DecodedInst::exec`] (which is always `handler.exec()`) so the
+/// verifier can re-derive it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Handler {
+    /// Any `Assign` no shape handler below covers.
+    Assign,
+    /// `Assign` of one slot: a register, an immediate, a FIFO or zero.
+    AssignOp,
+    /// Integer `reg op imm` whose fold cannot fault.
+    AssignRi,
+    /// Integer `reg op reg` with no divide or remainder.
+    AssignRr,
+    /// Any `Compare` the shape handler below does not cover.
+    Compare,
+    /// Integer compare of a register with a register or an immediate.
+    CompareInt,
+    LoadAddr,
+    WLoad,
+    WStore,
+    /// The eight stream configurations.
+    Stream,
+    Sstop,
+    ChanSend,
+    ChanRecv,
+    /// An instruction the IFU or the VEU executes, and the sentinels.
+    NotDispatched,
+}
+
+impl Handler {
+    /// The exec function this tag names.
+    pub(crate) fn exec(self) -> ExecFn {
+        match self {
+            Handler::Assign => exec_assign,
+            Handler::AssignOp => exec_assign_op,
+            Handler::AssignRi => exec_assign_ri,
+            Handler::AssignRr => exec_assign_rr,
+            Handler::Compare => exec_compare,
+            Handler::CompareInt => exec_compare_int,
+            Handler::LoadAddr => exec_loadaddr,
+            Handler::WLoad => exec_wload,
+            Handler::WStore => exec_wstore,
+            Handler::Stream => exec_stream,
+            Handler::Sstop => exec_sstop,
+            Handler::ChanSend => exec_csend,
+            Handler::ChanRecv => exec_crecv,
+            Handler::NotDispatched => exec_not_dispatched,
+        }
+    }
+}
 
 /// A source operand resolved to a flat slot.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -138,19 +204,45 @@ pub(crate) enum Payload {
         peer: u8,
         dst: Dst,
     },
+    /// The VEU instructions, which the VEU executes from these fields.
+    VLoad {
+        vreg: u8,
+        port: u8,
+    },
+    VStore {
+        vreg: u8,
+    },
+    VecBin {
+        /// A floating-point operator: decode refuses any other.
+        op: BinOp,
+        dst: u8,
+        a: u8,
+        b: u8,
+    },
+    VecBroadcast {
+        dst: u8,
+        value: f64,
+    },
     /// No operand slots: stream configuration and `Sstop`, whose handlers
     /// read the instruction itself (they run once per loop, not per
-    /// element), and every instruction the IFU or the VEU executes.
+    /// element), every instruction the IFU executes, and the sentinels.
     None,
 }
 
+/// A builtin the IFU executes itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Builtin {
+    /// Write the low byte of `r2` to the output.
+    Putchar,
+}
+
 /// What the IFU does with this instruction, with control-flow targets
-/// pre-resolved to block / function indices.
+/// pre-resolved to slot indices.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum IfuOp {
     Nop,
     Jump {
-        block: u32,
+        to: u32,
     },
     Branch {
         class: RegClass,
@@ -167,11 +259,12 @@ pub(crate) enum IfuOp {
         t: u32,
         e: u32,
     },
+    /// Call the function whose first slot is `entry`.
     CallFunc {
-        func: u32,
+        entry: u32,
     },
     CallBuiltin {
-        callee: SymId,
+        builtin: Builtin,
     },
     Ret,
     /// IFU-executed cross-unit conversion (`IntToFlt`/`FltToInt` assign):
@@ -187,17 +280,25 @@ pub(crate) enum IfuOp {
     DispatchVeu,
     /// Enqueue on the IEU/FEU instruction queue selected by `class`.
     Dispatch,
+    /// The sentinel after function `func`'s last instruction: control
+    /// that reaches it fell off the end of the function.
+    End {
+        func: u32,
+    },
 }
 
-/// One pre-decoded instruction slot. `Copy` so the hot loop can lift it
-/// out of the table before calling the exec handler with `&mut` machine.
-#[derive(Debug, Clone, Copy)]
+/// One pre-decoded instruction slot, read in place by the unit that
+/// issues it.
+#[derive(Debug)]
 pub(crate) struct DecodedInst<'m> {
     /// The module's original instruction (for traces, fault reports,
-    /// deadlock diagnosis and the stream handlers).
+    /// deadlock diagnosis and the stream handlers; a `Nop` for the
+    /// sentinels).
     pub(crate) kind: &'m InstKind,
     /// The exec handler the unit calls instead of matching on `kind`.
     pub(crate) exec: ExecFn,
+    /// Which handler `exec` is.
+    pub(crate) handler: Handler,
     /// Entries dequeued from each input FIFO (precomputed `fifo_need`).
     pub(crate) need: [u8; 2],
     /// Bit `n` set iff the instruction reads physical register `n` of its
@@ -211,11 +312,38 @@ pub(crate) struct DecodedInst<'m> {
     pub(crate) ifu: IfuOp,
 }
 
-/// Per-function block table: `(start, len)` ranges into the flat
-/// instruction table, in block layout order.
-#[derive(Debug)]
+/// The instruction a sentinel slot points at.
+static SENTINEL: InstKind = InstKind::Nop;
+
+impl<'m> DecodedInst<'m> {
+    /// A slot no scalar unit executes: its IFU action is everything.
+    fn not_dispatched(kind: &'m InstKind, payload: Payload, ifu: IfuOp) -> DecodedInst<'m> {
+        DecodedInst {
+            kind,
+            exec: Handler::NotDispatched.exec(),
+            handler: Handler::NotDispatched,
+            need: [0, 0],
+            read_mask: 0,
+            class: RegClass::Int,
+            payload,
+            ifu,
+        }
+    }
+}
+
+/// One function's place in the flat table: the first slot of each of its
+/// blocks, in layout order, and its sentinel slot.
+#[derive(Debug, PartialEq)]
 pub(crate) struct DecFunc {
-    pub(crate) blocks: Vec<(u32, u32)>,
+    pub(crate) blocks: Vec<u32>,
+    pub(crate) end: u32,
+}
+
+impl DecFunc {
+    /// The function's first slot (its sentinel when it has no block).
+    pub(crate) fn entry(&self) -> u32 {
+        self.blocks.first().copied().unwrap_or(self.end)
+    }
 }
 
 /// The whole module, pre-decoded. Built once by [`WmMachine::new`]; both
@@ -223,7 +351,27 @@ pub(crate) struct DecFunc {
 #[derive(Debug)]
 pub struct DecodedProgram<'m> {
     pub(crate) funcs: Vec<DecFunc>,
+    /// Every function's instructions, then its sentinel.
     pub(crate) insts: Vec<DecodedInst<'m>>,
+}
+
+/// Each function's [`DecFunc`], from its block lengths alone: blocks in
+/// layout order, then one sentinel slot per function.
+fn layout(module: &Module) -> Vec<DecFunc> {
+    let mut next = 0u32;
+    let mut slots = |n: usize| {
+        let start = next;
+        next += n as u32;
+        start
+    };
+    module
+        .functions
+        .iter()
+        .map(|f| DecFunc {
+            blocks: f.blocks.iter().map(|b| slots(b.insts.len())).collect(),
+            end: slots(1),
+        })
+        .collect()
 }
 
 impl<'m> DecodedProgram<'m> {
@@ -238,46 +386,90 @@ impl<'m> DecodedProgram<'m> {
         module: &'m Module,
         addrs: &HashMap<SymId, i64>,
     ) -> Result<DecodedProgram<'m>, SimError> {
-        let mut insts = Vec::new();
-        let mut funcs = Vec::with_capacity(module.functions.len());
-        for f in &module.functions {
-            let mut blocks = Vec::with_capacity(f.blocks.len());
+        let funcs = layout(module);
+        let mut insts = Vec::with_capacity(funcs.last().map_or(0, |f| f.end as usize + 1));
+        for (fi, f) in module.functions.iter().enumerate() {
+            let at = |l: Label| funcs[fi].blocks[f.block_index(l)];
             for b in &f.blocks {
-                let start = insts.len() as u32;
                 for inst in &b.insts {
-                    insts.push(decode_inst(module, f, addrs, &inst.kind)?);
+                    insts.push(decode_inst(module, &funcs, at, addrs, &inst.kind)?);
                 }
-                blocks.push((start, b.insts.len() as u32));
             }
-            funcs.push(DecFunc { blocks });
+            insts.push(DecodedInst::not_dispatched(
+                &SENTINEL,
+                Payload::None,
+                IfuOp::End { func: fi as u32 },
+            ));
         }
         Ok(DecodedProgram { funcs, insts })
     }
 
-    /// Number of decoded instruction slots.
+    /// Number of decoded instructions (the sentinels not counted).
     pub fn len(&self) -> usize {
-        self.insts.len()
+        self.insts.len() - self.funcs.len()
     }
 
     /// Is the table empty (a module with no function bodies)?
     pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
+        self.len() == 0
+    }
+
+    /// Where slot `pc` is, as "`func`, block B, instruction I". A slot
+    /// that starts a block names that block; a sentinel names the
+    /// position one past its function's last instruction.
+    pub(crate) fn position(&self, module: &Module, pc: u32) -> String {
+        let fi = self
+            .funcs
+            .iter()
+            .position(|f| pc <= f.end)
+            .expect("the program counter is a slot of the table");
+        let blocks = &self.funcs[fi].blocks;
+        // the last block starting at or before `pc`: of several that
+        // start there, only the last is not empty
+        let b = blocks.partition_point(|&s| s <= pc).saturating_sub(1);
+        let inst = pc - blocks.get(b).copied().unwrap_or(pc);
+        format!(
+            "{}, block {b}, instruction {inst}",
+            module.functions[fi].name
+        )
     }
 
     /// Check that the decode tables round-trip to the original RTL: every
-    /// decoded operand slot must map back to the operand at the same
-    /// position in the original instruction, every folded immediate must
-    /// equal the fold of the original immediates, every pre-resolved
-    /// control target must match a fresh label/symbol resolution, and the
-    /// precomputed FIFO demands and interlock masks must be the ones the
-    /// operand slots imply. Returns the number of instruction slots
-    /// checked.
+    /// slot must sit where the module's own block lengths put it (one
+    /// sentinel after each function), every decoded operand slot must
+    /// map back to the operand at the same position in the original
+    /// instruction, every folded immediate must equal the fold of the
+    /// original immediates, every pre-resolved control target must be the
+    /// slot a fresh label/symbol resolution names, the handler must be
+    /// the one the instruction's shape calls for, and the precomputed
+    /// FIFO demands and interlock masks must be the ones the operand
+    /// slots imply. Returns the number of instruction slots checked.
     ///
     /// # Errors
     ///
     /// A description of the first mismatch, naming the function and the
     /// offending instruction.
     pub fn verify_roundtrip(&self, module: &Module) -> Result<usize, String> {
+        // The layout, re-derived here from the block lengths.
+        let mut starts: Vec<Vec<u32>> = Vec::with_capacity(module.functions.len());
+        let mut ends: Vec<u32> = Vec::with_capacity(module.functions.len());
+        let mut next = 0u32;
+        for f in &module.functions {
+            let mut s = Vec::with_capacity(f.blocks.len());
+            for b in &f.blocks {
+                s.push(next);
+                next += b.insts.len() as u32;
+            }
+            starts.push(s);
+            ends.push(next);
+            next += 1;
+        }
+        if self.insts.len() != next as usize {
+            return Err(format!(
+                "slot count mismatch: decoded {} vs {next} for the module",
+                self.insts.len()
+            ));
+        }
         if self.funcs.len() != module.functions.len() {
             return Err(format!(
                 "function count mismatch: decoded {} vs module {}",
@@ -285,52 +477,58 @@ impl<'m> DecodedProgram<'m> {
                 module.functions.len()
             ));
         }
+        let entry = |fi: usize| starts[fi].first().copied().unwrap_or(ends[fi]);
         let mut checked = 0usize;
         for (fi, f) in module.functions.iter().enumerate() {
             let df = &self.funcs[fi];
-            if df.blocks.len() != f.blocks.len() {
+            if df.blocks != starts[fi] || df.end != ends[fi] {
                 return Err(format!(
-                    "{}: block count mismatch: decoded {} vs module {}",
-                    f.name,
-                    df.blocks.len(),
-                    f.blocks.len()
+                    "{}: block table mismatch: decoded {:?} ending at {} vs {:?} ending at {}",
+                    f.name, df.blocks, df.end, starts[fi], ends[fi]
                 ));
             }
+            let target = |l: Label| starts[fi][f.block_index(l)];
             for (bi, b) in f.blocks.iter().enumerate() {
-                let (start, len) = df.blocks[bi];
-                if len as usize != b.insts.len() {
-                    return Err(format!(
-                        "{} block {bi}: length mismatch: decoded {len} vs module {}",
-                        f.name,
-                        b.insts.len()
-                    ));
-                }
                 for (ii, inst) in b.insts.iter().enumerate() {
-                    let d = &self.insts[start as usize + ii];
-                    verify_inst(module, f, d, &inst.kind).map_err(|e| {
+                    let d = &self.insts[starts[fi][bi] as usize + ii];
+                    verify_inst(module, target, entry, d, &inst.kind).map_err(|e| {
                         format!("{} block {bi} inst {ii} `{}`: {e}", f.name, inst.kind)
                     })?;
                     checked += 1;
                 }
+            }
+            let end = &self.insts[ends[fi] as usize];
+            if end.ifu != (IfuOp::End { func: fi as u32 }) {
+                return Err(format!(
+                    "{}: slot {} is not its end-of-function sentinel: {:?}",
+                    f.name, ends[fi], end.ifu
+                ));
+            }
+            if end.handler != Handler::NotDispatched {
+                return Err(format!(
+                    "{}: sentinel slot {}: handler mismatch: {:?}",
+                    f.name, ends[fi], end.handler
+                ));
             }
         }
         Ok(checked)
     }
 }
 
-/// Decode one instruction slot.
+/// Decode one instruction slot. `at` resolves a label of the slot's
+/// function to the slot that starts its block.
 fn decode_inst<'m>(
     module: &'m Module,
-    func: &'m wm_ir::Function,
+    funcs: &[DecFunc],
+    at: impl Fn(Label) -> u32,
     addrs: &HashMap<SymId, i64>,
     kind: &'m InstKind,
 ) -> Result<DecodedInst<'m>, SimError> {
-    let bi = |l: wm_ir::Label| func.block_index(l) as u32;
     // The cross-unit-conversion Assign pattern is tested *before* the
     // generic dispatch arm: the IFU executes those conversions itself.
     let ifu = match kind {
         InstKind::Nop => IfuOp::Nop,
-        InstKind::Jump { target } => IfuOp::Jump { block: bi(*target) },
+        InstKind::Jump { target } => IfuOp::Jump { to: at(*target) },
         InstKind::Branch {
             class,
             when,
@@ -339,21 +537,28 @@ fn decode_inst<'m>(
         } => IfuOp::Branch {
             class: *class,
             when: *when,
-            t: bi(*target),
-            e: bi(*els),
+            t: at(*target),
+            e: at(*els),
         },
         InstKind::BranchStream { fifo, target, els } => IfuOp::BranchStream {
             fifo: *fifo,
-            t: bi(*target),
-            e: bi(*els),
+            t: at(*target),
+            e: at(*els),
         },
         InstKind::BranchVec { target, els } => IfuOp::BranchVec {
-            t: bi(*target),
-            e: bi(*els),
+            t: at(*target),
+            e: at(*els),
         },
         InstKind::Call { callee, .. } => match &module.global(*callee).kind {
-            GlobalKind::Func(fi) => IfuOp::CallFunc { func: *fi as u32 },
-            GlobalKind::Builtin => IfuOp::CallBuiltin { callee: *callee },
+            GlobalKind::Func(fi) => IfuOp::CallFunc {
+                entry: funcs[*fi].entry(),
+            },
+            GlobalKind::Builtin => match module.sym_name(*callee) {
+                "putchar" => IfuOp::CallBuiltin {
+                    builtin: Builtin::Putchar,
+                },
+                other => return Err(SimError::BadProgram(format!("unknown builtin {other}"))),
+            },
             GlobalKind::Data { .. } => {
                 return Err(SimError::BadProgram(format!(
                     "call to data symbol {}",
@@ -374,34 +579,108 @@ fn decode_inst<'m>(
         InstKind::VLoad { .. }
         | InstKind::VStore { .. }
         | InstKind::VecBin { .. }
-        | InstKind::VecBroadcast { .. } => IfuOp::DispatchVeu,
+        | InstKind::VecBroadcast { .. } => {
+            return Ok(DecodedInst::not_dispatched(
+                kind,
+                decode_veu(kind)?,
+                IfuOp::DispatchVeu,
+            ))
+        }
         _ => IfuOp::Dispatch,
     };
     if ifu != IfuOp::Dispatch {
-        // IFU-handled or VEU instructions never reach a scalar unit's
-        // issue logic
-        return Ok(DecodedInst {
-            kind,
-            exec: exec_not_dispatched,
-            need: [0, 0],
-            read_mask: 0,
-            class: RegClass::Int,
-            payload: Payload::None,
-            ifu,
-        });
+        // IFU-handled instructions never reach a unit's issue logic
+        return Ok(DecodedInst::not_dispatched(kind, Payload::None, ifu));
     }
     let class = dispatch_class(kind);
     let need = fifo_need(class, kind);
-    let (exec, payload) = decode_exec(module, class, addrs, kind)?;
+    let (handler, payload) = decode_exec(module, class, addrs, kind)?;
     Ok(DecodedInst {
         kind,
-        exec,
+        exec: handler.exec(),
+        handler,
         need: [need[0] as u8, need[1] as u8],
         read_mask: read_mask(class, kind),
         class,
         payload,
         ifu,
     })
+}
+
+/// Decode the operands of a VEU instruction.
+///
+/// # Errors
+///
+/// [`SimError::BadProgram`] for a vector operator that is not floating
+/// point, and for a vector register or port the VEU does not have.
+fn decode_veu(kind: &InstKind) -> Result<Payload, SimError> {
+    let reg = |v: u8| {
+        if (v as usize) < VECTOR_REGS {
+            Ok(v)
+        } else {
+            Err(SimError::BadProgram(format!(
+                "vector register v{v} does not exist"
+            )))
+        }
+    };
+    Ok(match *kind {
+        InstKind::VLoad { vreg, port } => Payload::VLoad {
+            vreg: reg(vreg)?,
+            port: veu_port(port)?,
+        },
+        InstKind::VStore { vreg } => Payload::VStore { vreg: reg(vreg)? },
+        InstKind::VecBin { op, dst, a, b } => {
+            if !op.is_float() {
+                return Err(SimError::BadProgram(format!(
+                    "vector operator {op} is not floating point"
+                )));
+            }
+            Payload::VecBin {
+                op,
+                dst: reg(dst)?,
+                a: reg(a)?,
+                b: reg(b)?,
+            }
+        }
+        InstKind::VecBroadcast { dst, value } => Payload::VecBroadcast {
+            dst: reg(dst)?,
+            value,
+        },
+        _ => unreachable!("not a VEU instruction: {kind}"),
+    })
+}
+
+/// A VEU input port an instruction names.
+///
+/// # Errors
+///
+/// [`SimError::BadProgram`] for a port the VEU does not have.
+fn veu_port(port: u8) -> Result<u8, SimError> {
+    if (port as usize) < VEU_PORTS {
+        Ok(port)
+    } else {
+        Err(SimError::BadProgram(format!(
+            "VEU port p{port} does not exist"
+        )))
+    }
+}
+
+/// The handler for an `Assign` of `src` on the `class` unit: a shape
+/// handler where one fits, else the generic one.
+fn assign_handler(class: RegClass, src: &DecExpr) -> Handler {
+    let int = |op: BinOp| class == RegClass::Int && !op.is_float();
+    match *src {
+        DecExpr::Op(_) => Handler::AssignOp,
+        DecExpr::Bin(op, Src::Reg(_), Src::Imm(b)) if int(op) && op.fold_int(0, b).is_some() => {
+            Handler::AssignRi
+        }
+        DecExpr::Bin(op, Src::Reg(_), Src::Reg(_))
+            if int(op) && !matches!(op, BinOp::Div | BinOp::Rem) =>
+        {
+            Handler::AssignRr
+        }
+        _ => Handler::Assign,
+    }
 }
 
 /// Decode the execution payload of an instruction the `class` unit
@@ -411,7 +690,7 @@ fn decode_exec(
     class: RegClass,
     addrs: &HashMap<SymId, i64>,
     kind: &InstKind,
-) -> Result<(ExecFn, Payload), SimError> {
+) -> Result<(Handler, Payload), SimError> {
     Ok(match kind {
         InstKind::Assign { dst, src } => {
             let src = decode_expr(class, src)?;
@@ -421,7 +700,7 @@ fn decode_exec(
                 None
             };
             (
-                exec_assign as ExecFn,
+                assign_handler(class, &src),
                 Payload::Assign {
                     dst: dst_slot(class, *dst)?,
                     src,
@@ -437,7 +716,7 @@ fn decode_exec(
                 )));
             };
             (
-                exec_loadaddr,
+                Handler::LoadAddr,
                 Payload::LoadAddr {
                     dst: dst_slot(class, *dst)?,
                     addr: base + disp,
@@ -445,16 +724,18 @@ fn decode_exec(
                 },
             )
         }
-        InstKind::Compare { op, a, b, .. } => (
-            exec_compare,
-            Payload::Compare {
-                op: *op,
-                a: src_slot(class, *a)?,
-                b: src_slot(class, *b)?,
-            },
-        ),
+        InstKind::Compare { op, a, b, .. } => {
+            let (a, b) = (src_slot(class, *a)?, src_slot(class, *b)?);
+            let handler = match (a, b) {
+                (Src::Reg(_), Src::Reg(_) | Src::Imm(_)) if class == RegClass::Int => {
+                    Handler::CompareInt
+                }
+                _ => Handler::Compare,
+            };
+            (handler, Payload::Compare { op: *op, a, b })
+        }
         InstKind::WLoad { fifo, addr, width } => (
-            exec_wload,
+            Handler::WLoad,
             Payload::WLoad {
                 fifo: *fifo,
                 addr: decode_expr(class, addr)?,
@@ -462,7 +743,7 @@ fn decode_exec(
             },
         ),
         InstKind::WStore { unit, addr, width } => (
-            exec_wstore,
+            Handler::WStore,
             Payload::WStore {
                 unit: *unit,
                 addr: decode_expr(class, addr)?,
@@ -470,20 +751,20 @@ fn decode_exec(
             },
         ),
         InstKind::ChanSend { peer, src, .. } => (
-            exec_csend,
+            Handler::ChanSend,
             Payload::ChanSend {
                 peer: *peer,
                 src: src_slot(class, *src)?,
             },
         ),
         InstKind::ChanRecv { peer, dst } => (
-            exec_crecv,
+            Handler::ChanRecv,
             Payload::ChanRecv {
                 peer: *peer,
                 dst: dst_slot(class, *dst)?,
             },
         ),
-        InstKind::StreamStop { .. } => (exec_sstop, Payload::None),
+        InstKind::StreamStop { .. } => (Handler::Sstop, Payload::None),
         // The eight stream configurations (`dispatch_class` admits no
         // other kind). They read their operands once per loop, through
         // the same slots, so an operand no slot can hold is refused here.
@@ -491,7 +772,10 @@ fn decode_exec(
             for r in kind.uses() {
                 src_slot(class, Operand::Reg(r))?;
             }
-            (exec_stream, Payload::None)
+            if let InstKind::VStreamIn { port, .. } = kind {
+                veu_port(*port)?;
+            }
+            (Handler::Stream, Payload::None)
         }
     })
 }
@@ -564,29 +848,15 @@ pub(crate) fn convert_source(op: UnOp) -> RegClass {
 
 /// Build a binary node, folding immediate-only operands. Integer folds
 /// use `BinOp::fold_int`, which refuses division/remainder by zero — the
-/// runtime divide fault is preserved, not folded away. Float folds apply
-/// the identical `f64` operation `eval_bin` would.
+/// runtime divide fault is preserved, not folded away. Float folds use
+/// `BinOp::fold_flt`, the identical `f64` operation `eval_bin` applies.
 fn fold_bin(op: BinOp, a: Src, b: Src) -> DecExpr {
-    if let (Src::Imm(x), Src::Imm(y)) = (a, b) {
-        if !op.is_float() {
-            if let Some(v) = op.fold_int(x, y) {
-                return DecExpr::Op(Src::Imm(v));
-            }
-        }
-    }
-    if let (Src::FImm(x), Src::FImm(y)) = (a, b) {
-        if op.is_float() {
-            let v = match op {
-                BinOp::FAdd => x + y,
-                BinOp::FSub => x - y,
-                BinOp::FMul => x * y,
-                BinOp::FDiv => x / y,
-                _ => unreachable!("is_float covers exactly the F ops"),
-            };
-            return DecExpr::Op(Src::FImm(v));
-        }
-    }
-    DecExpr::Bin(op, a, b)
+    let folded = match (a, b) {
+        (Src::Imm(x), Src::Imm(y)) => op.fold_int(x, y).map(Src::Imm),
+        (Src::FImm(x), Src::FImm(y)) => op.fold_flt(x, y).map(Src::FImm),
+        _ => None,
+    };
+    folded.map_or(DecExpr::Bin(op, a, b), DecExpr::Op)
 }
 
 /// Decode an expression, reading its operands in evaluation order.
@@ -767,7 +1037,11 @@ fn slot_reads(payload: &Payload) -> Option<(u32, [u8; 2])> {
         Payload::WLoad { addr, .. } | Payload::WStore { addr, .. } => expr_slots(addr),
         Payload::ChanSend { src, .. } => vec![src],
         Payload::ChanRecv { .. } => Vec::new(),
-        Payload::None => return None,
+        Payload::VLoad { .. }
+        | Payload::VStore { .. }
+        | Payload::VecBin { .. }
+        | Payload::VecBroadcast { .. }
+        | Payload::None => return None,
     };
     let (mut mask, mut need) = (0u32, [0u8; 2]);
     for s in slots {
@@ -784,42 +1058,119 @@ fn slot_reads(payload: &Payload) -> Option<(u32, [u8; 2])> {
     Some((mask, need))
 }
 
-/// Verify one decoded slot against its original instruction.
+/// The handler a dispatched instruction of the `class` unit must carry,
+/// from its operands: a move of one operand (or of a fold of
+/// immediates), integer `reg op imm` unless it divides by zero, integer
+/// `reg op reg` unless it divides, and an integer compare of a register
+/// with a register or an immediate get their shape handlers. "Register"
+/// means an ordinary one, neither FIFO-mapped nor zero.
+fn expected_handler(class: RegClass, kind: &InstKind) -> Handler {
+    let reg = |op: &Operand| {
+        matches!(op, Operand::Reg(r)
+            if r.class == class && r.phys_num().is_some_and(|n| !matches!(n, 0 | 1 | 31)))
+    };
+    let int = |op: &BinOp| class == RegClass::Int && !op.is_float();
+    let divides = |op: &BinOp| matches!(op, BinOp::Div | BinOp::Rem);
+    match kind {
+        InstKind::Assign { src, .. } => match src {
+            RExpr::Op(_) => Handler::AssignOp,
+            e if const_fold(e).is_some() => Handler::AssignOp,
+            RExpr::Bin(op, a, Operand::Imm(b))
+                if int(op) && reg(a) && !(divides(op) && *b == 0) =>
+            {
+                Handler::AssignRi
+            }
+            RExpr::Bin(op, a, b) if int(op) && !divides(op) && reg(a) && reg(b) => {
+                Handler::AssignRr
+            }
+            _ => Handler::Assign,
+        },
+        InstKind::Compare { a, b, .. }
+            if class == RegClass::Int && reg(a) && (reg(b) || matches!(b, Operand::Imm(_))) =>
+        {
+            Handler::CompareInt
+        }
+        InstKind::Compare { .. } => Handler::Compare,
+        InstKind::LoadAddr { .. } => Handler::LoadAddr,
+        InstKind::WLoad { .. } => Handler::WLoad,
+        InstKind::WStore { .. } => Handler::WStore,
+        InstKind::ChanSend { .. } => Handler::ChanSend,
+        InstKind::ChanRecv { .. } => Handler::ChanRecv,
+        InstKind::StreamStop { .. } => Handler::Sstop,
+        _ => Handler::Stream,
+    }
+}
+
+/// Does VEU payload `p` carry `kind`'s operands? A vector operator must
+/// be one of the four floating-point ones.
+fn veu_matches(p: &Payload, kind: &InstKind) -> bool {
+    match (*p, kind) {
+        (Payload::VLoad { vreg, port }, InstKind::VLoad { vreg: v2, port: p2 }) => {
+            vreg == *v2 && port == *p2
+        }
+        (Payload::VStore { vreg }, InstKind::VStore { vreg: v2 }) => vreg == *v2,
+        (
+            Payload::VecBin { op, dst, a, b },
+            InstKind::VecBin {
+                op: o2,
+                dst: d2,
+                a: a2,
+                b: b2,
+            },
+        ) => {
+            op == *o2
+                && matches!(o2, BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv)
+                && (dst, a, b) == (*d2, *a2, *b2)
+        }
+        (Payload::VecBroadcast { dst, value }, InstKind::VecBroadcast { dst: d2, value: v2 }) => {
+            dst == *d2 && value.to_bits() == v2.to_bits()
+        }
+        _ => false,
+    }
+}
+
+/// Verify one decoded slot against its original instruction. `target`
+/// names the slot a label of the slot's function starts at, `entry` the
+/// first slot of a function.
 fn verify_inst(
     module: &Module,
-    func: &wm_ir::Function,
+    target: impl Fn(Label) -> u32,
+    entry: impl Fn(usize) -> u32,
     d: &DecodedInst<'_>,
     kind: &InstKind,
 ) -> Result<(), String> {
     if !std::ptr::eq(d.kind, kind) {
         return Err("decoded slot does not point at its module instruction".into());
     }
-    // Control-flow targets must match a fresh resolution.
-    let bi = |l: wm_ir::Label| func.block_index(l) as u32;
+    // Control-flow targets must be the slots a fresh resolution names.
     match (&d.ifu, kind) {
-        (IfuOp::Jump { block }, InstKind::Jump { target }) if *block == bi(*target) => {}
+        (IfuOp::Jump { to }, InstKind::Jump { target: l }) if *to == target(*l) => {}
         (
             IfuOp::Branch { class, when, t, e },
             InstKind::Branch {
                 class: c2,
                 when: w2,
-                target,
+                target: lt,
                 els,
             },
-        ) if class == c2 && when == w2 && *t == bi(*target) && *e == bi(*els) => {}
+        ) if class == c2 && when == w2 && *t == target(*lt) && *e == target(*els) => {}
         (
             IfuOp::BranchStream { fifo, t, e },
             InstKind::BranchStream {
                 fifo: f2,
-                target,
+                target: lt,
                 els,
             },
-        ) if fifo == f2 && *t == bi(*target) && *e == bi(*els) => {}
-        (IfuOp::BranchVec { t, e }, InstKind::BranchVec { target, els })
-            if *t == bi(*target) && *e == bi(*els) => {}
-        (IfuOp::CallFunc { func: fi }, InstKind::Call { callee, .. }) if matches!(&module.global(*callee).kind, GlobalKind::Func(f) if *f as u32 == *fi) =>
+        ) if fifo == f2 && *t == target(*lt) && *e == target(*els) => {}
+        (IfuOp::BranchVec { t, e }, InstKind::BranchVec { target: lt, els })
+            if *t == target(*lt) && *e == target(*els) => {}
+        (IfuOp::CallFunc { entry: at }, InstKind::Call { callee, .. }) if matches!(&module.global(*callee).kind, GlobalKind::Func(f) if entry(*f) == *at) =>
             {}
-        (IfuOp::CallBuiltin { callee }, InstKind::Call { callee: c2, .. }) if callee == c2 => {}
+        (IfuOp::CallBuiltin { builtin }, InstKind::Call { callee, .. })
+            if matches!(module.global(*callee).kind, GlobalKind::Builtin)
+                && match builtin {
+                    Builtin::Putchar => module.sym_name(*callee) == "putchar",
+                } => {}
         (IfuOp::Ret, InstKind::Ret) => {}
         (IfuOp::Nop, InstKind::Nop) => {}
         // `IntToFlt` reads the integer unit, `FltToInt` the float unit
@@ -841,15 +1192,30 @@ fn verify_inst(
             )
             && *class == d2.class
             && expected_dst(*d2) == Some(*dst) => {}
-        (IfuOp::DispatchVeu, _) | (IfuOp::Dispatch, _) => {}
+        (IfuOp::DispatchVeu, _) if veu_matches(&d.payload, kind) => {}
+        (IfuOp::Dispatch, _) => {}
         other => return Err(format!("IFU op does not round-trip: {other:?}")),
     }
     if d.ifu != IfuOp::Dispatch {
+        if d.handler != Handler::NotDispatched {
+            return Err(format!(
+                "handler mismatch: {:?} vs {:?}",
+                d.handler,
+                Handler::NotDispatched
+            ));
+        }
+        if d.ifu != IfuOp::DispatchVeu && d.payload != Payload::None {
+            return Err(format!("payload of an IFU instruction: {:?}", d.payload));
+        }
         return Ok(());
     }
     let class = dispatch_class(kind);
     if d.class != class {
         return Err(format!("class mismatch: {:?} vs {:?}", d.class, class));
+    }
+    let handler = expected_handler(class, kind);
+    if d.handler != handler {
+        return Err(format!("handler mismatch: {:?} vs {handler:?}", d.handler));
     }
     // The interlock mask and FIFO demand must be what the operand slots
     // (checked against the original operands below) imply. Only the
@@ -973,11 +1339,14 @@ fn verify_inst(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use wm_ir::FuncBuilder;
     use wm_opt::{optimize_generic, optimize_wm, OptOptions};
     use wm_target::{allocate_registers, expand_wm, TargetKind};
 
     use super::*;
-    use crate::{WmConfig, WmMachine};
+    use crate::{Engine, FaultKind, WmConfig, WmMachine};
 
     /// A streamed FP reduction: decoded payloads that dequeue from FIFOs
     /// and read ordinary registers.
@@ -1003,6 +1372,21 @@ mod tests {
         module
     }
 
+    /// A module whose `main` is `body` followed by `Ret`.
+    fn hand_built(body: impl FnOnce(&mut FuncBuilder)) -> Module {
+        let mut m = Module::new();
+        let mut b = FuncBuilder::new("main", 0, 0);
+        body(&mut b);
+        b.emit(InstKind::Ret);
+        m.add_function(b.finish());
+        m
+    }
+
+    /// The machine's table, to corrupt: nothing else holds it yet.
+    fn table<'a, 'm>(m: &'a mut WmMachine<'m>) -> &'a mut DecodedProgram<'m> {
+        Arc::get_mut(&mut m.prog).expect("the machine is not running")
+    }
+
     /// The decoded-payload slots of `m`'s table, with their slot reads.
     fn decoded(m: &WmMachine<'_>) -> Vec<(usize, u32, [u8; 2])> {
         (0..m.prog.insts.len())
@@ -1024,12 +1408,13 @@ mod tests {
             slots.iter().any(|&(_, mask, _)| mask != 0),
             "no register reads decoded"
         );
+        let prog = table(&mut m);
         for (i, _, _) in slots {
             for bit in 0..32 {
-                m.prog.insts[i].read_mask ^= 1 << bit;
-                let err = m.prog.verify_roundtrip(&module).unwrap_err();
+                prog.insts[i].read_mask ^= 1 << bit;
+                let err = prog.verify_roundtrip(&module).unwrap_err();
                 assert!(err.contains("interlock mask mismatch"), "{err}");
-                m.prog.insts[i].read_mask ^= 1 << bit;
+                prog.insts[i].read_mask ^= 1 << bit;
             }
         }
     }
@@ -1043,28 +1428,187 @@ mod tests {
             slots.iter().any(|&(_, _, need)| need != [0, 0]),
             "no FIFO reads decoded"
         );
+        let prog = table(&mut m);
         for (i, _, need) in slots {
             for fifo in 0..2 {
                 for wrong in [need[fifo] + 1, need[fifo].wrapping_sub(1)] {
-                    m.prog.insts[i].need[fifo] = wrong;
-                    let err = m.prog.verify_roundtrip(&module).unwrap_err();
+                    prog.insts[i].need[fifo] = wrong;
+                    let err = prog.verify_roundtrip(&module).unwrap_err();
                     assert!(err.contains("FIFO demand mismatch"), "{err}");
                 }
-                m.prog.insts[i].need = need;
+                prog.insts[i].need = need;
             }
         }
-        m.prog.verify_roundtrip(&module).expect("restored");
+        prog.verify_roundtrip(&module).expect("restored");
     }
 
     #[test]
     fn a_dropped_payload_fails_verification() {
         let module = module();
         let mut m = WmMachine::new(&module, &WmConfig::default()).expect("builds");
-        let i = (0..m.prog.insts.len())
-            .find(|&i| matches!(m.prog.insts[i].payload, Payload::Assign { .. }))
+        let prog = table(&mut m);
+        let i = (0..prog.insts.len())
+            .find(|&i| matches!(prog.insts[i].payload, Payload::Assign { .. }))
             .expect("an Assign decoded");
-        m.prog.insts[i].payload = Payload::None;
-        let err = m.prog.verify_roundtrip(&module).unwrap_err();
+        prog.insts[i].payload = Payload::None;
+        let err = prog.verify_roundtrip(&module).unwrap_err();
         assert!(err.contains("payload"), "{err}");
+    }
+
+    #[test]
+    fn a_wrong_handler_tag_fails_verification() {
+        const ALL: [Handler; 14] = [
+            Handler::Assign,
+            Handler::AssignOp,
+            Handler::AssignRi,
+            Handler::AssignRr,
+            Handler::Compare,
+            Handler::CompareInt,
+            Handler::LoadAddr,
+            Handler::WLoad,
+            Handler::WStore,
+            Handler::Stream,
+            Handler::Sstop,
+            Handler::ChanSend,
+            Handler::ChanRecv,
+            Handler::NotDispatched,
+        ];
+        let module = module();
+        let mut m = WmMachine::new(&module, &WmConfig::default()).expect("builds");
+        let prog = table(&mut m);
+        let tags: Vec<Handler> = prog.insts.iter().map(|d| d.handler).collect();
+        for shape in [Handler::AssignOp, Handler::AssignRi, Handler::CompareInt] {
+            assert!(tags.contains(&shape), "no {shape:?} slot decoded");
+        }
+        for (i, &right) in tags.iter().enumerate() {
+            for wrong in ALL.into_iter().filter(|&h| h != right) {
+                prog.insts[i].handler = wrong;
+                let err = prog.verify_roundtrip(&module).unwrap_err();
+                assert!(err.contains("handler mismatch"), "{err}");
+            }
+            prog.insts[i].handler = right;
+        }
+        prog.verify_roundtrip(&module).expect("restored");
+    }
+
+    #[test]
+    fn a_shifted_jump_target_fails_verification() {
+        let module = module();
+        let mut m = WmMachine::new(&module, &WmConfig::default()).expect("builds");
+        let prog = table(&mut m);
+        let jumps: Vec<usize> = (0..prog.insts.len())
+            .filter(|&i| matches!(prog.insts[i].ifu, IfuOp::Jump { .. }))
+            .collect();
+        assert!(!jumps.is_empty(), "no jump decoded");
+        for i in jumps {
+            let IfuOp::Jump { to } = prog.insts[i].ifu else {
+                unreachable!()
+            };
+            for shifted in [to + 1, to.wrapping_sub(1)] {
+                prog.insts[i].ifu = IfuOp::Jump { to: shifted };
+                let err = prog.verify_roundtrip(&module).unwrap_err();
+                assert!(err.contains("IFU op does not round-trip"), "{err}");
+            }
+            prog.insts[i].ifu = IfuOp::Jump { to };
+        }
+        // a sentinel moved into a function's body is caught too
+        let end = prog.funcs[0].end as usize;
+        prog.insts.swap(end - 1, end);
+        assert!(prog.verify_roundtrip(&module).is_err());
+    }
+
+    #[test]
+    fn an_immediate_divisor_of_zero_keeps_the_generic_handler_and_faults() {
+        let module = hand_built(|b| {
+            b.copy(Reg::int(4), Operand::Imm(7));
+            b.assign(
+                Reg::int(2),
+                RExpr::Bin(BinOp::Div, Reg::int(4).into(), Operand::Imm(0)),
+            );
+        });
+        let m = WmMachine::new(&module, &WmConfig::default()).expect("builds");
+        m.prog.verify_roundtrip(&module).expect("verifies");
+        assert_eq!(m.prog.insts[1].handler, Handler::Assign);
+        let cycles = Engine::ALL.map(|engine| {
+            let cfg = WmConfig {
+                engine,
+                ..WmConfig::default()
+            };
+            let err = WmMachine::run(&module, "main", &[], &cfg).unwrap_err();
+            let SimError::Fault { cycle, fault, .. } = err else {
+                panic!("{engine}: expected a fault, got {err}");
+            };
+            assert_eq!(fault.kind, FaultKind::DivideByZero, "{engine}");
+            cycle
+        });
+        assert_eq!(cycles[0], cycles[1], "both engines fault at one cycle");
+    }
+
+    #[test]
+    fn an_feu_reg_op_imm_keeps_the_generic_handler() {
+        let module = hand_built(|b| {
+            b.copy(Reg::flt(4), Operand::FImm(1.5));
+            b.assign(
+                Reg::flt(5),
+                RExpr::Bin(BinOp::FMul, Reg::flt(4).into(), Operand::FImm(2.0)),
+            );
+            b.assign(
+                Reg::flt(6),
+                RExpr::Bin(BinOp::Add, Reg::flt(4).into(), Operand::Imm(2)),
+            );
+            b.assign(
+                Reg::int(5),
+                RExpr::Bin(BinOp::Add, Reg::int(4).into(), Operand::Imm(2)),
+            );
+        });
+        let m = WmMachine::new(&module, &WmConfig::default()).expect("builds");
+        m.prog.verify_roundtrip(&module).expect("verifies");
+        let tags: Vec<Handler> = m.prog.insts[..4].iter().map(|d| d.handler).collect();
+        assert_eq!(
+            tags,
+            [
+                Handler::AssignOp,
+                Handler::Assign,
+                Handler::Assign,
+                Handler::AssignRi
+            ]
+        );
+    }
+
+    #[test]
+    fn a_snapshot_at_a_block_start_names_that_block() {
+        // blocks: 0 = [copy, jump], 1 = [] (empty), 2 = [copy, ret]
+        let mut module = Module::new();
+        let mut b = FuncBuilder::new("main", 0, 0);
+        let (b1, b2) = (b.new_block(), b.new_block());
+        b.copy(Reg::int(4), Operand::Imm(1));
+        b.jump(b2);
+        b.switch_to(b2);
+        b.copy(Reg::int(2), Operand::Imm(3));
+        b.emit(InstKind::Ret);
+        let f = b.finish();
+        assert_eq!(f.block_index(b1), 1);
+        module.add_function(f);
+        let mut m = WmMachine::new(&module, &WmConfig::default()).expect("builds");
+        m.prog.verify_roundtrip(&module).expect("verifies");
+        assert_eq!(
+            m.prog.funcs[0],
+            DecFunc {
+                blocks: vec![0, 2, 2],
+                end: 4
+            }
+        );
+        m.start("main", &[]).expect("starts");
+        for (pc, text) in [
+            (0, "main, block 0, instruction 0"),
+            (2, "main, block 2, instruction 0"),
+            (3, "main, block 2, instruction 1"),
+            (4, "main, block 2, instruction 2"),
+        ] {
+            m.pc = Some(pc);
+            assert_eq!(m.snapshot().pc.as_deref(), Some(text));
+        }
+        m.pc = Some(0);
+        assert_eq!(m.run_to_completion().expect("runs").ret_int, 3);
     }
 }

@@ -154,12 +154,15 @@ fn repeats(o: Outcome) -> bool {
 }
 
 impl<'m> WmMachine<'m> {
-    /// If the cycle just simulated ended with no unit able to make
-    /// progress, jump to just before the next event in one bulk update;
-    /// a no-op when the cycle made progress or an outcome is not provably
-    /// constant. The compiled engine's [`WmMachine::step`] ends with it.
+    /// The cycle just simulated made no progress: if every unit's
+    /// outcome is provably constant, jump to just before the next event
+    /// in one bulk update; otherwise a no-op. The compiled engine's
+    /// [`WmMachine::step`] ends with it after a cycle without progress
+    /// (progress — an instruction retired, a request issued or
+    /// delivered, a store drained, an IFU transfer — means the next
+    /// cycle differs).
     pub(crate) fn fast_forward(&mut self) {
-        if !self.can_fast_forward() {
+        if !self.outcomes_repeat() {
             return;
         }
         let Some(target) = self.fast_forward_target() else {
@@ -182,14 +185,9 @@ impl<'m> WmMachine<'m> {
         self.cycle = target;
     }
 
-    /// Did the cycle that just completed change no architectural state,
-    /// with every unit's outcome constant until the next event?
-    fn can_fast_forward(&self) -> bool {
-        // Progress (an instruction retired, a request issued or delivered,
-        // a store drained, an IFU transfer) means the next cycle differs.
-        if self.last_progress == self.cycle {
-            return false;
-        }
+    /// Is every unit's outcome in the cycle just simulated constant until
+    /// the next event?
+    fn outcomes_repeat(&self) -> bool {
         let o = &self.last_outcomes;
         repeats(o.ieu)
             && repeats(o.feu)

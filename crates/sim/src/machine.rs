@@ -1,13 +1,14 @@
 //! The WM machine model.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 use wm_ir::hw::VECTOR_LENGTH;
 use wm_ir::{BinOp, DataFifo, GlobalKind, InstKind, Module, Operand, RExpr, RegClass, UnOp, Width};
 
 use crate::cancel::CancelToken;
 use crate::config::{WmConfig, VEU_LANES};
-use crate::decode::DecodedProgram;
+use crate::decode::{Builtin, DecodedProgram, Payload};
 use crate::fastforward::{CycleOutcomes, Engine, FfSpan};
 use crate::fault::{FaultInfo, FaultKind, FaultUnit, FifoState, MachineState, ScuState, UnitState};
 use crate::json::{self, Layout, ToJson, Writer};
@@ -227,11 +228,44 @@ impl Val {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Pc {
-    pub(crate) func: usize,
-    pub(crate) block: usize,
-    pub(crate) inst: usize,
+/// The IFU's `jNI` dispatch counters: one slot per data FIFO, in the
+/// order r0, r1, f0, f1, which is also the order they are listed in.
+#[derive(Debug, Default)]
+pub(crate) struct JniCounters([Option<i64>; 4]);
+
+impl JniCounters {
+    fn slot(fifo: DataFifo) -> usize {
+        let class = match fifo.class {
+            RegClass::Int => 0,
+            RegClass::Flt => 2,
+        };
+        class + fifo.index as usize
+    }
+
+    /// The counter of the stream on `fifo`, if one is registered.
+    pub(crate) fn get_mut(&mut self, fifo: DataFifo) -> Option<&mut i64> {
+        self.0[Self::slot(fifo)].as_mut()
+    }
+
+    pub(crate) fn contains(&self, fifo: DataFifo) -> bool {
+        self.0[Self::slot(fifo)].is_some()
+    }
+
+    pub(crate) fn insert(&mut self, fifo: DataFifo, n: i64) {
+        self.0[Self::slot(fifo)] = Some(n);
+    }
+
+    pub(crate) fn remove(&mut self, fifo: DataFifo) {
+        self.0[Self::slot(fifo)] = None;
+    }
+
+    /// The live counters, as `(fifo, remaining)` in slot order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (DataFifo, i64)> + '_ {
+        [RegClass::Int, RegClass::Flt]
+            .into_iter()
+            .flat_map(|c| [0, 1].map(|i| DataFifo::new(c, i)))
+            .filter_map(|f| Some((f, self.0[Self::slot(f)]?)))
+    }
 }
 
 /// Result of attempting to issue a unit's head instruction.
@@ -339,15 +373,20 @@ impl Unit {
     }
 }
 
-/// The vector execution unit: 8 vector registers of N doubles, two input
-/// stream ports and one output FIFO.
+/// The VEU's vector registers, `v0` to `v7`.
+pub(crate) const VECTOR_REGS: usize = 8;
+/// The VEU's input stream ports, `p0` and `p1`.
+pub(crate) const VEU_PORTS: usize = 2;
+
+/// The vector execution unit: [`VECTOR_REGS`] vector registers of N
+/// doubles, [`VEU_PORTS`] input stream ports and one output FIFO.
 #[derive(Debug)]
 pub(crate) struct Veu {
     pub(crate) iq: VecDeque<u32>,
     vregs: Vec<Vec<f64>>,
-    pub(crate) ports: [VecDeque<f64>; 2],
+    pub(crate) ports: [VecDeque<f64>; VEU_PORTS],
     /// requests in flight toward each port
-    pub(crate) pending: [usize; 2],
+    pub(crate) pending: [usize; VEU_PORTS],
     pub(crate) out: VecDeque<f64>,
     pub(crate) busy: u64,
 }
@@ -356,7 +395,7 @@ impl Veu {
     fn new(n: usize) -> Veu {
         Veu {
             iq: VecDeque::new(),
-            vregs: vec![vec![0.0; n]; 8],
+            vregs: vec![vec![0.0; n]; VECTOR_REGS],
             ports: [VecDeque::new(), VecDeque::new()],
             pending: [0, 0],
             out: VecDeque::new(),
@@ -436,8 +475,10 @@ pub struct WmMachine<'m> {
     pub(crate) module: &'m Module,
     /// The module pre-decoded into flat dispatch tables (see
     /// [`crate::decode`]): the issue path of both engines. The unit
-    /// instruction queues hold indices into it.
-    pub(crate) prog: DecodedProgram<'m>,
+    /// instruction queues and the program counter hold indices into it.
+    /// Shared, so a run holds its own handle and the units read records
+    /// in place while the step mutates the machine.
+    pub(crate) prog: Arc<DecodedProgram<'m>>,
     pub(crate) config: WmConfig,
     pub(crate) mem: MemoryImage,
     pub(crate) ieu: Unit,
@@ -450,10 +491,13 @@ pub struct WmMachine<'m> {
     /// not), so the per-load ordering checks can skip the queue scans
     /// when no write is outstanding — the overwhelmingly common case.
     pub(crate) writes_in_flight: usize,
-    pub(crate) pc: Option<Pc>,
-    pub(crate) ret_stack: Vec<Pc>,
+    /// The slot the IFU fetches next; `None` once the entry function
+    /// has returned.
+    pub(crate) pc: Option<u32>,
+    /// Return slots of the active calls.
+    pub(crate) ret_stack: Vec<u32>,
     /// IFU-side per-stream dispatch counters for `jNI` jumps.
-    pub(crate) dispatch: HashMap<DataFifo, i64>,
+    pub(crate) dispatch: JniCounters,
     /// IFU-side vector-termination counter for `jNIv` jumps.
     pub(crate) dispatch_vec: Option<i64>,
     pub(crate) output: Vec<u8>,
@@ -545,9 +589,10 @@ impl<'m> WmMachine<'m> {
     /// virtual registers, generic memory references, globals that do not
     /// fit the memory, and any instruction no unit can execute — a
     /// register operand of the other unit's class, a write to register 1
-    /// (the read-only FIFO), the address of a symbol that is not data, or
-    /// a call of a data symbol. Nothing unexecutable is left to fail at
-    /// run time.
+    /// (the read-only FIFO), the address of a symbol that is not data, a
+    /// call of a data symbol or of an unknown builtin, a vector operator
+    /// that is not floating point, or a vector register or VEU port that
+    /// does not exist. Nothing unexecutable is left to fail at run time.
     pub fn new(module: &'m Module, config: &WmConfig) -> Result<WmMachine<'m>, SimError> {
         for f in &module.functions {
             for inst in f.insts() {
@@ -574,7 +619,7 @@ impl<'m> WmMachine<'m> {
         let mem = MemoryImage::new(module, config.memory_size)?;
         // Pre-decode: both engines issue from this table, and the unit
         // queues carry indices into it.
-        let prog = DecodedProgram::decode(module, &mem.addresses)?;
+        let prog = Arc::new(DecodedProgram::decode(module, &mem.addresses)?);
         let mut ieu = Unit::new(RegClass::Int);
         ieu.regs[30] = Val::I(mem.initial_sp);
         let memsys = MemSystem::new(&config.mem_model, config.mem_latency);
@@ -602,7 +647,7 @@ impl<'m> WmMachine<'m> {
             writes_in_flight: 0,
             pc: None,
             ret_stack: Vec::new(),
-            dispatch: HashMap::new(),
+            dispatch: JniCounters::default(),
             dispatch_vec: None,
             output: Vec::new(),
             stats: SimStats::default(),
@@ -720,11 +765,7 @@ impl<'m> WmMachine<'m> {
             }
             self.ieu.regs[2 + i] = Val::I(*a);
         }
-        self.pc = Some(Pc {
-            func: fidx,
-            block: 0,
-            inst: 0,
-        });
+        self.pc = Some(self.prog.funcs[fidx].entry());
         Ok(())
     }
 
@@ -739,6 +780,7 @@ impl<'m> WmMachine<'m> {
     /// Simulate until the entry function returns, stepping with the
     /// engine selected by [`WmConfig::engine`].
     pub fn run_to_completion(&mut self) -> Result<RunResult, SimError> {
+        let prog = Arc::clone(&self.prog);
         while !self.halted() {
             if let Some(t) = &self.cancel {
                 if t.is_cancelled() {
@@ -748,7 +790,7 @@ impl<'m> WmMachine<'m> {
                     });
                 }
             }
-            self.step()?;
+            self.step_in(&prog)?;
             if self.cycle >= self.config.max_cycles {
                 return Err(SimError::Timeout {
                     cycles: self.config.max_cycles,
@@ -796,8 +838,9 @@ impl<'m> WmMachine<'m> {
     /// them at the barrier — not here.
     pub(crate) fn run_epoch(&mut self, target: u64) -> Result<(), SimError> {
         self.ff_horizon = target;
+        let prog = Arc::clone(&self.prog);
         while self.cycle < target && !self.halted() {
-            self.step()?;
+            self.step_in(&prog)?;
         }
         Ok(())
     }
@@ -808,14 +851,20 @@ impl<'m> WmMachine<'m> {
     ///
     /// # Errors
     ///
-    /// Faults, and the [`SimError::BadProgram`] errors only a run can
-    /// find (a channel instruction without a live peer tile, an unknown
-    /// builtin), at the cycle they occur; both engines report the same
-    /// error at the same cycle.
+    /// Faults, and the one [`SimError::BadProgram`] error only a run can
+    /// find (a channel instruction without a live peer tile), at the
+    /// cycle they occur; both engines report the same error at the same
+    /// cycle.
     pub fn step(&mut self) -> Result<(), SimError> {
+        let prog = Arc::clone(&self.prog);
+        self.step_in(&prog)
+    }
+
+    /// [`WmMachine::step`] over `prog`, the machine's own table.
+    fn step_in(&mut self, prog: &DecodedProgram<'m>) -> Result<(), SimError> {
         match self.config.engine {
-            Engine::Cycle => self.step_with::<false>(),
-            Engine::Compiled => self.step_with::<true>(),
+            Engine::Cycle => self.step_with::<false>(prog),
+            Engine::Compiled => self.step_with::<true>(prog),
         }
     }
 
@@ -909,12 +958,7 @@ impl<'m> WmMachine<'m> {
         };
         MachineState {
             cycle: self.cycle,
-            pc: self.pc.map(|pc| {
-                format!(
-                    "{}, block {}, instruction {}",
-                    self.module.functions[pc.func].name, pc.block, pc.inst
-                )
-            }),
+            pc: self.pc.map(|pc| self.prog.position(self.module, pc)),
             units: vec![unit_state(RegClass::Int), unit_state(RegClass::Flt)],
             scus: self
                 .scus
@@ -948,7 +992,7 @@ impl<'m> WmMachine<'m> {
             dispatch: self
                 .dispatch
                 .iter()
-                .map(|(f, n)| (f.to_string(), *n))
+                .map(|(f, n)| (f.to_string(), n))
                 .collect(),
             dropped_responses: self.dropped_responses,
             mem: self.memsys.summary(self.cycle),
@@ -1025,23 +1069,19 @@ impl<'m> WmMachine<'m> {
             }
         }
         if let Some(pc) = self.pc {
-            let func = &self.module.functions[pc.func];
-            if let Some(inst) = func.blocks.get(pc.block).and_then(|b| b.insts.get(pc.inst)) {
-                match &inst.kind {
-                    InstKind::Branch { class, .. } if self.unit(*class).cc.is_empty() => {
-                        parts.push(format!(
-                            "IFU: `{}` waits on an empty condition-code FIFO",
-                            inst.kind
-                        ));
-                    }
-                    InstKind::BranchStream { fifo, .. } if !self.dispatch.contains_key(fifo) => {
-                        parts.push(format!(
-                            "IFU: `{}` waits for a stream on {fifo} that was never configured",
-                            inst.kind
-                        ));
-                    }
-                    _ => {}
+            let kind = self.prog.insts[pc as usize].kind;
+            match kind {
+                InstKind::Branch { class, .. } if self.unit(*class).cc.is_empty() => {
+                    parts.push(format!(
+                        "IFU: `{kind}` waits on an empty condition-code FIFO"
+                    ));
                 }
+                InstKind::BranchStream { fifo, .. } if !self.dispatch.contains(*fifo) => {
+                    parts.push(format!(
+                        "IFU: `{kind}` waits for a stream on {fifo} that was never configured"
+                    ));
+                }
+                _ => {}
             }
         }
         for i in 0..self.scus.len() {
@@ -1489,82 +1529,69 @@ impl<'m> WmMachine<'m> {
 
     // ---- vector execution unit ----
 
-    pub(crate) fn veu_step(&mut self) -> Result<(), SimError> {
-        let outcome = self.veu_step_inner()?;
+    pub(crate) fn veu_step(&mut self, prog: &DecodedProgram<'m>) {
+        let outcome = self.veu_step_inner(prog);
         self.perf.veu.record(outcome);
         self.last_outcomes.veu = outcome;
-        Ok(())
     }
 
-    fn veu_step_inner(&mut self) -> Result<Outcome, SimError> {
+    fn veu_step_inner(&mut self, prog: &DecodedProgram<'m>) -> Outcome {
         if self.veu.busy > 0 {
             self.veu.busy -= 1;
             self.last_progress = self.cycle;
-            return Ok(Outcome::Active);
+            return Outcome::Active;
         }
         let Some(&idx) = self.veu.iq.front() else {
-            return Ok(Outcome::Idle);
+            return Outcome::Idle;
         };
-        let head: &'m InstKind = self.prog.insts[idx as usize].kind;
+        let d = &prog.insts[idx as usize];
         let n = VECTOR_LENGTH;
         let op_cycles = (n as u64).div_ceil(VEU_LANES as u64);
-        match head {
-            InstKind::VLoad { vreg, port } => {
-                let p = *port as usize;
+        match d.payload {
+            Payload::VLoad { vreg, port } => {
+                let p = port as usize;
                 if self.veu.ports[p].len() < n {
-                    return Ok(Outcome::Stall(Stall::FifoEmpty)); // wait for a full group
+                    return Outcome::Stall(Stall::FifoEmpty); // wait for a full group
                 }
                 for k in 0..n {
                     let v = self.veu.ports[p].pop_front().expect("checked length");
-                    self.veu.vregs[*vreg as usize][k] = v;
+                    self.veu.vregs[vreg as usize][k] = v;
                 }
                 self.veu.busy = op_cycles;
             }
-            InstKind::VStore { vreg } => {
+            Payload::VStore { vreg } => {
                 if self.veu.out.len() + n > 4 * n {
-                    return Ok(Outcome::Stall(Stall::OutFull)); // output FIFO full
+                    return Outcome::Stall(Stall::OutFull); // output FIFO full
                 }
                 for k in 0..n {
-                    let v = self.veu.vregs[*vreg as usize][k];
+                    let v = self.veu.vregs[vreg as usize][k];
                     self.veu.out.push_back(v);
                 }
                 self.veu.busy = op_cycles;
             }
-            InstKind::VecBin { op, dst, a, b } => {
+            Payload::VecBin { op, dst, a, b } => {
                 for k in 0..n {
-                    let x = self.veu.vregs[*a as usize][k];
-                    let y = self.veu.vregs[*b as usize][k];
-                    self.veu.vregs[*dst as usize][k] = match op {
-                        BinOp::FAdd => x + y,
-                        BinOp::FSub => x - y,
-                        BinOp::FMul => x * y,
-                        BinOp::FDiv => x / y,
-                        other => {
-                            return Err(SimError::BadProgram(format!(
-                                "vector operator {other} is not floating point"
-                            )))
-                        }
-                    };
+                    let x = self.veu.vregs[a as usize][k];
+                    let y = self.veu.vregs[b as usize][k];
+                    self.veu.vregs[dst as usize][k] = op
+                        .fold_flt(x, y)
+                        .expect("decode admits only floating-point vector operators");
                 }
                 self.veu.busy = op_cycles;
             }
-            InstKind::VecBroadcast { dst, value } => {
+            Payload::VecBroadcast { dst, value } => {
                 for k in 0..n {
-                    self.veu.vregs[*dst as usize][k] = *value;
+                    self.veu.vregs[dst as usize][k] = value;
                 }
                 self.veu.busy = 1;
             }
-            other => {
-                return Err(SimError::BadProgram(format!(
-                    "instruction reached the VEU: {other}"
-                )))
-            }
+            _ => unreachable!("`{}` reached the VEU", d.kind),
         }
-        self.record(UnitName::Veu, head);
+        self.record(UnitName::Veu, d.kind);
         self.veu.iq.pop_front();
         self.perf.veu.retired += 1;
         self.last_progress = self.cycle;
-        Ok(Outcome::Active)
+        Outcome::Active
     }
 
     // ---- operand evaluation ----
@@ -1623,14 +1650,8 @@ impl<'m> WmMachine<'m> {
         b: Val,
     ) -> Result<Val, SimError> {
         if op.is_float() {
-            let (x, y) = (a.as_f(), b.as_f());
-            return Ok(Val::F(match op {
-                BinOp::FAdd => x + y,
-                BinOp::FSub => x - y,
-                BinOp::FMul => x * y,
-                BinOp::FDiv => x / y,
-                _ => unreachable!(),
-            }));
+            let v = op.fold_flt(a.as_f(), b.as_f());
+            return Ok(Val::F(v.expect("a floating-point operator")));
         }
         let (x, y) = (a.as_i(), b.as_i());
         if matches!(op, BinOp::Div | BinOp::Rem) && y == 0 {
@@ -1651,7 +1672,7 @@ impl<'m> WmMachine<'m> {
 
     pub(crate) fn advance(&mut self) {
         if let Some(pc) = self.pc.as_mut() {
-            pc.inst += 1;
+            *pc += 1;
         }
     }
 
@@ -1663,14 +1684,12 @@ impl<'m> WmMachine<'m> {
         self.ieu.iq.is_empty() && self.feu.iq.is_empty()
     }
 
-    pub(crate) fn exec_builtin(&mut self, name: &str) -> Result<(), SimError> {
-        match name {
-            "putchar" => {
+    pub(crate) fn exec_builtin(&mut self, builtin: Builtin) {
+        match builtin {
+            Builtin::Putchar => {
                 let c = self.ieu.regs[2].as_i();
                 self.output.push(c as u8);
-                Ok(())
             }
-            other => Err(SimError::BadProgram(format!("unknown builtin {other}"))),
         }
     }
 }
@@ -1762,5 +1781,34 @@ pub(crate) fn dispatch_class(kind: &InstKind) -> RegClass {
         InstKind::ChanSend { class, .. } => *class,
         InstKind::ChanRecv { dst, .. } => dst.class,
         other => unreachable!("not a unit instruction: {other}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn jni_counters_list_in_fifo_order_whatever_the_insertion_order() {
+        let (i0, i1) = (
+            DataFifo::new(RegClass::Int, 0),
+            DataFifo::new(RegClass::Int, 1),
+        );
+        let (f0, f1) = (
+            DataFifo::new(RegClass::Flt, 0),
+            DataFifo::new(RegClass::Flt, 1),
+        );
+        let listed = |c: &JniCounters| -> Vec<String> {
+            c.iter().map(|(f, n)| format!("{f}={n}")).collect()
+        };
+        let mut c = JniCounters::default();
+        for (n, f) in [f1, i0, f0, i1].into_iter().enumerate() {
+            c.insert(f, n as i64 + 1);
+        }
+        assert_eq!(listed(&c), ["r0=2", "r1=4", "f0=3", "f1=1"]);
+        c.remove(i1);
+        *c.get_mut(f1).expect("f1 is live") -= 1;
+        assert!(!c.contains(i1) && c.contains(f1));
+        assert_eq!(listed(&c), ["r0=2", "f0=3", "f1=0"]);
     }
 }

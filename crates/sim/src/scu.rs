@@ -474,7 +474,7 @@ impl WmMachine<'_> {
                 self.scus[k].squash_until = cycle + penalty;
             }
         }
-        self.dispatch.remove(&fifo);
+        self.dispatch.remove(fifo);
     }
 
     /// Deliver an index fetch into SCU `scu`'s ring. Matched to the

@@ -395,6 +395,52 @@ fn unexecutable_modules() -> Vec<(&'static str, Module)> {
                 });
             }),
         ),
+        (
+            "unknown builtin getchar",
+            with_main(&|m, b| {
+                let callee = m.add_builtin("getchar");
+                b.emit(InstKind::Call {
+                    callee,
+                    args: vec![],
+                    ret: None,
+                });
+            }),
+        ),
+        (
+            "vector register v8 does not exist",
+            with_main(&|_, b| {
+                b.emit(InstKind::VecBroadcast { dst: 8, value: 1.0 });
+            }),
+        ),
+        (
+            "VEU port p2 does not exist",
+            with_main(&|_, b| {
+                b.emit(InstKind::VLoad { vreg: 0, port: 2 });
+            }),
+        ),
+        (
+            "VEU port p2 does not exist",
+            with_main(&|_, b| {
+                b.emit(InstKind::VStreamIn {
+                    port: 2,
+                    base: Operand::Imm(0),
+                    count: Operand::Imm(32),
+                    stride: Operand::Imm(8),
+                    vectors: Operand::Imm(1),
+                });
+            }),
+        ),
+        (
+            "vector operator + is not floating point",
+            with_main(&|_, b| {
+                b.emit(InstKind::VecBin {
+                    op: BinOp::Add,
+                    dst: 0,
+                    a: 1,
+                    b: 2,
+                });
+            }),
+        ),
     ]
 }
 

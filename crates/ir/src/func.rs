@@ -1,6 +1,7 @@
 //! Functions and basic blocks.
 
 use crate::inst::{Inst, InstId, InstKind};
+use crate::list::{FlatLists, Succs};
 use crate::reg::{Reg, RegClass};
 
 /// A basic-block label, stable across block insertion and deletion.
@@ -31,6 +32,10 @@ impl Block {
         self.insts.last().filter(|i| i.kind.is_terminator())
     }
 }
+
+/// Every block's predecessors, indexed by block: see
+/// [`Function::predecessors`].
+pub type Predecessors = FlatLists<usize>;
 
 /// A function: basic blocks in layout order (entry first) plus register and
 /// frame bookkeeping.
@@ -155,51 +160,60 @@ impl Function {
     /// terminator falls through to the next block in layout order. One
     /// label→index pass resolves every edge, so an analysis that needs
     /// the CFG builds this once rather than searching the block list per
-    /// edge.
+    /// edge. Each list is inline: the table and the label index are the
+    /// only allocations.
     ///
     /// # Panics
     ///
     /// Panics if a terminator targets a label no block carries.
-    pub fn successor_table(&self) -> Vec<Vec<usize>> {
+    pub fn successor_table(&self) -> Vec<Succs> {
         let n = self.blocks.len();
         let labels = self.blocks.iter().map(|b| b.label.0 as usize + 1).max();
         let mut index_of = vec![usize::MAX; labels.unwrap_or(0)];
         for (i, b) in self.blocks.iter().enumerate() {
             index_of[b.label.0 as usize] = i;
         }
-        let index = |t: Label| match index_of.get(t.0 as usize) {
+        let index = |t: &Label| match index_of.get(t.0 as usize) {
             Some(&i) if i != usize::MAX => i,
             _ => panic!("no block labelled {t} in {}", self.name),
         };
         (0..n)
-            .map(|bi| match self.blocks[bi].terminator() {
-                Some(last) => {
-                    let mut out = Vec::with_capacity(2);
-                    for t in last.kind.targets() {
-                        let i = index(t);
-                        if !out.contains(&i) {
-                            out.push(i);
+            .map(|bi| {
+                let mut out = Succs::new();
+                match self.blocks[bi].terminator().map(|i| &i.kind) {
+                    Some(InstKind::Jump { target }) => out.push(index(target)),
+                    Some(
+                        InstKind::Branch { target, els, .. }
+                        | InstKind::BranchStream { target, els, .. }
+                        | InstKind::BranchVec { target, els },
+                    ) => {
+                        let (t, e) = (index(target), index(els));
+                        out.push(t);
+                        if e != t {
+                            out.push(e);
                         }
                     }
-                    out
+                    Some(_) => {}
+                    None if bi + 1 < n => out.push(bi + 1),
+                    None => {}
                 }
-                None if bi + 1 < n => vec![bi + 1],
-                None => Vec::new(),
+                out
             })
             .collect()
     }
 
-    /// Predecessor lists for every block, indexed in layout order.
-    pub fn predecessors(&self) -> Vec<Vec<usize>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for (i, succs) in self.successor_table().into_iter().enumerate() {
-            for s in succs {
-                preds[s].push(i);
+    /// Predecessor lists for every block, indexed in layout order, each in
+    /// ascending block order, all in one flat buffer.
+    pub fn predecessors(&self) -> Predecessors {
+        let succs = self.successor_table();
+        FlatLists::build(succs.len(), |add| {
+            for (i, ss) in succs.iter().enumerate() {
+                for &s in ss.iter() {
+                    add(s, i);
+                }
             }
-        }
-        preds
+        })
     }
-
     /// Iterate over every instruction in layout order.
     pub fn insts(&self) -> impl Iterator<Item = &Inst> {
         self.blocks.iter().flat_map(|b| b.insts.iter())
@@ -280,18 +294,19 @@ mod tests {
         f.push(b1, InstKind::Jump { target: b0 });
         // b2: ret
         f.push(b2, InstKind::Ret);
-        assert_eq!(f.successor_table(), vec![vec![2, 1], vec![0], vec![]]);
+        assert_eq!(f.successor_table(), [vec![2, 1], vec![0], vec![]]);
         let preds = f.predecessors();
-        assert_eq!(preds[0], vec![1]);
-        assert_eq!(preds[1], vec![0]);
-        assert_eq!(preds[2], vec![0]);
+        assert_eq!(preds.len(), 3);
+        assert_eq!(preds[0], [1]);
+        assert_eq!(preds[1], [0]);
+        assert_eq!(preds[2], [0]);
     }
 
     #[test]
     fn empty_block_falls_through() {
         let mut f = Function::new("f", 0, 0);
         let _b1 = f.add_block();
-        assert_eq!(f.successor_table(), vec![vec![1], vec![]]);
+        assert_eq!(f.successor_table(), [vec![1], vec![]]);
     }
 
     #[test]

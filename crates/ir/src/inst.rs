@@ -2,6 +2,7 @@
 
 use crate::expr::{MemRef, Operand, RExpr};
 use crate::func::Label;
+use crate::list::{InlineVec, RegList, TargetsMut};
 use crate::module::SymId;
 use crate::ops::{BinOp, CmpOp, Width};
 use crate::reg::{Reg, RegClass};
@@ -315,9 +316,11 @@ impl MemAccess<'_> {
 
 impl InstKind {
     /// Registers written by this RTL (including FIFO-mapped cells; liveness
-    /// clients filter with [`Reg::is_fifo`] / [`Reg::is_zero`]).
-    pub fn defs(&self) -> Vec<Reg> {
-        let mut v = Vec::new();
+    /// clients filter with [`Reg::is_fifo`] / [`Reg::is_zero`]). At most
+    /// two, so the list never spills to the heap.
+    #[inline]
+    pub fn defs(&self) -> RegList {
+        let mut v = RegList::new();
         self.for_each_def(|r| v.push(r));
         v
     }
@@ -339,9 +342,11 @@ impl InstKind {
         }
     }
 
-    /// Registers read by this RTL.
-    pub fn uses(&self) -> Vec<Reg> {
-        let mut v = Vec::new();
+    /// Registers read by this RTL. Only a call with more register
+    /// arguments than [`RegList`] holds inline puts the list on the heap.
+    #[inline]
+    pub fn uses(&self) -> RegList {
+        let mut v = RegList::new();
         self.for_each_use(|r| v.push(r));
         v
     }
@@ -464,24 +469,26 @@ impl InstKind {
 
     /// All control-flow targets of this instruction (empty for non-jumps;
     /// taken target first for conditional branches).
-    pub fn targets(&self) -> Vec<Label> {
+    pub fn targets(&self) -> InlineVec<Label, 2> {
+        let mut v = InlineVec::new();
         match self {
-            InstKind::Jump { target } => vec![*target],
+            InstKind::Jump { target } => v.push(*target),
             InstKind::Branch { target, els, .. }
             | InstKind::BranchStream { target, els, .. }
-            | InstKind::BranchVec { target, els } => vec![*target, *els],
-            _ => Vec::new(),
+            | InstKind::BranchVec { target, els } => v.extend([*target, *els]),
+            _ => {}
         }
+        v
     }
 
     /// Mutable references to every control-flow target.
-    pub fn targets_mut(&mut self) -> Vec<&mut Label> {
+    pub fn targets_mut(&mut self) -> TargetsMut<'_> {
         match self {
-            InstKind::Jump { target } => vec![target],
+            InstKind::Jump { target } => TargetsMut::new(Some(target), None),
             InstKind::Branch { target, els, .. }
             | InstKind::BranchStream { target, els, .. }
-            | InstKind::BranchVec { target, els } => vec![target, els],
-            _ => Vec::new(),
+            | InstKind::BranchVec { target, els } => TargetsMut::new(Some(target), Some(els)),
+            _ => TargetsMut::new(None, None),
         }
     }
 

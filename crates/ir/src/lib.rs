@@ -22,6 +22,9 @@
 //!   compute an address and deliver data through FIFO register 0/1;
 //! * [`Function`], [`Block`], [`Module`] — the control-flow container;
 //! * [`hw`] — the hardware facts the compiler and the simulator share;
+//! * [`InlineVec`] and [`fx`] — the allocation-free answers of the
+//!   per-instruction queries, and the unkeyed hasher for maps keyed by
+//!   ids the compiler assigns;
 //! * a paper-style pretty printer (`Display` impls) so listings can be
 //!   compared with Figures 4, 5, 6 and 7 of the paper.
 //!
@@ -45,16 +48,19 @@ mod builder;
 mod display;
 mod expr;
 mod func;
+pub mod fx;
 pub mod hw;
 mod inst;
+mod list;
 mod module;
 mod ops;
 mod reg;
 
 pub use builder::FuncBuilder;
 pub use expr::{MemRef, Operand, RExpr};
-pub use func::{Block, Function, Label};
+pub use func::{Block, Function, Label, Predecessors};
 pub use inst::{DataFifo, Inst, InstId, InstKind, MemAccess};
+pub use list::{FlatLists, InlineVec, RegList, Succs, TargetsMut};
 pub use module::{Global, GlobalKind, Module, SymId};
 pub use ops::{AutoMode, BinOp, CmpOp, UnOp, Width};
 pub use reg::{Reg, RegClass, RegKind, FIRST_ARG_REG, NUM_ARG_REGS, NUM_PHYS, SP_REG, ZERO_REG};

@@ -6,11 +6,13 @@
 //! the induction variable (`cee`), and the constant part (`dee`) relative to
 //! a *region base* (a global symbol or an invariant pointer register).
 
-use std::collections::HashMap;
-
-use wm_ir::{BinOp, CmpOp, Function, InstKind, MemRef, Operand, RExpr, Reg, RegClass, SymId};
+use wm_ir::fx::FxHashMap;
+use wm_ir::{
+    BinOp, CmpOp, FlatLists, Function, InstKind, MemRef, Operand, RExpr, Reg, RegClass, SymId,
+};
 
 use crate::cfg::{Dominators, Loop};
+use crate::liveness::{bit, reg_at, slots};
 
 /// The memory region an address is based on; the partition key of the
 /// paper's Step 1 ("partitions that reference disjoint sections of memory").
@@ -87,20 +89,41 @@ impl IndVar {
     }
 }
 
-/// Where each register is defined: `(block index, inst index)` pairs.
-pub type DefMap = HashMap<Reg, Vec<(usize, usize)>>;
+/// Where each register is defined: `(block index, inst index)` pairs in
+/// program order, every register's list in one flat buffer indexed by its
+/// liveness bit position.
+#[derive(Debug, Clone)]
+pub struct DefMap(FlatLists<(usize, usize)>);
+
+impl DefMap {
+    /// The definitions of `r`, or `None` if nothing defines it.
+    pub fn get(&self, r: &Reg) -> Option<&[(usize, usize)]> {
+        let b = bit(*r);
+        (b < self.0.len())
+            .then(|| &self.0[b])
+            .filter(|sites| !sites.is_empty())
+    }
+
+    /// Every defined register with its definitions, in bit-position
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (Reg, &[(usize, usize)])> + '_ {
+        self.0
+            .lists()
+            .enumerate()
+            .filter(|(_, sites)| !sites.is_empty())
+            .map(|(b, sites)| (reg_at(b), sites))
+    }
+}
 
 /// Build the definition map for a whole function.
 pub fn def_map(func: &Function) -> DefMap {
-    let mut map: DefMap = HashMap::new();
-    for (bi, block) in func.blocks.iter().enumerate() {
-        for (ii, inst) in block.insts.iter().enumerate() {
-            for d in inst.kind.defs() {
-                map.entry(d).or_default().push((bi, ii));
+    DefMap(FlatLists::build(slots(func), |add| {
+        for (bi, block) in func.blocks.iter().enumerate() {
+            for (ii, inst) in block.insts.iter().enumerate() {
+                inst.kind.for_each_def(|d| add(bit(d), (bi, ii)));
             }
         }
-    }
-    map
+    }))
 }
 
 /// Analysis context for one loop.
@@ -115,24 +138,19 @@ pub struct LoopAnalysis<'a> {
     /// All register definitions in the function.
     pub defs: DefMap,
     /// Basic induction variables of the loop, by register.
-    pub ivs: HashMap<Reg, IndVar>,
+    pub ivs: FxHashMap<Reg, IndVar>,
 }
 
 impl<'a> LoopAnalysis<'a> {
     /// Analyze `lp` in `func`.
     pub fn new(func: &'a Function, lp: &'a Loop, dom: &'a Dominators) -> LoopAnalysis<'a> {
         let defs = def_map(func);
-        let mut ivs = HashMap::new();
-        for (reg, sites) in &defs {
-            let in_loop: Vec<(usize, usize)> = sites
-                .iter()
-                .copied()
-                .filter(|(bi, _)| lp.contains(*bi))
-                .collect();
-            if in_loop.len() != 1 {
+        let mut ivs = FxHashMap::default();
+        for (reg, sites) in defs.iter() {
+            let mut in_loop = sites.iter().copied().filter(|(bi, _)| lp.contains(*bi));
+            let (Some((bi, ii)), None) = (in_loop.next(), in_loop.next()) else {
                 continue;
-            }
-            let (bi, ii) = in_loop[0];
+            };
             // the increment must run once per iteration
             if !lp.latches.iter().all(|&l| dom.dominates(bi, l)) {
                 continue;
@@ -143,19 +161,19 @@ impl<'a> LoopAnalysis<'a> {
                 src: RExpr::Bin(op, a, b),
             } = &inst.kind
             {
-                if dst != reg {
+                if *dst != reg {
                     continue;
                 }
-                let step = match (op, a, b) {
-                    (BinOp::Add, Operand::Reg(r), Operand::Imm(c)) if r == reg => Some((*c, None)),
-                    (BinOp::Add, Operand::Imm(c), Operand::Reg(r)) if r == reg => Some((*c, None)),
-                    (BinOp::Sub, Operand::Reg(r), Operand::Imm(c)) if r == reg => Some((-*c, None)),
+                let step = match (op, *a, *b) {
+                    (BinOp::Add, Operand::Reg(r), Operand::Imm(c)) if r == reg => Some((c, None)),
+                    (BinOp::Add, Operand::Imm(c), Operand::Reg(r)) if r == reg => Some((c, None)),
+                    (BinOp::Sub, Operand::Reg(r), Operand::Imm(c)) if r == reg => Some((-c, None)),
                     // symbolic step: r := r + s with s invariant in the loop
                     (BinOp::Add, Operand::Reg(r), Operand::Reg(st)) if r == reg && st != reg => {
-                        Some((0, Some(*st)))
+                        Some((0, Some(st)))
                     }
                     (BinOp::Add, Operand::Reg(st), Operand::Reg(r)) if r == reg && st != reg => {
-                        Some((0, Some(*st)))
+                        Some((0, Some(st)))
                     }
                     _ => None,
                 };
@@ -170,9 +188,9 @@ impl<'a> LoopAnalysis<'a> {
                     };
                     if (step != 0 || step_reg.is_some()) && invariant_step {
                         ivs.insert(
-                            *reg,
+                            reg,
                             IndVar {
-                                reg: *reg,
+                                reg,
                                 step,
                                 step_reg,
                                 def: (bi, ii),
@@ -191,16 +209,13 @@ impl<'a> LoopAnalysis<'a> {
         }
     }
 
-    fn defs_in_loop(&self, r: Reg) -> Vec<(usize, usize)> {
+    fn defs_in_loop(&self, r: Reg) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.defs
             .get(&r)
-            .map(|v| {
-                v.iter()
-                    .copied()
-                    .filter(|(bi, _)| self.lp.contains(*bi))
-                    .collect()
-            })
             .unwrap_or_default()
+            .iter()
+            .copied()
+            .filter(|(bi, _)| self.lp.contains(*bi))
     }
 
     /// Evaluate an operand at use site `at` into affine form.
@@ -240,14 +255,12 @@ impl<'a> LoopAnalysis<'a> {
                 off: if after { iv.step } else { 0 },
             });
         }
-        let in_loop = self.defs_in_loop(r);
-        if in_loop.is_empty() {
-            return Some(self.resolve_invariant(r, depth));
-        }
-        if in_loop.len() != 1 {
-            return None;
-        }
-        let (dbi, dii) = in_loop[0];
+        let mut in_loop = self.defs_in_loop(r);
+        let (dbi, dii) = match (in_loop.next(), in_loop.next()) {
+            (None, _) => return Some(self.resolve_invariant(r, depth)),
+            (Some(site), None) => site,
+            (Some(_), Some(_)) => return None,
+        };
         // The definition must dominate the use for per-iteration evaluation.
         let dominates = if dbi == at.0 {
             dii < at.1
@@ -274,7 +287,7 @@ impl<'a> LoopAnalysis<'a> {
     /// definition it may be a global address or a constant; otherwise it is
     /// an opaque invariant base.
     fn resolve_invariant(&self, r: Reg, depth: u32) -> Affine {
-        let sites = self.defs.get(&r).cloned().unwrap_or_default();
+        let sites = self.defs.get(&r).unwrap_or_default();
         if sites.len() == 1 {
             let (bi, ii) = sites[0];
             match &self.func.blocks[bi].insts[ii].kind {
@@ -322,7 +335,7 @@ impl<'a> LoopAnalysis<'a> {
                 Operand::Imm(k) => Some(Affine::constant(k)),
                 Operand::FImm(_) => None,
                 Operand::Reg(r) => {
-                    if !self.defs_in_loop(r).is_empty() {
+                    if self.defs_in_loop(r).next().is_some() {
                         return None;
                     }
                     if r.is_zero() {
@@ -584,7 +597,7 @@ pub fn analyze_latch(la: &LoopAnalysis<'_>) -> Option<LatchInfo> {
     };
     // The bound must be loop-invariant.
     if let Operand::Reg(r) = bound {
-        if !la.defs_in_loop(r).is_empty() {
+        if la.defs_in_loop(r).next().is_some() {
             return None;
         }
     }

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeSet;
 
-use wm_ir::{Function, InstKind, Label};
+use wm_ir::{Function, InstKind, Label, Predecessors, Succs};
 
 /// Immediate-dominator tree computed with the Cooper–Harvey–Kennedy
 /// iterative algorithm. Block indices are layout indices into
@@ -189,22 +189,20 @@ pub fn natural_loops(func: &Function, dom: &Dominators) -> Vec<Loop> {
     loops
 }
 
-fn extend_loop(preds: &[Vec<usize>], l: &mut Loop, latch: usize) {
+fn extend_loop(preds: &Predecessors, l: &mut Loop, latch: usize) {
     // classic natural-loop body collection: walk predecessors from the latch
     let mut stack = vec![latch];
     while let Some(b) = stack.pop() {
         if l.blocks.insert(b) {
-            for &p in &preds[b] {
-                stack.push(p);
-            }
+            stack.extend_from_slice(&preds[b]);
         }
     }
 }
 
-fn loop_exits(succs: &[Vec<usize>], l: &Loop) -> Vec<(usize, usize)> {
+fn loop_exits(succs: &[Succs], l: &Loop) -> Vec<(usize, usize)> {
     let mut exits = Vec::new();
     for &b in &l.blocks {
-        for &s in &succs[b] {
+        for &s in succs[b].iter() {
             if !l.contains(s) {
                 exits.push((b, s));
             }

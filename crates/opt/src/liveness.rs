@@ -4,11 +4,13 @@
 //! first, then two per virtual register id below
 //! [`Function::vreg_count`] (one per class). The per-block fixpoint
 //! runs over the function's successor table, built once per analysis,
-//! and a client that needs the set live at each instruction walks the
-//! block bottom-up with [`RegSet::step_back`] on one set instead of
-//! receiving a copy per instruction.
+//! and keeps every block's sets in one flat buffer per kind, so its
+//! allocations do not grow with the block count. A client that needs the
+//! set live at each instruction copies a block's live-out set into one
+//! [`RegSet`] it reuses and walks the block bottom-up with
+//! [`RegSet::step_back`].
 
-use wm_ir::{Function, InstKind, Reg, RegClass, RegKind};
+use wm_ir::{Function, InstKind, Reg, RegClass, RegKind, RegList};
 
 /// Should `r` be tracked by liveness? FIFO-mapped cells and the zero
 /// register carry no conventional value; the stack pointer is reserved and
@@ -19,7 +21,7 @@ pub fn tracked(r: Reg) -> bool {
 
 /// Registers used by `kind`, including the implicit use of the return-value
 /// register at `Ret`.
-pub fn uses_of(kind: &InstKind, func: &Function) -> Vec<Reg> {
+pub fn uses_of(kind: &InstKind, func: &Function) -> RegList {
     let mut u = kind.uses();
     if matches!(kind, InstKind::Ret) {
         if let Some(r) = func.ret {
@@ -31,15 +33,16 @@ pub fn uses_of(kind: &InstKind, func: &Function) -> Vec<Reg> {
 }
 
 /// Registers defined by `kind` (tracked only).
-pub fn defs_of(kind: &InstKind) -> Vec<Reg> {
+pub fn defs_of(kind: &InstKind) -> RegList {
     let mut d = kind.defs();
     d.retain(|r| tracked(*r));
     d
 }
 
 /// Bit position of `r`: architected `class·32 + n`, virtual
-/// `64 + 2·id + class`.
-fn bit(r: Reg) -> usize {
+/// `64 + 2·id + class`. Every register of `func` is below
+/// [`slots`]`(func)`.
+pub(crate) fn bit(r: Reg) -> usize {
     let class = match r.class {
         RegClass::Int => 0,
         RegClass::Flt => 1,
@@ -50,8 +53,13 @@ fn bit(r: Reg) -> usize {
     }
 }
 
+/// Number of bit positions the registers of `func` take.
+pub(crate) fn slots(func: &Function) -> usize {
+    64 + 2 * func.vreg_count() as usize
+}
+
 /// The register at bit position `b` (the inverse of [`bit`]).
-fn reg_at(b: usize) -> Reg {
+pub(crate) fn reg_at(b: usize) -> Reg {
     let class = |odd: bool| if odd { RegClass::Flt } else { RegClass::Int };
     if b < 64 {
         Reg::phys(class(b >= 32), (b % 32) as u8)
@@ -61,26 +69,56 @@ fn reg_at(b: usize) -> Reg {
 }
 
 /// A set of the registers of one function, one bit each. Every set
-/// [`Liveness::compute`] returns for a function has the same width.
+/// [`Liveness`] returns for a function has the same width. `W` is the
+/// storage: an owned `Vec<u64>`, or a `&[u64]` borrowed from a
+/// [`Liveness`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegSet {
-    words: Vec<u64>,
+pub struct RegSet<W = Vec<u64>> {
+    words: W,
 }
 
-impl RegSet {
-    /// An empty set with room for every register of `func`.
-    pub(crate) fn for_function(func: &Function) -> RegSet {
-        RegSet {
-            words: vec![0; (64 + 2 * func.vreg_count() as usize).div_ceil(64)],
-        }
-    }
-
+impl<W: AsRef<[u64]>> RegSet<W> {
     /// Is `r` in the set?
     pub fn contains(&self, r: Reg) -> bool {
         let b = bit(r);
         self.words
+            .as_ref()
             .get(b / 64)
             .is_some_and(|w| w >> (b % 64) & 1 != 0)
+    }
+
+    /// Is the set empty?
+    pub fn is_empty(&self) -> bool {
+        self.words.as_ref().iter().all(|&w| w == 0)
+    }
+
+    /// The registers in the set: architected integer, architected
+    /// floating point, then virtual registers by id.
+    pub fn iter(&self) -> impl Iterator<Item = Reg> + '_ {
+        self.words.as_ref().iter().enumerate().flat_map(|(i, &w)| {
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let b = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    reg_at(i * 64 + b)
+                })
+            })
+        })
+    }
+}
+
+impl RegSet {
+    /// An empty set with room for every register of `func`.
+    pub fn for_function(func: &Function) -> RegSet {
+        RegSet {
+            words: vec![0; slots(func).div_ceil(64)],
+        }
+    }
+
+    /// Become a copy of `other`, a set of the same width.
+    pub fn copy_from(&mut self, other: RegSet<&[u64]>) {
+        self.words.copy_from_slice(other.words);
     }
 
     /// Add `r`, a register of the function the set was sized for.
@@ -95,26 +133,6 @@ impl RegSet {
         if let Some(w) = self.words.get_mut(b / 64) {
             *w &= !(1 << (b % 64));
         }
-    }
-
-    /// Is the set empty?
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// The registers in the set: architected integer, architected
-    /// floating point, then virtual registers by id.
-    pub fn iter(&self) -> impl Iterator<Item = Reg> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &w)| {
-            let mut rest = w;
-            std::iter::from_fn(move || {
-                (rest != 0).then(|| {
-                    let b = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    reg_at(i * 64 + b)
-                })
-            })
-        })
     }
 
     /// Move the set from just after `kind` to just before it: drop what
@@ -133,13 +151,13 @@ impl RegSet {
     }
 }
 
-/// Per-block live-in/out sets.
+/// Per-block live-in/out sets, each kind in one flat buffer of `words`
+/// words per block.
 #[derive(Debug, Clone)]
 pub struct Liveness {
-    /// Registers live on entry to each block (layout index).
-    pub live_in: Vec<RegSet>,
-    /// Registers live on exit from each block.
-    pub live_out: Vec<RegSet>,
+    words: usize,
+    live_in: Vec<u64>,
+    live_out: Vec<u64>,
 }
 
 impl Liveness {
@@ -147,40 +165,65 @@ impl Liveness {
     pub fn compute(func: &Function) -> Liveness {
         let succs = func.successor_table();
         let n = func.blocks.len();
+        let mut cur = RegSet::for_function(func);
+        let mut kills = cur.clone();
+        let w = cur.words.len();
         // gen: live into the block with nothing live out of it; kill:
         // everything the block defines.
-        let empty = RegSet::for_function(func);
-        let mut gen_ = vec![empty.clone(); n];
-        let mut kill = vec![empty.clone(); n];
+        let mut gen_ = vec![0; n * w];
+        let mut kill = vec![0; n * w];
         for (bi, block) in func.blocks.iter().enumerate() {
+            cur.words.fill(0);
+            kills.words.fill(0);
             for inst in block.insts.iter().rev() {
-                gen_[bi].step_back(&inst.kind, func);
-                inst.kind.for_each_def(|d| kill[bi].insert(d));
+                cur.step_back(&inst.kind, func);
+                inst.kind.for_each_def(|d| kills.insert(d));
             }
+            gen_[bi * w..][..w].copy_from_slice(&cur.words);
+            kill[bi * w..][..w].copy_from_slice(&kills.words);
         }
         let mut live_in = gen_.clone();
-        let mut live_out = vec![empty.clone(); n];
-        let mut out = empty;
+        let mut live_out = vec![0; n * w];
+        let out = &mut cur.words;
         let mut changed = true;
         while changed {
             changed = false;
             for bi in (0..n).rev() {
-                out.words.fill(0);
-                for &s in &succs[bi] {
-                    for (o, w) in out.words.iter_mut().zip(&live_in[s].words) {
-                        *o |= w;
+                out.fill(0);
+                for &s in succs[bi].iter() {
+                    for (o, x) in out.iter_mut().zip(&live_in[s * w..][..w]) {
+                        *o |= x;
                     }
                 }
-                if out != live_out[bi] {
-                    for (w, inn) in live_in[bi].words.iter_mut().enumerate() {
-                        *inn = gen_[bi].words[w] | (out.words[w] & !kill[bi].words[w]);
+                let old = &mut live_out[bi * w..][..w];
+                if *out != *old {
+                    old.copy_from_slice(out);
+                    for (k, inn) in live_in[bi * w..][..w].iter_mut().enumerate() {
+                        *inn = gen_[bi * w + k] | (out[k] & !kill[bi * w + k]);
                     }
-                    std::mem::swap(&mut live_out[bi], &mut out);
                     changed = true;
                 }
             }
         }
-        Liveness { live_in, live_out }
+        Liveness {
+            words: w,
+            live_in,
+            live_out,
+        }
+    }
+
+    /// Registers live on entry to block `bi` (layout index).
+    pub fn live_in(&self, bi: usize) -> RegSet<&[u64]> {
+        RegSet {
+            words: &self.live_in[bi * self.words..][..self.words],
+        }
+    }
+
+    /// Registers live on exit from block `bi`.
+    pub fn live_out(&self, bi: usize) -> RegSet<&[u64]> {
+        RegSet {
+            words: &self.live_out[bi * self.words..][..self.words],
+        }
     }
 }
 
@@ -194,7 +237,8 @@ mod tests {
     /// The set live after each instruction of block `bi`, by walking it
     /// bottom-up from `live_out`.
     fn live_after(lv: &Liveness, func: &Function, bi: usize) -> Vec<RegSet> {
-        let mut cur = lv.live_out[bi].clone();
+        let mut cur = RegSet::for_function(func);
+        cur.copy_from(lv.live_out(bi));
         let mut out: Vec<RegSet> = func.blocks[bi]
             .insts
             .iter()
@@ -227,11 +271,11 @@ mod tests {
         let f = b.finish();
         let lv = Liveness::compute(&f);
         let body_i = 1;
-        assert!(lv.live_in[body_i].contains(i));
-        assert!(lv.live_out[body_i].contains(i));
-        assert!(lv.live_in[body_i].contains(n));
+        assert!(lv.live_in(body_i).contains(i));
+        assert!(lv.live_out(body_i).contains(i));
+        assert!(lv.live_in(body_i).contains(n));
         // nothing is live into the exit block
-        assert!(lv.live_in[2].is_empty());
+        assert!(lv.live_in(2).is_empty());
     }
 
     #[test]
@@ -244,7 +288,7 @@ mod tests {
         let f = b.finish();
         let lv = Liveness::compute(&f);
         // r is defined then used by Ret within the single block; live_in empty
-        assert!(lv.live_in[0].is_empty());
+        assert!(lv.live_in(0).is_empty());
         let after = live_after(&lv, &f, 0);
         assert!(after[0].contains(r), "live between def and ret");
     }
@@ -382,7 +426,7 @@ mod tests {
         }
     }
 
-    fn as_hash(s: &RegSet) -> HashSet<Reg> {
+    fn as_hash<W: AsRef<[u64]>>(s: &RegSet<W>) -> HashSet<Reg> {
         s.iter().collect()
     }
 
@@ -393,8 +437,8 @@ mod tests {
         let (live_in, live_out) = reference::compute(func);
         for bi in 0..func.blocks.len() {
             let at = format!("{what}: {} block {bi}", func.name);
-            assert_eq!(as_hash(&lv.live_in[bi]), live_in[bi], "{at}: live-in");
-            assert_eq!(as_hash(&lv.live_out[bi]), live_out[bi], "{at}: live-out");
+            assert_eq!(as_hash(&lv.live_in(bi)), live_in[bi], "{at}: live-in");
+            assert_eq!(as_hash(&lv.live_out(bi)), live_out[bi], "{at}: live-out");
             let ours = live_after(&lv, func, bi);
             let theirs = reference::live_after(func, &live_out[bi], bi);
             for (ii, (a, b)) in ours.iter().zip(&theirs).enumerate() {
@@ -453,9 +497,9 @@ mod tests {
         let f = b.finish();
         agrees_with_reference(&f, "self-loop");
         let lv = Liveness::compute(&f);
-        assert_eq!(as_hash(&lv.live_in[1]), HashSet::from([s, n]));
-        assert_eq!(as_hash(&lv.live_out[1]), HashSet::from([s, n]));
-        assert_eq!(as_hash(&lv.live_in[2]), HashSet::from([s]));
+        assert_eq!(as_hash(&lv.live_in(1)), HashSet::from([s, n]));
+        assert_eq!(as_hash(&lv.live_out(1)), HashSet::from([s, n]));
+        assert_eq!(as_hash(&lv.live_in(2)), HashSet::from([s]));
     }
 
     #[test]
@@ -477,8 +521,8 @@ mod tests {
         f.push(next, InstKind::Ret);
         agrees_with_reference(&f, "fall-through");
         let lv = Liveness::compute(&f);
-        assert_eq!(as_hash(&lv.live_out[0]), HashSet::from([t]));
-        assert_eq!(as_hash(&lv.live_in[0]), HashSet::from([n]));
+        assert_eq!(as_hash(&lv.live_out(0)), HashSet::from([t]));
+        assert_eq!(as_hash(&lv.live_in(0)), HashSet::from([n]));
     }
 
     #[test]
@@ -503,8 +547,8 @@ mod tests {
         f.push(exit, InstKind::Ret);
         agrees_with_reference(&f, "unreachable");
         let lv = Liveness::compute(&f);
-        assert_eq!(as_hash(&lv.live_in[1]), HashSet::from([n]));
-        assert!(!lv.live_in[0].contains(u));
-        assert!(!lv.live_out[1].contains(u));
+        assert_eq!(as_hash(&lv.live_in(1)), HashSet::from([n]));
+        assert!(!lv.live_in(0).contains(u));
+        assert!(!lv.live_out(1).contains(u));
     }
 }

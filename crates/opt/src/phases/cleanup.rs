@@ -1,8 +1,7 @@
 //! Control-flow cleanup: jump threading, branch simplification and
 //! straight-line block merging. Keeps listings close to the paper's shape.
 
-use std::collections::HashMap;
-
+use wm_ir::fx::FxHashMap;
 use wm_ir::{Function, InstKind, Label};
 
 /// Simplify the CFG to a fixed point:
@@ -33,7 +32,7 @@ pub fn simplify_cfg(func: &mut Function) -> bool {
 /// If block `L` contains only `Jump M`, retarget every edge into `L` to `M`.
 fn thread_jumps(func: &mut Function) -> bool {
     // label -> forwarding target
-    let mut forward: HashMap<Label, Label> = HashMap::new();
+    let mut forward: FxHashMap<Label, Label> = FxHashMap::default();
     for block in &func.blocks {
         if block.insts.len() == 1 {
             if let InstKind::Jump { target } = block.insts[0].kind {

@@ -9,21 +9,27 @@
 //! (`t := f0`) directly into the consuming expression, which is how the
 //! paper's listings come to read `f4 := (f0*f1)+f4`.
 
-use std::collections::HashMap;
-
 use wm_ir::{Function, InstKind, Operand, RExpr, Reg};
 
-use crate::liveness::uses_of;
+use crate::liveness::{bit, slots, uses_of};
 
 /// Run one combining sweep. Returns true if anything was merged.
 #[must_use]
 pub fn combine_duals(func: &mut Function) -> bool {
-    // Count uses of every register (including the implicit Ret use).
-    let mut use_sites: HashMap<Reg, Vec<(usize, usize)>> = HashMap::new();
+    // Count uses of every register (including the implicit Ret use),
+    // keeping the first use site: only a register used once combines.
+    let mut uses = vec![(0u32, (0, 0)); slots(func)];
+    let add_use = |uses: &mut [(u32, (usize, usize))], r: Reg, site| {
+        let (count, first) = &mut uses[bit(r)];
+        if *count == 0 {
+            *first = site;
+        }
+        *count += 1;
+    };
     for (bi, block) in func.blocks.iter().enumerate() {
         for (ii, inst) in block.insts.iter().enumerate() {
             for u in uses_of(&inst.kind, func) {
-                use_sites.entry(u).or_default().push((bi, ii));
+                add_use(&mut uses, u, (bi, ii));
             }
         }
     }
@@ -44,13 +50,9 @@ pub fn combine_duals(func: &mut Function) -> bool {
             if !is_bin && !is_deq {
                 continue;
             }
-            let Some(sites) = use_sites.get(t) else {
+            let (1, (ubi, uii)) = uses[bit(*t)] else {
                 continue;
             };
-            if sites.len() != 1 {
-                continue;
-            }
-            let (ubi, uii) = sites[0];
             if ubi != bi || uii <= ii {
                 continue;
             }
@@ -89,9 +91,9 @@ pub fn combine_duals(func: &mut Function) -> bool {
                 // The merged value's operand registers now have an extra
                 // use site; conservatively stop combining them this sweep.
                 for r in operands {
-                    use_sites.entry(r).or_default().push((bi, uii));
+                    add_use(&mut uses, r, (bi, uii));
                 }
-                use_sites.remove(t);
+                uses[bit(*t)].0 = 0;
                 changed = true;
             }
         }

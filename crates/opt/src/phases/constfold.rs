@@ -173,7 +173,7 @@ pub fn propagate_single_def_constants(func: &mut Function) -> bool {
 
     let defs = def_map(func);
     let mut subs: Vec<(Reg, Operand, (usize, usize))> = Vec::new();
-    for (reg, sites) in &defs {
+    for (reg, sites) in defs.iter() {
         if !reg.is_virt() || sites.len() != 1 {
             continue;
         }
@@ -183,7 +183,7 @@ pub fn propagate_single_def_constants(func: &mut Function) -> bool {
             ..
         } = &func.blocks[bi].insts[ii].kind
         {
-            subs.push((*reg, *op, (bi, ii)));
+            subs.push((reg, *op, (bi, ii)));
         }
     }
     if subs.is_empty() {

@@ -6,9 +6,10 @@
 //! at line 15 with register f22". Deletion of the then-dead copy is left to
 //! dead-code elimination.
 
-use std::collections::HashMap;
-
+use wm_ir::fx::FxHashMap;
 use wm_ir::{Function, InstKind, Operand, RExpr, Reg};
+
+use crate::liveness::{bit, slots};
 
 /// Block-local copy propagation: after `dst := src` (a plain register copy
 /// or constant), uses of `dst` are replaced by `src` until either register
@@ -22,16 +23,14 @@ pub fn propagate_copies(func: &mut Function) -> bool {
     // later uses of `t` are rewritten to `k` (reverse mode). This
     // canonicalizes induction-variable updates lowered as
     // `t := (k) + s ; k := t ; … t …` back into a recognizable form.
-    let mut def_count: HashMap<Reg, usize> = HashMap::new();
+    let mut def_count = vec![0u32; slots(func)];
     for inst in func.insts() {
-        for d in inst.kind.defs() {
-            *def_count.entry(d).or_default() += 1;
-        }
+        inst.kind.for_each_def(|d| def_count[bit(d)] += 1);
     }
     let mut changed = false;
     for block in &mut func.blocks {
         // dst -> replacement operand
-        let mut avail: HashMap<Reg, Operand> = HashMap::new();
+        let mut avail: FxHashMap<Reg, Operand> = FxHashMap::default();
         for inst in &mut block.insts {
             // substitute uses first
             let uses = inst.kind.uses();
@@ -55,9 +54,8 @@ pub fn propagate_copies(func: &mut Function) -> bool {
                             avail.insert(*dst, *op);
                         }
                         RExpr::Op(Operand::Reg(s)) if !s.is_fifo() && !s.is_zero() && s != dst => {
-                            let reverse = s.is_virt()
-                                && def_count.get(s).copied().unwrap_or(0) == 1
-                                && def_count.get(dst).copied().unwrap_or(0) > 1;
+                            let reverse =
+                                s.is_virt() && def_count[bit(*s)] == 1 && def_count[bit(*dst)] > 1;
                             if reverse {
                                 // uses of the temp become uses of the variable
                                 avail.insert(*s, Operand::Reg(*dst));
@@ -81,14 +79,12 @@ pub fn propagate_copies(func: &mut Function) -> bool {
 #[must_use]
 pub fn coalesce_copy_chains(func: &mut Function) -> bool {
     // count uses of each register
-    let mut use_count: HashMap<Reg, usize> = HashMap::new();
+    let mut use_count = vec![0u32; slots(func)];
     for inst in func.insts() {
-        for u in inst.kind.uses() {
-            *use_count.entry(u).or_default() += 1;
-        }
+        inst.kind.for_each_use(|u| use_count[bit(u)] += 1);
     }
     if let Some(r) = func.ret {
-        *use_count.entry(r).or_default() += 1;
+        use_count[bit(r)] += 1;
     }
     let mut changed = false;
     for block in &mut func.blocks {
@@ -97,7 +93,7 @@ pub fn coalesce_copy_chains(func: &mut Function) -> bool {
                 continue;
             };
             let (t, expr) = (*t, expr.clone());
-            if !t.is_virt() || use_count.get(&t).copied().unwrap_or(0) != 1 {
+            if !t.is_virt() || use_count[bit(t)] != 1 {
                 continue;
             }
             if expr.regs().any(|r| r.is_fifo()) {

@@ -28,11 +28,12 @@ pub fn eliminate_dead_code(func: &mut Function) -> bool {
 /// never makes another one live.
 pub(crate) fn mark_dead_code(func: &mut Function) -> (bool, Liveness) {
     let mut any = false;
+    let mut live = RegSet::for_function(func);
     loop {
         let lv = Liveness::compute(func);
         let mut changed = false;
         for bi in 0..func.blocks.len() {
-            let mut live = lv.live_out[bi].clone();
+            live.copy_from(lv.live_out(bi));
             for ii in (0..func.blocks[bi].insts.len()).rev() {
                 let kind = &func.blocks[bi].insts[ii].kind;
                 if is_dead(kind, &live) {
@@ -76,8 +77,9 @@ fn is_dead(kind: &InstKind, live: &RegSet) -> bool {
 pub fn eliminate_dead_load_pairs(func: &mut Function) -> bool {
     let lv = Liveness::compute(func);
     let mut pairs = Vec::new();
+    let mut live = RegSet::for_function(func);
     for (bi, block) in func.blocks.iter().enumerate() {
-        let mut live = lv.live_out[bi].clone();
+        live.copy_from(lv.live_out(bi));
         for ii in (1..block.insts.len()).rev() {
             // `live` holds what is live after the candidate dequeue `ii`.
             if let (InstKind::WLoad { fifo, .. }, InstKind::Assign { dst, src }) =

@@ -5,11 +5,11 @@
 //! (`llh`/`sll` pairs, here `LoadAddr`) out of loops is what produces the
 //! Figure 4 shape with array base addresses set up ahead of the loop.
 
-use std::collections::{HashMap, HashSet};
-
+use wm_ir::fx::FxHashSet;
 use wm_ir::{BinOp, Function, Inst, InstKind, RExpr, Reg};
 
 use crate::cfg::{ensure_preheader, natural_loops, Dominators};
+use crate::liveness::{bit, slots};
 
 /// Hoist loop-invariant pure instructions into loop preheaders.
 ///
@@ -23,10 +23,9 @@ use crate::cfg::{ensure_preheader, natural_loops, Dominators};
 pub fn hoist_invariants(func: &mut Function) -> bool {
     // Motion only moves instructions, and a new preheader holds only a
     // jump, so the definition counts hold for the whole call.
-    let mut def_count: HashMap<Reg, usize> = HashMap::new();
+    let mut def_count = vec![0u32; slots(func)];
     for inst in func.insts() {
-        inst.kind
-            .for_each_def(|d| *def_count.entry(d).or_default() += 1);
+        inst.kind.for_each_def(|d| def_count[bit(d)] += 1);
     }
     let mut any = false;
     // Re-discover loops after each round of motion (preheader insertion
@@ -36,7 +35,7 @@ pub fn hoist_invariants(func: &mut Function) -> bool {
         let loops = natural_loops(func, &dom);
         let mut moved = false;
         for lp in &loops {
-            let mut defined_in_loop: HashSet<Reg> = HashSet::new();
+            let mut defined_in_loop: FxHashSet<Reg> = FxHashSet::default();
             for &bi in &lp.blocks {
                 for inst in &func.blocks[bi].insts {
                     inst.kind.for_each_def(|d| {
@@ -46,7 +45,7 @@ pub fn hoist_invariants(func: &mut Function) -> bool {
             }
             // Each hoisted instruction is its destination's only
             // definition, so `invariant` also marks what is hoisted.
-            let mut invariant: HashSet<Reg> = HashSet::new();
+            let mut invariant: FxHashSet<Reg> = FxHashSet::default();
             let mut to_hoist: Vec<(usize, usize)> = Vec::new();
             // iterate to fixpoint within the loop
             let mut grew = true;
@@ -97,9 +96,9 @@ pub fn hoist_invariants(func: &mut Function) -> bool {
 
 fn hoistable(
     inst: &Inst,
-    def_count: &HashMap<Reg, usize>,
-    defined_in_loop: &HashSet<Reg>,
-    invariant: &HashSet<Reg>,
+    def_count: &[u32],
+    defined_in_loop: &FxHashSet<Reg>,
+    invariant: &FxHashSet<Reg>,
 ) -> Option<Reg> {
     let dst = match &inst.kind {
         InstKind::LoadAddr { dst, .. } => *dst,
@@ -123,7 +122,7 @@ fn hoistable(
         }
         _ => return None,
     };
-    if !dst.is_virt() || def_count.get(&dst) != Some(&1) {
+    if !dst.is_virt() || def_count[bit(dst)] != 1 {
         return None;
     }
     // all operands invariant: defined outside the loop or hoisted already

@@ -14,8 +14,7 @@
 //!    count is known, insert stream-stop instructions at the exits when it
 //!    is not, and delete the induction variable when it becomes dead.
 
-use std::collections::HashMap;
-
+use wm_ir::fx::FxHashMap;
 use wm_ir::{
     BinOp, CmpOp, DataFifo, Function, GlobalKind, Inst, InstKind, Label, MemAccess, Module,
     Operand, RExpr, Reg, RegClass, SymId, Width,
@@ -40,7 +39,7 @@ const MIN_STREAM_COUNT: i64 = 3;
 /// opts into speculation.
 #[derive(Debug, Clone, Default)]
 pub struct GlobalExtents {
-    sizes: HashMap<SymId, i64>,
+    sizes: FxHashMap<SymId, i64>,
 }
 
 impl GlobalExtents {
@@ -736,7 +735,7 @@ fn stream_one_loop(
             let live_at_exit = lp
                 .exits
                 .iter()
-                .any(|&(_, to)| lv.live_in[to].contains(iv.reg));
+                .any(|&(_, to)| lv.live_in(to).contains(iv.reg));
             if !live_at_exit {
                 let (bi, ii) = iv.def;
                 func.blocks[bi].insts[ii].kind = InstKind::Nop;

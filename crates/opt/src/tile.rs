@@ -26,8 +26,9 @@
 //! module is left untouched. Rejection is the common case and is not an
 //! error — the program simply runs single-tile.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
+use wm_ir::fx::FxHashSet;
 use wm_ir::{
     DataFifo, Function, InstKind, Label, Module, Operand, RExpr, Reg, RegClass, SymId, Width,
 };
@@ -302,18 +303,19 @@ fn qualify(
     // chain the slices; a carried value (or any loop-defined register)
     // still live after the loop would need the *last* slice's value on
     // tile 0, which the writeback protocol does not provide — reject.
-    let defined: HashSet<Reg> = lp
+    let defined: FxHashSet<Reg> = lp
         .blocks
         .iter()
         .flat_map(|&bi| func.blocks[bi].insts.iter())
         .flat_map(|i| i.kind.defs())
         .collect();
-    let mut carried: Vec<Reg> = live.live_in[lp.header]
+    let mut carried: Vec<Reg> = live
+        .live_in(lp.header)
         .iter()
         .filter(|r| *r != iv && defined.contains(r))
         .collect();
     carried.sort();
-    if live.live_in[exit_to].iter().any(|r| defined.contains(&r)) {
+    if live.live_in(exit_to).iter().any(|r| defined.contains(&r)) {
         return None;
     }
     // Estimated dynamic work: trip * per-iteration instruction count,

@@ -179,7 +179,8 @@ fn vectorize_one(
     {
         let pre_block = func.block_mut(pre);
         let last = pre_block.insts.last_mut().expect("preheader jump");
-        *last.kind.targets_mut()[0] = vloop;
+        let target = last.kind.targets_mut().into_iter().next();
+        *target.expect("the preheader jump's target") = vloop;
     }
 
     // splat constants once, before the loop? They live in vector registers
@@ -280,10 +281,10 @@ fn recognize_map(
     body: usize,
     latch: LatchInfo,
 ) -> Option<MapPlan> {
-    use std::collections::HashMap;
+    use wm_ir::fx::FxHashMap;
 
     // every partition must be safe, unit-iv, D8 and recurrence-free
-    let mut region_of_ref: HashMap<wm_ir::InstId, (Region, i64)> = HashMap::new();
+    let mut region_of_ref: FxHashMap<wm_ir::InstId, (Region, i64)> = FxHashMap::default();
     for p in &parts.partitions {
         if !p.safe || p.region == Region::Unknown || p.cee != 8 || p.sym_step.is_some() {
             return None;

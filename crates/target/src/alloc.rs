@@ -23,14 +23,15 @@
 //!    is known, the prologue decrements the stack pointer at function entry
 //!    and an epilogue restores it before every return.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
+use wm_ir::fx::{FxHashMap, FxHashSet};
 use wm_ir::{
     BinOp, DataFifo, Function, Inst, InstKind, MemRef, Operand, RExpr, Reg, RegClass, Width,
     FIRST_ARG_REG, NUM_ARG_REGS, SP_REG,
 };
-use wm_opt::liveness::{defs_of, tracked, Liveness};
+use wm_opt::liveness::{defs_of, tracked, Liveness, RegSet};
 
 /// Which instruction set the allocated code will execute on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,7 +104,7 @@ pub fn allocate_registers(func: &mut Function, target: TargetKind) -> Result<(),
 /// register, allocated past the function's locals).
 #[derive(Default)]
 struct SpillSlots {
-    offsets: HashMap<Reg, i64>,
+    offsets: FxHashMap<Reg, i64>,
 }
 
 impl SpillSlots {
@@ -247,6 +248,7 @@ fn lower_conventions(
     }
 
     let liveness = Liveness::compute(func);
+    let mut live = RegSet::for_function(func);
     let ret_reg = func.ret;
     for bi in 0..func.blocks.len() {
         let needs_work = func.blocks[bi]
@@ -259,7 +261,7 @@ fn lower_conventions(
         // Every virtual live across each call, bar the call's own result:
         // the callee shares the register file and clobbers freely.
         let mut saved: Vec<Vec<Reg>> = vec![Vec::new(); func.blocks[bi].insts.len()];
-        let mut live = liveness.live_out[bi].clone();
+        live.copy_from(liveness.live_out(bi));
         for (ii, inst) in func.blocks[bi].insts.iter().enumerate().rev() {
             if let InstKind::Call { ret, .. } = inst.kind {
                 saved[ii] = live
@@ -373,10 +375,10 @@ fn color_and_rewrite(
 ) -> Result<(), AllocError> {
     // Temporaries introduced by spilling: picking one of these to spill
     // again means spilling cannot converge.
-    let mut spill_temps: HashSet<Reg> = HashSet::new();
+    let mut spill_temps: FxHashSet<Reg> = FxHashSet::default();
     // Registers carrying spill slots already (their remaining ranges are
     // single instructions, so re-spilling them is equally hopeless).
-    let mut spilled: HashSet<Reg> = HashSet::new();
+    let mut spilled: FxHashSet<Reg> = FxHashSet::default();
     loop {
         let (assignment, to_spill) = try_color(func);
         if to_spill.is_empty() {
@@ -458,8 +460,9 @@ impl Interference {
         // the instruction defines. A virtual is live only where some
         // instruction uses it, so it is a node.
         let node = |r: Reg| index[virt_slot(r)] as usize;
+        let mut live = RegSet::for_function(func);
         for (bi, block) in func.blocks.iter().enumerate() {
-            let mut live = liveness.live_out[bi].clone();
+            live.copy_from(liveness.live_out(bi));
             for inst in block.insts.iter().rev() {
                 let move_src = match &inst.kind {
                     InstKind::Assign { src, .. } => src.as_copy(),
@@ -519,7 +522,7 @@ impl Interference {
 
 /// One build/simplify/select round: the colors it gave, and the registers
 /// it could not color, in the order select met them (to be spilled).
-fn try_color(func: &Function) -> (HashMap<Reg, u8>, Vec<Reg>) {
+fn try_color(func: &Function) -> (FxHashMap<Reg, u8>, Vec<Reg>) {
     let g = Interference::build(func);
     let n = g.nodes.len();
 
@@ -573,7 +576,7 @@ fn try_color(func: &Function) -> (HashMap<Reg, u8>, Vec<Reg>) {
 }
 
 /// Rewrite every occurrence of a colored virtual register.
-fn apply_assignment(func: &mut Function, assignment: &HashMap<Reg, u8>) {
+fn apply_assignment(func: &mut Function, assignment: &FxHashMap<Reg, u8>) {
     let map = |r: Reg| match assignment.get(&r) {
         Some(&c) => Reg::phys(r.class, c),
         None => r,
@@ -598,9 +601,9 @@ fn spill_everywhere(
     target: TargetKind,
     slots: &mut SpillSlots,
     regs: &[Reg],
-    spill_temps: &mut HashSet<Reg>,
+    spill_temps: &mut FxHashSet<Reg>,
 ) {
-    let set: HashSet<Reg> = regs.iter().copied().collect();
+    let set: FxHashSet<Reg> = regs.iter().copied().collect();
     for bi in 0..func.blocks.len() {
         let touches = func.blocks[bi].insts.iter().any(|i| {
             defs_of(&i.kind)
@@ -628,7 +631,7 @@ fn spill_everywhere(
                 out.push(inst);
                 continue;
             }
-            let mut temps: HashMap<Reg, Reg> = HashMap::new();
+            let mut temps: FxHashMap<Reg, Reg> = FxHashMap::default();
             for &r in used.iter().chain(defined.iter()) {
                 temps.entry(r).or_insert_with(|| {
                     let t = func.new_vreg(r.class);
